@@ -1,12 +1,10 @@
 //! Real wall-clock microbenches (criterion) of the hot kernels: the
-//! serial Gustavson reference, the tuple kernels, the Phase IV merge, the
-//! generators, and the power-law fit. These measure *host* performance of
+//! serial Gustavson reference, the parallel sort, the generators, and the
+//! power-law fit. These measure *host* performance of
 //! the library (not simulated device time) and back the perf claims in the
 //! README.
 
 use criterion::{BenchmarkId, Criterion};
-use spmm_core::kernels::product_tuples;
-use spmm_core::merge::merge_tuples;
 use spmm_parallel::{par_sort_by_key, ThreadPool};
 use spmm_scalefree::{fit_power_law, scale_free_matrix, GeneratorConfig};
 use spmm_sparse::reference;
@@ -25,16 +23,6 @@ fn main() {
         c.bench_with_input(BenchmarkId::new("reference/spmm_rowrow", n), &a, |b, a| {
             b.iter(|| reference::spmm_rowrow(a, a).unwrap())
         });
-        let rows: Vec<usize> = (0..a.nrows()).collect();
-        c.bench_with_input(BenchmarkId::new("kernels/product_tuples", n), &a, |b, a| {
-            b.iter(|| product_tuples(a, a, &rows, None, &pool))
-        });
-        let tuples = product_tuples(&a, &a, &rows, None, &pool);
-        c.bench_with_input(
-            BenchmarkId::new("merge/merge_tuples", tuples.len()),
-            &tuples,
-            |b, t| b.iter(|| merge_tuples(t.clone(), (a.nrows(), a.ncols()), &pool)),
-        );
     }
 
     let big: Vec<u64> = (0..200_000u64).map(|i| i.wrapping_mul(0x9E3779B97F4A7C15)).collect();

@@ -2,7 +2,7 @@
 
 use std::sync::OnceLock;
 
-use spmm_sparse::{AccumStrategy, CsrMatrix, Scalar};
+use spmm_sparse::{CsrMatrix, Scalar};
 
 use spmm_hetsim::gpu::{masked_output_widths_for_pooled, masked_output_widths_pooled};
 use spmm_hetsim::{DeviceKind, PhaseBreakdown, PhaseTimes};
@@ -11,7 +11,7 @@ use spmm_workqueue::{End, RangeQueue};
 use crate::context::HeteroContext;
 use crate::kernels::rows_where;
 use crate::result::SpmmOutput;
-use crate::schedule::{self, ClaimSchedule, ExecConfig, ExecPolicy, ScheduledClaim};
+use crate::schedule::{self, ClaimSchedule, ExecPolicy, ScheduledClaim};
 use crate::threshold::{self, Phase1Plan, ThresholdPolicy};
 use crate::units::WorkUnitConfig;
 
@@ -25,9 +25,6 @@ pub struct HhCpuConfig {
     pub units: Option<WorkUnitConfig>,
     /// Which executor runs the scheduled numeric work.
     pub exec: ExecPolicy,
-    /// Which accumulator backs the executor's numeric rows (adaptive
-    /// row-binned by default; `FixedSpa` is the A/B baseline).
-    pub accum: AccumStrategy,
 }
 
 impl HhCpuConfig {
@@ -397,10 +394,7 @@ pub fn hh_cpu_with_artifacts<T: Scalar>(
         (a.nrows(), b.ncols()),
         &ctx.pool,
         &ctx.workspaces,
-        ExecConfig {
-            policy: config.exec,
-            accum: config.accum,
-        },
+        config.exec,
     );
 
     // ---- Phase IV: merge. The GPU pre-merges its own tuples while the CPU

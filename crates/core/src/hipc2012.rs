@@ -14,7 +14,7 @@ use spmm_hetsim::{DeviceKind, PhaseBreakdown, PhaseTimes};
 
 use crate::context::HeteroContext;
 use crate::result::SpmmOutput;
-use crate::schedule::{self, ClaimSchedule, ExecConfig, ExecPolicy, ScheduledClaim};
+use crate::schedule::{self, ClaimSchedule, ExecPolicy, ScheduledClaim};
 
 /// Run the static-partition heterogeneous spmm of [13].
 pub fn hipc2012<T: Scalar>(
@@ -25,13 +25,12 @@ pub fn hipc2012<T: Scalar>(
     hipc2012_with(ctx, a, b, ExecPolicy::default())
 }
 
-/// [`hipc2012`] with an explicit executor configuration (an
-/// [`ExecPolicy`] still works via `Into<ExecConfig>`).
+/// [`hipc2012`] under an explicit executor policy.
 pub fn hipc2012_with<T: Scalar>(
     ctx: &mut HeteroContext,
     a: &CsrMatrix<T>,
     b: &CsrMatrix<T>,
-    exec: impl Into<ExecConfig>,
+    exec: ExecPolicy,
 ) -> SpmmOutput<T> {
     assert_eq!(
         a.ncols(),

@@ -9,35 +9,25 @@
 //! multiplication. Output is deterministic in row order regardless of host
 //! thread count.
 //!
-//! Two backends coexist:
+//! [`row_products`] is the reference engine: a plain two-pass Gustavson
+//! product. A symbolic pass sizes every output row exactly, an exclusive
+//! scan turns the sizes into offsets, and a numeric pass scatters each row
+//! through one dense SPA and drains it into its pre-offset slot of a
+//! [`RowBlock`]. Per claim, followed by `merge::concat_row_blocks`, it is
+//! the `ExecPolicy::PerClaim` executor the production batched executor
+//! (`schedule::execute`) is pinned against bit for bit.
 //!
-//! * [`row_products`] — the two-pass Gustavson engine. A symbolic pass
-//!   sizes every output row exactly, an exclusive scan turns the sizes
-//!   into offsets, and a numeric pass writes each row into its pre-offset
-//!   slot of one shared [`RowBlock`]. No intermediate tuple stream exists,
-//!   so Phase IV degrades from a global sort to a per-row combine
-//!   (`merge::concat_row_blocks`). The numeric pass is *adaptive* by
-//!   default ([`AccumStrategy::Adaptive`]): rows are binned by their exact
-//!   symbolic nnz and routed to the cheapest accumulator variant —
-//!   single-source rows to a verbatim scaled copy, tiny rows to a sorted
-//!   list, mid-size rows to a hash table, hubs to the dense SPA — with
-//!   bin-aware guided chunk sizes. Every variant shares the dense SPA's
-//!   observable semantics, so the adaptive output is bit-identical to the
-//!   [`AccumStrategy::FixedSpa`] reference by construction.
-//! * [`product_tuples`] — the legacy expansion path that materialises a
-//!   `Vec<Triplet>` per partial product for the global Phase IV sort. Kept
-//!   as a reference and for the wall-clock comparison in the benches.
+//! The production executor's building blocks live here too: the shared
+//! accumulation order ([`scatter_row`]), the accumulator selectors, the
+//! per-worker staging of its fused tier, and the compaction that stitches
+//! staged rows into their final slots.
 
 use std::sync::Mutex;
 
 use spmm_parallel::{DisjointSlice, ThreadPool};
-use spmm_sparse::binning::{fused, stats as bin_stats};
-use spmm_sparse::coo::Triplet;
 use spmm_sparse::{
-    chunk_for, fused_chunk_for, simd, upper_bound, AccumStrategy, BinThresholds, ColIndex,
-    CsrMatrix, EngineWorkspace, PooledWorkspace, RowAccumulator, RowBin, RowBins, Scalar,
-    SparseAccumulator, StagingBuffer, WorkspacePool, FUSED_UB_MAX, GUIDED_CHUNK,
-    TINY_PRODUCT_FLOPS,
+    chunk_for, ColIndex, CsrMatrix, EngineWorkspace, PooledWorkspace, RowAccumulator, RowBin,
+    Scalar, SparseAccumulator, StagingBuffer, WorkspacePool, GUIDED_CHUNK,
 };
 
 /// A partial product over a masked row set, stored as packed CSR rows.
@@ -101,14 +91,14 @@ impl<T> RowBlock<T> {
 /// Two-pass Gustavson product of the listed rows of `a` against `b`,
 /// restricted to B rows allowed by `b_mask` (None ⇒ all).
 ///
-/// Pass one sizes every output row with a [`RowSizer`]; an exclusive scan
-/// converts the sizes to offsets; pass two re-runs the products through a
-/// [`SparseAccumulator`] and drains each row, sorted, into its pre-offset
-/// slot. Both passes run under guided self-scheduling with per-thread
-/// scratch — row costs on scale-free inputs vary by orders of magnitude,
-/// so static chunking would serialise on whichever thread drew the hubs.
-/// Offsets are fixed by the symbolic pass, so the result is byte-identical
-/// across thread counts.
+/// Pass one sizes every output row with a [`RowSizer`](spmm_sparse::RowSizer);
+/// an exclusive scan converts the sizes to offsets; pass two re-runs the
+/// products through a [`SparseAccumulator`] and drains each row, sorted,
+/// into its pre-offset slot. Both passes run under guided self-scheduling
+/// with per-thread scratch — row costs on scale-free inputs vary by orders
+/// of magnitude, so static chunking would serialise on whichever thread
+/// drew the hubs. Offsets are fixed by the symbolic pass, so the result is
+/// byte-identical across thread counts.
 pub fn row_products<T: Scalar>(
     a: &CsrMatrix<T>,
     b: &CsrMatrix<T>,
@@ -116,22 +106,12 @@ pub fn row_products<T: Scalar>(
     b_mask: Option<&[bool]>,
     pool: &ThreadPool,
 ) -> RowBlock<T> {
-    row_products_pooled(
-        a,
-        b,
-        rows,
-        b_mask,
-        pool,
-        &WorkspacePool::new(),
-        AccumStrategy::default(),
-    )
+    row_products_pooled(a, b, rows, b_mask, pool, &WorkspacePool::new())
 }
 
-/// [`row_products`] drawing per-thread scratch from a [`WorkspacePool`]
-/// and running an explicit [`AccumStrategy`]. The pooled form is what the
-/// algorithm paths call (via `HeteroContext::workspaces`), so the O(ncols)
-/// stamp/value arrays are allocated once and generation-reused across all
-/// four masked products and repeated multiplies.
+/// [`row_products`] drawing per-thread scratch from a [`WorkspacePool`],
+/// so the O(ncols) stamp/value arrays are allocated once and
+/// generation-reused across claims and repeated multiplies.
 pub fn row_products_pooled<T: Scalar>(
     a: &CsrMatrix<T>,
     b: &CsrMatrix<T>,
@@ -139,79 +119,11 @@ pub fn row_products_pooled<T: Scalar>(
     b_mask: Option<&[bool]>,
     pool: &ThreadPool,
     workspaces: &WorkspacePool,
-    strategy: AccumStrategy,
 ) -> RowBlock<T> {
     assert_eq!(a.ncols(), b.nrows(), "incompatible shapes for product");
     if rows.is_empty() {
         return RowBlock::empty();
     }
-    match strategy {
-        AccumStrategy::FixedSpa => row_products_fixed(a, b, rows, b_mask, pool, workspaces),
-        AccumStrategy::Adaptive => row_products_adaptive(a, b, rows, b_mask, pool, workspaces),
-    }
-}
-
-/// Scatter one output row's partial products into `acc`: every masked
-/// `a[row, j] × B[j, :]` contribution, in A-row visit order. All numeric
-/// paths funnel through this, so the accumulation order — and therefore
-/// every output bit — is defined in exactly one place.
-#[inline]
-pub(crate) fn scatter_row<T: Scalar, A: RowAccumulator<T>>(
-    a: &CsrMatrix<T>,
-    b: &CsrMatrix<T>,
-    row: usize,
-    b_mask: Option<&[bool]>,
-    acc: &mut A,
-) {
-    let (acols, avals) = a.row(row);
-    for (&j, &aij) in acols.iter().zip(avals) {
-        if let Some(mask) = b_mask {
-            if !mask[j as usize] {
-                continue;
-            }
-        }
-        let (bcols, bvals) = b.row(j as usize);
-        for (&c, &bjc) in bcols.iter().zip(bvals) {
-            acc.scatter(c, aij * bjc);
-        }
-    }
-}
-
-/// Symbolic companion of [`scatter_row`]: mark the row's masked columns.
-#[inline]
-fn mark_row<T: Scalar>(
-    a: &CsrMatrix<T>,
-    b: &CsrMatrix<T>,
-    row: usize,
-    b_mask: Option<&[bool]>,
-    sizer: &mut spmm_sparse::RowSizer,
-) {
-    let (acols, _) = a.row(row);
-    for &j in acols {
-        if let Some(mask) = b_mask {
-            if !mask[j as usize] {
-                continue;
-            }
-        }
-        for &c in b.row(j as usize).0 {
-            sizer.mark(c);
-        }
-    }
-}
-
-/// The fixed-SPA reference engine: one dense accumulator for every row,
-/// uniform chunk size. This is PR 1's two-pass engine verbatim, kept as
-/// the bit-identity oracle and the A/B timing baseline for the adaptive
-/// path (scratch now pooled, which changes no bits — the arrays are
-/// generation-cleared either way).
-fn row_products_fixed<T: Scalar>(
-    a: &CsrMatrix<T>,
-    b: &CsrMatrix<T>,
-    rows: &[usize],
-    b_mask: Option<&[bool]>,
-    pool: &ThreadPool,
-    workspaces: &WorkspacePool,
-) -> RowBlock<T> {
     let ncols = b.ncols();
 
     // Pass 1 (symbolic): distinct-column count of every requested row.
@@ -264,378 +176,60 @@ fn row_products_fixed<T: Scalar>(
         );
     }
 
-    pack_block(rows, indptr, indices, values)
+    RowBlock {
+        rows: rows.iter().map(|&r| r as u32).collect(),
+        indptr,
+        indices,
+        values,
+    }
 }
 
-/// The adaptive engine: bin rows by size and dispatch the cheapest
-/// accumulator per bin, with bin-aware guided chunk sizes (large chunks
-/// for the trivial tail bins, small chunks for the hub bins).
-fn row_products_adaptive<T: Scalar>(
+/// Scatter one output row's partial products into `acc`: every masked
+/// `a[row, j] × B[j, :]` contribution, in A-row visit order. All numeric
+/// paths funnel through this, so the accumulation order — and therefore
+/// every output bit — is defined in exactly one place.
+#[inline]
+pub(crate) fn scatter_row<T: Scalar, A: RowAccumulator<T>>(
     a: &CsrMatrix<T>,
     b: &CsrMatrix<T>,
-    rows: &[usize],
+    row: usize,
     b_mask: Option<&[bool]>,
-    pool: &ThreadPool,
-    workspaces: &WorkspacePool,
-) -> RowBlock<T> {
-    let ncols = b.ncols();
-    let thresholds = BinThresholds::for_ncols(b.ncols());
-
-    // Pass 0: masked source stats per requested row — the structural
-    // upper bound (sum of masked B-row sizes, exact when no column
-    // collides) and the masked source count saturated at 2 ("exactly one"
-    // is the only distinction that matters).
-    let mut flops = vec![0u64; rows.len()];
-    let mut nsrc = vec![0u8; rows.len()];
-    {
-        let out_f = DisjointSlice::new(&mut flops);
-        let out_n = DisjointSlice::new(&mut nsrc);
-        pool.for_each_guided(rows.len(), 8 * GUIDED_CHUNK, |range| {
-            for k in range {
-                let bound = upper_bound::row_bound(a, b, rows[k], b_mask);
-                unsafe {
-                    out_f.write(k, bound.ub);
-                    out_n.write(k, bound.nsrc);
-                }
-            }
-        });
-    }
-
-    // Tiny products can't amortise the extra bin dispatches — run the
-    // single dense pass instead (same bits, fewer parallel loops).
-    if flops.iter().sum::<u64>() < TINY_PRODUCT_FLOPS {
-        return row_products_fixed(a, b, rows, b_mask, pool, workspaces);
-    }
-
-    // The fused single-pass tier: rows whose bound fits the staging budget
-    // skip the symbolic pass entirely. `SPMM_FUSED=off` pins the retained
-    // two-pass oracle below.
-    if fused::enabled() {
-        return row_products_adaptive_fused(
-            a,
-            b,
-            rows,
-            b_mask,
-            pool,
-            workspaces,
-            &thresholds,
-            flops,
-            nsrc,
-        );
-    }
-
-    // Pass 1 (symbolic), binned by the FLOP bound (the exact nnz is not
-    // known yet — the bound is what this pass exists to refine). Single
-    // -source rows are sized for free: their output is the masked B row
-    // verbatim. Tiny rows dedup through a short sorted list with no
-    // O(ncols) state; everything else goes through the dense sizer.
-    let sym_bins = RowBins::build(
-        rows.len(),
-        &thresholds,
-        |k| flops[k] as usize,
-        |k| nsrc[k] as usize,
-    );
-    let mut sizes = vec![0u64; rows.len()];
-    for &k in &sym_bins.copy {
-        sizes[k as usize] = flops[k as usize];
-    }
-    {
-        let out = DisjointSlice::new(&mut sizes);
-        // Empty bins skip their dispatch entirely: on products whose rows
-        // all land in one bin, the other passes would otherwise each pay a
-        // full parallel fork for zero work (visible as 0-row entries in the
-        // spa_bin_* tallies).
-        if !sym_bins.list.is_empty() {
-            pool.for_each_guided_items(
-                &sym_bins.list,
-                chunk_for(RowBin::List),
-                || workspaces.acquire::<T>(ncols),
-                |ws, ks| {
-                    for &k in ks {
-                        let k = k as usize;
-                        let (acols, _) = a.row(rows[k]);
-                        ws.tiny_cols.clear();
-                        for &j in acols {
-                            if let Some(mask) = b_mask {
-                                if !mask[j as usize] {
-                                    continue;
-                                }
-                            }
-                            for &c in b.row(j as usize).0 {
-                                let pos = simd::lower_bound(&ws.tiny_cols, c);
-                                if ws.tiny_cols.get(pos) != Some(&c) {
-                                    ws.tiny_cols.insert(pos, c);
-                                }
-                            }
-                        }
-                        unsafe { out.write(k, ws.tiny_cols.len() as u64) };
-                    }
-                },
-            );
-        }
-        for (bin_rows, bin) in [
-            (&sym_bins.hash, RowBin::Hash),
-            (&sym_bins.dense, RowBin::Dense),
-        ] {
-            if bin_rows.is_empty() {
+    acc: &mut A,
+) {
+    let (acols, avals) = a.row(row);
+    for (&j, &aij) in acols.iter().zip(avals) {
+        if let Some(mask) = b_mask {
+            if !mask[j as usize] {
                 continue;
             }
-            pool.for_each_guided_items(
-                bin_rows,
-                chunk_for(bin),
-                || workspaces.acquire::<T>(ncols),
-                |ws, ks| {
-                    for &k in ks {
-                        let k = k as usize;
-                        mark_row(a, b, rows[k], b_mask, &mut ws.sizer);
-                        unsafe { out.write(k, ws.sizer.finish_row() as u64) };
-                    }
-                },
-            );
+        }
+        let (bcols, bvals) = b.row(j as usize);
+        for (&c, &bjc) in bcols.iter().zip(bvals) {
+            acc.scatter(c, aij * bjc);
         }
     }
-
-    let (indptr, total) = offsets_from_sizes(sizes, pool);
-
-    // Pass 2 (numeric), re-binned by the now-exact per-row nnz.
-    let num_bins = RowBins::build(
-        rows.len(),
-        &thresholds,
-        |k| indptr[k + 1] - indptr[k],
-        |k| nsrc[k] as usize,
-    );
-    let mut indices = vec![0 as ColIndex; total];
-    let mut values = vec![T::ZERO; total];
-    {
-        let out_idx = DisjointSlice::new(&mut indices);
-        let out_val = DisjointSlice::new(&mut values);
-
-        copy_bin(
-            a,
-            b,
-            rows,
-            b_mask,
-            pool,
-            &num_bins.copy,
-            &indptr,
-            &out_idx,
-            &out_val,
-        );
-
-        numeric_bin(
-            a,
-            b,
-            rows,
-            b_mask,
-            pool,
-            workspaces,
-            ncols,
-            &num_bins.list,
-            RowBin::List,
-            &indptr,
-            &out_idx,
-            &out_val,
-            sel_list,
-        );
-        numeric_bin(
-            a,
-            b,
-            rows,
-            b_mask,
-            pool,
-            workspaces,
-            ncols,
-            &num_bins.hash,
-            RowBin::Hash,
-            &indptr,
-            &out_idx,
-            &out_val,
-            sel_hash,
-        );
-        numeric_bin(
-            a,
-            b,
-            rows,
-            b_mask,
-            pool,
-            workspaces,
-            ncols,
-            &num_bins.dense,
-            RowBin::Dense,
-            &indptr,
-            &out_idx,
-            &out_val,
-            sel_spa,
-        );
-    }
-
-    pack_block(rows, indptr, indices, values)
 }
 
-/// The fused single-pass engine (Liu & Vinter's upper-bound binning,
-/// specialised to our bit-identical contract). Rows route three ways off
-/// the Pass-0 structural bound:
-///
-/// * **copy** (`nsrc ≤ 1`): the bound *is* the exact size — no symbolic
-///   work, no accumulator, same verbatim scaled copy as the two-pass path.
-/// * **fused** (`nsrc ≥ 2`, `ub ≤ FUSED_UB_MAX`): scatter once through the
-///   accumulator the bound selects, drain into an exact-size staging
-///   carve-out, and record the now-exact size. The symbolic pass for these
-///   rows never runs; a compaction memcpy stitches each staged run into
-///   its final slot once the exclusive scan has fixed the offsets
-///   (the same offset fix-up discipline as `shard::concat_row_bands`).
-/// * **heavy** (`ub > FUSED_UB_MAX`): the bound is loose on hub rows with
-///   many colliding sources, so they keep the exact two-pass treatment —
-///   dense symbolic sizer, then numeric re-binned by exact nnz.
-///
-/// Bit-identity with the two-pass oracle holds by construction: every row
-/// is still produced by [`scatter_row`]'s accumulation order and an
-/// ascending drain (all accumulator variants share the dense SPA's
-/// observable semantics), staged runs are copied verbatim, and the scan
-/// runs over integer sizes that are exact in every bin.
-#[allow(clippy::too_many_arguments)]
-fn row_products_adaptive_fused<T: Scalar>(
+/// Symbolic companion of [`scatter_row`]: mark the row's masked columns.
+#[inline]
+fn mark_row<T: Scalar>(
     a: &CsrMatrix<T>,
     b: &CsrMatrix<T>,
-    rows: &[usize],
+    row: usize,
     b_mask: Option<&[bool]>,
-    pool: &ThreadPool,
-    workspaces: &WorkspacePool,
-    thresholds: &BinThresholds,
-    ub: Vec<u64>,
-    nsrc: Vec<u8>,
-) -> RowBlock<T> {
-    let ncols = b.ncols();
-
-    let mut sizes = vec![0u64; rows.len()];
-    let mut copy: Vec<u32> = Vec::new();
-    let mut fused_bins = RowBins::default();
-    let mut heavy: Vec<u32> = Vec::new();
-    for k in 0..rows.len() {
-        if nsrc[k] <= 1 {
-            sizes[k] = ub[k];
-            copy.push(k as u32);
-        } else if ub[k] <= FUSED_UB_MAX {
-            match thresholds.classify(ub[k] as usize, 2) {
-                RowBin::List => fused_bins.list.push(k as u32),
-                RowBin::Hash => fused_bins.hash.push(k as u32),
-                _ => fused_bins.dense.push(k as u32),
-            }
-        } else {
-            heavy.push(k as u32);
-        }
-    }
-
-    // Fused passes: one scatter/drain per bounded row, staged. Buffers
-    // that received rows are captured for compaction; empty ones return to
-    // the pool straight from the worker's drop.
-    let staged: Mutex<Vec<StagingBuffer<T>>> = Mutex::new(Vec::new());
-    #[rustfmt::skip]
-    {
-        fused_bin(a, b, rows, b_mask, pool, workspaces, ncols, &fused_bins.list,
-            RowBin::List, &ub, &mut sizes, &staged, sel_list);
-        fused_bin(a, b, rows, b_mask, pool, workspaces, ncols, &fused_bins.hash,
-            RowBin::Hash, &ub, &mut sizes, &staged, sel_hash);
-        fused_bin(a, b, rows, b_mask, pool, workspaces, ncols, &fused_bins.dense,
-            RowBin::Dense, &ub, &mut sizes, &staged, sel_spa);
-    };
-
-    // Exact symbolic sizing survives only for the heavy tail.
-    if !heavy.is_empty() {
-        let out = DisjointSlice::new(&mut sizes);
-        pool.for_each_guided_items(
-            &heavy,
-            chunk_for(RowBin::Dense),
-            || workspaces.acquire_sizer(ncols),
-            |sizer, ks| {
-                for &k in ks {
-                    let k = k as usize;
-                    mark_row(a, b, rows[k], b_mask, sizer);
-                    // each k written by exactly one claimant
-                    unsafe { out.write(k, sizer.finish_row() as u64) };
-                }
-            },
-        );
-    }
-
-    let (indptr, total) = offsets_from_sizes(sizes, pool);
-
-    let mut indices = vec![0 as ColIndex; total];
-    let mut values = vec![T::ZERO; total];
-    {
-        let out_idx = DisjointSlice::new(&mut indices);
-        let out_val = DisjointSlice::new(&mut values);
-
-        copy_bin(a, b, rows, b_mask, pool, &copy, &indptr, &out_idx, &out_val);
-
-        // Heavy rows re-bin by their now-exact nnz — a hub's bound can be
-        // arbitrarily loose, so its exact size may land it anywhere.
-        let mut heavy_bins = RowBins::default();
-        for &k in &heavy {
-            let k = k as usize;
-            match thresholds.classify(indptr[k + 1] - indptr[k], 2) {
-                RowBin::List => heavy_bins.list.push(k as u32),
-                RowBin::Hash => heavy_bins.hash.push(k as u32),
-                _ => heavy_bins.dense.push(k as u32),
+    sizer: &mut spmm_sparse::RowSizer,
+) {
+    let (acols, _) = a.row(row);
+    for &j in acols {
+        if let Some(mask) = b_mask {
+            if !mask[j as usize] {
+                continue;
             }
         }
-        numeric_bin(
-            a,
-            b,
-            rows,
-            b_mask,
-            pool,
-            workspaces,
-            ncols,
-            &heavy_bins.list,
-            RowBin::List,
-            &indptr,
-            &out_idx,
-            &out_val,
-            sel_list,
-        );
-        numeric_bin(
-            a,
-            b,
-            rows,
-            b_mask,
-            pool,
-            workspaces,
-            ncols,
-            &heavy_bins.hash,
-            RowBin::Hash,
-            &indptr,
-            &out_idx,
-            &out_val,
-            sel_hash,
-        );
-        numeric_bin(
-            a,
-            b,
-            rows,
-            b_mask,
-            pool,
-            workspaces,
-            ncols,
-            &heavy_bins.dense,
-            RowBin::Dense,
-            &indptr,
-            &out_idx,
-            &out_val,
-            sel_spa,
-        );
-
-        compact_staged(
-            pool,
-            staged.into_inner().unwrap(),
-            workspaces,
-            &indptr,
-            &out_idx,
-            &out_val,
-        );
+        for &c in b.row(j as usize).0 {
+            sizer.mark(c);
+        }
     }
-
-    pack_block(rows, indptr, indices, values)
 }
 
 /// Per-worker scratch for one fused bin pass: a pooled workspace (the
@@ -674,62 +268,6 @@ impl<T: Scalar> Drop for FusedStager<'_, T> {
                 self.sink.lock().unwrap().push(buf);
             }
         }
-    }
-}
-
-/// One fused bin: scatter every row through the accumulator `sel` chooses
-/// (sized by the row's *bound* — an over-estimate never aliases, it only
-/// rounds a table up), drain it once into the worker's staging arena, and
-/// record the now-exact size for the scan.
-#[allow(clippy::too_many_arguments)]
-fn fused_bin<T, A, Sel>(
-    a: &CsrMatrix<T>,
-    b: &CsrMatrix<T>,
-    rows: &[usize],
-    b_mask: Option<&[bool]>,
-    pool: &ThreadPool,
-    workspaces: &WorkspacePool,
-    ncols: usize,
-    bin_rows: &[u32],
-    bin: RowBin,
-    ub: &[u64],
-    sizes: &mut [u64],
-    staged: &Mutex<Vec<StagingBuffer<T>>>,
-    sel: Sel,
-) where
-    T: Scalar,
-    A: RowAccumulator<T>,
-    Sel: for<'w> Fn(&'w mut EngineWorkspace<T>, usize) -> &'w mut A + Sync,
-{
-    if bin_rows.is_empty() {
-        return;
-    }
-    let t0 = bin_pass_start();
-    {
-        let out = DisjointSlice::new(sizes);
-        pool.for_each_guided_items(
-            bin_rows,
-            fused_chunk_for(bin),
-            || FusedStager::new(workspaces, ncols, staged),
-            |stager, ks| {
-                // disjoint field borrows: the accumulator lives in `ws`,
-                // the staging arena next to it
-                let buf = stager.buf.as_mut().expect("present until drop");
-                for &k in ks {
-                    let k = k as usize;
-                    let acc = sel(&mut stager.ws, ub[k] as usize);
-                    scatter_row(a, b, rows[k], b_mask, acc);
-                    let n = buf.stage(k as u32, acc);
-                    // each k written by exactly one claimant
-                    unsafe { out.write(k, n as u64) };
-                }
-            },
-        );
-    }
-    if let Some(t0) = t0 {
-        let ns = t0.elapsed().as_nanos() as u64;
-        let entries: u64 = bin_rows.iter().map(|&k| sizes[k as usize]).sum();
-        bin_stats::record(bin, bin_rows.len() as u64, entries, ns);
     }
 }
 
@@ -772,59 +310,7 @@ pub(crate) fn compact_staged<T: Scalar>(
     }
 }
 
-/// The copy bin, shared by the two-pass and fused engines: the output row
-/// is `a_ij × B[j, :]` verbatim — each column is touched exactly once and
-/// B columns already ascend, so the copy is bit-identical to any
-/// accumulator run and needs no accumulator state at all. SoA form: one
-/// memcpy of B's columns plus one vectorized scaled copy of its values per
-/// source row.
-#[allow(clippy::too_many_arguments)]
-fn copy_bin<T: Scalar>(
-    a: &CsrMatrix<T>,
-    b: &CsrMatrix<T>,
-    rows: &[usize],
-    b_mask: Option<&[bool]>,
-    pool: &ThreadPool,
-    bin_rows: &[u32],
-    indptr: &[usize],
-    out_idx: &DisjointSlice<'_, ColIndex>,
-    out_val: &DisjointSlice<'_, T>,
-) {
-    if bin_rows.is_empty() {
-        return;
-    }
-    let t0 = bin_pass_start();
-    pool.for_each_guided_items(
-        bin_rows,
-        chunk_for(RowBin::Copy),
-        || (),
-        |(), ks| {
-            for &k in ks {
-                let k = k as usize;
-                let (acols, avals) = a.row(rows[k]);
-                let mut at = indptr[k];
-                for (&j, &aij) in acols.iter().zip(avals) {
-                    if let Some(mask) = b_mask {
-                        if !mask[j as usize] {
-                            continue;
-                        }
-                    }
-                    let (bcols, bvals) = b.row(j as usize);
-                    // rows own disjoint indptr ranges
-                    unsafe {
-                        out_idx.write_slice(at, bcols);
-                        simd::scaled_copy(aij, bvals, out_val.slice_mut(at, bvals.len()));
-                    }
-                    at += bcols.len();
-                }
-                debug_assert_eq!(at, indptr[k + 1]);
-            }
-        },
-    );
-    bin_pass_record(RowBin::Copy, bin_rows, indptr, t0);
-}
-
-/// Accumulator selectors for [`numeric_bin`] — free functions rather than
+/// Accumulator selectors for the batched executor's bin passes — free functions rather than
 /// closures so the higher-ranked `for<'w>` bound infers cleanly.
 pub(crate) fn sel_list<T: Scalar>(
     ws: &mut EngineWorkspace<T>,
@@ -850,148 +336,14 @@ pub(crate) fn sel_spa<T: Scalar>(
     &mut ws.spa
 }
 
-/// One numeric bin: scatter every row through the accumulator `sel`
-/// chooses and drain it — SoA bulk drain straight into its pre-offset
-/// column/value slots, so the variants' vectorized gathers apply.
-#[allow(clippy::too_many_arguments)]
-fn numeric_bin<T, A, Sel>(
-    a: &CsrMatrix<T>,
-    b: &CsrMatrix<T>,
-    rows: &[usize],
-    b_mask: Option<&[bool]>,
-    pool: &ThreadPool,
-    workspaces: &WorkspacePool,
-    ncols: usize,
-    bin_rows: &[u32],
-    bin: RowBin,
-    indptr: &[usize],
-    out_idx: &DisjointSlice<'_, ColIndex>,
-    out_val: &DisjointSlice<'_, T>,
-    sel: Sel,
-) where
-    T: Scalar,
-    A: RowAccumulator<T>,
-    Sel: for<'w> Fn(&'w mut EngineWorkspace<T>, usize) -> &'w mut A + Sync,
-{
-    if bin_rows.is_empty() {
-        return;
-    }
-    let t0 = bin_pass_start();
-    pool.for_each_guided_items(
-        bin_rows,
-        chunk_for(bin),
-        || workspaces.acquire::<T>(ncols),
-        |ws, ks| {
-            for &k in ks {
-                let k = k as usize;
-                let at = indptr[k];
-                let size = indptr[k + 1] - at;
-                let acc = sel(ws, size);
-                scatter_row(a, b, rows[k], b_mask, acc);
-                debug_assert_eq!(size, acc.nnz());
-                // rows own disjoint indptr ranges
-                unsafe {
-                    acc.drain_sorted_into(out_idx.slice_mut(at, size), out_val.slice_mut(at, size));
-                }
-            }
-        },
-    );
-    bin_pass_record(bin, bin_rows, indptr, t0);
-}
-
-/// Start a bin-pass timing when the opt-in tallies are enabled.
-#[inline]
-pub(crate) fn bin_pass_start() -> Option<std::time::Instant> {
-    bin_stats::enabled().then(std::time::Instant::now)
-}
-
-/// Record one bin pass (rows routed, entries drained, wall ns) into the
-/// process-global tallies. No-op unless [`bin_pass_start`] armed.
-pub(crate) fn bin_pass_record(
-    bin: RowBin,
-    bin_rows: &[u32],
-    indptr: &[usize],
-    t0: Option<std::time::Instant>,
-) {
-    if let Some(t0) = t0 {
-        let ns = t0.elapsed().as_nanos() as u64;
-        let entries: u64 = bin_rows
-            .iter()
-            .map(|&k| (indptr[k as usize + 1] - indptr[k as usize]) as u64)
-            .sum();
-        bin_stats::record(bin, bin_rows.len() as u64, entries, ns);
-    }
-}
-
 /// Exclusive-scan `sizes` into a CSR `indptr`, returning it with the
 /// entry total.
-fn offsets_from_sizes(mut sizes: Vec<u64>, pool: &ThreadPool) -> (Vec<usize>, usize) {
+pub(crate) fn offsets_from_sizes(mut sizes: Vec<u64>, pool: &ThreadPool) -> (Vec<usize>, usize) {
     let total = spmm_parallel::exclusive_scan(&mut sizes, pool) as usize;
     let mut indptr = Vec::with_capacity(sizes.len() + 1);
     indptr.extend(sizes.iter().map(|&s| s as usize));
     indptr.push(total);
     (indptr, total)
-}
-
-fn pack_block<T>(
-    rows: &[usize],
-    indptr: Vec<usize>,
-    indices: Vec<ColIndex>,
-    values: Vec<T>,
-) -> RowBlock<T> {
-    RowBlock {
-        rows: rows.iter().map(|&r| r as u32).collect(),
-        indptr,
-        indices,
-        values,
-    }
-}
-
-/// Multiply the listed rows of `a` against `b`, restricted to B rows
-/// allowed by `b_mask` (None ⇒ all). Returns one tuple per stored entry of
-/// the partial product, rows in `rows` order, columns sorted within a row.
-pub fn product_tuples<T: Scalar>(
-    a: &CsrMatrix<T>,
-    b: &CsrMatrix<T>,
-    rows: &[usize],
-    b_mask: Option<&[bool]>,
-    pool: &ThreadPool,
-) -> Vec<Triplet<T>> {
-    assert_eq!(a.ncols(), b.nrows(), "incompatible shapes for product");
-    if rows.is_empty() {
-        return Vec::new();
-    }
-    // Chunk rows across threads; each chunk yields an ordered Vec and the
-    // chunks concatenate in order, keeping the stream deterministic.
-    let threads = pool.num_threads().min(rows.len());
-    let chunk = rows.len().div_ceil(threads);
-    let chunks: Vec<&[usize]> = rows.chunks(chunk).collect();
-    let ncols = b.ncols();
-    let parts: Vec<Vec<Triplet<T>>> = pool.map(chunks.len(), |ci| {
-        // per-thread sparse accumulator (the kernel's PartialOutput) —
-        // the shared SPA, same first-touch/accumulate/sorted-drain
-        // semantics the hand-rolled stamp/acc/touched arrays used to
-        // reimplement here
-        let mut spa = SparseAccumulator::new(ncols);
-        let mut out = Vec::new();
-        for &i in chunks[ci] {
-            scatter_row(a, b, i, b_mask, &mut spa);
-            spa.drain_sorted(|col, val| {
-                out.push(Triplet {
-                    row: i as u32,
-                    col,
-                    val,
-                });
-            });
-        }
-        out
-    });
-    let total: usize = parts.iter().map(|p| p.len()).sum();
-    let mut tuples = Vec::with_capacity(total);
-    for p in parts {
-        tuples.extend(p);
-    }
-    tuples
 }
 
 /// Row indices selected (`true`) by a mask.
@@ -1017,67 +369,6 @@ mod tests {
             vec![2.0, 1.0, 1.0, 1.0, 1.0, 1.0, 2.0, 4.0],
         )
         .unwrap()
-    }
-
-    #[test]
-    fn all_rows_unmasked_matches_reference_product() {
-        let a = fig2_a();
-        let pool = ThreadPool::new(2);
-        let rows: Vec<usize> = (0..4).collect();
-        let tuples = product_tuples(&a, &a, &rows, None, &pool);
-        let expected = reference::spmm_rowrow(&a, &a).unwrap();
-        // in-kernel accumulation ⇒ one tuple per output nonzero
-        assert_eq!(tuples.len(), expected.nnz());
-        let mut coo = CooMatrix::new(4, 4);
-        for t in &tuples {
-            coo.push_triplet(*t);
-        }
-        assert!(coo.to_csr().unwrap().approx_eq(&expected, 1e-12, 1e-12));
-    }
-
-    #[test]
-    fn four_masked_products_cover_everything_exactly_once() {
-        let a = fig2_a();
-        let pool = ThreadPool::new(1);
-        // threshold 2 on rows of a: all rows have exactly 2 nnz → vary mask
-        let mask = vec![true, false, true, false];
-        let high = rows_where(&mask, true);
-        let low = rows_where(&mask, false);
-        assert_eq!(high, vec![0, 2]);
-        assert_eq!(low, vec![1, 3]);
-
-        let mut all = Vec::new();
-        for rows in [&high, &low] {
-            for bmask in [&mask, &mask.iter().map(|&x| !x).collect::<Vec<_>>()] {
-                all.extend(product_tuples(&a, &a, rows, Some(bmask), &pool));
-            }
-        }
-        let mut coo = CooMatrix::new(4, 4);
-        for t in &all {
-            coo.push_triplet(*t);
-        }
-        let reference_c = reference::spmm_rowrow(&a, &a).unwrap();
-        assert!(coo.to_csr().unwrap().approx_eq(&reference_c, 1e-12, 1e-12));
-    }
-
-    #[test]
-    fn deterministic_across_thread_counts() {
-        let a = fig2_a();
-        let rows: Vec<usize> = (0..4).collect();
-        let t1 = product_tuples(&a, &a, &rows, None, &ThreadPool::new(1));
-        let t4 = product_tuples(&a, &a, &rows, None, &ThreadPool::new(4));
-        assert_eq!(t1.len(), t4.len());
-        for (x, y) in t1.iter().zip(&t4) {
-            assert_eq!(x.key(), y.key());
-            assert_eq!(x.val, y.val);
-        }
-    }
-
-    #[test]
-    fn empty_row_list_yields_nothing() {
-        let a = fig2_a();
-        let pool = ThreadPool::new(2);
-        assert!(product_tuples(&a, &a, &[], None, &pool).is_empty());
     }
 
     #[test]
@@ -1112,29 +403,6 @@ mod tests {
     }
 
     #[test]
-    fn row_products_agrees_with_product_tuples() {
-        let a = fig2_a();
-        let pool = ThreadPool::new(3);
-        let mask = [true, false, true, false];
-        for rows in [vec![0usize, 2], vec![1, 3], (0..4).collect()] {
-            for bmask in [None, Some(&mask[..])] {
-                let block = row_products(&a, &a, &rows, bmask, &pool);
-                let tuples = product_tuples(&a, &a, &rows, bmask, &pool);
-                assert_eq!(block.nnz(), tuples.len(), "entry counts must agree");
-                let mut it = tuples.iter();
-                for k in 0..block.num_rows() {
-                    let (r, cols, vals) = block.row(k);
-                    for (&c, &v) in cols.iter().zip(vals) {
-                        let t = it.next().unwrap();
-                        assert_eq!((t.row, t.col), (r, c));
-                        assert!((t.val - v).abs() < 1e-12);
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn row_products_is_deterministic_across_thread_counts() {
         let a = fig2_a();
         let rows: Vec<usize> = (0..4).collect();
@@ -1156,32 +424,6 @@ mod tests {
         assert_eq!(d.nnz(), e.nnz());
         assert_eq!(d.indptr, e.indptr);
         assert_eq!(d.indptr, vec![0]);
-    }
-
-    #[test]
-    fn adaptive_engine_is_bit_identical_to_fixed_spa() {
-        use spmm_scalefree::{scale_free_matrix, GeneratorConfig};
-        let n = 800;
-        let a: CsrMatrix<f64> =
-            scale_free_matrix(&GeneratorConfig::square_power_law(n, 6_000, 2.2, 7));
-        let rows: Vec<usize> = (0..n).collect();
-        let ws = WorkspacePool::new();
-        let mask: Vec<bool> = (0..n).map(|i| i % 3 != 0).collect();
-        for threads in [1, 4] {
-            let pool = ThreadPool::new(threads);
-            for bmask in [None, Some(&mask[..])] {
-                let fixed =
-                    row_products_pooled(&a, &a, &rows, bmask, &pool, &ws, AccumStrategy::FixedSpa);
-                let adaptive =
-                    row_products_pooled(&a, &a, &rows, bmask, &pool, &ws, AccumStrategy::Adaptive);
-                assert_eq!(fixed.rows, adaptive.rows);
-                assert_eq!(fixed.indptr, adaptive.indptr);
-                assert_eq!(fixed.indices, adaptive.indices);
-                let fb: Vec<u64> = fixed.values.iter().map(|v| v.to_bits()).collect();
-                let ab: Vec<u64> = adaptive.values.iter().map(|v| v.to_bits()).collect();
-                assert_eq!(fb, ab, "adaptive bits drifted (threads {threads})");
-            }
-        }
     }
 
     #[test]

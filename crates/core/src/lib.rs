@@ -46,7 +46,7 @@ pub use context::HeteroContext;
 pub use hhcpu::{hh_cpu, hh_cpu_with_artifacts, HhCpuConfig, SpmmArtifacts};
 pub use hipc2012::{hipc2012, hipc2012_with};
 pub use result::SpmmOutput;
-pub use schedule::{ClaimSchedule, ExecConfig, ExecCounts, ExecPolicy, ScheduledClaim};
+pub use schedule::{ClaimSchedule, ExecCounts, ExecPolicy, ScheduledClaim};
 pub use shard::{
     concat_row_bands, hh_cpu_sharded, hh_cpu_sharded_with_artifacts, sum_profiles, PipelineStats,
     ShardConfig, ShardMode, ShardPlan, ShardedOutput, SpillStore,
@@ -59,4 +59,4 @@ pub use wq_baselines::{
 };
 
 pub use spmm_hetsim::{PhaseBreakdown, PhaseTimes, Platform, SimNs};
-pub use spmm_sparse::{AccumStrategy, BinThresholds, WorkspacePool};
+pub use spmm_sparse::{BinThresholds, WorkspacePool};

@@ -1,27 +1,22 @@
 //! Phase IV: combine the partial products into the output CSR.
 //!
-//! Two implementations, matching the two kernel backends:
+//! [`concat_row_blocks`] is the host numeric path of the reference
+//! executor. The two-pass engine emits per-row-sorted [`RowBlock`]s, so
+//! combining them is a per-row k-way merge (k = blocks holding that row, at
+//! most the number of partial products) instead of a global sort. Within
+//! one block rows are disjoint; *across* blocks the same output row appears
+//! once per B-mask half and its column sets can overlap, so the merge sums
+//! duplicates. The paper's own Phase IV recipe (§III-D, Figure 4: sort the
+//! `⟨r, c, v⟩` tuples, mark like-tuples, scan, segmented add) survives as
+//! what the simulated devices charge for (`merge_cost`), since the paper's
+//! GPUs really do sort.
 //!
-//! * [`concat_row_blocks`] — the host numeric path. The two-pass engine
-//!   emits per-row-sorted [`RowBlock`]s, so combining them is a per-row
-//!   k-way merge (k = blocks holding that row, at most the number of
-//!   partial products) instead of a global sort. Within one block rows are
-//!   disjoint; *across* blocks the same output row appears once per B-mask
-//!   half and its column sets can overlap, so the merge sums duplicates.
-//! * [`merge_tuples`] — the paper's Phase IV recipe over a flat tuple
-//!   stream (§III-D, Figure 4), reproduced step for step: (1) "merge the
-//!   tuples based on r and c values" — a stable parallel sort on the
-//!   `(row, col)` key; (2) "marking the indices of like-tuples" — head
-//!   marks where the key changes; (3) "scan the marked array to identify
-//!   the first index" — an exclusive prefix sum giving each run its
-//!   *master index*; (4) "associate a thread to each master index … add
-//!   the values" — a segmented sum parallelised over runs. This remains
-//!   what the simulated devices charge for (the paper's GPUs really do
-//!   sort), and serves the legacy tuple path.
+//! The remaining functions are the production executor's merge kernels:
+//! two-run and set-touch merges over scaled B rows that sum in exactly the
+//! order `concat_row_blocks` does, so both executors agree bit for bit.
 
 use crate::kernels::RowBlock;
-use spmm_parallel::{exclusive_scan, par_sort_by_key, DisjointSlice, ThreadPool};
-use spmm_sparse::coo::Triplet;
+use spmm_parallel::{exclusive_scan, DisjointSlice, ThreadPool};
 use spmm_sparse::{ColIndex, CsrMatrix, Scalar};
 
 /// Rows a guided worker claims at a time while assembling output rows.
@@ -449,68 +444,10 @@ fn merge_row<T: Scalar, F: FnMut(ColIndex, T)>(
     distinct
 }
 
-/// Merge a tuple stream into CSR. `shape` is the output matrix shape.
-pub fn merge_tuples<T: Scalar>(
-    mut tuples: Vec<Triplet<T>>,
-    shape: (usize, usize),
-    pool: &ThreadPool,
-) -> CsrMatrix<T> {
-    let (nrows, ncols) = shape;
-    if tuples.is_empty() {
-        return CsrMatrix::zeros(nrows, ncols);
-    }
-
-    // Step 1: sort by (row, col).
-    par_sort_by_key(&mut tuples, pool, |t| t.key());
-
-    // Step 2: head marks.
-    let n = tuples.len();
-    let mut marks: Vec<u64> = pool.map(n, |i| {
-        u64::from(i == 0 || tuples[i].key() != tuples[i - 1].key())
-    });
-
-    // Step 3: exclusive scan → each tuple's output slot; total = distinct
-    // (r, c) pairs. After the scan, marks[i] is the number of heads strictly
-    // before i, so a head tuple's output index is marks[i].
-    let heads: Vec<usize> = (0..n).filter(|&i| marks[i] == 1).collect();
-    let distinct = exclusive_scan(&mut marks, pool) as usize;
-    debug_assert_eq!(heads.len(), distinct);
-
-    // Step 4: one logical thread per master index sums its run ("we expect
-    // that there will be very few tuples for any row and column index …
-    // process these tuples sequentially", §III-D).
-    let entries: Vec<(ColIndex, ColIndex, T)> = pool.map(distinct, |s| {
-        let start = heads[s];
-        let end = if s + 1 < distinct { heads[s + 1] } else { n };
-        let mut sum = T::ZERO;
-        for t in &tuples[start..end] {
-            sum += t.val;
-        }
-        (tuples[start].row, tuples[start].col, sum)
-    });
-
-    // Assemble CSR: entries are already (row, col)-sorted.
-    let mut indptr = vec![0usize; nrows + 1];
-    for &(r, _, _) in &entries {
-        indptr[r as usize + 1] += 1;
-    }
-    for i in 0..nrows {
-        indptr[i + 1] += indptr[i];
-    }
-    let mut indices = Vec::with_capacity(distinct);
-    let mut values = Vec::with_capacity(distinct);
-    for (_, c, v) in entries {
-        indices.push(c);
-        values.push(v);
-    }
-    CsrMatrix::from_parts_unchecked(nrows, ncols, indptr, indices, values)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use spmm_rng::{Rng, StdRng};
-    use spmm_sparse::CooMatrix;
 
     fn pool() -> ThreadPool {
         ThreadPool::new(4)
@@ -518,77 +455,25 @@ mod tests {
 
     #[test]
     fn merges_duplicates_like_the_paper_figure4() {
-        // Figure 4 shows contiguous like-tuples being summed.
-        let tuples = vec![
-            Triplet::new(0, 1, 1.0),
-            Triplet::new(2, 0, 5.0),
-            Triplet::new(0, 1, 2.0),
-            Triplet::new(1, 1, -1.0),
-            Triplet::new(0, 1, 4.0),
-            Triplet::new(2, 0, 5.0),
+        // Figure 4's like-tuples: (0,1) three times, (2,0) twice, (1,1)
+        // once. Each contribution lives in its own partial block, so the
+        // per-row merge must sum them exactly as the sort-based recipe does.
+        let block = |rows: Vec<u32>, cols: Vec<ColIndex>, vals: Vec<f64>| RowBlock {
+            indptr: (0..=rows.len()).collect(),
+            rows,
+            indices: cols,
+            values: vals,
+        };
+        let blocks = [
+            block(vec![0, 2], vec![1, 0], vec![1.0, 5.0]),
+            block(vec![0, 1, 2], vec![1, 1, 0], vec![2.0, -1.0, 5.0]),
+            block(vec![0], vec![1], vec![4.0]),
         ];
-        let c = merge_tuples(tuples, (3, 3), &pool());
+        let c = concat_row_blocks(&blocks, (3, 3), &pool());
         assert_eq!(c.nnz(), 3);
         assert_eq!(c.get(0, 1), 7.0);
         assert_eq!(c.get(1, 1), -1.0);
         assert_eq!(c.get(2, 0), 10.0);
-    }
-
-    #[test]
-    fn empty_stream_gives_zero_matrix() {
-        let c: CsrMatrix<f64> = merge_tuples(vec![], (4, 5), &pool());
-        assert_eq!(c.shape(), (4, 5));
-        assert_eq!(c.nnz(), 0);
-    }
-
-    #[test]
-    fn agrees_with_serial_coo_conversion_on_random_streams() {
-        let mut rng = StdRng::seed_from_u64(11);
-        for trial in 0..8 {
-            let nrows = 50 + trial * 37;
-            let ncols = 60 + trial * 11;
-            let len = 5_000 + trial * 997;
-            let mut coo = CooMatrix::new(nrows, ncols);
-            let mut tuples = Vec::with_capacity(len);
-            for _ in 0..len {
-                let r = rng.gen_range(0..nrows);
-                let c = rng.gen_range(0..ncols);
-                let v: f64 = rng.gen_range(-1.0..1.0);
-                coo.push(r, c, v);
-                tuples.push(Triplet::new(r, c, v));
-            }
-            let parallel = merge_tuples(tuples, (nrows, ncols), &pool());
-            let serial = coo.to_csr().unwrap();
-            assert!(
-                parallel.approx_eq(&serial, 1e-9, 1e-12),
-                "trial {trial} diverged"
-            );
-        }
-    }
-
-    #[test]
-    fn large_stream_exercises_parallel_paths() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let n = 200_000;
-        let tuples: Vec<Triplet<f64>> = (0..n)
-            .map(|_| Triplet::new(rng.gen_range(0..1000), rng.gen_range(0..1000), 1.0))
-            .collect();
-        let c = merge_tuples(tuples.clone(), (1000, 1000), &pool());
-        // every tuple contributes exactly 1.0 ⇒ sum of values == n
-        let total: f64 = c.values().iter().sum();
-        assert!((total - n as f64).abs() < 1e-6);
-        // output rows sorted & unique
-        for r in 0..1000 {
-            let (cols, _) = c.row(r);
-            assert!(cols.windows(2).all(|w| w[0] < w[1]));
-        }
-    }
-
-    #[test]
-    fn single_tuple() {
-        let c = merge_tuples(vec![Triplet::new(2, 3, 9.0)], (4, 4), &pool());
-        assert_eq!(c.nnz(), 1);
-        assert_eq!(c.get(2, 3), 9.0);
     }
 
     #[test]
@@ -695,44 +580,5 @@ mod tests {
         let c = concat_row_blocks(&blocks, (a.nrows(), a.nrows()), &pool);
         let expected = reference::spmm_rowrow(&a, &a).unwrap();
         assert!(c.approx_eq(&expected, 1e-9, 1e-12));
-    }
-
-    #[test]
-    fn agrees_with_merge_tuples_on_the_same_partials() {
-        use crate::kernels::{product_tuples, row_products};
-
-        let pool = pool();
-        let mut rng = StdRng::seed_from_u64(77);
-        let nrows = 120;
-        let ncols = 90;
-        let mut coo = CooMatrix::new(nrows, 80);
-        let mut coo_b = CooMatrix::new(80, ncols);
-        for _ in 0..1_500 {
-            coo.push(
-                rng.gen_range(0..nrows),
-                rng.gen_range(0..80usize),
-                rng.gen_range(-1.0..1.0),
-            );
-            coo_b.push(
-                rng.gen_range(0..80usize),
-                rng.gen_range(0..ncols),
-                rng.gen_range(-1.0..1.0),
-            );
-        }
-        let a = coo.to_csr().unwrap();
-        let b = coo_b.to_csr().unwrap();
-        // partition A's rows into three interleaved claims
-        let claims: Vec<Vec<usize>> = (0..3).map(|s| (s..nrows).step_by(3).collect()).collect();
-        let blocks: Vec<RowBlock<f64>> = claims
-            .iter()
-            .map(|rows| row_products(&a, &b, rows, None, &pool))
-            .collect();
-        let tuples: Vec<Triplet<f64>> = claims
-            .iter()
-            .flat_map(|rows| product_tuples(&a, &b, rows, None, &pool))
-            .collect();
-        let via_blocks = concat_row_blocks(&blocks, (nrows, ncols), &pool);
-        let via_sort = merge_tuples(tuples, (nrows, ncols), &pool);
-        assert!(via_blocks.approx_eq(&via_sort, 1e-12, 1e-12));
     }
 }

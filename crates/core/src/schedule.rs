@@ -9,21 +9,24 @@
 //!
 //! Two executors implement the same contract:
 //!
-//! * [`ExecPolicy::PerClaim`] — the legacy shape: one
-//!   [`row_products`](crate::kernels::row_products) fork-join per claim,
-//!   then [`concat_row_blocks`](crate::merge::concat_row_blocks). Kept as
-//!   the reference the equivalence suite pins the batched path against.
-//! * [`ExecPolicy::Batched`] (default) — one symbolic sizing pass across
-//!   *every* claim, one exclusive scan, one numeric pass writing each
-//!   output row into its final pre-offset slot. The pool sees two large
-//!   guided work lists instead of two fork-joins per claim, and the
-//!   intermediate `RowBlock` copies of the per-claim path disappear.
+//! * [`ExecPolicy::Batched`] (default) — the production engine. One
+//!   bounds pass over *every* claim computes each output row's structural
+//!   upper bound; rows whose bound fits [`FUSED_UB_MAX`] are scattered
+//!   once into pooled staging (no symbolic pass), only the heavy tail is
+//!   sized exactly, and one exclusive scan fixes every output slot — Liu &
+//!   Vinter's upper-bound-then-allocate SpGEMM. The pool sees a handful of
+//!   large guided work lists instead of fork-joins per claim.
+//! * [`ExecPolicy::PerClaim`] — the reference: one plain dense-SPA
+//!   [`row_products`](crate::kernels::row_products) per claim, then
+//!   [`concat_row_blocks`](crate::merge::concat_row_blocks). The
+//!   equivalence suite pins the batched path against it bit for bit.
 //!
 //! Bit-identity of the batched output is structural, not accidental: each
-//! output row's sources are ordered by claim index, which equals the old
-//! block order; a single-source row drains its accumulator straight into
-//! the final slot (the old drain plus verbatim copy); a multi-source row
-//! drains each source into scratch and k-way merges them with exactly the
+//! output row's sources are ordered by claim index, which equals the
+//! reference's block order; every row is produced by
+//! [`scatter_row`](crate::kernels::scatter_row)'s accumulation order (or a
+//! copy/merge proven to round identically) and an ascending drain; and a
+//! multi-source row merges its per-claim runs with exactly the
 //! `sum = 0; sum += v_k` source-order accumulation the per-row merge of
 //! `concat_row_blocks` performs.
 
@@ -32,17 +35,16 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use spmm_hetsim::DeviceKind;
-use spmm_parallel::{exclusive_scan, DisjointSlice, ThreadPool};
-use spmm_sparse::binning::fused;
+use spmm_parallel::{DisjointSlice, ThreadPool};
 use spmm_sparse::{
-    chunk_for, fused_chunk_for, simd, upper_bound, AccumStrategy, BinThresholds, ColIndex,
-    CsrMatrix, EngineWorkspace, RowAccumulator, RowBin, RowBins, Scalar, StagingBuffer,
-    WorkspacePool, FUSED_UB_MAX, GUIDED_CHUNK, TINY_PRODUCT_FLOPS,
+    chunk_for, fused_chunk_for, simd, upper_bound, BinThresholds, ColIndex, CsrMatrix,
+    EngineWorkspace, RowAccumulator, RowBin, RowBins, Scalar, StagingBuffer, WorkspacePool,
+    FUSED_UB_MAX, GUIDED_CHUNK,
 };
 
 use crate::kernels::{
-    bin_pass_record, bin_pass_start, compact_staged, row_products_pooled, scatter_row, sel_hash,
-    sel_list, sel_spa, FusedStager, RowBlock,
+    compact_staged, offsets_from_sizes, row_products_pooled, scatter_row, sel_hash, sel_list,
+    sel_spa, FusedStager, RowBlock,
 };
 use crate::merge::{
     concat_row_blocks, merge2_scaled, merge2_scaled_set, merge2_sorted, merge_scaled_set,
@@ -52,32 +54,11 @@ use crate::merge::{
 /// Which executor runs the scheduled numeric work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecPolicy {
-    /// Single batched symbolic/numeric pass over all claims (default).
+    /// The batched bounds/fused/scan executor over all claims (default).
     #[default]
     Batched,
-    /// Legacy per-claim `row_products` + `concat_row_blocks` reference.
+    /// Per-claim dense-SPA `row_products` + `concat_row_blocks` reference.
     PerClaim,
-}
-
-/// Full executor configuration: which executor shape runs, and which
-/// accumulator strategy its numeric passes use. `ExecPolicy` converts
-/// into this (with the default [`AccumStrategy::Adaptive`]), so call
-/// sites that only care about the executor shape stay unchanged.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ExecConfig {
-    /// Executor shape (batched vs per-claim reference).
-    pub policy: ExecPolicy,
-    /// Accumulator strategy of the numeric passes.
-    pub accum: AccumStrategy,
-}
-
-impl From<ExecPolicy> for ExecConfig {
-    fn from(policy: ExecPolicy) -> Self {
-        Self {
-            policy,
-            accum: AccumStrategy::default(),
-        }
-    }
 }
 
 /// One recorded claim: a device took `rows` of `A` against the `b_mask`
@@ -145,10 +126,8 @@ impl ExecCounts {
 }
 
 /// Run the numeric work of a recorded schedule and assemble the output
-/// CSR. Output bits and entry counts are identical for both policies,
-/// both accumulator strategies, and any host thread count. `exec` accepts
-/// a bare [`ExecPolicy`] (running the default accumulator strategy) or a
-/// full [`ExecConfig`].
+/// CSR. Output bits and entry counts are identical for both policies and
+/// any host thread count.
 pub fn execute<T: Scalar>(
     a: &CsrMatrix<T>,
     b: &CsrMatrix<T>,
@@ -156,18 +135,16 @@ pub fn execute<T: Scalar>(
     shape: (usize, usize),
     pool: &ThreadPool,
     workspaces: &WorkspacePool,
-    exec: impl Into<ExecConfig>,
+    exec: ExecPolicy,
 ) -> (CsrMatrix<T>, ExecCounts) {
-    let cfg = exec.into();
-    match cfg.policy {
-        ExecPolicy::PerClaim => execute_per_claim(a, b, schedule, shape, pool, workspaces, cfg),
-        ExecPolicy::Batched => execute_batched(a, b, schedule, shape, pool, workspaces, cfg),
+    match exec {
+        ExecPolicy::PerClaim => execute_per_claim(a, b, schedule, shape, pool, workspaces),
+        ExecPolicy::Batched => execute_batched(a, b, schedule, shape, pool, workspaces),
     }
 }
 
-/// The pre-split shape: one `row_products` per claim, blocks combined by
-/// `concat_row_blocks`. Every intermediate this produces is what the old
-/// inline code produced, in the same order.
+/// The reference: one `row_products` per claim, blocks combined by
+/// `concat_row_blocks` in schedule (block) order.
 fn execute_per_claim<T: Scalar>(
     a: &CsrMatrix<T>,
     b: &CsrMatrix<T>,
@@ -175,27 +152,30 @@ fn execute_per_claim<T: Scalar>(
     shape: (usize, usize),
     pool: &ThreadPool,
     workspaces: &WorkspacePool,
-    cfg: ExecConfig,
 ) -> (CsrMatrix<T>, ExecCounts) {
     let blocks: Vec<RowBlock<T>> = schedule
         .claims
         .iter()
-        .map(|claim| {
-            row_products_pooled(a, b, claim.rows, claim.b_mask, pool, workspaces, cfg.accum)
-        })
+        .map(|claim| row_products_pooled(a, b, claim.rows, claim.b_mask, pool, workspaces))
         .collect();
     let per_claim: Vec<usize> = blocks.iter().map(RowBlock::nnz).collect();
     let c = concat_row_blocks(&blocks, shape, pool);
     (c, ExecCounts::from_per_claim(schedule, per_claim))
 }
 
-/// One guided symbolic pass + scan + one guided numeric pass over all
-/// claims at once; rows land directly in their final slots. Under
-/// [`AccumStrategy::Adaptive`], single-claim output rows (the vast
-/// majority — only rows claimed under both mask halves have two sources)
-/// are additionally binned by their exact nnz and routed to the cheapest
-/// accumulator with bin-aware chunk sizes; multi-source rows always run
-/// the dense merge path.
+/// The production executor: one bounds pass instead of a full symbolic
+/// pass, with the exact sizer surviving only for rows whose bound exceeds
+/// [`FUSED_UB_MAX`]. Bounded single-source rows scatter once through the
+/// accumulator their *bound* selects; bounded multi-source rows keep the
+/// reference's per-run materialisation and claim-order merge (the bits are
+/// defined by that grouping) but merge into staging instead of a
+/// pre-sized slot. Both drain into pooled staging and are stitched into
+/// the final CSR by one compaction memcpy after the scan.
+///
+/// Per-claim entry counts accumulate at staging/drain time as the exact
+/// nnz of each produced run against its claim — the reference's per-block
+/// nnz — so `ExecCounts` (and therefore every simulated Phase-IV cost
+/// downstream) is the same under either policy.
 fn execute_batched<T: Scalar>(
     a: &CsrMatrix<T>,
     b: &CsrMatrix<T>,
@@ -203,12 +183,11 @@ fn execute_batched<T: Scalar>(
     shape: (usize, usize),
     pool: &ThreadPool,
     workspaces: &WorkspacePool,
-    cfg: ExecConfig,
 ) -> (CsrMatrix<T>, ExecCounts) {
     let (nrows, ncols) = shape;
     let claims = &schedule.claims;
     // Counting sort of (claim, row) by output row. Within one output row
-    // the sources stay in claim order — the per-claim path's block order,
+    // the sources stay in claim order — the reference's block order,
     // which fixes the floating-point merge order below.
     let mut src_off = vec![0usize; nrows + 1];
     for claim in claims {
@@ -229,257 +208,8 @@ fn execute_batched<T: Scalar>(
             }
         }
     }
+    let (src, src_off) = (&src[..], &src_off[..]);
 
-    // The fused single-pass tier (Adaptive only): bounded single-source
-    // rows skip the symbolic sizer. Declines (None) when the bound says
-    // the product is tiny — the classic single dense pass below costs
-    // less than the fused tier's bin dispatches.
-    if cfg.accum == AccumStrategy::Adaptive && fused::enabled() {
-        if let Some(out) =
-            execute_batched_fused(a, b, schedule, shape, pool, workspaces, &src, &src_off)
-        {
-            return out;
-        }
-    }
-
-    // Symbolic: distinct columns of each merged output row — the union
-    // over the row's sources, marked through one pooled RowSizer.
-    // Integers, so equal to the per-claim sizes fed through the old
-    // per-row merge. Alongside the size, record the masked B-source count
-    // (saturated at 2) for single-claim rows — the numeric binning's
-    // copy-bin test.
-    let mut sizes = vec![0u64; nrows];
-    let mut nsrc = vec![0u8; nrows];
-    {
-        let out = DisjointSlice::new(&mut sizes);
-        let out_n = DisjointSlice::new(&mut nsrc);
-        let src = &src;
-        let src_off = &src_off;
-        pool.for_each_guided_with(
-            nrows,
-            GUIDED_CHUNK,
-            || workspaces.acquire_sizer(ncols),
-            |sizer, range| {
-                for r in range {
-                    let sources = &src[src_off[r]..src_off[r + 1]];
-                    if sources.is_empty() {
-                        // one writer per output row
-                        unsafe {
-                            out.write(r, 0);
-                            out_n.write(r, 0);
-                        }
-                        continue;
-                    }
-                    let (acols, _) = a.row(r);
-                    let mut n = 0u8;
-                    for &ci in sources {
-                        let b_mask = claims[ci as usize].b_mask;
-                        for &j in acols {
-                            if let Some(mask) = b_mask {
-                                if !mask[j as usize] {
-                                    continue;
-                                }
-                            }
-                            n = n.saturating_add(1);
-                            for &c in b.row(j as usize).0 {
-                                sizer.mark(c);
-                            }
-                        }
-                    }
-                    if sources.len() > 1 {
-                        // multi-source rows never take the copy fast path
-                        n = 2;
-                    }
-                    unsafe {
-                        out.write(r, sizer.finish_row() as u64);
-                        out_n.write(r, n);
-                    }
-                }
-            },
-        );
-    }
-
-    let total = exclusive_scan(&mut sizes, pool) as usize;
-    let mut indptr = Vec::with_capacity(nrows + 1);
-    indptr.extend(sizes.iter().map(|&s| s as usize));
-    indptr.push(total);
-
-    // Partition output rows for the numeric pass: multi-source rows take
-    // the k-way merge path; single-source rows are binned by exact nnz
-    // under Adaptive, or all sent to the dense SPA under FixedSpa. Tiny
-    // products can't amortise the extra bin dispatches, so they run the
-    // dense pass regardless of strategy (same bits, fewer parallel loops).
-    let thresholds = BinThresholds::for_ncols(b.ncols());
-    let binned = cfg.accum == AccumStrategy::Adaptive && total as u64 >= TINY_PRODUCT_FLOPS;
-    let mut bins = RowBins::default();
-    let mut multi: Vec<u32> = Vec::new();
-    for r in 0..nrows {
-        match src_off[r + 1] - src_off[r] {
-            0 => {}
-            1 => {
-                let bin = if binned {
-                    thresholds.classify(indptr[r + 1] - indptr[r], nsrc[r] as usize)
-                } else {
-                    RowBin::Dense
-                };
-                match bin {
-                    RowBin::Copy => bins.copy.push(r as u32),
-                    RowBin::List => bins.list.push(r as u32),
-                    RowBin::Hash => bins.hash.push(r as u32),
-                    RowBin::Dense => bins.dense.push(r as u32),
-                }
-            }
-            _ => multi.push(r as u32),
-        }
-    }
-    let chunk_of = |bin: RowBin| {
-        if binned {
-            chunk_for(bin)
-        } else {
-            GUIDED_CHUNK
-        }
-    };
-
-    // Numeric: each output row is produced once, straight into its slot.
-    // Per-claim entry counts accumulate through relaxed atomics — integer
-    // sums over a fixed set of contributions, deterministic regardless of
-    // which thread adds when.
-    let per_claim: Vec<AtomicUsize> = claims.iter().map(|_| AtomicUsize::new(0)).collect();
-    let mut indices = vec![0 as ColIndex; total];
-    let mut values = vec![T::ZERO; total];
-    {
-        let out_idx = DisjointSlice::new(&mut indices);
-        let out_val = DisjointSlice::new(&mut values);
-        let src = &src;
-        let src_off = &src_off;
-        let indptr = &indptr;
-        let per_claim = &per_claim;
-
-        claim_copy_bin(
-            a,
-            b,
-            claims,
-            src,
-            src_off,
-            pool,
-            &bins.copy,
-            chunk_of(RowBin::Copy),
-            indptr,
-            &out_idx,
-            &out_val,
-            per_claim,
-        );
-
-        // Sized single-source bins: sole producer of the row, so the
-        // accumulator drain *is* the final row (the per-claim path drained
-        // into a block and bare-copied it).
-        single_source_bin(
-            a,
-            b,
-            claims,
-            src,
-            src_off,
-            pool,
-            workspaces,
-            ncols,
-            &bins.list,
-            chunk_of(RowBin::List),
-            RowBin::List,
-            indptr,
-            &out_idx,
-            &out_val,
-            per_claim,
-            sel_list,
-        );
-        single_source_bin(
-            a,
-            b,
-            claims,
-            src,
-            src_off,
-            pool,
-            workspaces,
-            ncols,
-            &bins.hash,
-            chunk_of(RowBin::Hash),
-            RowBin::Hash,
-            indptr,
-            &out_idx,
-            &out_val,
-            per_claim,
-            sel_hash,
-        );
-        single_source_bin(
-            a,
-            b,
-            claims,
-            src,
-            src_off,
-            pool,
-            workspaces,
-            ncols,
-            &bins.dense,
-            chunk_of(RowBin::Dense),
-            RowBin::Dense,
-            indptr,
-            &out_idx,
-            &out_val,
-            per_claim,
-            sel_spa,
-        );
-
-        multi_source_pass(
-            a,
-            b,
-            claims,
-            src,
-            src_off,
-            pool,
-            workspaces,
-            ncols,
-            &multi,
-            chunk_of(RowBin::Dense),
-            indptr,
-            &out_idx,
-            &out_val,
-            per_claim,
-        );
-    }
-
-    let per_claim: Vec<usize> = per_claim.into_iter().map(|n| n.into_inner()).collect();
-    let c = CsrMatrix::from_parts_unchecked(nrows, ncols, indptr, indices, values);
-    (c, ExecCounts::from_per_claim(schedule, per_claim))
-}
-
-/// The fused batched executor: one bounds pass instead of the full
-/// symbolic pass, with the exact sizer surviving only for rows whose
-/// bound exceeds [`FUSED_UB_MAX`]. Bounded single-source rows scatter
-/// once through the accumulator their *bound* selects; bounded
-/// multi-source rows keep the classic per-run materialisation and
-/// claim-order merge (the bits are defined by that grouping) but merge
-/// into staging instead of a pre-sized slot. Both drain into pooled
-/// staging and are stitched into the final CSR by the same compaction
-/// memcpy the fused kernels use. Returns `None` when the summed bound is
-/// tiny — the classic dense pass costs less than the fused tier's
-/// dispatches (same bits either way).
-///
-/// Per-claim entry counts accumulate at staging/drain time exactly as the
-/// classic path counts them — the exact nnz of each produced row against
-/// its claim — so `ExecCounts` (and therefore every simulated Phase-IV
-/// cost downstream) is unchanged.
-#[allow(clippy::too_many_arguments)]
-fn execute_batched_fused<T: Scalar>(
-    a: &CsrMatrix<T>,
-    b: &CsrMatrix<T>,
-    schedule: &ClaimSchedule<'_>,
-    shape: (usize, usize),
-    pool: &ThreadPool,
-    workspaces: &WorkspacePool,
-    src: &[u32],
-    src_off: &[usize],
-) -> Option<(CsrMatrix<T>, ExecCounts)> {
-    let (nrows, ncols) = shape;
-    let claims = &schedule.claims;
     // Bounds pass: structural upper bound + masked source count per output
     // row, summed over the row's claims. O(nnz(A)) per claim with O(1)
     // B-row lookups — no sizer state, no column marking. Two by-products
@@ -554,10 +284,6 @@ fn execute_batched_fused<T: Scalar>(
                 }
             }
         });
-    }
-
-    if ub.iter().sum::<u64>() < TINY_PRODUCT_FLOPS {
-        return None;
     }
 
     let thresholds = BinThresholds::for_ncols(b.ncols());
@@ -665,10 +391,7 @@ fn execute_batched_fused<T: Scalar>(
         &per_claim,
     );
 
-    let total = exclusive_scan(&mut sizes, pool) as usize;
-    let mut indptr = Vec::with_capacity(nrows + 1);
-    indptr.extend(sizes.iter().map(|&s| s as usize));
-    indptr.push(total);
+    let (indptr, total) = offsets_from_sizes(sizes, pool);
 
     let mut indices = vec![0 as ColIndex; total];
     let mut values = vec![T::ZERO; total];
@@ -679,18 +402,7 @@ fn execute_batched_fused<T: Scalar>(
         let per_claim = &per_claim;
 
         claim_copy_bin(
-            a,
-            b,
-            claims,
-            src,
-            src_off,
-            pool,
-            &bins.copy,
-            chunk_for(RowBin::Copy),
-            indptr,
-            &out_idx,
-            &out_val,
-            per_claim,
+            a, b, claims, src, src_off, pool, &bins.copy, indptr, &out_idx, &out_val, per_claim,
         );
 
         // Heavy single-source rows re-bin by their now-exact nnz — a hub's
@@ -707,31 +419,19 @@ fn execute_batched_fused<T: Scalar>(
         #[rustfmt::skip]
         {
             single_source_bin(a, b, claims, src, src_off, pool, workspaces, ncols,
-                &heavy_bins.list, chunk_for(RowBin::List), RowBin::List, indptr,
+                &heavy_bins.list, RowBin::List, indptr,
                 &out_idx, &out_val, per_claim, sel_list);
             single_source_bin(a, b, claims, src, src_off, pool, workspaces, ncols,
-                &heavy_bins.hash, chunk_for(RowBin::Hash), RowBin::Hash, indptr,
+                &heavy_bins.hash, RowBin::Hash, indptr,
                 &out_idx, &out_val, per_claim, sel_hash);
             single_source_bin(a, b, claims, src, src_off, pool, workspaces, ncols,
-                &heavy_bins.dense, chunk_for(RowBin::Dense), RowBin::Dense, indptr,
+                &heavy_bins.dense, RowBin::Dense, indptr,
                 &out_idx, &out_val, per_claim, sel_spa);
         };
 
         multi_source_pass(
-            a,
-            b,
-            claims,
-            src,
-            src_off,
-            pool,
-            workspaces,
-            ncols,
-            &multi,
-            chunk_for(RowBin::Dense),
-            indptr,
-            &out_idx,
-            &out_val,
-            per_claim,
+            a, b, claims, src, src_off, pool, workspaces, ncols, &multi, indptr, &out_idx,
+            &out_val, per_claim,
         );
 
         compact_staged(
@@ -746,7 +446,7 @@ fn execute_batched_fused<T: Scalar>(
 
     let per_claim: Vec<usize> = per_claim.into_iter().map(|n| n.into_inner()).collect();
     let c = CsrMatrix::from_parts_unchecked(nrows, ncols, indptr, indices, values);
-    Some((c, ExecCounts::from_per_claim(schedule, per_claim)))
+    (c, ExecCounts::from_per_claim(schedule, per_claim))
 }
 
 /// One fused single-source bin of the batched executor: scatter each row
@@ -778,41 +478,32 @@ fn fused_claim_bin<T, A, Sel>(
     if bin_rows.is_empty() {
         return;
     }
-    let t0 = bin_pass_start();
-    {
-        let out = DisjointSlice::new(sizes);
-        pool.for_each_guided_items(
-            bin_rows,
-            fused_chunk_for(bin),
-            || FusedStager::new(workspaces, ncols, staged),
-            |stager, rs| {
-                // disjoint field borrows: the accumulator lives in `ws`,
-                // the staging arena next to it
-                let buf = stager.buf.as_mut().expect("present until drop");
-                for &r in rs {
-                    let r = r as usize;
-                    let ci = src[src_off[r]] as usize;
-                    let acc = sel(&mut stager.ws, ub[r] as usize);
-                    scatter_row(a, b, r, claims[ci].b_mask, acc);
-                    let n = buf.stage(r as u32, acc);
-                    per_claim[ci].fetch_add(n, Ordering::Relaxed);
-                    // each r written by exactly one claimant
-                    unsafe { out.write(r, n as u64) };
-                }
-            },
-        );
-    }
-    if let Some(t0) = t0 {
-        let ns = t0.elapsed().as_nanos() as u64;
-        let entries: u64 = bin_rows.iter().map(|&r| sizes[r as usize]).sum();
-        spmm_sparse::binning::stats::record(bin, bin_rows.len() as u64, entries, ns);
-    }
+    let out = DisjointSlice::new(sizes);
+    pool.for_each_guided_items(
+        bin_rows,
+        fused_chunk_for(bin),
+        || FusedStager::new(workspaces, ncols, staged),
+        |stager, rs| {
+            // disjoint field borrows: the accumulator lives in `ws`, the
+            // staging arena next to it
+            let buf = stager.buf.as_mut().expect("present until drop");
+            for &r in rs {
+                let r = r as usize;
+                let ci = src[src_off[r]] as usize;
+                let acc = sel(&mut stager.ws, ub[r] as usize);
+                scatter_row(a, b, r, claims[ci].b_mask, acc);
+                let n = buf.stage(r as u32, acc);
+                per_claim[ci].fetch_add(n, Ordering::Relaxed);
+                // each r written by exactly one claimant
+                unsafe { out.write(r, n as u64) };
+            }
+        },
+    );
 }
 
-/// The batched executor's copy bin, shared by the classic and fused
-/// shapes: sole claim, sole masked source — the output row is the scaled
-/// B row verbatim. SoA form: one memcpy of B's columns plus one
-/// vectorized scaled copy of its values. Empty bins skip their dispatch
+/// The batched executor's copy bin: sole claim, sole masked source — the
+/// output row is the scaled B row verbatim. SoA form: one memcpy of B's
+/// columns plus one vectorized scaled copy of its values. Empty bins skip their dispatch
 /// entirely (a parallel fork for zero work shows up as pure overhead on
 /// one-bin products).
 #[allow(clippy::too_many_arguments)]
@@ -824,7 +515,6 @@ fn claim_copy_bin<T: Scalar>(
     src_off: &[usize],
     pool: &ThreadPool,
     bin_rows: &[u32],
-    chunk: usize,
     indptr: &[usize],
     out_idx: &DisjointSlice<'_, ColIndex>,
     out_val: &DisjointSlice<'_, T>,
@@ -833,10 +523,9 @@ fn claim_copy_bin<T: Scalar>(
     if bin_rows.is_empty() {
         return;
     }
-    let t0 = bin_pass_start();
     pool.for_each_guided_items(
         bin_rows,
-        chunk,
+        chunk_for(RowBin::Copy),
         || (),
         |(), rs| {
             for &r in rs {
@@ -866,13 +555,12 @@ fn claim_copy_bin<T: Scalar>(
             }
         },
     );
-    bin_pass_record(RowBin::Copy, bin_rows, indptr, t0);
 }
 
-/// Multi-source rows (complementary mask halves), shared by the classic
-/// and fused shapes: materialise each source run through the dense SPA,
+/// Heavy multi-source rows (complementary mask halves, bound above
+/// [`FUSED_UB_MAX`]): materialise each source run through the dense SPA,
 /// then merge in claim order with the exact summation of the per-row
-/// merge.
+/// merge, straight into the exactly sized final slot.
 #[allow(clippy::too_many_arguments)]
 fn multi_source_pass<T: Scalar>(
     a: &CsrMatrix<T>,
@@ -884,7 +572,6 @@ fn multi_source_pass<T: Scalar>(
     workspaces: &WorkspacePool,
     ncols: usize,
     multi: &[u32],
-    chunk: usize,
     indptr: &[usize],
     out_idx: &DisjointSlice<'_, ColIndex>,
     out_val: &DisjointSlice<'_, T>,
@@ -895,7 +582,7 @@ fn multi_source_pass<T: Scalar>(
     }
     pool.for_each_guided_items(
         multi,
-        chunk,
+        chunk_for(RowBin::Dense),
         || workspaces.acquire::<T>(ncols),
         |ws, rs| {
             let EngineWorkspace {
@@ -937,21 +624,6 @@ fn multi_source_pass<T: Scalar>(
     );
 }
 
-/// Bounded multi-source rows, fused: the *same* per-run materialisation
-/// and claim-order merge as [`multi_source_pass`] — the grouping of the
-/// per-run sums is what defines the output bits, so a single fused
-/// scatter would round differently and is off the table — but the merged
-/// row lands in the worker's staging arena instead of a pre-sized final
-/// slot. The exact symbolic sizing of these rows is thereby skipped
-/// entirely: the scan reads the merged size, and compaction memcpys the
-/// run into place. Per-claim counts accumulate per materialised run,
-/// exactly as the classic pass counts them.
-///
-/// Materialise one many-source run into the scratch arrays through `acc`:
-/// scatter under the claim's mask, then drain sorted into freshly-sized
-/// tails of `cols`/`vals`. Returns the run's nnz. Generic so the caller
-/// can pick the accumulator variant by the run's bound — the variants are
-/// bit-identical by contract, so the choice is pure speed.
 /// Hint the cache at a run's column/value data: the set-touch cascade
 /// consumes runs strictly in order, so later runs' (randomly placed)
 /// lines can stream in while earlier ones merge. No-op off x86_64.
@@ -969,6 +641,11 @@ fn prefetch_run<T>(cols: &[ColIndex], vals: &[T]) {
     }
 }
 
+/// Materialise one many-source run into the scratch arrays through `acc`:
+/// scatter under the claim's mask, then drain sorted into freshly-sized
+/// tails of `cols`/`vals`. Returns the run's nnz. Generic so the caller
+/// can pick the accumulator variant by the run's bound — the variants are
+/// bit-identical by contract, so the choice is pure speed.
 fn run_into<T: Scalar, A: RowAccumulator<T>>(
     a: &CsrMatrix<T>,
     b: &CsrMatrix<T>,
@@ -987,14 +664,25 @@ fn run_into<T: Scalar, A: RowAccumulator<T>>(
     n
 }
 
-/// Two extra bound-guided moves live here and nowhere in the classic
-/// pass. A claim with exactly one masked source materialises its run as
-/// the scaled B row verbatim — the SPA would see ascending, collision-free
-/// columns and first-touch values `aij * bjc`, so the memcpy + scaled copy
-/// is the same bits without the scatter, the drain sort, or the gather.
-/// And the merge emits through raw carve-out writes into staging: the
-/// row's structural bound caps the merged size, so the arena reserves once
-/// and the emit loop skips per-entry capacity checks.
+/// Bounded multi-source rows, fused: the *same* per-run materialisation
+/// and claim-order merge as [`multi_source_pass`] — the grouping of the
+/// per-run sums is what defines the output bits, so a single fused
+/// scatter would round differently and is off the table — but the merged
+/// row lands in the worker's staging arena instead of a pre-sized final
+/// slot. The exact symbolic sizing of these rows is thereby skipped
+/// entirely: the scan reads the merged size, and compaction memcpys the
+/// run into place. Per-claim counts accumulate per materialised run,
+/// exactly as the reference counts them.
+///
+/// Two extra bound-guided moves live here and nowhere in
+/// [`multi_source_pass`]. A claim with exactly one masked source
+/// materialises its run as the scaled B row verbatim — the SPA would see
+/// ascending, collision-free columns and first-touch values `aij * bjc`,
+/// so the memcpy + scaled copy is the same bits without the scatter, the
+/// drain sort, or the gather. And the merge emits through raw carve-out
+/// writes into staging: the row's structural bound caps the merged size,
+/// so the arena reserves once and the emit loop skips per-entry capacity
+/// checks.
 #[allow(clippy::too_many_arguments)]
 fn fused_multi_pass<T: Scalar>(
     a: &CsrMatrix<T>,
@@ -1192,7 +880,7 @@ fn fused_multi_pass<T: Scalar>(
                     };
                     let (s0, c0, v0) = run(0);
                     let (s1, c1, v1) = run(1);
-                    // classic counting: each run's nnz against its claim
+                    // reference counting: each run's nnz against its claim
                     claim_nnz[sources[0] as usize] += c0.len();
                     claim_nnz[sources[1] as usize] += c1.len();
                     merge2_scaled(s0, c0, v0, s1, c1, v1, |c, v| {
@@ -1307,9 +995,10 @@ fn fused_multi_pass<T: Scalar>(
     );
 }
 
-/// One single-source numeric bin of the batched executor: scatter each
-/// row through the accumulator `sel` chooses under its sole claim's mask,
-/// count the entries against that claim, and drain into the final slot.
+/// One heavy single-source bin of the batched executor: scatter each row
+/// (already sized exactly by the symbolic pass) through the accumulator
+/// `sel` chooses under its sole claim's mask, count the entries against
+/// that claim, and drain into the final slot.
 #[allow(clippy::too_many_arguments)]
 fn single_source_bin<T, A, Sel>(
     a: &CsrMatrix<T>,
@@ -1321,7 +1010,6 @@ fn single_source_bin<T, A, Sel>(
     workspaces: &WorkspacePool,
     ncols: usize,
     bin_rows: &[u32],
-    chunk: usize,
     bin: RowBin,
     indptr: &[usize],
     out_idx: &DisjointSlice<'_, ColIndex>,
@@ -1334,16 +1022,13 @@ fn single_source_bin<T, A, Sel>(
     Sel: for<'w> Fn(&'w mut EngineWorkspace<T>, usize) -> &'w mut A + Sync,
 {
     // Empty bins skip the dispatch: a pool fork plus a workspace checkout
-    // for zero rows is pure overhead, and with the tallies armed it books
-    // phantom nanoseconds against a bin that did no work (the 0-row
-    // `spa_bin_list_ms`/`spa_bin_hash_ms` entries in BENCH were this).
+    // for zero rows is pure overhead.
     if bin_rows.is_empty() {
         return;
     }
-    let t0 = bin_pass_start();
     pool.for_each_guided_items(
         bin_rows,
-        chunk,
+        chunk_for(bin),
         || workspaces.acquire::<T>(ncols),
         |ws, rs| {
             for &r in rs {
@@ -1362,7 +1047,6 @@ fn single_source_bin<T, A, Sel>(
             }
         },
     );
-    bin_pass_record(bin, bin_rows, indptr, t0);
 }
 
 /// k-way merge of column-sorted runs, summing values of shared columns in
@@ -1499,37 +1183,6 @@ mod tests {
             let (c_bat, n_bat) = execute(&a, &a, &schedule, shape, &pool, &ws, ExecPolicy::Batched);
             assert_eq!(c_ref, c_bat, "output diverged at {threads} threads");
             assert_eq!(n_ref, n_bat, "counts diverged at {threads} threads");
-        }
-    }
-
-    #[test]
-    fn adaptive_executor_matches_fixed_spa_bitwise() {
-        let a = scale_free(500, 4_000, 21);
-        let t = a.mean_row_nnz().ceil() as usize;
-        let b_high: Vec<bool> = (0..a.nrows()).map(|i| a.row_nnz(i) >= t).collect();
-        let b_low: Vec<bool> = b_high.iter().map(|&h| !h).collect();
-        let rows_h = crate::kernels::rows_where(&b_high, true);
-        let rows_l = crate::kernels::rows_where(&b_high, false);
-        let pieces = vec![0..rows_l.len().min(40), rows_l.len().min(40)..rows_l.len()];
-        let schedule = hh_like_schedule(&rows_h, &rows_l, &b_high, &b_low, &pieces);
-        let shape = (a.nrows(), a.ncols());
-        let ws = WorkspacePool::new();
-        for policy in [ExecPolicy::Batched, ExecPolicy::PerClaim] {
-            for threads in [1, 8] {
-                let pool = ThreadPool::new(threads);
-                let fixed = ExecConfig {
-                    policy,
-                    accum: AccumStrategy::FixedSpa,
-                };
-                let adaptive = ExecConfig {
-                    policy,
-                    accum: AccumStrategy::Adaptive,
-                };
-                let (c_f, n_f) = execute(&a, &a, &schedule, shape, &pool, &ws, fixed);
-                let (c_a, n_a) = execute(&a, &a, &schedule, shape, &pool, &ws, adaptive);
-                assert_eq!(c_f, c_a, "bits diverged ({policy:?}, {threads} threads)");
-                assert_eq!(n_f, n_a, "counts diverged ({policy:?}, {threads} threads)");
-            }
         }
     }
 

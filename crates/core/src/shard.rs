@@ -28,8 +28,8 @@
 //!   Band results commit in plan order regardless of completion order
 //!   ([`OrderedCommitter`]), which is what keeps the stitched C *and* the
 //!   summed profile bit-identical to the monolithic run (DESIGN.md §3.9).
-//!   `SPMM_SHARD_IO_THREADS=0` ([`io_mode`]) degrades to the original
-//!   synchronous loop: bands sequential on the full pool, inline spills.
+//!   A one-thread host pool degenerates to one worker: bands run in plan
+//!   order, one at a time, with the spill writes still behind them.
 //!
 //! The [`ShardLink`] model prices the communication a real 1.5D
 //! decomposition would pay (B replication factor `c` trades resident
@@ -41,55 +41,12 @@ use std::time::Instant;
 
 use spmm_hetsim::{PhaseBreakdown, PhaseTimes, ShardLink, ShardLinkCost};
 use spmm_parallel::{OrderedCommitter, ThreadPool};
-use spmm_sparse::io::{read_csr_chunk, read_csr_chunk_header, split_csr_chunk, write_csr_chunk};
+use spmm_sparse::io::{read_csr_chunk_header, split_csr_chunk, write_csr_chunk};
 use spmm_sparse::{CsrMatrix, Scalar, SparseError};
 
 use crate::context::HeteroContext;
 use crate::hhcpu::{hh_cpu_with_artifacts, HhCpuConfig, SpmmArtifacts};
 use crate::result::SpmmOutput;
-
-/// Runtime pin for the out-of-core pipeline, mirroring the
-/// `SPMM_FUSED`/`SPMM_SIMD` dispatch idiom: `SPMM_SHARD_IO_THREADS=0`
-/// forces the synchronous fallback (sequential bands, inline spill I/O);
-/// unset or any positive count runs the pipelined path (one write-behind
-/// spill thread + one stitch prefetch thread). [`io_mode::set_forced`] is
-/// the in-process override for tests — it is process-global, so tests
-/// that flip it must serialize with themselves.
-pub mod io_mode {
-    use std::sync::atomic::{AtomicU8, Ordering};
-    use std::sync::OnceLock;
-
-    /// 0 = follow the environment, 1 = forced sync, 2 = forced pipelined.
-    static FORCED: AtomicU8 = AtomicU8::new(0);
-    static FROM_ENV: OnceLock<bool> = OnceLock::new();
-
-    fn env_pipelined() -> bool {
-        match std::env::var("SPMM_SHARD_IO_THREADS") {
-            Ok(v) => v.trim().parse::<usize>().map(|n| n > 0).unwrap_or(true),
-            Err(_) => true,
-        }
-    }
-
-    /// Does the out-of-core mode run the pipelined path?
-    pub fn pipelined() -> bool {
-        match FORCED.load(Ordering::Relaxed) {
-            1 => false,
-            2 => true,
-            _ => *FROM_ENV.get_or_init(env_pipelined),
-        }
-    }
-
-    /// Test hook: `Some(true)` forces pipelined, `Some(false)` forces the
-    /// synchronous fallback, `None` restores environment dispatch.
-    pub fn set_forced(on: Option<bool>) {
-        let v = match on {
-            None => 0,
-            Some(false) => 1,
-            Some(true) => 2,
-        };
-        FORCED.store(v, Ordering::Relaxed);
-    }
-}
 
 /// Partition of A's rows into contiguous, nnz-balanced bands.
 ///
@@ -152,7 +109,7 @@ pub enum ShardMode {
     Pooled,
     /// Band work fans across the host pool under a resident-byte budget of
     /// `byte_cap`; finished outputs spill to disk via a write-behind
-    /// thread (or inline when [`io_mode::pipelined`] is off).
+    /// thread.
     OutOfCore { byte_cap: usize },
 }
 
@@ -236,9 +193,8 @@ pub struct ShardedOutput<T: Scalar> {
     pub spilled_shards: usize,
     /// Simulated 1.5D communication bill at `config.replication`.
     pub link: ShardLinkCost,
-    /// Pipeline diagnostics — `Some` only for the pipelined out-of-core
-    /// path (`None` for pooled and for the `SPMM_SHARD_IO_THREADS=0`
-    /// synchronous fallback).
+    /// Pipeline diagnostics — `Some` for out-of-core runs, `None` for
+    /// pooled.
     pub pipe: Option<PipelineStats>,
 }
 
@@ -324,7 +280,7 @@ pub fn hh_cpu_sharded_with_artifacts<T: Scalar>(
 
     let mut spilled_shards = 0usize;
     let mut pipe = None;
-    // Each branch yields the band outputs in plan order; the pipelined
+    // Each branch yields the band outputs in plan order; the out-of-core
     // branch also yields the already-stitched C plus per-band C bytes
     // (its outputs carry empty placeholder matrices — the real bands
     // streamed through the spill store).
@@ -349,36 +305,11 @@ pub fn hh_cpu_sharded_with_artifacts<T: Scalar>(
             });
             (outs, None)
         }
-        ShardMode::OutOfCore { byte_cap } if io_mode::pipelined() => {
+        ShardMode::OutOfCore { byte_cap } => {
             let run = run_out_of_core_pipelined(ctx, a, b, config, artifacts, &plan, byte_cap);
             spilled_shards = run.spilled;
             pipe = Some(run.stats);
             (run.outputs, Some((run.c, run.band_c_bytes)))
-        }
-        ShardMode::OutOfCore { byte_cap } => {
-            // Synchronous fallback (SPMM_SHARD_IO_THREADS=0): bands
-            // run sequentially on the full host pool, spill I/O
-            // inline, all bands restored before one batch concat.
-            let mut spill = SpillStore::new(byte_cap);
-            let mut outs: Vec<SpmmOutput<T>> = Vec::with_capacity(p);
-            for i in 0..p {
-                let band = a.row_band(plan.band(i));
-                let band_artifacts = artifacts.for_row_band(plan.band(i), &band);
-                let mut out = hh_cpu_with_artifacts(ctx, &band, b, config, &band_artifacts);
-                // Hand the finished C band to the spill store, which
-                // evicts oldest-first whenever residency exceeds the
-                // cap; the matrix left behind is an empty placeholder.
-                let c = std::mem::replace(&mut out.c, CsrMatrix::zeros(0, 0));
-                spill.push(i, c).expect("shard spill write failed");
-                outs.push(out);
-            }
-            // Stream every band back (disk or memory) in band order.
-            let restored = spill.drain().expect("shard spill read failed");
-            spilled_shards = spill.spilled();
-            for (out, c) in outs.iter_mut().zip(restored) {
-                out.c = c;
-            }
-            (outs, None)
         }
     };
 
@@ -446,8 +377,8 @@ struct PipelinedRun<T: Scalar> {
 /// 2. **Commit + write-behind** — finished bands enter an
 ///    [`OrderedCommitter`], which releases them in plan order to an
 ///    unbounded channel feeding the spill thread. The spill thread owns
-///    the [`SpillStore`] and evicts to disk exactly like the synchronous
-///    path, so compute never blocks on `write_csr_chunk`.
+///    the [`SpillStore`] and evicts to disk oldest-first, so compute
+///    never blocks on `write_csr_chunk`.
 /// 3. **Streaming stitch** — after the last commit the store sizes the
 ///    final matrix from per-band chunk headers and appends bands one at a
 ///    time, prefetching the next spilled chunk on a reader thread while
@@ -752,12 +683,11 @@ impl ResidentBudget {
 
 /// Oldest-first spill store for out-of-core shard outputs: keeps finished
 /// C bands in memory up to `byte_cap` CSR bytes, writing the overflow to
-/// binary chunk files in a per-run temp directory. In the pipelined mode
-/// the write-behind thread owns the store; the synchronous fallback
-/// drives it inline. Either way the directory is removed by
-/// [`SpillStore::drain`] / [`SpillStore::into_stitched`] on success and
-/// by `Drop` on every other path (early error, panic unwind, writer
-/// shutdown), so no spill files outlive the run.
+/// binary chunk files in a per-run temp directory. The out-of-core
+/// driver's write-behind thread owns the store. The directory is removed
+/// by [`SpillStore::into_stitched`] on success and by `Drop` on every
+/// other path (early error, panic unwind, writer shutdown), so no spill
+/// files outlive the run.
 pub struct SpillStore<T: Scalar> {
     byte_cap: usize,
     resident_bytes: usize,
@@ -884,28 +814,6 @@ impl<T: Scalar> SpillStore<T> {
         self.resident_bytes -= m.byte_size();
         self.spilled += 1;
         Ok(true)
-    }
-
-    /// Restore every band in index order (memory or disk) and remove the
-    /// spill directory. The synchronous fallback's batch restore.
-    pub fn drain(&mut self) -> Result<Vec<CsrMatrix<T>>, SparseError> {
-        let mut slots = std::mem::take(&mut self.slots);
-        slots.sort_by_key(|s| s.shard);
-        let mut out = Vec::with_capacity(slots.len());
-        for slot in slots {
-            match slot.band {
-                Some(m) => out.push(m),
-                None => {
-                    let dir = self.dir.as_ref().expect("spilled shard without a dir");
-                    let mut file = std::fs::File::open(Self::chunk_path(dir, slot.shard))?;
-                    out.push(read_csr_chunk(&mut file)?);
-                }
-            }
-        }
-        if let Some(dir) = self.dir.take() {
-            let _ = std::fs::remove_dir_all(dir);
-        }
-        Ok(out)
     }
 
     /// Stitch every band (index order) into one matrix without ever
@@ -1200,9 +1108,6 @@ mod tests {
         }
     }
 
-    /// Serializes the tests that flip the process-global [`io_mode`] pin.
-    static IO_MODE_LOCK: Mutex<()> = Mutex::new(());
-
     /// Largest per-band working set (input + C bytes) for a plan — the
     /// "one in-flight band" slack the budget's peak guarantee allows.
     fn max_band_working_set(a: &CsrMatrix<f64>, c: &CsrMatrix<f64>, plan: &ShardPlan) -> usize {
@@ -1213,93 +1118,88 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_matches_sync_fallback_and_honors_budget() {
-        let _guard = IO_MODE_LOCK.lock().unwrap();
+    fn out_of_core_matches_monolithic_and_honors_budget() {
         let a = matrix(21);
         let b = matrix(22);
         let config = HhCpuConfig::default();
-        let mut ctx = HeteroContext::paper().with_host_threads(4);
-        let mono = hh_cpu(&mut ctx, &a, &b, &config);
-        for byte_cap in [0usize, 1, mono.c.byte_size() / 2, usize::MAX / 2] {
-            let shard = ShardConfig::out_of_core(6, byte_cap);
-            io_mode::set_forced(Some(false));
-            let sync = hh_cpu_sharded(&mut ctx, &a, &b, &config, &shard);
-            io_mode::set_forced(Some(true));
-            let piped = hh_cpu_sharded(&mut ctx, &a, &b, &config, &shard);
-            io_mode::set_forced(None);
-
-            assert_eq!(sync.pipe, None, "sync fallback must not report a pipeline");
-            assert_eq!(
-                piped.output.c, mono.c,
-                "pipelined C drifted (cap {byte_cap})"
-            );
-            assert_eq!(piped.output.c, sync.output.c);
-            assert_eq!(piped.per_shard, sync.per_shard);
-            assert_eq!(piped.output.profile, sync.output.profile);
-            assert_eq!(piped.output.tuples_merged, sync.output.tuples_merged);
-            assert_eq!(piped.spilled_shards, sync.spilled_shards);
-
-            let stats = piped.pipe.expect("pipelined run must report stats");
-            assert_eq!(stats.byte_cap, byte_cap);
-            assert!(stats.workers >= 1);
-            let slack = max_band_working_set(&a, &mono.c, &piped.plan);
-            assert!(
-                stats.peak_resident_bytes <= byte_cap.saturating_add(slack),
-                "peak {} exceeds cap {} + one band {}",
-                stats.peak_resident_bytes,
-                byte_cap,
-                slack
-            );
-        }
-    }
-
-    #[test]
-    fn pipelined_is_the_default_out_of_core_path() {
-        let _guard = IO_MODE_LOCK.lock().unwrap();
-        io_mode::set_forced(Some(true));
-        let a = matrix(23);
-        let mut ctx = HeteroContext::paper().with_host_threads(2);
-        let config = HhCpuConfig::default();
-        let out = hh_cpu_sharded(&mut ctx, &a, &a, &config, &ShardConfig::out_of_core(4, 1));
-        io_mode::set_forced(None);
-        assert!(out.pipe.is_some());
-        assert_eq!(
-            out.spilled_shards, 4,
-            "a 1-byte cap must spill every band in the pipelined path too"
+        let pooled = hh_cpu_sharded(
+            &mut HeteroContext::paper(),
+            &a,
+            &b,
+            &config,
+            &ShardConfig::pooled(6),
         );
+        // one worker is the degenerate pipeline: bands in plan order, one
+        // at a time, spill writes still behind them
+        for threads in [1, 4] {
+            let mut ctx = HeteroContext::paper().with_host_threads(threads);
+            let mono = hh_cpu(&mut ctx, &a, &b, &config);
+            for byte_cap in [0usize, 1, mono.c.byte_size() / 2, usize::MAX / 2] {
+                let shard = ShardConfig::out_of_core(6, byte_cap);
+                let piped = hh_cpu_sharded(&mut ctx, &a, &b, &config, &shard);
+
+                assert_eq!(
+                    piped.output.c, mono.c,
+                    "out-of-core C drifted (cap {byte_cap}, {threads} threads)"
+                );
+                assert_eq!(piped.output.tuples_merged, mono.tuples_merged);
+                assert_eq!(piped.per_shard, pooled.per_shard);
+                assert_eq!(piped.output.profile, pooled.output.profile);
+
+                let stats = piped.pipe.expect("out-of-core run must report stats");
+                assert_eq!(stats.byte_cap, byte_cap);
+                assert!((1..=threads).contains(&stats.workers));
+                let slack = max_band_working_set(&a, &mono.c, &piped.plan);
+                assert!(
+                    stats.peak_resident_bytes <= byte_cap.saturating_add(slack),
+                    "peak {} exceeds cap {} + one band {}",
+                    stats.peak_resident_bytes,
+                    byte_cap,
+                    slack
+                );
+                if byte_cap <= 1 {
+                    assert_eq!(
+                        piped.spilled_shards,
+                        piped.plan.shards(),
+                        "a cap of {byte_cap} bytes must spill every band"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
-    fn spill_store_removes_dir_on_drain_and_stitch() {
+    fn spill_store_removes_dir_on_stitch() {
         let bands: Vec<CsrMatrix<f64>> = (0..4).map(|i| matrix(30 + i).row_band(0..50)).collect();
-        // drain path
-        let mut store = SpillStore::new(0);
-        for (i, band) in bands.iter().enumerate() {
-            store.push(i, band.clone()).unwrap();
+        let ncols = bands[0].ncols();
+        // every band spilled (cap 0), then mixed resident/spilled slots: a
+        // cap of one max-size band keeps the newest band resident
+        let mixed_cap = bands.iter().map(CsrMatrix::byte_size).max().unwrap() + 1;
+        for cap in [0, mixed_cap] {
+            let mut store = SpillStore::new(cap);
+            for (i, band) in bands.iter().enumerate() {
+                store.push(i, band.clone()).unwrap();
+            }
+            if cap == 0 {
+                assert_eq!(store.spilled(), bands.len());
+            } else {
+                assert!(store.spilled() > 0 && store.spilled() < bands.len());
+            }
+            let dir = store
+                .dir_path()
+                .expect("store must have spilled")
+                .to_path_buf();
+            assert!(dir.exists());
+            let stitched = store.into_stitched(ncols).unwrap();
+            assert_eq!(stitched, concat_row_bands(&bands, ncols));
+            assert!(!dir.exists(), "into_stitched must remove the spill dir");
         }
-        let dir = store.dir_path().expect("cap 0 must spill").to_path_buf();
-        assert!(dir.exists());
-        let restored = store.drain().unwrap();
-        assert_eq!(&restored, &bands);
-        assert!(!dir.exists(), "drain must remove the spill dir");
-        // streaming stitch path, mixed resident/spilled slots: a cap of
-        // one max-size band keeps the newest band resident, spills the rest
-        let cap = bands.iter().map(CsrMatrix::byte_size).max().unwrap() + 1;
-        let mut store = SpillStore::new(cap);
-        for (i, band) in bands.iter().enumerate() {
-            store.push(i, band.clone()).unwrap();
-        }
-        assert!(store.spilled() > 0 && store.spilled() < bands.len());
-        let dir = store.dir_path().unwrap().to_path_buf();
-        let stitched = store.into_stitched(bands[0].ncols()).unwrap();
-        assert_eq!(stitched, concat_row_bands(&bands, bands[0].ncols()));
-        assert!(!dir.exists(), "into_stitched must remove the spill dir");
     }
 
     #[test]
     fn spill_store_removes_dir_on_early_drop_and_unwind() {
         let band: CsrMatrix<f64> = matrix(40).row_band(10..60);
-        // early error / abandoned store: drop without drain
+        // early error / abandoned store: drop without stitching
         let mut store = SpillStore::new(0);
         store.push(0, band.clone()).unwrap();
         let dir = store.dir_path().unwrap().to_path_buf();

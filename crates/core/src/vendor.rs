@@ -9,14 +9,13 @@
 //! * [`cusparse_like`] — GPU-only spmm over the same warp-per-row model,
 //!   plus both PCIe directions.
 
-use spmm_sparse::{AccumStrategy, CsrMatrix, Scalar};
+use spmm_sparse::{CsrMatrix, Scalar};
 
-use spmm_hetsim::{PhaseBreakdown, PhaseTimes};
+use spmm_hetsim::{DeviceKind, PhaseBreakdown, PhaseTimes};
 
 use crate::context::HeteroContext;
-use crate::kernels::row_products_pooled;
-use crate::merge::concat_row_blocks;
 use crate::result::SpmmOutput;
+use crate::schedule::{self, ClaimSchedule, ExecPolicy, ScheduledClaim};
 
 /// MKL's measured edge over the paper's handwritten CPU kernel (§III-B
 /// reports 15–20%; we take the midpoint).
@@ -44,18 +43,8 @@ pub fn mkl_like<T: Scalar>(
     ctx.reset();
     let rows: Vec<usize> = (0..a.nrows()).collect();
     let cpu_ns = ctx.cpu.spmm_cost(a, b, rows.iter().copied(), None) / MKL_ADVANTAGE;
-    let block = row_products_pooled(
-        a,
-        b,
-        &rows,
-        None,
-        &ctx.pool,
-        &ctx.workspaces,
-        AccumStrategy::default(),
-    );
-    let tuples_merged = block.nnz();
+    let (c, tuples_merged) = whole_product(ctx, a, b, &rows, DeviceKind::Cpu, cpu_ns);
     let merge_ns = ctx.cpu.merge_cost(tuples_merged) / MKL_ADVANTAGE;
-    let c = concat_row_blocks(&[block], (a.nrows(), b.ncols()), &ctx.pool);
     SpmmOutput {
         c,
         profile: PhaseBreakdown {
@@ -92,18 +81,8 @@ pub fn cusparse_like<T: Scalar>(
     };
     let mut transfer_ns = ctx.link.transfer_ns(upload);
     let gpu_ns = ctx.gpu.spmm_cost(a, b, rows.iter().copied(), None) * CUSPARSE_PENALTY;
-    let block = row_products_pooled(
-        a,
-        b,
-        &rows,
-        None,
-        &ctx.pool,
-        &ctx.workspaces,
-        AccumStrategy::default(),
-    );
-    let tuples_merged = block.nnz();
+    let (c, tuples_merged) = whole_product(ctx, a, b, &rows, DeviceKind::Gpu, gpu_ns);
     let merge_ns = ctx.gpu.merge_cost(tuples_merged);
-    let c = concat_row_blocks(&[block], (a.nrows(), b.ncols()), &ctx.pool);
     transfer_ns += ctx.link.transfer_ns(c.byte_size());
     SpmmOutput {
         c,
@@ -119,6 +98,37 @@ pub fn cusparse_like<T: Scalar>(
         hd_rows_b: 0,
         tuples_merged,
     }
+}
+
+/// The numeric product of a single-device library: one claim over every
+/// row of `A`, run through the production executor. Returns `C` and the
+/// stored-entry count the simulated merge is charged on.
+fn whole_product<T: Scalar>(
+    ctx: &HeteroContext,
+    a: &CsrMatrix<T>,
+    b: &CsrMatrix<T>,
+    rows: &[usize],
+    device: DeviceKind,
+    sim_ns: f64,
+) -> (CsrMatrix<T>, usize) {
+    let sched = ClaimSchedule {
+        claims: vec![ScheduledClaim {
+            device,
+            rows,
+            b_mask: None,
+            sim_ns,
+        }],
+    };
+    let (c, counts) = schedule::execute(
+        a,
+        b,
+        &sched,
+        (a.nrows(), b.ncols()),
+        &ctx.pool,
+        &ctx.workspaces,
+        ExecPolicy::Batched,
+    );
+    (c, counts.cpu_entries + counts.gpu_entries)
 }
 
 #[cfg(test)]

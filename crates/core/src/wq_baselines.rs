@@ -25,7 +25,7 @@ use spmm_workqueue::{End, RangeQueue};
 
 use crate::context::HeteroContext;
 use crate::result::SpmmOutput;
-use crate::schedule::{self, ClaimSchedule, ExecConfig, ExecPolicy, ScheduledClaim};
+use crate::schedule::{self, ClaimSchedule, ExecPolicy, ScheduledClaim};
 
 /// Algorithm Unsorted-Workqueue: double-ended dynamic balancing over the
 /// natural row order.
@@ -38,17 +38,16 @@ pub fn unsorted_workqueue<T: Scalar>(
     unsorted_workqueue_with(ctx, a, b, units, ExecPolicy::default())
 }
 
-/// [`unsorted_workqueue`] with an explicit executor configuration (an
-/// [`ExecPolicy`] still works via `Into<ExecConfig>`).
+/// [`unsorted_workqueue`] under an explicit executor policy.
 pub fn unsorted_workqueue_with<T: Scalar>(
     ctx: &mut HeteroContext,
     a: &CsrMatrix<T>,
     b: &CsrMatrix<T>,
     units: WorkUnitConfig,
-    exec: impl Into<ExecConfig>,
+    exec: ExecPolicy,
 ) -> SpmmOutput<T> {
     let order: Vec<usize> = (0..a.nrows()).collect();
-    workqueue_over_order(ctx, a, b, units, order, exec.into())
+    workqueue_over_order(ctx, a, b, units, order, exec)
 }
 
 /// Algorithm Sorted-Workqueue: rows sorted ascending by size before
@@ -66,18 +65,17 @@ pub fn sorted_workqueue<T: Scalar>(
     sorted_workqueue_with(ctx, a, b, units, ExecPolicy::default())
 }
 
-/// [`sorted_workqueue`] with an explicit executor configuration (an
-/// [`ExecPolicy`] still works via `Into<ExecConfig>`).
+/// [`sorted_workqueue`] under an explicit executor policy.
 pub fn sorted_workqueue_with<T: Scalar>(
     ctx: &mut HeteroContext,
     a: &CsrMatrix<T>,
     b: &CsrMatrix<T>,
     units: WorkUnitConfig,
-    exec: impl Into<ExecConfig>,
+    exec: ExecPolicy,
 ) -> SpmmOutput<T> {
     let mut order: Vec<usize> = (0..a.nrows()).collect();
     order.sort_by_key(|&i| a.row_nnz(i));
-    workqueue_over_order(ctx, a, b, units, order, exec.into())
+    workqueue_over_order(ctx, a, b, units, order, exec)
 }
 
 /// Shared engine: event-driven double-ended claiming of `order` chunks,
@@ -90,7 +88,7 @@ fn workqueue_over_order<T: Scalar>(
     b: &CsrMatrix<T>,
     units: WorkUnitConfig,
     order: Vec<usize>,
-    exec: ExecConfig,
+    exec: ExecPolicy,
 ) -> SpmmOutput<T> {
     assert_eq!(
         a.ncols(),

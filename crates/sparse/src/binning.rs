@@ -2,10 +2,10 @@
 //!
 //! Scale-free inputs (§II, Fig. 1) spread intermediate row sizes over
 //! orders of magnitude, so one accumulator shape cannot fit every output
-//! row. After the symbolic pass each row's exact nnz is known, and the
-//! engine routes it to the cheapest accumulator that holds it (Liu &
-//! Vinter's size-binned dispatch, specialised to our bit-identical
-//! contract):
+//! row. The batched executor routes each row by its structural upper
+//! bound — or, for the heavy rows that keep a symbolic pass, by its exact
+//! nnz — to the cheapest accumulator that holds it (Liu & Vinter's
+//! size-binned dispatch, specialised to our bit-identical contract):
 //!
 //! * [`RowBin::Copy`] — rows fed by exactly one masked B row. The output
 //!   is `a_ij × B[j, :]` verbatim: each column is touched exactly once and
@@ -25,14 +25,6 @@
 /// the shared definition hoisted out of `core::kernels` / `core::schedule`.
 pub const GUIDED_CHUNK: usize = 16;
 
-/// Products below this many flops (equivalently, accumulator insertions)
-/// skip row binning and run the single dense-SPA pass. Binning's payoff
-/// scales with the numeric work but its cost is fixed — two to three extra
-/// parallel dispatches — so on tiny products the dispatches dominate any
-/// per-row savings. The output is bit-identical either way; only the
-/// wall clock changes.
-pub const TINY_PRODUCT_FLOPS: u64 = 32 * 1024;
-
 /// Per-thread staging budget for the fused single-pass tier, in potential
 /// output entries (the [`crate::upper_bound`] bound, not exact nnz). Rows
 /// at or under the budget skip the symbolic pass: they scatter once into a
@@ -43,62 +35,6 @@ pub const TINY_PRODUCT_FLOPS: u64 = 32 * 1024;
 /// sources), and staging a multi-MB over-allocation per row would evict
 /// the very caches the accumulators are tuned for.
 pub const FUSED_UB_MAX: u64 = 4096;
-
-/// Runtime switch for the fused single-pass tier, mirroring the
-/// `SPMM_SIMD` dispatch idiom: `SPMM_FUSED=off|0|false` pins the engines
-/// to the retained two-pass oracle (the CI `fused-off` leg), anything else
-/// leaves the fused tier on. [`fused::set_forced`] is the in-process test
-/// hook the equivalence suites flip to compare both paths bit for bit.
-pub mod fused {
-    use std::sync::atomic::{AtomicU8, Ordering::Relaxed};
-    use std::sync::OnceLock;
-
-    /// 0 = follow the environment, 1 = forced off, 2 = forced on.
-    static FORCED: AtomicU8 = AtomicU8::new(0);
-    static FROM_ENV: OnceLock<bool> = OnceLock::new();
-
-    fn env_enabled() -> bool {
-        !matches!(
-            std::env::var("SPMM_FUSED").as_deref(),
-            Ok("off") | Ok("0") | Ok("false")
-        )
-    }
-
-    /// Should the engines route bounded rows through the fused tier?
-    #[inline]
-    pub fn enabled() -> bool {
-        match FORCED.load(Relaxed) {
-            1 => false,
-            2 => true,
-            _ => *FROM_ENV.get_or_init(env_enabled),
-        }
-    }
-
-    /// Test hook: pin the tier on/off (`Some`) or restore the environment
-    /// default (`None`). Process-global — serialize tests that flip it.
-    pub fn set_forced(on: Option<bool>) {
-        FORCED.store(
-            match on {
-                None => 0,
-                Some(false) => 1,
-                Some(true) => 2,
-            },
-            Relaxed,
-        );
-    }
-}
-
-/// Which accumulator strategy the numeric engine runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AccumStrategy {
-    /// Bin rows by exact symbolic nnz and dispatch size-appropriate
-    /// accumulators with bin-aware chunk sizes.
-    #[default]
-    Adaptive,
-    /// The pre-binning reference: one dense SPA for every row. Kept as the
-    /// bit-identity oracle for tests and A/B timing.
-    FixedSpa,
-}
 
 /// Size thresholds separating the accumulator bins, in exact output nnz.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -197,7 +133,8 @@ pub fn fused_chunk_for(bin: RowBin) -> usize {
 }
 
 /// Row indices partitioned by bin, preserving ascending order within each
-/// bin (order only affects scheduling; output slots are pre-offset).
+/// bin (order only affects scheduling; output slots are pre-offset or
+/// staged).
 #[derive(Debug, Clone, Default)]
 pub struct RowBins {
     pub copy: Vec<u32>,
@@ -206,136 +143,9 @@ pub struct RowBins {
     pub dense: Vec<u32>,
 }
 
-impl RowBins {
-    /// Partition `0..n` by `classify(nnz(k), nsrc(k))`.
-    pub fn build(
-        n: usize,
-        thresholds: &BinThresholds,
-        mut nnz: impl FnMut(usize) -> usize,
-        mut nsrc: impl FnMut(usize) -> usize,
-    ) -> Self {
-        let mut bins = Self::default();
-        for k in 0..n {
-            let bin = thresholds.classify(nnz(k), nsrc(k));
-            let v = match bin {
-                RowBin::Copy => &mut bins.copy,
-                RowBin::List => &mut bins.list,
-                RowBin::Hash => &mut bins.hash,
-                RowBin::Dense => &mut bins.dense,
-            };
-            v.push(k as u32);
-        }
-        bins
-    }
-
-    /// Total rows across all bins.
-    pub fn len(&self) -> usize {
-        self.copy.len() + self.list.len() + self.hash.len() + self.dense.len()
-    }
-
-    /// True when no rows were binned.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// Opt-in per-bin tallies, so bin-threshold tuning is data-driven instead
-/// of guessed. Disabled (and costless beyond one relaxed load per engine
-/// pass) by default; the perf probes enable it around a timed run and read
-/// the totals back out with [`stats::take`]. Counters are process-global
-/// atomics — concurrent engines simply sum.
-pub mod stats {
-    use super::RowBin;
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
-
-    const BINS: usize = 4;
-    /// Display names, index-aligned with the snapshot arrays.
-    pub const BIN_NAMES: [&str; BINS] = ["copy", "list", "hash", "dense"];
-
-    static ENABLED: AtomicBool = AtomicBool::new(false);
-    static ROWS: [AtomicU64; BINS] = zeros();
-    static ENTRIES: [AtomicU64; BINS] = zeros();
-    static NANOS: [AtomicU64; BINS] = zeros();
-
-    const fn zeros() -> [AtomicU64; BINS] {
-        [
-            AtomicU64::new(0),
-            AtomicU64::new(0),
-            AtomicU64::new(0),
-            AtomicU64::new(0),
-        ]
-    }
-
-    #[inline]
-    fn idx(bin: RowBin) -> usize {
-        match bin {
-            RowBin::Copy => 0,
-            RowBin::List => 1,
-            RowBin::Hash => 2,
-            RowBin::Dense => 3,
-        }
-    }
-
-    /// Turn collection on or off process-wide.
-    pub fn enable(on: bool) {
-        ENABLED.store(on, Relaxed);
-    }
-
-    /// Whether engines should spend time measuring their bin passes.
-    #[inline]
-    pub fn enabled() -> bool {
-        ENABLED.load(Relaxed)
-    }
-
-    /// Add one bin pass's totals: `rows` routed, `entries` output nonzeros
-    /// drained, `ns` wall nanoseconds for the pass.
-    pub fn record(bin: RowBin, rows: u64, entries: u64, ns: u64) {
-        let i = idx(bin);
-        ROWS[i].fetch_add(rows, Relaxed);
-        ENTRIES[i].fetch_add(entries, Relaxed);
-        NANOS[i].fetch_add(ns, Relaxed);
-    }
-
-    /// Accumulated per-bin totals, index-aligned with [`BIN_NAMES`].
-    #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-    pub struct BinSnapshot {
-        pub rows: [u64; BINS],
-        pub entries: [u64; BINS],
-        pub ns: [u64; BINS],
-    }
-
-    /// Read every counter and reset it to zero.
-    pub fn take() -> BinSnapshot {
-        let mut snap = BinSnapshot::default();
-        for i in 0..BINS {
-            snap.rows[i] = ROWS[i].swap(0, Relaxed);
-            snap.entries[i] = ENTRIES[i].swap(0, Relaxed);
-            snap.ns[i] = NANOS[i].swap(0, Relaxed);
-        }
-        snap
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn stats_tally_and_reset() {
-        stats::enable(true);
-        assert!(stats::enabled());
-        let _ = stats::take();
-        stats::record(RowBin::List, 3, 12, 1000);
-        stats::record(RowBin::List, 1, 4, 500);
-        stats::record(RowBin::Dense, 2, 4096, 9000);
-        let snap = stats::take();
-        assert_eq!(snap.rows, [0, 4, 0, 2]);
-        assert_eq!(snap.entries, [0, 16, 0, 4096]);
-        assert_eq!(snap.ns, [0, 1500, 0, 9000]);
-        assert_eq!(stats::take(), stats::BinSnapshot::default());
-        stats::enable(false);
-        assert!(!stats::enabled());
-    }
 
     #[test]
     fn classify_respects_thresholds() {
@@ -366,33 +176,5 @@ mod tests {
         assert!(chunk_for(RowBin::List) > chunk_for(RowBin::Hash));
         assert!(chunk_for(RowBin::Hash) > chunk_for(RowBin::Dense));
         assert!(chunk_for(RowBin::Dense) >= 1);
-    }
-
-    #[test]
-    fn fused_forcing_overrides_the_environment() {
-        fused::set_forced(Some(false));
-        assert!(!fused::enabled());
-        fused::set_forced(Some(true));
-        assert!(fused::enabled());
-        fused::set_forced(None);
-        let env_default = fused::enabled();
-        // unset/garbage SPMM_FUSED means on; only off/0/false disable
-        if std::env::var("SPMM_FUSED").is_err() {
-            assert!(env_default);
-        }
-    }
-
-    #[test]
-    fn build_partitions_in_order() {
-        let t = BinThresholds::default();
-        let sizes = [3usize, 2000, 50, 1, 7, 400];
-        let nsrc = [2usize, 3, 2, 1, 2, 0];
-        let bins = RowBins::build(6, &t, |k| sizes[k], |k| nsrc[k]);
-        assert_eq!(bins.copy, vec![3, 5]);
-        assert_eq!(bins.list, vec![0, 4]);
-        assert_eq!(bins.hash, vec![2]);
-        assert_eq!(bins.dense, vec![1]);
-        assert_eq!(bins.len(), 6);
-        assert!(!bins.is_empty());
     }
 }

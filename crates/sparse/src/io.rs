@@ -358,6 +358,46 @@ pub struct CsrChunkHeader {
     pub nnz: usize,
 }
 
+impl CsrChunkHeader {
+    /// Byte lengths of the `indptr`, `indices` and `values` regions the
+    /// header promises. The header is untrusted input, so every product is
+    /// checked: a size that overflows `usize` is a parse error, never a
+    /// wrapped length.
+    fn region_lens(&self) -> Result<[usize; 3], SparseError> {
+        let indptr = self.nrows.checked_add(1).and_then(|n| n.checked_mul(8));
+        let indices = self.nnz.checked_mul(4);
+        let values = self.nnz.checked_mul(self.dtype_bytes);
+        match (indptr, indices, values) {
+            (Some(p), Some(i), Some(v))
+                if p.checked_add(i).and_then(|n| n.checked_add(v)).is_some() =>
+            {
+                Ok([p, i, v])
+            }
+            _ => Err(SparseError::Parse {
+                line: 0,
+                msg: format!(
+                    "CSR chunk header sizes overflow (nrows {}, nnz {}, dtype {})",
+                    self.nrows, self.nnz, self.dtype_bytes
+                ),
+            }),
+        }
+    }
+}
+
+/// Read exactly `len` bytes. The buffer grows with the bytes that actually
+/// arrive rather than being allocated up front from a header-derived
+/// length, so a hostile header cannot force a huge allocation: memory is
+/// bounded by the input, and a short stream fails as an unexpected EOF.
+fn read_region<R: Read>(reader: &mut R, len: usize) -> Result<Vec<u8>, SparseError> {
+    // a modest head start keeps honest chunks from re-growing from zero
+    let mut bytes = Vec::with_capacity(len.min(1 << 20));
+    reader.take(len as u64).read_to_end(&mut bytes)?;
+    if bytes.len() != len {
+        return Err(std::io::Error::from(std::io::ErrorKind::UnexpectedEof).into());
+    }
+    Ok(bytes)
+}
+
 /// Read and validate the magic + header of a CSR spill chunk, leaving the
 /// reader positioned at the start of the `indptr` array.
 pub fn read_csr_chunk_header<R: Read>(reader: &mut R) -> Result<CsrChunkHeader, SparseError> {
@@ -400,22 +440,16 @@ pub fn read_csr_chunk_body<T: Scalar, R: Read>(
             ),
         });
     }
-    let (nrows, ncols, nnz) = (header.nrows, header.ncols, header.nnz);
-    // Bulk decode: one sized read per array, then a tight in-memory
-    // conversion loop — no per-element I/O calls.
-    let mut bytes = vec![0u8; (nrows + 1) * 8];
-    reader.read_exact(&mut bytes)?;
+    let [indptr_len, indices_len, values_len] = header.region_lens()?;
+    // Bulk decode: one read per array, then a tight in-memory conversion
+    // loop — no per-element I/O calls.
     let mut indptr: Vec<usize> = Vec::new();
-    extend_indptr_from_le(&mut indptr, &bytes);
-    let mut bytes = vec![0u8; nnz * 4];
-    reader.read_exact(&mut bytes)?;
+    extend_indptr_from_le(&mut indptr, &read_region(reader, indptr_len)?);
     let mut indices: Vec<u32> = Vec::new();
-    extend_indices_from_le(&mut indices, &bytes);
-    let mut bytes = vec![0u8; nnz * dtype];
-    reader.read_exact(&mut bytes)?;
+    extend_indices_from_le(&mut indices, &read_region(reader, indices_len)?);
     let mut values: Vec<T> = Vec::new();
-    extend_values_from_le(&mut values, &bytes, dtype);
-    CsrMatrix::try_new(nrows, ncols, indptr, indices, values)
+    extend_values_from_le(&mut values, &read_region(reader, values_len)?, dtype);
+    CsrMatrix::try_new(header.nrows, header.ncols, indptr, indices, values)
 }
 
 /// Borrowed view of one chunk's array regions inside a fully-read chunk
@@ -472,8 +506,7 @@ pub fn split_csr_chunk<T: Scalar>(bytes: &[u8]) -> Result<CsrChunkRegions<'_>, S
             ),
         });
     }
-    let (indptr_len, indices_len) = ((header.nrows + 1) * 8, header.nnz * 4);
-    let values_len = header.nnz * header.dtype_bytes;
+    let [indptr_len, indices_len, values_len] = header.region_lens()?;
     if cursor.len() != indptr_len + indices_len + values_len {
         return Err(SparseError::Parse {
             line: 0,
@@ -781,6 +814,51 @@ mod tests {
         write_csr_chunk(&m32, &mut buf).unwrap();
         let err = read_csr_chunk::<f64, _>(&mut &buf[..]).unwrap_err();
         assert!(matches!(err, SparseError::Parse { .. }));
+    }
+
+    /// A chunk whose header claims `nrows`/`nnz` far beyond the bytes that
+    /// follow: the sizes would overflow (or, unchecked, wrap) and a
+    /// header-sized allocation would abort the process.
+    fn hostile_chunk(nrows: u64, nnz: u64) -> Vec<u8> {
+        let mut buf = CSR_CHUNK_MAGIC.to_vec();
+        for word in [8u64, nrows, 4, nnz] {
+            buf.extend_from_slice(&word.to_le_bytes());
+        }
+        buf.extend_from_slice(&[0u8; 64]);
+        buf
+    }
+
+    #[test]
+    fn hostile_chunk_headers_are_errors_not_aborts() {
+        for (nrows, nnz) in [
+            (u64::MAX, 1),
+            (1, 1 << 60),
+            (u64::MAX, 1 << 60),
+            (1 << 40, 1),
+        ] {
+            let buf = hostile_chunk(nrows, nnz);
+            assert!(
+                split_csr_chunk::<f64>(&buf).is_err(),
+                "split accepted nrows {nrows} nnz {nnz}"
+            );
+            assert!(
+                read_csr_chunk::<f64, _>(&mut &buf[..]).is_err(),
+                "reader accepted nrows {nrows} nnz {nnz}"
+            );
+            let mut cursor = &buf[..];
+            let header = read_csr_chunk_header(&mut cursor).unwrap();
+            assert!(read_csr_chunk_body::<f64, _>(&header, &mut cursor).is_err());
+        }
+        // the overflowing sizes are rejected as malformed input
+        let buf = hostile_chunk(u64::MAX, 1 << 60);
+        assert!(matches!(
+            split_csr_chunk::<f64>(&buf).unwrap_err(),
+            SparseError::Parse { .. }
+        ));
+        assert!(matches!(
+            read_csr_chunk::<f64, _>(&mut &buf[..]).unwrap_err(),
+            SparseError::Parse { .. }
+        ));
     }
 
     #[test]

@@ -40,8 +40,7 @@ pub use accumulator::{
     HashAccumulator, ListAccumulator, RowAccumulator, RowSizer, SparseAccumulator,
 };
 pub use binning::{
-    chunk_for, fused_chunk_for, AccumStrategy, BinThresholds, RowBin, RowBins, FUSED_UB_MAX,
-    GUIDED_CHUNK, TINY_PRODUCT_FLOPS,
+    chunk_for, fused_chunk_for, BinThresholds, RowBin, RowBins, FUSED_UB_MAX, GUIDED_CHUNK,
 };
 pub use coo::CooMatrix;
 pub use csc::CscMatrix;

@@ -4,20 +4,14 @@
 //! opposite ends of the queue … so that the time taken to synchronize the
 //! dequeue operations is also minimal."
 //!
-//! Two interfaces are provided:
-//!
-//! * [`DoubleEndedWorkQueue`] — a lock-free queue over a frozen item list.
-//!   The two cursors live in one atomic word, so a claim is a single CAS
-//!   and the "ends meet" race (both devices reaching for the last unit)
-//!   resolves without locks.
-//! * [`RangeQueue`] — the same discipline over a row range `0..n`, with a
-//!   per-claim grain, matching §IV-B where the CPU takes 1 000 rows per
-//!   dequeue and the GPU 10 000.
+//! [`RangeQueue`] implements that discipline over a row range `0..n`, with
+//! a per-claim grain, matching §IV-B where the CPU takes 1 000 rows per
+//! dequeue and the GPU 10 000. The two cursors live in one atomic word, so
+//! a claim is a single CAS and the "ends meet" race (both devices reaching
+//! for the last unit) resolves without locks.
 
-pub mod deque;
 pub mod range;
 
-pub use deque::DoubleEndedWorkQueue;
 pub use range::RangeQueue;
 
 /// Which end of the queue a consumer drains. In the paper the CPU owns the

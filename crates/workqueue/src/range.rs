@@ -9,8 +9,7 @@ use crate::End;
 /// modelling §IV-B: "the size of the work-unit on the CPU … is set at 1000
 /// rows … the variable gpuRows … is set to 10,000 rows".
 ///
-/// Like [`crate::DoubleEndedWorkQueue`], both cursors share one atomic word
-/// so a claim is one CAS. The final claim at either end may be short when
+/// Both cursors share one atomic word, so a claim is one CAS. The final claim at either end may be short when
 /// fewer rows than the grain remain.
 #[derive(Debug)]
 pub struct RangeQueue {

@@ -12,24 +12,20 @@
 //!
 //! Doubles as the CI smoke-perf probe: after the per-flop table it
 //!
-//! * times the host-side two-pass Gustavson engine against the legacy
-//!   tuple-sort path on a small synthetic matrix;
 //! * times the Phase-I empirical threshold search serial vs
 //!   candidate-parallel and runs a Figure-8-style threshold sweep on three
 //!   probe matrices, failing if any picked threshold drifts from the
 //!   committed goldens (`tests/golden/thresholds.txt`);
-//! * times end-to-end `hh_cpu` per-claim vs batched, and fixed dense-SPA
-//!   vs the adaptive row-binned accumulator engine, on every Table I
-//!   clone, failing on any bit of output or profile drift, and emits
-//!   per-bin row/entry/throughput tallies (`spa_bin_*`);
-//! * gates the fused single-pass tier bit-for-bit against the two-pass
-//!   oracle on every Table I clone, then times the warm artifact-reuse
-//!   path off vs on at the larger scale-8 clones, CPU-time over
-//!   interleaved reps (`fused_perf`);
-//! * times the host numeric engine with SIMD dispatch forced to the scalar
-//!   oracle vs auto-detected (`simd_perf`), and the register-tiled csrmm
-//!   sweep vs the naive reference (`csrmm_perf`), failing hard on any bit
-//!   drift between levels;
+//! * times end-to-end `hh_cpu` under the per-claim reference executor vs
+//!   the production batched executor on every Table I clone, failing on
+//!   any bit of output or profile drift (`exec_perf`);
+//! * times the production executor with SIMD dispatch forced to the
+//!   scalar fallback vs auto-detected (`simd_perf`), and the
+//!   register-tiled csrmm sweep vs the naive reference (`csrmm_perf`),
+//!   failing hard on any bit drift between levels;
+//! * times the sharded driver — pooled and out-of-core — against the
+//!   monolithic engine, failing unless every sharded product is
+//!   bit-identical (`shard_perf`);
 //! * replays the serve-layer request trace cold vs warm through
 //!   `SpmmService`, failing on any warm-vs-cold bit drift;
 //! * writes every wall-clock number to `BENCH_pr.json` (override the path
@@ -38,15 +34,13 @@
 
 use std::time::Instant;
 
-use hetero_spmm::core::kernels::{product_tuples, row_products};
-use hetero_spmm::core::merge::{concat_row_blocks, merge_tuples};
-use hetero_spmm::core::shard::io_mode;
-use hetero_spmm::core::{hh_cpu_with_artifacts, threshold, SpmmArtifacts, SymbolicStructure};
-use hetero_spmm::hetsim::{CpuDevice, GpuDevice};
+use hetero_spmm::core::schedule::{self, ClaimSchedule, ScheduledClaim};
+use hetero_spmm::core::{threshold, SymbolicStructure};
+use hetero_spmm::hetsim::{CpuDevice, DeviceKind, GpuDevice};
 use hetero_spmm::parallel::ThreadPool;
 use hetero_spmm::prelude::*;
 use hetero_spmm::serve::{replay, MultiplyRequest, ReplayOptions, ServiceConfig, SpmmService};
-use hetero_spmm::sparse::binning::{fused, stats as bin_stats};
+use hetero_spmm::sparse::WorkspacePool;
 
 fn run(name: &str, a: &CsrMatrix<f64>, cpu: &mut CpuDevice, gpu: &mut GpuDevice) {
     cpu.reset();
@@ -104,83 +98,17 @@ fn main() {
          assigning the \"right\" work to the \"right\" processor is the paper's thesis."
     );
 
-    let engine = smoke_perf();
     let phase1 = phase1_perf();
     let exec = exec_perf();
-    let spa = spa_perf();
-    let fused = fused_perf();
     let simd = simd_perf();
     let csrmm = csrmm_perf();
     let shard = shard_perf();
     let serve = serve_perf();
 
     let path = std::env::var("BENCH_JSON").unwrap_or_else(|_| "BENCH_pr.json".into());
-    let json = format!(
-        "{{\n{engine},\n{phase1},\n{exec},\n{spa},\n{fused},\n{simd},\n{csrmm},\n{shard},\n{serve}\n}}\n"
-    );
+    let json = format!("{{\n{phase1},\n{exec},\n{simd},\n{csrmm},\n{shard},\n{serve}\n}}\n");
     std::fs::write(&path, json).expect("write smoke-perf artifact");
     println!("wrote {path}");
-}
-
-/// Time the two host numeric backends on one small scale-free product and
-/// return the JSON fragment for the CI artifact.
-fn smoke_perf() -> String {
-    let a = scale_free_matrix::<f64>(&GeneratorConfig::square_power_law(4_000, 40_000, 2.1, 7));
-    let pool = ThreadPool::new(4);
-    let rows: Vec<usize> = (0..a.nrows()).collect();
-    let reps = 5;
-
-    // warm-up + correctness cross-check before timing anything
-    let via_engine = {
-        let block = row_products(&a, &a, &rows, None, &pool);
-        concat_row_blocks(&[block], (a.nrows(), a.ncols()), &pool)
-    };
-    let via_tuples = merge_tuples(
-        product_tuples(&a, &a, &rows, None, &pool),
-        (a.nrows(), a.ncols()),
-        &pool,
-    );
-    assert!(
-        via_engine.approx_eq(&via_tuples, 1e-9, 1e-12),
-        "smoke-perf backends disagree"
-    );
-
-    let mut engine_ms = f64::INFINITY;
-    let mut tuple_ms = f64::INFINITY;
-    for _ in 0..reps {
-        let t = Instant::now();
-        let block = row_products(&a, &a, &rows, None, &pool);
-        let c = concat_row_blocks(&[block], (a.nrows(), a.ncols()), &pool);
-        engine_ms = engine_ms.min(t.elapsed().as_secs_f64() * 1e3);
-        std::hint::black_box(c);
-
-        let t = Instant::now();
-        let tuples = product_tuples(&a, &a, &rows, None, &pool);
-        let c = merge_tuples(tuples, (a.nrows(), a.ncols()), &pool);
-        tuple_ms = tuple_ms.min(t.elapsed().as_secs_f64() * 1e3);
-        std::hint::black_box(c);
-    }
-
-    println!(
-        "\nsmoke-perf (n={}, nnz={}, nnz(C)={}, best of {reps}):\n\
-         two-pass engine {engine_ms:.2} ms | tuple sort {tuple_ms:.2} ms | ratio {:.2}x",
-        a.nrows(),
-        a.nnz(),
-        via_engine.nnz(),
-        tuple_ms / engine_ms,
-    );
-
-    format!(
-        "  \"matrix\": {{\"nrows\": {}, \"nnz\": {}, \"output_nnz\": {}}},\n  \
-         \"repetitions\": {reps},\n  \
-         \"engine_ms\": {engine_ms:.4},\n  \
-         \"tuple_path_ms\": {tuple_ms:.4},\n  \
-         \"engine_speedup\": {:.4}",
-        a.nrows(),
-        a.nnz(),
-        via_engine.nnz(),
-        tuple_ms / engine_ms,
-    )
 }
 
 /// Log-spaced threshold ladder between the degenerate ends (the Figure 8
@@ -395,270 +323,30 @@ fn exec_perf() -> String {
     )
 }
 
-/// Time end-to-end `hh_cpu` with the fixed dense-SPA accumulator vs the
-/// adaptive row-binned engine on every Table I clone, and fail hard if the
-/// adaptive product or its simulated profile deviates by a single bit.
-/// Returns the JSON fragment for the CI artifact.
-fn spa_perf() -> String {
-    let threads = 8;
-    let reps = 3;
-    let fixed_cfg = HhCpuConfig {
-        accum: AccumStrategy::FixedSpa,
-        ..HhCpuConfig::default()
-    };
-    let adaptive_cfg = HhCpuConfig::default();
-
-    println!("\nspa-perf: hh_cpu end to end, fixed SPA vs adaptive row-binned accumulators ({threads} host threads, best of {reps}):");
-    let mut rows = Vec::new();
-    let (mut fixed_total, mut adaptive_total) = (0.0f64, 0.0f64);
-    for d in Dataset::all() {
-        let name = d.entry().name;
-        let a = d.load::<f64>(32);
-        let mut ctx = HeteroContext::scaled(d.effective_scale(32)).with_host_threads(threads);
-
-        // correctness gate before timing: the adaptive engine must
-        // reproduce the fixed-SPA run exactly
-        let want = hh_cpu(&mut ctx, &a, &a, &fixed_cfg);
-        let got = hh_cpu(&mut ctx, &a, &a, &adaptive_cfg);
-        assert_eq!(got.c, want.c, "{name}: adaptive engine changed C");
-        assert_eq!(
-            got.profile, want.profile,
-            "{name}: adaptive engine changed the simulated profile"
-        );
-        assert_eq!(
-            (got.threshold_a, got.threshold_b),
-            (want.threshold_a, want.threshold_b),
-            "{name}: adaptive engine changed the thresholds"
-        );
-        assert_eq!(
-            got.tuples_merged, want.tuples_merged,
-            "{name}: adaptive engine changed tuples_merged"
-        );
-
-        let (mut fixed_ms, mut adaptive_ms) = (f64::INFINITY, f64::INFINITY);
-        for _ in 0..reps {
-            let t0 = Instant::now();
-            std::hint::black_box(hh_cpu(&mut ctx, &a, &a, &fixed_cfg));
-            fixed_ms = fixed_ms.min(t0.elapsed().as_secs_f64() * 1e3);
-
-            // per-bin tallies collected only around the timed adaptive
-            // runs, so the spa_bin_* keys describe exactly what was timed
-            bin_stats::enable(true);
-            let t0 = Instant::now();
-            std::hint::black_box(hh_cpu(&mut ctx, &a, &a, &adaptive_cfg));
-            adaptive_ms = adaptive_ms.min(t0.elapsed().as_secs_f64() * 1e3);
-            bin_stats::enable(false);
-        }
-        println!(
-            "  {name:<14} fixed {fixed_ms:>8.2} ms | adaptive {adaptive_ms:>8.2} ms | {:.2}x",
-            fixed_ms / adaptive_ms
-        );
-        fixed_total += fixed_ms;
-        adaptive_total += adaptive_ms;
-        rows.push(format!(
-            "    {{\"name\": \"{name}\", \"spa_fixed_ms\": {fixed_ms:.4}, \
-             \"spa_adaptive_ms\": {adaptive_ms:.4}, \"spa_speedup\": {:.4}}}",
-            fixed_ms / adaptive_ms
-        ));
-    }
-    println!(
-        "  spa total: fixed {fixed_total:.2} ms | adaptive {adaptive_total:.2} ms | {:.2}x",
-        fixed_total / adaptive_total
-    );
-
-    // Per-bin tallies from the timed adaptive runs, aggregated over every
-    // clone and rep: how many rows each accumulator shape handled, how many
-    // output entries it drained, and its drain throughput. This is the
-    // data the bin thresholds (`TINY_PRODUCT_FLOPS`, `BinThresholds`) are
-    // tuned from.
-    let snap = bin_stats::take();
-    let mut bin_keys = Vec::new();
-    println!("  per-bin (timed adaptive runs, all clones):");
-    for (i, bname) in bin_stats::BIN_NAMES.iter().enumerate() {
-        let ms = snap.ns[i] as f64 / 1e6;
-        let mps = if snap.ns[i] > 0 {
-            snap.entries[i] as f64 * 1e3 / snap.ns[i] as f64
-        } else {
-            0.0
-        };
-        println!(
-            "    {bname:<6} {:>9} rows | {:>10} entries | {ms:>9.2} ms | {mps:>8.2} Mentry/s",
-            snap.rows[i], snap.entries[i],
-        );
-        bin_keys.push(format!(
-            "  \"spa_bin_{bname}_rows\": {},\n  \
-             \"spa_bin_{bname}_entries\": {},\n  \
-             \"spa_bin_{bname}_ms\": {ms:.4},\n  \
-             \"spa_bin_{bname}_mentries_per_s\": {mps:.4}",
-            snap.rows[i], snap.entries[i],
-        ));
-    }
-
-    format!(
-        "  \"spa_host_threads\": {threads},\n  \
-         \"spa_fixed_ms\": {fixed_total:.4},\n  \
-         \"spa_adaptive_ms\": {adaptive_total:.4},\n  \
-         \"spa_speedup\": {:.4},\n  \
-         \"spa_matrices\": [\n{}\n  ],\n{}",
-        fixed_total / adaptive_total,
-        rows.join(",\n"),
-        bin_keys.join(",\n"),
-    )
-}
-
 /// Normalize a catalog name into a flat JSON key fragment.
 fn slug(name: &str) -> String {
     name.to_lowercase().replace('-', "_")
 }
 
-/// Process CPU time (utime + stime, all threads) in clock ticks, read
-/// from `/proc/self/stat`. `None` where procfs is unavailable — the
-/// probes then fall back to wall-clock minima.
-fn cpu_ticks() -> Option<u64> {
-    let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
-    // fields 14/15 (1-based) follow the parenthesised comm field
-    let rest = stat.rsplit(')').next()?;
-    let f: Vec<&str> = rest.split_whitespace().collect();
-    Some(f.get(11)?.parse::<u64>().ok()? + f.get(12)?.parse::<u64>().ok()?)
-}
-
-/// Gate, then time, the fused single-pass tier against the retained
-/// two-pass oracle on every Table I clone.
-///
-/// The hard gate runs cold `hh_cpu` at the scale-32 clones with 8 host
-/// threads and fails if the fused product, its simulated profile, the
-/// thresholds, or the merge count deviate by a single bit before
-/// anything is timed. The timed portion measures what the engine change
-/// actually targets — the numeric work — on the warm serve path
-/// (`SpmmArtifacts` built once and reused, the registry's steady state)
-/// at the 4× larger scale-8 clones with one host thread, the same
-/// single-core rationale as `simd_perf`. Process CPU time accumulated
-/// over interleaved off/on reps is the primary metric: unlike per-side
-/// wall minima it is immune to the preemption a shared CI core suffers
-/// and does not let each side cherry-pick its luckiest moment. Wall
-/// minima remain in the JSON as the ms fields and the fallback where
-/// procfs is absent. Returns the JSON fragment (flat per-matrix
-/// `fused_speedup_<name>` keys so floors can pin each clone).
-fn fused_perf() -> String {
-    let gate_threads = 8;
-    let reps = 5;
-    let config = HhCpuConfig::default();
-
-    println!("\nfused-perf: two-pass oracle vs fused single-pass tier (gate: scale 32, {gate_threads} threads; timed: warm artifacts, scale 8, 1 thread, {reps} interleaved reps):");
-    let mut rows = Vec::new();
-    let mut flat = Vec::new();
-    let (mut twopass_total, mut fused_total) = (0.0f64, 0.0f64);
-    for d in Dataset::all() {
-        let name = d.entry().name;
-
-        // the hard gate: the fused tier must reproduce the two-pass run
-        // exactly — output, simulated profile, thresholds, merge count —
-        // before either variant is timed
-        {
-            let a = d.load::<f64>(32);
-            let mut ctx =
-                HeteroContext::scaled(d.effective_scale(32)).with_host_threads(gate_threads);
-            fused::set_forced(Some(false));
-            let want = hh_cpu(&mut ctx, &a, &a, &config);
-            fused::set_forced(Some(true));
-            let got = hh_cpu(&mut ctx, &a, &a, &config);
-            assert_eq!(got.c, want.c, "{name}: fused tier changed C");
-            assert_eq!(
-                got.profile, want.profile,
-                "{name}: fused tier changed the simulated profile"
-            );
-            assert_eq!(
-                (got.threshold_a, got.threshold_b),
-                (want.threshold_a, want.threshold_b),
-                "{name}: fused tier changed the thresholds"
-            );
-            assert_eq!(
-                got.tuples_merged, want.tuples_merged,
-                "{name}: fused tier changed tuples_merged"
-            );
-        }
-
-        let a = d.load::<f64>(8);
-        let mut ctx = HeteroContext::scaled(d.effective_scale(8)).with_host_threads(1);
-        let artifacts = SpmmArtifacts::build(&ctx, &a, &a, config.policy);
-        // warm both sides once untimed, and gate the timed path too
-        fused::set_forced(Some(false));
-        let want = hh_cpu_with_artifacts(&mut ctx, &a, &a, &config, &artifacts);
-        fused::set_forced(Some(true));
-        let got = hh_cpu_with_artifacts(&mut ctx, &a, &a, &config, &artifacts);
-        assert_eq!(
-            got.c, want.c,
-            "{name}: fused tier changed warm C at scale 8"
-        );
-
-        let mut wall = [f64::INFINITY; 2];
-        let mut cpu = [0u64; 2];
-        for _ in 0..reps {
-            for (side, on) in [(0usize, false), (1, true)] {
-                fused::set_forced(Some(on));
-                let c0 = cpu_ticks();
-                let t0 = Instant::now();
-                std::hint::black_box(hh_cpu_with_artifacts(&mut ctx, &a, &a, &config, &artifacts));
-                wall[side] = wall[side].min(t0.elapsed().as_secs_f64() * 1e3);
-                if let (Some(c0), Some(c1)) = (c0, cpu_ticks()) {
-                    cpu[side] += c1 - c0;
-                }
-            }
-        }
-        // tick totals too small to resolve (tiny clones) fall back to wall
-        let speedup = if cpu[0] >= 10 && cpu[1] >= 10 {
-            cpu[0] as f64 / cpu[1] as f64
-        } else {
-            wall[0] / wall[1]
-        };
-        println!(
-            "  {name:<14} two-pass {:>8.2} ms | fused {:>8.2} ms | cpu {:>4}:{:<4} ticks | {speedup:.2}x",
-            wall[0], wall[1], cpu[0], cpu[1]
-        );
-        twopass_total += wall[0];
-        fused_total += wall[1];
-        rows.push(format!(
-            "    {{\"name\": \"{name}\", \"fused_off_ms\": {:.4}, \
-             \"fused_on_ms\": {:.4}, \"fused_speedup\": {speedup:.4}}}",
-            wall[0], wall[1],
-        ));
-        flat.push(format!("  \"fused_speedup_{}\": {speedup:.4}", slug(name)));
-    }
-    fused::set_forced(None);
-    println!(
-        "  fused total: two-pass {twopass_total:.2} ms | fused {fused_total:.2} ms | {:.2}x",
-        twopass_total / fused_total
-    );
-
-    format!(
-        "  \"fused_gate_threads\": {gate_threads},\n  \
-         \"fused_off_ms\": {twopass_total:.4},\n  \
-         \"fused_on_ms\": {fused_total:.4},\n  \
-         \"fused_speedup\": {:.4},\n  \
-         \"fused_matrices\": [\n{}\n  ],\n{}",
-        twopass_total / fused_total,
-        rows.join(",\n"),
-        flat.join(",\n"),
-    )
-}
-
-/// Time the host numeric engine — symbolic + binned numeric + concat, the
-/// loops PR 7 vectorized — with SIMD dispatch forced to the scalar oracle
-/// vs the auto-detected level, on every Table I clone. Hard-fails if the
-/// two levels differ by a single output bit. Returns the JSON fragment
-/// (flat per-matrix `simd_speedup_<name>` keys so floors can pin each
-/// clone) for the CI artifact.
+/// Time the production numeric executor — one whole-matrix claim through
+/// `schedule::execute` under `ExecPolicy::Batched`, the call the
+/// `schedule.execute_ms` benchmark probe times — with SIMD dispatch forced
+/// to the scalar fallback vs the auto-detected level, on every Table I
+/// clone. Hard-fails if the two levels differ by a single output bit.
+/// Returns the JSON fragment (flat per-matrix `simd_speedup_<name>` keys
+/// so floors can pin each clone) for the CI artifact.
 fn simd_perf() -> String {
     let reps = 3;
     // one host thread on purpose: the probe measures the kernels' scalar
     // vs vector dispatch, and thread-scope spawns on a shared CI core add
     // noise an order of magnitude above the effect being measured
     let pool = ThreadPool::new(1);
+    let workspaces = WorkspacePool::new();
 
     simd::set_forced(None);
     let auto = simd::level();
     println!(
-        "\nsimd-perf: numeric engine, scalar oracle vs dispatched ({auto:?}) on every clone (best of {reps}):"
+        "\nsimd-perf: production executor, scalar fallback vs dispatched ({auto:?}) on every clone (best of {reps}):"
     );
     let mut rows = Vec::new();
     let mut flat = Vec::new();
@@ -667,34 +355,43 @@ fn simd_perf() -> String {
         let name = d.entry().name;
         let a = d.load::<f64>(32);
         let all_rows: Vec<usize> = (0..a.nrows()).collect();
-        let shape = (a.nrows(), a.ncols());
+        let whole = ClaimSchedule {
+            claims: vec![ScheduledClaim {
+                device: DeviceKind::Cpu,
+                rows: &all_rows,
+                b_mask: None,
+                sim_ns: 0.0,
+            }],
+        };
+        let product = || {
+            let shape = (a.nrows(), a.ncols());
+            let policy = ExecPolicy::Batched;
+            schedule::execute(&a, &a, &whole, shape, &pool, &workspaces, policy).0
+        };
 
         // the hard gate: forced-scalar and dispatched runs must agree on
         // every bit of the product before either is timed
         simd::set_forced(Some(SimdLevel::Scalar));
-        let want = {
-            let block = row_products(&a, &a, &all_rows, None, &pool);
-            concat_row_blocks(&[block], shape, &pool)
-        };
+        let want = product();
         simd::set_forced(None);
-        let got = {
-            let block = row_products(&a, &a, &all_rows, None, &pool);
-            concat_row_blocks(&[block], shape, &pool)
-        };
+        let got = product();
         assert_eq!(got, want, "{name}: SIMD dispatch changed the product");
+        assert_eq!(
+            got.content_hash(),
+            want.content_hash(),
+            "{name}: SIMD dispatch changed the product's value bits"
+        );
 
         let (mut scalar_ms, mut vector_ms) = (f64::INFINITY, f64::INFINITY);
         for _ in 0..reps {
             simd::set_forced(Some(SimdLevel::Scalar));
             let t0 = Instant::now();
-            let block = row_products(&a, &a, &all_rows, None, &pool);
-            std::hint::black_box(concat_row_blocks(&[block], shape, &pool));
+            std::hint::black_box(product());
             scalar_ms = scalar_ms.min(t0.elapsed().as_secs_f64() * 1e3);
 
             simd::set_forced(None);
             let t0 = Instant::now();
-            let block = row_products(&a, &a, &all_rows, None, &pool);
-            std::hint::black_box(concat_row_blocks(&[block], shape, &pool));
+            std::hint::black_box(product());
             vector_ms = vector_ms.min(t0.elapsed().as_secs_f64() * 1e3);
         }
         let speedup = scalar_ms / vector_ms;
@@ -796,12 +493,11 @@ fn csrmm_perf() -> String {
 
 /// Time the sharded row-band driver on the scircuit clone: the monolithic
 /// engine vs an 8-way pooled shard fan-out vs out-of-core shards under a
-/// byte cap that forces disk spills — both the default pipelined
-/// overlap driver and the forced-synchronous fallback
-/// (`SPMM_SHARD_IO_THREADS=0` semantics). Hard-fails unless every
-/// sharded product — both modes, both I/O paths, and every replication
-/// factor — is bit-identical to the monolithic run *before* anything is
-/// timed, and unless the pipelined run's peak resident bytes stay under
+/// byte cap that forces disk spills through the pipelined overlap driver.
+/// Hard-fails unless every sharded product — both modes and every
+/// replication factor — is bit-identical to the monolithic run *before*
+/// anything is timed, and unless the pipelined run's peak resident bytes
+/// stay under
 /// `byte_cap` + one band working set (DESIGN.md §3.9). Then
 /// sweeps the simulated 1.5D replication factor c ∈ {1, 2, 4} and fails
 /// unless total simulated link bytes fall monotonically as resident B
@@ -833,7 +529,6 @@ fn shard_perf() -> String {
         pooled.output.tuples_merged, mono.tuples_merged,
         "pooled shards changed tuples_merged"
     );
-    io_mode::set_forced(Some(true));
     let ooc = hh_cpu_sharded(&mut ctx, &a, &a, &config, &ooc_cfg);
     assert_eq!(ooc.output.c, mono.c, "out-of-core shards changed C");
     let spilled = ooc.spilled_shards;
@@ -854,19 +549,7 @@ fn shard_perf() -> String {
         pipe.peak_resident_bytes
     );
 
-    // the synchronous fallback (`SPMM_SHARD_IO_THREADS=0`) must produce
-    // the same bits through the same byte cap
-    io_mode::set_forced(Some(false));
-    let ooc_sync = hh_cpu_sharded(&mut ctx, &a, &a, &config, &ooc_cfg);
-    assert_eq!(ooc_sync.output.c, mono.c, "sync out-of-core changed C");
-    assert_eq!(
-        ooc_sync.output.profile, ooc.output.profile,
-        "sync and pipelined profiles drifted"
-    );
-    assert!(ooc_sync.pipe.is_none(), "sync fallback reported pipe stats");
-
     let (mut mono_ms, mut pooled_ms, mut ooc_ms) = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
-    let mut sync_ms = f64::INFINITY;
     let mut best_pipe = *pipe;
     for _ in 0..reps {
         let t0 = Instant::now();
@@ -877,7 +560,6 @@ fn shard_perf() -> String {
         std::hint::black_box(hh_cpu_sharded(&mut ctx, &a, &a, &config, &pooled_cfg));
         pooled_ms = pooled_ms.min(t0.elapsed().as_secs_f64() * 1e3);
 
-        io_mode::set_forced(Some(true));
         let t0 = Instant::now();
         let run = hh_cpu_sharded(&mut ctx, &a, &a, &config, &ooc_cfg);
         let ms = t0.elapsed().as_secs_f64() * 1e3;
@@ -886,13 +568,7 @@ fn shard_perf() -> String {
             best_pipe = run.pipe.expect("pipelined run reports stats");
         }
         std::hint::black_box(run);
-
-        io_mode::set_forced(Some(false));
-        let t0 = Instant::now();
-        std::hint::black_box(hh_cpu_sharded(&mut ctx, &a, &a, &config, &ooc_cfg));
-        sync_ms = sync_ms.min(t0.elapsed().as_secs_f64() * 1e3);
     }
-    io_mode::set_forced(None);
 
     // replication sweep over the simulated 1.5D link: same plan and C,
     // only the communication schedule changes. c replicas of B cut the
@@ -929,7 +605,7 @@ fn shard_perf() -> String {
     println!(
         "\nshard-perf (scircuit/32, {shards} nnz-balanced bands, best of {reps}):\n\
          monolithic {mono_ms:.2} ms | pooled {pooled_ms:.2} ms ({:.2}x) | \
-         out-of-core piped {ooc_ms:.2} ms / sync {sync_ms:.2} ms ({spilled} spilled)\n\
+         out-of-core {ooc_ms:.2} ms ({spilled} spilled)\n\
          pipeline: {} workers | spill-thread idle {:.2} ms | admit wait {:.2} ms | \
          peak resident {:.2} MB (cap {:.2} MB + band {:.2} MB)",
         mono_ms / pooled_ms,
@@ -977,7 +653,6 @@ fn shard_perf() -> String {
          \"shard_ooc_ms\": {ooc_ms:.4},\n  \
          \"shard_pooled_speedup\": {:.4},\n  \
          \"shard_ooc_speedup\": {:.4},\n  \
-         \"shard_pipe_sync_ms\": {sync_ms:.4},\n  \
          \"shard_pipe_spill_wait_ms\": {:.4},\n  \
          \"shard_pipe_peak_resident_mb\": {:.4},\n  \
          \"shard_pipe_budget_ok\": 1,\n  \

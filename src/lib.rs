@@ -62,9 +62,9 @@ pub mod prelude {
     pub use spmm_core::{
         csrmm::{cpu_csrmm, csrmm_compute, gpu_csrmm, hh_csrmm, hh_csrmm_with_kernel, CsrmmKernel},
         cusparse_like, hh_cpu, hh_cpu_sharded, hipc2012, hipc2012_with, mkl_like, sorted_workqueue,
-        sorted_workqueue_with, unsorted_workqueue, unsorted_workqueue_with, AccumStrategy,
-        ExecConfig, ExecPolicy, HeteroContext, HhCpuConfig, PhaseBreakdown, Platform, ShardConfig,
-        ShardMode, ShardPlan, ShardedOutput, SpmmOutput, ThresholdPolicy, WorkUnitConfig,
+        sorted_workqueue_with, unsorted_workqueue, unsorted_workqueue_with, ExecPolicy,
+        HeteroContext, HhCpuConfig, PhaseBreakdown, Platform, ShardConfig, ShardMode, ShardPlan,
+        ShardedOutput, SpmmOutput, ThresholdPolicy, WorkUnitConfig,
     };
     pub use spmm_scalefree::{
         fit_power_law, rmat, scale_free_matrix, Dataset, GeneratorConfig, PowerLawSampler,

@@ -12,13 +12,10 @@
 //! the device cost models: the same operands on a differently scaled
 //! platform legitimately pick different thresholds.
 //!
-//! The key deliberately does *not* include the fused-tier pin
-//! (`SPMM_FUSED` / `binning::fused`): artifacts are pre-numeric (they
-//! record thresholds, masks, and width tables, never engine scratch),
-//! and the fused single-pass tier is bit-identical to the two-pass
-//! oracle by contract — so artifacts built while the pin was off serve
-//! fused requests unchanged, and vice versa. `serve_equivalence`'s
-//! fused-flip test pins that reuse.
+//! The key deliberately does *not* include the executor policy or the
+//! SIMD level: artifacts are pre-numeric (they record thresholds, masks,
+//! and width tables, never engine scratch), and every executor and SIMD
+//! level produces the same bits from them.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};

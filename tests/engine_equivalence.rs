@@ -1,0 +1,326 @@
+//! One production engine, one reference.
+//!
+//! Every algorithm path records a `ClaimSchedule` during its event-driven
+//! planning loop and runs the numeric work afterwards through one of two
+//! executors: `ExecPolicy::Batched`, the production engine (one bounds
+//! pass over every claim, fused single-scatter staging for bounded rows,
+//! an exact symbolic pass only for the heavy tail, one scan), or
+//! `ExecPolicy::PerClaim`, the reference (a plain dense-SPA two-pass
+//! `row_products` per claim, then `concat_row_blocks`). Every row of the
+//! production engine is produced in the reference's scatter order (first
+//! touch sets, later touches `+=`) and drained ascending, and multi-claim
+//! rows sum their per-claim runs in claim order, so the floating-point
+//! bits must be *identical* — not approximately equal, identical.
+//!
+//! These tests pin that contract for all four algorithm paths at several
+//! host thread counts on every Table I clone and under the sharded driver:
+//! identical output matrix (down to the value bits), identical simulated
+//! `PhaseBreakdown`, identical thresholds, identical `tuples_merged`. The
+//! same check on generated `A = B`, `A ≠ B` and `B ≠ A` inputs lives in
+//! `schedule_equivalence.rs`, `adaptive_engine.rs` and `fused_engine.rs`,
+//! one per tier of the production engine. The small direct-executor cases
+//! cover degenerate product shapes (1×1, empty operands, zero-row claims,
+//! rows with more than eight claims, products of a few thousand flops),
+//! and the committed Phase-I goldens must survive untouched.
+
+use hetero_spmm::core::schedule::{self, ClaimSchedule, ScheduledClaim};
+use hetero_spmm::core::threshold::identify;
+use hetero_spmm::hetsim::DeviceKind;
+use hetero_spmm::parallel::ThreadPool;
+use hetero_spmm::prelude::*;
+use hetero_spmm::sparse::{reference, WorkspacePool};
+
+mod common;
+use common::{assert_identical, check_all_paths, matrix};
+
+#[test]
+fn batched_matches_per_claim_on_all_table1_clones() {
+    // every Table I clone self-product plus a distinct-B product per clone,
+    // so each published row-size distribution routes rows through every
+    // tier of the production engine; debug-build runtime keeps the clones
+    // at a deeper shrink than the release benches (bit-identity is
+    // scale-independent)
+    for d in Dataset::all() {
+        let a = d.load::<f64>(256);
+        check_all_paths(&a, &a, d.entry().name, &[1, 2, 8]);
+        let b = matrix(a.nrows(), a.nnz(), 64);
+        check_all_paths(&a, &b, &format!("{} != B", d.entry().name), &[2]);
+    }
+}
+
+#[test]
+fn batched_matches_per_claim_under_sharding() {
+    // the sharded driver re-enters the engine per row band; an explicit
+    // 4-band pooled plan forces real multi-shard stitching even at test
+    // sizes
+    let a = matrix(4_000, 28_000, 65);
+    let per_claim = HhCpuConfig {
+        exec: ExecPolicy::PerClaim,
+        ..HhCpuConfig::default()
+    };
+    for threads in [1usize, 4] {
+        let mut ctx = HeteroContext::scaled(32).with_host_threads(threads);
+        let shard = ShardConfig::pooled(4);
+        let reference = hh_cpu_sharded(&mut ctx, &a, &a, &per_claim, &shard);
+        let batched = hh_cpu_sharded(&mut ctx, &a, &a, &HhCpuConfig::default(), &shard);
+        let what = format!("sharded, {threads} host threads");
+        assert_eq!(batched.plan.shards(), 4, "{what}: shard plan");
+        assert_eq!(batched.plan.bounds(), reference.plan.bounds(), "{what}");
+        assert_eq!(batched.per_shard, reference.per_shard, "{what}: per-shard");
+        assert_identical(&batched.output, &reference.output, &what);
+    }
+}
+
+#[test]
+fn workspace_pool_survives_products_of_different_widths() {
+    // One context (one workspace pool) multiplying matrices of different
+    // column counts back and forth: pooled workspaces are width-agnostic
+    // (`ensure_ncols` grows, generations invalidate), so results must stay
+    // exactly what a fresh context produces.
+    let wide = matrix(1_500, 12_000, 54);
+    let narrow = matrix(400, 2_400, 55);
+    let mut shared = HeteroContext::scaled(32).with_host_threads(4);
+    for _ in 0..2 {
+        for m in [&wide, &narrow, &wide] {
+            let reused = hh_cpu(&mut shared, m, m, &HhCpuConfig::default());
+            let mut fresh_ctx = HeteroContext::scaled(32).with_host_threads(4);
+            let fresh = hh_cpu(&mut fresh_ctx, m, m, &HhCpuConfig::default());
+            assert_identical(&reused, &fresh, "pooled workspaces across widths");
+        }
+    }
+}
+
+/// Run one recorded schedule through both executors at 1 and 8 host
+/// threads and require identical C (down to the value bits) and entry
+/// counts; returns the reference C for further checks.
+fn execute_both(
+    a: &CsrMatrix<f64>,
+    b: &CsrMatrix<f64>,
+    schedule: &ClaimSchedule<'_>,
+    what: &str,
+) -> CsrMatrix<f64> {
+    let shape = (a.nrows(), b.ncols());
+    let ws = WorkspacePool::new();
+    let mut want = None;
+    for threads in [1, 8] {
+        let pool = ThreadPool::new(threads);
+        let (c_ref, n_ref) =
+            schedule::execute(a, b, schedule, shape, &pool, &ws, ExecPolicy::PerClaim);
+        let (c_bat, n_bat) =
+            schedule::execute(a, b, schedule, shape, &pool, &ws, ExecPolicy::Batched);
+        assert_eq!(c_bat, c_ref, "{what}: C diverged at {threads} threads");
+        assert_eq!(
+            c_bat.content_hash(),
+            c_ref.content_hash(),
+            "{what}: value bits diverged at {threads} threads"
+        );
+        assert_eq!(n_bat, n_ref, "{what}: counts diverged at {threads} threads");
+        want.get_or_insert(c_ref);
+    }
+    want.unwrap()
+}
+
+fn claim<'a>(
+    rows: &'a [usize],
+    b_mask: Option<&'a [bool]>,
+    device: DeviceKind,
+) -> ScheduledClaim<'a> {
+    ScheduledClaim {
+        device,
+        rows,
+        b_mask,
+        sim_ns: 1.0,
+    }
+}
+
+/// The hh_cpu shape over a mask: every high row against `B_H` on the CPU,
+/// every row against `B_L` on the GPU, and the low rows against `B_H` in
+/// two CPU/GPU pieces — low rows get three claims, two of them
+/// complementary.
+fn split_schedule<'a>(
+    all: &'a [usize],
+    high: &'a [usize],
+    low: &'a [usize],
+    b_high: &'a [bool],
+    b_low: &'a [bool],
+) -> ClaimSchedule<'a> {
+    let mid = low.len() / 2;
+    ClaimSchedule {
+        claims: vec![
+            claim(high, Some(b_high), DeviceKind::Cpu),
+            claim(all, Some(b_low), DeviceKind::Gpu),
+            claim(&low[..mid], Some(b_high), DeviceKind::Cpu),
+            claim(&low[mid..], Some(b_high), DeviceKind::Gpu),
+        ],
+    }
+}
+
+/// Products too small to amortise anything still take the production
+/// engine's full route and must agree with the reference bit for bit.
+fn check_small_product(a: &CsrMatrix<f64>, b: &CsrMatrix<f64>, what: &str) {
+    let all: Vec<usize> = (0..a.nrows()).collect();
+    let whole = ClaimSchedule {
+        claims: vec![claim(&all, None, DeviceKind::Cpu)],
+    };
+    let c = execute_both(a, b, &whole, &format!("{what}, one claim"));
+    let expected = reference::spmm_rowrow(a, b).unwrap();
+    assert!(
+        c.approx_eq(&expected, 1e-12, 1e-12),
+        "{what}: wrong product"
+    );
+
+    let t = b.mean_row_nnz().ceil().max(1.0) as usize;
+    let b_high: Vec<bool> = (0..b.nrows()).map(|i| b.row_nnz(i) >= t).collect();
+    let b_low: Vec<bool> = b_high.iter().map(|&h| !h).collect();
+    let high: Vec<usize> = all.iter().copied().filter(|&i| a.row_nnz(i) >= t).collect();
+    let low: Vec<usize> = all.iter().copied().filter(|&i| a.row_nnz(i) < t).collect();
+    let split = split_schedule(&all, &high, &low, &b_high, &b_low);
+    let c = execute_both(a, b, &split, &format!("{what}, mask split"));
+    assert!(c.approx_eq(&expected, 1e-9, 1e-12), "{what}: split product");
+}
+
+/// The 4×4 example of the paper's Figure 2.
+fn fig2() -> CsrMatrix<f64> {
+    CsrMatrix::try_new(
+        4,
+        4,
+        vec![0, 2, 4, 6, 8],
+        vec![1, 2, 2, 3, 0, 2, 0, 3],
+        vec![2.0, 1.0, 1.0, 1.0, 1.0, 1.0, 2.0, 4.0],
+    )
+    .unwrap()
+}
+
+#[test]
+fn small_products_match_reference_figure2() {
+    check_small_product(&fig2(), &fig2(), "Figure 2");
+}
+
+#[test]
+fn small_products_match_reference_empty_b_and_one_by_one() {
+    let a = matrix(300, 1_500, 70);
+    let empty_b = CsrMatrix::<f64>::zeros(300, 300);
+    check_small_product(&a, &empty_b, "all-empty B");
+    check_small_product(&empty_b, &a, "all-empty A");
+    let one = CsrMatrix::try_new(1, 1, vec![0, 1], vec![0], vec![-1.5f64]).unwrap();
+    check_small_product(&one, &one, "1x1");
+    let zero = CsrMatrix::<f64>::zeros(1, 1);
+    check_small_product(&one, &zero, "1x1 times empty");
+}
+
+#[test]
+fn small_products_match_reference_zero_row_claims() {
+    let a = fig2();
+    let all: Vec<usize> = (0..4).collect();
+    let none: Vec<usize> = Vec::new();
+    let mask = [true, false, true, false];
+    let inv = [false, true, false, true];
+    let schedule = ClaimSchedule {
+        claims: vec![
+            claim(&none, None, DeviceKind::Cpu),
+            claim(&all, Some(&mask), DeviceKind::Cpu),
+            claim(&none, Some(&inv), DeviceKind::Gpu),
+            claim(&all, Some(&inv), DeviceKind::Gpu),
+            claim(&none, None, DeviceKind::Gpu),
+        ],
+    };
+    let c = execute_both(&a, &a, &schedule, "zero-row claims");
+    assert!(c.approx_eq(&reference::spmm_rowrow(&a, &a).unwrap(), 1e-12, 1e-12));
+}
+
+#[test]
+fn small_products_match_reference_rows_with_many_claims() {
+    // More than 8 claims on one output row leaves the bounds pass no bit
+    // space for per-claim mask verdicts, so the production engine falls
+    // back to mask-checked scans — on rows fed by one, two, and many
+    // masked sources per claim.
+    let a = matrix(60, 600, 71);
+    let b = matrix(60, 500, 72);
+    let all: Vec<usize> = (0..a.nrows()).collect();
+    for nclaims in [9usize, 12, 17] {
+        // claim k owns the B rows j with j % nclaims == k: disjoint masks
+        // that together cover B, so the sum over claims is A × B
+        let masks: Vec<Vec<bool>> = (0..nclaims)
+            .map(|k| (0..b.nrows()).map(|j| j % nclaims == k).collect())
+            .collect();
+        let schedule = ClaimSchedule {
+            claims: masks
+                .iter()
+                .enumerate()
+                .map(|(k, m)| {
+                    let device = if k % 2 == 0 {
+                        DeviceKind::Cpu
+                    } else {
+                        DeviceKind::Gpu
+                    };
+                    claim(&all, Some(m), device)
+                })
+                .collect(),
+        };
+        let c = execute_both(&a, &b, &schedule, &format!("{nclaims} claims per row"));
+        assert!(c.approx_eq(&reference::spmm_rowrow(&a, &b).unwrap(), 1e-9, 1e-12));
+    }
+}
+
+#[test]
+fn small_products_match_reference_just_under_32k_flops() {
+    // grow a scale-free operand until its self-product lands just under
+    // 32,768 flops: the size of one row band of a sharded small clone
+    // (each of scircuit/32's eight bands is ~21k flops), which takes the
+    // same route through the production engine as any large product
+    let (a, flops) = (1..)
+        .map(|k| {
+            let a =
+                scale_free_matrix::<f64>(&GeneratorConfig::square_power_law(400, 40 * k, 2.1, 73));
+            let flops = reference::flops(&a, &a);
+            (a, flops)
+        })
+        .take_while(|(_, flops)| *flops < 32 * 1024)
+        .last()
+        .unwrap();
+    assert!(
+        (24 * 1024..32 * 1024).contains(&flops),
+        "operand search landed at {flops} flops"
+    );
+    check_small_product(&a, &a, &format!("{flops}-flop product"));
+}
+
+#[test]
+fn golden_thresholds_survive_the_split() {
+    // the committed Phase-I goldens must be untouched by anything the
+    // numeric executors do
+    let golden: Vec<(String, usize)> = include_str!("golden/thresholds.txt")
+        .lines()
+        .map(str::trim)
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .map(|l| {
+            let mut it = l.split_whitespace();
+            let name = it.next().expect("golden line: name").to_string();
+            let t = it
+                .next()
+                .and_then(|v| v.parse().ok())
+                .expect("golden line: threshold");
+            (name, t)
+        })
+        .collect();
+    assert_eq!(golden.len(), 3, "golden file shrank");
+
+    let policy = ThresholdPolicy::Empirical { candidates: 10 };
+    for (name, want) in &golden {
+        let (a, scale) = if name == "smoke" {
+            (
+                scale_free_matrix::<f64>(&GeneratorConfig::square_power_law(4_000, 40_000, 2.1, 7)),
+                32,
+            )
+        } else {
+            let d = Dataset::by_name(name).unwrap();
+            (d.load::<f64>(32), d.effective_scale(32))
+        };
+        let ctx = HeteroContext::scaled(scale);
+        let picked = identify(&ctx, &a, &a, policy);
+        assert_eq!(
+            picked.t_a, *want,
+            "{name}: Phase-I threshold drifted from tests/golden/thresholds.txt"
+        );
+    }
+}

@@ -1,4 +1,4 @@
-//! Property coverage for the two-pass Gustavson engine: `row_products` +
+//! Property coverage for the reference engine: `row_products` +
 //! `concat_row_blocks` against the serial `reference::spmm_rowrow` oracle
 //! on the shapes the masked four-way split actually produces — rectangular
 //! operands, all-empty rows, a single fully-dense row, and masks that

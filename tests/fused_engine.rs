@@ -1,111 +1,23 @@
-//! The fused single-pass numeric tier is a perf knob only.
+//! The production engine's fused single-scatter tier is a perf knob only.
 //!
-//! Rows whose structural upper bound (Σ over k∈A(i,:) of |B(k,:)|) fits the
-//! staging budget skip the symbolic pass: they scatter once through the
-//! accumulator their *bound* selects, drain into pooled staging buffers, and
-//! a compaction pass stitches them next to the exactly-sized heavy rows.
-//! Every row is still produced by the same scatter order (first touch sets,
-//! later touches `+=`) and the same ascending drain, staged runs are copied
-//! verbatim, and the indptr scan runs over exact integer sizes — so the
-//! floating-point bits of the result must be *identical* to the retained
-//! two-pass oracle. Not approximately equal: identical. These tests pin that
-//! contract across all four algorithm paths, both executors, several host
-//! thread counts, `A = B` and `A ≠ B`, all 12 Table I clones, and the
-//! sharded driver, by flipping the `SPMM_FUSED` pin between paired runs.
-//!
-//! The pin (`binning::fused::set_forced`) is process-global, so every test
-//! in this binary serialises on one mutex and restores the pin on exit —
-//! including on panic — via a guard.
+//! Under `ExecPolicy::Batched`, rows whose structural upper bound (Σ over
+//! k∈A(i,:) of |B(k,:)|) fits the staging budget skip the symbolic pass:
+//! they scatter once through the accumulator their bound selects, drain
+//! into pooled staging buffers, and a compaction pass stitches them next
+//! to the exactly-sized heavy rows. Every row is still produced in the
+//! same scatter order (first touch sets, later touches `+=`) with the same
+//! ascending drain, staged runs are copied verbatim, and the indptr scan
+//! runs over exact integer sizes — so the floating-point bits must be
+//! *identical* to the two-pass `ExecPolicy::PerClaim` reference. These
+//! tests pin that contract across all four algorithm paths and several
+//! host thread counts, for `A = B` and `A ≠ B`; the Table I clones and the
+//! sharded driver are covered in `engine_equivalence.rs`.
 
-use hetero_spmm::prelude::*;
-use hetero_spmm::sparse::binning::fused;
-use std::sync::{Mutex, MutexGuard};
-
-fn matrix(n: usize, nnz: usize, seed: u64) -> CsrMatrix<f64> {
-    scale_free_matrix(&GeneratorConfig::square_power_law(n, nnz, 2.2, seed))
-}
-
-/// Serialises tests touching the process-global fused pin and restores the
-/// pin to "follow the environment" when dropped, even if the test panics.
-static PIN: Mutex<()> = Mutex::new(());
-
-struct PinGuard(#[allow(dead_code)] MutexGuard<'static, ()>);
-
-impl Drop for PinGuard {
-    fn drop(&mut self) {
-        fused::set_forced(None);
-    }
-}
-
-fn pin() -> PinGuard {
-    PinGuard(PIN.lock().unwrap_or_else(|e| e.into_inner()))
-}
-
-/// Assert two runs of the same algorithm agree on everything an
-/// `SpmmOutput` records, bit for bit.
-fn assert_identical(got: &SpmmOutput<f64>, want: &SpmmOutput<f64>, what: &str) {
-    assert_eq!(got.c, want.c, "{what}: output matrix diverged");
-    assert_eq!(got.profile, want.profile, "{what}: PhaseBreakdown diverged");
-    assert_eq!(
-        (got.threshold_a, got.threshold_b),
-        (want.threshold_a, want.threshold_b),
-        "{what}: thresholds diverged"
-    );
-    assert_eq!(
-        got.tuples_merged, want.tuples_merged,
-        "{what}: tuples_merged diverged"
-    );
-}
-
-/// Run `run` once with the fused tier forced off (the two-pass oracle) and
-/// once forced on, and require bit-identical outputs.
-fn fused_vs_oracle(mut run: impl FnMut() -> SpmmOutput<f64>, what: &str) {
-    fused::set_forced(Some(false));
-    let oracle = run();
-    fused::set_forced(Some(true));
-    let fused_out = run();
-    assert_identical(&fused_out, &oracle, what);
-}
-
-fn check_all_paths(a: &CsrMatrix<f64>, b: &CsrMatrix<f64>, label: &str, threads: &[usize]) {
-    let units = WorkUnitConfig::auto(a.nrows());
-    for &threads in threads {
-        let what = format!("{label}, {threads} host threads");
-        let mut ctx = HeteroContext::scaled(32).with_host_threads(threads);
-        for policy in [ExecPolicy::PerClaim, ExecPolicy::Batched] {
-            let cfg = ExecConfig {
-                policy,
-                accum: AccumStrategy::Adaptive,
-            };
-            let hh_cfg = HhCpuConfig {
-                exec: policy,
-                accum: AccumStrategy::Adaptive,
-                ..HhCpuConfig::default()
-            };
-
-            fused_vs_oracle(
-                || hh_cpu(&mut ctx, a, b, &hh_cfg),
-                &format!("hh_cpu ({what}, {policy:?})"),
-            );
-            fused_vs_oracle(
-                || hipc2012_with(&mut ctx, a, b, cfg),
-                &format!("hipc2012 ({what}, {policy:?})"),
-            );
-            fused_vs_oracle(
-                || unsorted_workqueue_with(&mut ctx, a, b, units, cfg),
-                &format!("unsorted_workqueue ({what}, {policy:?})"),
-            );
-            fused_vs_oracle(
-                || sorted_workqueue_with(&mut ctx, a, b, units, cfg),
-                &format!("sorted_workqueue ({what}, {policy:?})"),
-            );
-        }
-    }
-}
+mod common;
+use common::{check_all_paths, matrix};
 
 #[test]
 fn fused_engine_is_bit_equal_on_self_product() {
-    let _pin = pin();
     let a = matrix(3_000, 21_000, 61);
     check_all_paths(&a, &a, "A = A", &[1, 2, 8]);
 }
@@ -116,50 +28,8 @@ fn fused_engine_is_bit_equal_on_distinct_inputs() {
     // threshold pair and the A_H × B_L / A_L × B_H cross products: copy
     // rows from single-source masks, bounded list/hash/dense rows, and
     // heavy hub rows that must keep the exact symbolic pass
-    let _pin = pin();
     let a = matrix(2_000, 10_000, 62);
     let b = matrix(2_000, 28_000, 63);
     check_all_paths(&a, &b, "A != B", &[1, 2, 8]);
     check_all_paths(&b, &a, "B != A", &[1, 2, 8]);
-}
-
-#[test]
-fn fused_engine_is_bit_equal_on_all_table1_clones() {
-    // every Table I clone self-product plus a distinct-B product per clone,
-    // so each published row-size distribution routes rows through the fused
-    // tier at least once; debug-build runtime keeps the clones at a deeper
-    // shrink than the release benches (bit-identity is scale-independent)
-    let _pin = pin();
-    for d in Dataset::all() {
-        let a = d.load::<f64>(256);
-        check_all_paths(&a, &a, d.entry().name, &[1, 2, 8]);
-        let b = matrix(a.nrows(), a.nnz(), 64);
-        check_all_paths(&a, &b, &format!("{} != B", d.entry().name), &[2]);
-    }
-}
-
-#[test]
-fn fused_engine_is_bit_equal_under_sharding() {
-    // the sharded driver re-enters the same engines per row band; an
-    // explicit 4-band pooled plan forces real multi-shard stitching even
-    // at test sizes
-    let _pin = pin();
-    let a = matrix(4_000, 28_000, 65);
-    for threads in [1usize, 4] {
-        let mut ctx = HeteroContext::scaled(32).with_host_threads(threads);
-        let shard = ShardConfig::pooled(4);
-        fused::set_forced(Some(false));
-        let oracle = hh_cpu_sharded(&mut ctx, &a, &a, &HhCpuConfig::default(), &shard);
-        fused::set_forced(Some(true));
-        let fused_out = hh_cpu_sharded(&mut ctx, &a, &a, &HhCpuConfig::default(), &shard);
-        assert_eq!(
-            fused_out.output.c, oracle.output.c,
-            "sharded fused output diverged ({threads} threads)"
-        );
-        assert_eq!(
-            fused_out.plan.shards(),
-            oracle.plan.shards(),
-            "shard plan diverged ({threads} threads)"
-        );
-    }
 }

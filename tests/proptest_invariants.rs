@@ -4,8 +4,9 @@
 //! in offline environments; every case is deterministic per seed and the
 //! failing seed is printed in the assertion message.
 
+use hetero_spmm::core::kernels::RowBlock;
+use hetero_spmm::core::merge::concat_row_blocks;
 use hetero_spmm::prelude::*;
-use hetero_spmm::sparse::coo::Triplet;
 use spmm_rng::{Rng, StdRng};
 
 /// A random square CSR matrix of order `n` with up to `max_nnz` duplicates
@@ -94,32 +95,34 @@ fn transpose_reverses_products() {
 
 #[test]
 fn merge_agrees_with_serial_conversion() {
+    // Phase IV over random partial products: every block holds each of its
+    // rows once (columns ascending, as the engine emits them), rows repeat
+    // across blocks, and shared columns must sum like COO duplicates.
     let pool = hetero_spmm::parallel::ThreadPool::new(3);
     for seed in 0..24 {
         let mut rng = StdRng::seed_from_u64(500 + seed);
-        let len = rng.gen_range(0usize..2_000);
-        let entries: Vec<(u32, u32, f64)> = (0..len)
-            .map(|_| {
-                (
-                    rng.gen_range(0u32..50),
-                    rng.gen_range(0u32..50),
-                    rng.gen_range(-2.0..2.0),
-                )
-            })
-            .collect();
-        let tuples: Vec<Triplet<f64>> = entries
-            .iter()
-            .map(|&(r, c, v)| Triplet {
-                row: r,
-                col: c,
-                val: v,
-            })
-            .collect();
-        let merged = hetero_spmm::core::merge::merge_tuples(tuples, (50, 50), &pool);
         let mut coo = CooMatrix::new(50, 50);
-        for (r, c, v) in entries {
-            coo.push(r as usize, c as usize, v);
-        }
+        let blocks: Vec<RowBlock<f64>> = (0..rng.gen_range(0usize..6))
+            .map(|_| {
+                let mut block = RowBlock::empty();
+                for r in 0..50u32 {
+                    if rng.gen_range(0..3u32) != 0 {
+                        continue;
+                    }
+                    let cols: Vec<u32> = (0..50).filter(|_| rng.gen_range(0..4u32) == 0).collect();
+                    for &c in &cols {
+                        let v: f64 = rng.gen_range(-2.0..2.0);
+                        coo.push(r as usize, c as usize, v);
+                        block.values.push(v);
+                    }
+                    block.rows.push(r);
+                    block.indices.extend_from_slice(&cols);
+                    block.indptr.push(block.indices.len());
+                }
+                block
+            })
+            .collect();
+        let merged = concat_row_blocks(&blocks, (50, 50), &pool);
         assert!(
             merged.approx_eq(&coo.to_csr().unwrap(), 1e-9, 1e-12),
             "seed {seed} diverged"

@@ -1,81 +1,25 @@
 //! The plan/execute split is a host-side wall-clock optimisation only.
 //!
-//! Every algorithm path now records a `ClaimSchedule` during its
-//! event-driven planning loop and runs the numeric work afterwards, either
-//! per claim (the pre-split reference: one `RowBlock` per claim, then
-//! concatenate) or batched (one symbolic pass + one scan + one numeric
-//! pass over every claim at once). These tests pin the batched executor
-//! bit-equal to the per-claim reference for all four algorithm paths, at
-//! several host thread counts, for both the `A = B` self-product and the
-//! `A ≠ B` case — identical output matrix, identical simulated
-//! `PhaseBreakdown`, identical thresholds, identical `tuples_merged`.
-//! The committed Phase-I goldens must also survive untouched.
+//! Every algorithm path records a `ClaimSchedule` during its event-driven
+//! planning loop and runs the numeric work afterwards, either per claim
+//! (`ExecPolicy::PerClaim`, the reference: one row block per claim, then
+//! concatenate) or batched (`ExecPolicy::Batched`, the production engine:
+//! one bounds pass and one scan over every claim at once). These tests pin
+//! the batched executor bit-equal to the per-claim reference for all four
+//! algorithm paths, at several host thread counts, for both the `A = B`
+//! self-product and the `A ≠ B` case — identical output matrix, identical
+//! simulated `PhaseBreakdown`, identical thresholds, identical
+//! `tuples_merged`.
 
-use hetero_spmm::core::threshold::identify;
-use hetero_spmm::core::ExecPolicy;
 use hetero_spmm::prelude::*;
 
-fn matrix(n: usize, nnz: usize, seed: u64) -> CsrMatrix<f64> {
-    scale_free_matrix(&GeneratorConfig::square_power_law(n, nnz, 2.2, seed))
-}
-
-/// Assert two runs of the same algorithm agree on everything an
-/// `SpmmOutput` records, bit for bit.
-fn assert_identical(got: &SpmmOutput<f64>, want: &SpmmOutput<f64>, what: &str) {
-    assert_eq!(got.c, want.c, "{what}: output matrix diverged");
-    assert_eq!(got.profile, want.profile, "{what}: PhaseBreakdown diverged");
-    assert_eq!(
-        (got.threshold_a, got.threshold_b),
-        (want.threshold_a, want.threshold_b),
-        "{what}: thresholds diverged"
-    );
-    assert_eq!(
-        got.tuples_merged, want.tuples_merged,
-        "{what}: tuples_merged diverged"
-    );
-    assert_eq!(
-        got.total_ns().to_bits(),
-        want.total_ns().to_bits(),
-        "{what}: total simulated time diverged"
-    );
-}
-
-fn check_all_paths(a: &CsrMatrix<f64>, b: &CsrMatrix<f64>, label: &str) {
-    let units = WorkUnitConfig::auto(a.nrows());
-    for threads in [1usize, 2, 8] {
-        let what = format!("{label}, {threads} host threads");
-        let mut ctx = HeteroContext::scaled(32).with_host_threads(threads);
-
-        let hh_ref = hh_cpu(
-            &mut ctx,
-            a,
-            b,
-            &HhCpuConfig {
-                exec: ExecPolicy::PerClaim,
-                ..HhCpuConfig::default()
-            },
-        );
-        let hh_bat = hh_cpu(&mut ctx, a, b, &HhCpuConfig::default());
-        assert_identical(&hh_bat, &hh_ref, &format!("hh_cpu ({what})"));
-
-        let hipc_ref = hipc2012_with(&mut ctx, a, b, ExecPolicy::PerClaim);
-        let hipc_bat = hipc2012_with(&mut ctx, a, b, ExecPolicy::Batched);
-        assert_identical(&hipc_bat, &hipc_ref, &format!("hipc2012 ({what})"));
-
-        let uns_ref = unsorted_workqueue_with(&mut ctx, a, b, units, ExecPolicy::PerClaim);
-        let uns_bat = unsorted_workqueue_with(&mut ctx, a, b, units, ExecPolicy::Batched);
-        assert_identical(&uns_bat, &uns_ref, &format!("unsorted_workqueue ({what})"));
-
-        let srt_ref = sorted_workqueue_with(&mut ctx, a, b, units, ExecPolicy::PerClaim);
-        let srt_bat = sorted_workqueue_with(&mut ctx, a, b, units, ExecPolicy::Batched);
-        assert_identical(&srt_bat, &srt_ref, &format!("sorted_workqueue ({what})"));
-    }
-}
+mod common;
+use common::{check_all_paths, matrix};
 
 #[test]
 fn batched_executor_is_bit_equal_on_self_product() {
     let a = matrix(3_000, 21_000, 41);
-    check_all_paths(&a, &a, "A = A");
+    check_all_paths(&a, &a, "A = A", &[1, 2, 8]);
 }
 
 #[test]
@@ -84,52 +28,12 @@ fn batched_executor_is_bit_equal_on_distinct_inputs() {
     // threshold pair and the A_H × B_L / A_L × B_H cross products
     let a = matrix(2_000, 10_000, 42);
     let b = matrix(2_000, 28_000, 43);
-    check_all_paths(&a, &b, "A != B");
-    check_all_paths(&b, &a, "B != A");
+    check_all_paths(&a, &b, "A != B", &[1, 2, 8]);
+    check_all_paths(&b, &a, "B != A", &[1, 2, 8]);
 }
 
 #[test]
 fn batched_executor_is_bit_equal_on_catalog_clone() {
     let a = Dataset::by_name("wiki-Vote").unwrap().load::<f64>(32);
-    check_all_paths(&a, &a, "wiki-Vote");
-}
-
-#[test]
-fn golden_thresholds_survive_the_split() {
-    // the committed Phase-I goldens (also enforced by the CI smoke-perf
-    // probe) must be untouched by the plan/execute refactor
-    let golden: Vec<(String, usize)> = include_str!("golden/thresholds.txt")
-        .lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .map(|l| {
-            let mut it = l.split_whitespace();
-            let name = it.next().expect("golden line: name").to_string();
-            let t = it
-                .next()
-                .and_then(|v| v.parse().ok())
-                .expect("golden line: threshold");
-            (name, t)
-        })
-        .collect();
-    assert_eq!(golden.len(), 3, "golden file shrank");
-
-    let policy = ThresholdPolicy::Empirical { candidates: 10 };
-    for (name, want) in &golden {
-        let (a, scale) = if name == "smoke" {
-            (
-                scale_free_matrix::<f64>(&GeneratorConfig::square_power_law(4_000, 40_000, 2.1, 7)),
-                32,
-            )
-        } else {
-            let d = Dataset::by_name(name).unwrap();
-            (d.load::<f64>(32), d.effective_scale(32))
-        };
-        let ctx = HeteroContext::scaled(scale);
-        let picked = identify(&ctx, &a, &a, policy);
-        assert_eq!(
-            picked.t_a, *want,
-            "{name}: Phase-I threshold drifted from tests/golden/thresholds.txt"
-        );
-    }
+    check_all_paths(&a, &a, "wiki-Vote", &[1, 2, 8]);
 }

@@ -201,45 +201,3 @@ fn micro_batched_replies_match_individual_requests() {
     assert!(mixed[0].is_ok());
     assert!(mixed[1].is_err());
 }
-
-/// The artifact key ignores the fused-tier pin (src/serve/artifacts.rs):
-/// artifacts are pre-numeric, and the fused single-pass engine is
-/// bit-identical to the two-pass oracle, so artifacts built under one
-/// engine must serve the other — warm, without a rebuild, same bits.
-/// The pin is process-global, but flipping it is safe beside the other
-/// tests in this binary precisely because of that bit-identity.
-#[test]
-fn artifacts_built_under_either_engine_serve_the_other_warm() {
-    use hetero_spmm::sparse::binning::fused;
-
-    let service = small_service();
-    gen(&service, "f1", 1_400, 41);
-    gen(&service, "f2", 1_700, 42);
-    let reference = cold_reference(&service, "f1", "f2", 1);
-
-    // cold build with the two-pass oracle pinned, then serve fused
-    fused::set_forced(Some(false));
-    let cold_off = service.multiply(&MultiplyRequest::new("f1", "f2")).unwrap();
-    fused::set_forced(Some(true));
-    let warm_on = service.multiply(&MultiplyRequest::new("f1", "f2")).unwrap();
-
-    // and the reverse: cold build fused, then serve with the oracle
-    let cold_on = service.multiply(&MultiplyRequest::new("f2", "f1")).unwrap();
-    fused::set_forced(Some(false));
-    let warm_off = service.multiply(&MultiplyRequest::new("f2", "f1")).unwrap();
-    fused::set_forced(None);
-
-    assert!(!cold_off.warm, "first request builds artifacts");
-    assert!(warm_on.warm, "fused request reuses oracle-built artifacts");
-    assert!(!cold_on.warm, "new product builds artifacts");
-    assert!(warm_off.warm, "oracle request reuses fused-built artifacts");
-    diff_outputs(&cold_off.output, &warm_on.output)
-        .unwrap_or_else(|d| panic!("f1xf2 fused-warm vs oracle-cold: {d}"));
-    diff_outputs(&cold_off.output, &reference)
-        .unwrap_or_else(|d| panic!("f1xf2 oracle-cold vs single-shot: {d}"));
-    diff_outputs(&cold_on.output, &warm_off.output)
-        .unwrap_or_else(|d| panic!("f2xf1 oracle-warm vs fused-cold: {d}"));
-    let stats = service.stats();
-    assert_eq!(stats.artifacts.entries, 2, "no per-engine artifact keys");
-    assert_eq!(stats.artifacts.hits, 2);
-}

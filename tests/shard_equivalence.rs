@@ -21,11 +21,9 @@
 //! `SPMM_SHARD_BYTE_CAP` (bytes) pins the out-of-core spill cap; the CI
 //! shard-smoke job sets it to `1` so every shard takes the disk
 //! round-trip. Unset, the cap defaults to half the product's CSR bytes,
-//! which still forces spills on every clone. The out-of-core legs run
-//! whichever I/O path `SPMM_SHARD_IO_THREADS` selects: the pipelined
-//! overlap driver by default, the synchronous fallback when CI pins the
-//! variable to `0` — both must produce the same bits, and the pipelined
-//! runs additionally assert the resident-byte ceiling
+//! which still forces spills on every clone. The out-of-core legs run the
+//! pipelined overlap driver (one worker at one host thread) and
+//! additionally assert the resident-byte ceiling
 //! (`peak ≤ byte_cap + one band working set`, DESIGN.md §3.9).
 
 use hetero_spmm::core::{
@@ -134,23 +132,25 @@ fn exercise_clone(name: &str) {
                         if cap < mono.c.byte_size() {
                             assert!(out.spilled_shards >= 1, "{what}: cap never spilled");
                         }
-                        if let Some(pipe) = &out.pipe {
-                            // one band's A slice + C band may exceed the cap
-                            // while in flight, never more (DESIGN.md §3.9)
-                            let working_set = (0..out.plan.shards())
-                                .map(|i| {
-                                    a.row_band_byte_size(out.plan.band(i))
-                                        + mono.c.row_band_byte_size(out.plan.band(i))
-                                })
-                                .max()
-                                .unwrap();
-                            assert!(
-                                pipe.peak_resident_bytes <= cap.saturating_add(working_set),
-                                "{what}: peak resident {} exceeds cap {cap} + band {working_set}",
-                                pipe.peak_resident_bytes
-                            );
-                            assert_eq!(pipe.byte_cap, cap, "{what}: stats cap drifted");
-                        }
+                        let pipe = out
+                            .pipe
+                            .as_ref()
+                            .expect("out-of-core runs report pipe stats");
+                        // one band's A slice + C band may exceed the cap
+                        // while in flight, never more (DESIGN.md §3.9)
+                        let working_set = (0..out.plan.shards())
+                            .map(|i| {
+                                a.row_band_byte_size(out.plan.band(i))
+                                    + mono.c.row_band_byte_size(out.plan.band(i))
+                            })
+                            .max()
+                            .unwrap();
+                        assert!(
+                            pipe.peak_resident_bytes <= cap.saturating_add(working_set),
+                            "{what}: peak resident {} exceeds cap {cap} + band {working_set}",
+                            pipe.peak_resident_bytes
+                        );
+                        assert_eq!(pipe.byte_cap, cap, "{what}: stats cap drifted");
                     } else {
                         assert_eq!(out.spilled_shards, 0, "{what}: pooled mode spilled");
                         assert!(

@@ -1,13 +1,14 @@
 //! The SIMD numeric kernels are a perf knob only.
 //!
-//! PR 7 rebuilt the numeric hot loops — SoA accumulator drains, the scaled
-//! verbatim copy, branchless list inserts, packed hash drains, the two-run
-//! merge, and the register-tiled csrmm sweep — with runtime-dispatched AVX2
-//! variants behind a chunked scalar oracle. None of the dispatched shapes
-//! reorders a floating-point reduction, so the contract is the same as the
-//! adaptive engine's: the product of a forced-scalar run and a forced-AVX2
-//! run must be bit-for-bit *identical*, across all four algorithm paths,
-//! both executors, several host thread counts, `A = B` and `A ≠ B`,
+//! The numeric hot loops — SoA accumulator drains, the scaled verbatim
+//! copy, branchless list inserts, packed hash drains, the two-run merge,
+//! and the register-tiled csrmm sweep — have runtime-dispatched AVX2
+//! variants behind a chunked scalar fallback. None of the dispatched
+//! shapes reorders a floating-point reduction, so the product of a
+//! forced-scalar run and a forced-AVX2 run must be bit-for-bit
+//! *identical*, across all four algorithm paths, both executors (the
+//! production batched engine and the per-claim reference), several host
+//! thread counts, `A = B` and `A ≠ B`,
 //! remainder-lane row sizes (`nnz ≡ 1..7 mod 8`), and empty rows. The one
 //! FP-reordering variant — the tree-reduced csrmm tile — is opt-in and is
 //! pinned here to a tolerance, never to bits.
@@ -63,26 +64,21 @@ fn check_all_paths(a: &CsrMatrix<f64>, b: &CsrMatrix<f64>, label: &str) {
         let mut ctx = HeteroContext::scaled(32).with_host_threads(threads);
         for policy in [ExecPolicy::PerClaim, ExecPolicy::Batched] {
             let what = format!("{label}, {threads} threads, {policy:?}");
-            let exec = ExecConfig {
-                policy,
-                accum: AccumStrategy::Adaptive,
-            };
             let hh_cfg = HhCpuConfig {
                 exec: policy,
-                accum: AccumStrategy::Adaptive,
                 ..HhCpuConfig::default()
             };
 
             let (s, v) = at_both_levels(|| hh_cpu(&mut ctx, a, b, &hh_cfg));
             assert_identical(&v, &s, &format!("hh_cpu ({what})"));
 
-            let (s, v) = at_both_levels(|| hipc2012_with(&mut ctx, a, b, exec));
+            let (s, v) = at_both_levels(|| hipc2012_with(&mut ctx, a, b, policy));
             assert_identical(&v, &s, &format!("hipc2012 ({what})"));
 
-            let (s, v) = at_both_levels(|| unsorted_workqueue_with(&mut ctx, a, b, units, exec));
+            let (s, v) = at_both_levels(|| unsorted_workqueue_with(&mut ctx, a, b, units, policy));
             assert_identical(&v, &s, &format!("unsorted_workqueue ({what})"));
 
-            let (s, v) = at_both_levels(|| sorted_workqueue_with(&mut ctx, a, b, units, exec));
+            let (s, v) = at_both_levels(|| sorted_workqueue_with(&mut ctx, a, b, units, policy));
             assert_identical(&v, &s, &format!("sorted_workqueue ({what})"));
         }
     }
