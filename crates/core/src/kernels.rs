@@ -18,17 +18,21 @@
 //! (`schedule::execute`) is pinned against bit for bit.
 //!
 //! The production executor's building blocks live here too: the shared
-//! accumulation order ([`scatter_row`]), the accumulator selectors, the
-//! per-worker staging of its fused tier, and the compaction that stitches
-//! staged rows into their final slots.
+//! accumulation order ([`scatter_row`]), the per-worker staging of its
+//! fused tier, and the compaction that stitches staged rows into their
+//! final slots.
 
 use std::sync::Mutex;
 
 use spmm_parallel::{DisjointSlice, ThreadPool};
 use spmm_sparse::{
-    chunk_for, ColIndex, CsrMatrix, EngineWorkspace, PooledWorkspace, RowAccumulator, RowBin,
-    Scalar, SparseAccumulator, StagingBuffer, WorkspacePool, GUIDED_CHUNK,
+    ColIndex, CsrMatrix, PooledWorkspace, Scalar, SparseAccumulator, StagingBuffer, WorkspacePool,
 };
+
+use crate::schedule::COPY_CHUNK;
+
+/// Base chunk size for guided self-scheduling over undifferentiated rows.
+pub(crate) const GUIDED_CHUNK: usize = 16;
 
 /// A partial product over a masked row set, stored as packed CSR rows.
 ///
@@ -189,12 +193,12 @@ pub fn row_products_pooled<T: Scalar>(
 /// paths funnel through this, so the accumulation order — and therefore
 /// every output bit — is defined in exactly one place.
 #[inline]
-pub(crate) fn scatter_row<T: Scalar, A: RowAccumulator<T>>(
+pub(crate) fn scatter_row<T: Scalar>(
     a: &CsrMatrix<T>,
     b: &CsrMatrix<T>,
     row: usize,
     b_mask: Option<&[bool]>,
-    acc: &mut A,
+    acc: &mut SparseAccumulator<T>,
 ) {
     let (acols, avals) = a.row(row);
     for (&j, &aij) in acols.iter().zip(avals) {
@@ -232,8 +236,8 @@ fn mark_row<T: Scalar>(
     }
 }
 
-/// Per-worker scratch for one fused bin pass: a pooled workspace (the
-/// accumulators) plus an owned staging arena. On worker exit the arena
+/// Per-worker scratch for one fused pass: a pooled workspace (the SPA and
+/// merge scratch) plus an owned staging arena. On worker exit the arena
 /// either returns to the pool (nothing staged) or is captured into the
 /// pass's sink so the compaction stage can read it — staged data must
 /// outlive the worker that produced it.
@@ -287,7 +291,7 @@ pub(crate) fn compact_staged<T: Scalar>(
     for arena in &staged {
         pool.for_each_guided_items(
             &arena.rows,
-            chunk_for(RowBin::Copy),
+            COPY_CHUNK,
             || (),
             |(), items| {
                 for &(key, start) in items {
@@ -308,32 +312,6 @@ pub(crate) fn compact_staged<T: Scalar>(
     for arena in staged {
         workspaces.release_staging(arena);
     }
-}
-
-/// Accumulator selectors for the batched executor's bin passes — free functions rather than
-/// closures so the higher-ranked `for<'w>` bound infers cleanly.
-pub(crate) fn sel_list<T: Scalar>(
-    ws: &mut EngineWorkspace<T>,
-    _size: usize,
-) -> &mut spmm_sparse::ListAccumulator<T> {
-    &mut ws.list
-}
-
-pub(crate) fn sel_hash<T: Scalar>(
-    ws: &mut EngineWorkspace<T>,
-    size: usize,
-) -> &mut spmm_sparse::HashAccumulator<T> {
-    // the exact nnz is known, so the table is sized once per row and the
-    // mid-row grow path stays cold
-    ws.hash.ensure_capacity(size);
-    &mut ws.hash
-}
-
-pub(crate) fn sel_spa<T: Scalar>(
-    ws: &mut EngineWorkspace<T>,
-    _size: usize,
-) -> &mut SparseAccumulator<T> {
-    &mut ws.spa
 }
 
 /// Exclusive-scan `sizes` into a CSR `indptr`, returning it with the

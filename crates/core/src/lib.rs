@@ -59,4 +59,4 @@ pub use wq_baselines::{
 };
 
 pub use spmm_hetsim::{PhaseBreakdown, PhaseTimes, Platform, SimNs};
-pub use spmm_sparse::{BinThresholds, WorkspacePool};
+pub use spmm_sparse::WorkspacePool;

@@ -21,6 +21,25 @@
 //!   [`concat_row_blocks`](crate::merge::concat_row_blocks). The
 //!   equivalence suite pins the batched path against it bit for bit.
 //!
+//! The batched executor routes each output row once, by its claim count,
+//! its masked source count and its bound:
+//!
+//! * **copy** — one claim, one masked source: the scaled B row verbatim,
+//!   no accumulator at all;
+//! * **bounded single-claim** — scattered once through the dense SPA and
+//!   drained into staging;
+//! * **heavy single-claim** — sized by the symbolic pass, then scattered
+//!   through the SPA straight into its final slot;
+//! * **bounded multi-claim** — per-claim runs (set merges of scaled B rows
+//!   for few sources, the SPA otherwise) merged in claim order into
+//!   staging;
+//! * **heavy multi-claim** — sized exactly, per-claim SPA runs merged in
+//!   claim order into the final slot.
+//!
+//! The dense SPA ([`SparseAccumulator`]) is the only numeric accumulator:
+//! it is the reference's own, so a row that scatters through it drains
+//! the reference's bits.
+//!
 //! Bit-identity of the batched output is structural, not accidental: each
 //! output row's sources are ordered by claim index, which equals the
 //! reference's block order; every row is produced by
@@ -37,19 +56,41 @@ use std::sync::Mutex;
 use spmm_hetsim::DeviceKind;
 use spmm_parallel::{DisjointSlice, ThreadPool};
 use spmm_sparse::{
-    chunk_for, fused_chunk_for, simd, upper_bound, BinThresholds, ColIndex, CsrMatrix,
-    EngineWorkspace, RowAccumulator, RowBin, RowBins, Scalar, StagingBuffer, WorkspacePool,
-    FUSED_UB_MAX, GUIDED_CHUNK,
+    simd, upper_bound, ColIndex, CsrMatrix, EngineWorkspace, Scalar, SparseAccumulator,
+    StagingBuffer, WorkspacePool,
 };
 
 use crate::kernels::{
-    compact_staged, offsets_from_sizes, row_products_pooled, scatter_row, sel_hash, sel_list,
-    sel_spa, FusedStager, RowBlock,
+    compact_staged, offsets_from_sizes, row_products_pooled, scatter_row, FusedStager, RowBlock,
+    GUIDED_CHUNK,
 };
 use crate::merge::{
     concat_row_blocks, merge2_scaled, merge2_scaled_set, merge2_sorted, merge_scaled_set,
     MergeScratch,
 };
+
+/// Per-thread staging budget for the fused single-pass tier, in potential
+/// output entries (the [`upper_bound`] bound, not exact nnz). Rows at or
+/// under the budget skip the symbolic pass: they scatter once through the
+/// dense SPA and drain into an exact-size staging carve-out
+/// (≤ `FUSED_UB_MAX × (4 + 8)` bytes per row for f64 — comfortably inside
+/// L2). Rows above it keep the exact two-pass treatment: for hub rows the
+/// bound is loose (many colliding sources), and staging a multi-MB
+/// over-allocation per row would evict the caches the SPA relies on.
+pub const FUSED_UB_MAX: u64 = 4096;
+
+/// Guided chunk for the copy pass and the staging compaction: each row is
+/// a memcpy, so scheduling overhead dominates and chunks are large.
+pub(crate) const COPY_CHUNK: usize = 16 * GUIDED_CHUNK;
+
+/// Guided chunk for the bounded (fused) passes: every row there is capped
+/// by [`FUSED_UB_MAX`], so rows are moderate and a hub-sized chunk would
+/// drown them in claim traffic.
+const BOUNDED_CHUNK: usize = 2 * GUIDED_CHUNK;
+
+/// Guided chunk for the heavy passes: hub rows are a lot of work each, so
+/// fine-grained stealing balances better.
+const HEAVY_CHUNK: usize = GUIDED_CHUNK / 4;
 
 /// Which executor runs the scheduled numeric work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -166,11 +207,11 @@ fn execute_per_claim<T: Scalar>(
 /// The production executor: one bounds pass instead of a full symbolic
 /// pass, with the exact sizer surviving only for rows whose bound exceeds
 /// [`FUSED_UB_MAX`]. Bounded single-source rows scatter once through the
-/// accumulator their *bound* selects; bounded multi-source rows keep the
-/// reference's per-run materialisation and claim-order merge (the bits are
-/// defined by that grouping) but merge into staging instead of a
-/// pre-sized slot. Both drain into pooled staging and are stitched into
-/// the final CSR by one compaction memcpy after the scan.
+/// dense SPA; bounded multi-source rows keep the reference's per-run
+/// materialisation and claim-order merge (the bits are defined by that
+/// grouping) but merge into staging instead of a pre-sized slot. Both
+/// drain into pooled staging and are stitched into the final CSR by one
+/// compaction memcpy after the scan.
 ///
 /// Per-claim entry counts accumulate at staging/drain time as the exact
 /// nnz of each produced run against its claim — the reference's per-block
@@ -286,14 +327,12 @@ fn execute_batched<T: Scalar>(
         });
     }
 
-    let thresholds = BinThresholds::for_ncols(b.ncols());
-
     // Route: copy rows are exactly sized by their bound (sole masked
-    // source ⇒ no collisions); bounded single-source rows go to the fused
-    // bins by bound; heavy singles and all multi-source rows keep the
-    // exact symbolic sizer.
+    // source ⇒ no collisions); bounded rows take the fused passes; heavy
+    // rows keep the exact symbolic sizer.
     let mut sizes = vec![0u64; nrows];
-    let mut bins = RowBins::default();
+    let mut copy: Vec<u32> = Vec::new();
+    let mut bounded: Vec<u32> = Vec::new();
     let mut heavy: Vec<u32> = Vec::new();
     let mut multi: Vec<u32> = Vec::new();
     let mut fused_multi: Vec<u32> = Vec::new();
@@ -304,13 +343,9 @@ fn execute_batched<T: Scalar>(
             1 => {
                 if nsrc[r] <= 1 {
                     sizes[r] = ub[r];
-                    bins.copy.push(r as u32);
+                    copy.push(r as u32);
                 } else if ub[r] <= FUSED_UB_MAX {
-                    match thresholds.classify(ub[r] as usize, 2) {
-                        RowBin::List => bins.list.push(r as u32),
-                        RowBin::Hash => bins.hash.push(r as u32),
-                        _ => bins.dense.push(r as u32),
-                    }
+                    bounded.push(r as u32);
                 } else {
                     heavy.push(r as u32);
                     sym_rows.push(r as u32);
@@ -363,15 +398,10 @@ fn execute_batched<T: Scalar>(
     // size feeds the scan, and per-claim counts accumulate at stage time.
     let per_claim: Vec<AtomicUsize> = claims.iter().map(|_| AtomicUsize::new(0)).collect();
     let staged: Mutex<Vec<StagingBuffer<T>>> = Mutex::new(Vec::new());
-    #[rustfmt::skip]
-    {
-        fused_claim_bin(a, b, claims, src, src_off, pool, workspaces, ncols, &bins.list,
-            RowBin::List, &ub, &mut sizes, &staged, &per_claim, sel_list);
-        fused_claim_bin(a, b, claims, src, src_off, pool, workspaces, ncols, &bins.hash,
-            RowBin::Hash, &ub, &mut sizes, &staged, &per_claim, sel_hash);
-        fused_claim_bin(a, b, claims, src, src_off, pool, workspaces, ncols, &bins.dense,
-            RowBin::Dense, &ub, &mut sizes, &staged, &per_claim, sel_spa);
-    };
+    fused_single_pass(
+        a, b, claims, src, src_off, pool, workspaces, ncols, &bounded, &mut sizes, &staged,
+        &per_claim,
+    );
     fused_multi_pass(
         a,
         b,
@@ -385,7 +415,6 @@ fn execute_batched<T: Scalar>(
         &ub,
         &slot_nsrc,
         &claim_bits,
-        &thresholds,
         &mut sizes,
         &staged,
         &per_claim,
@@ -401,33 +430,13 @@ fn execute_batched<T: Scalar>(
         let indptr = &indptr;
         let per_claim = &per_claim;
 
-        claim_copy_bin(
-            a, b, claims, src, src_off, pool, &bins.copy, indptr, &out_idx, &out_val, per_claim,
+        copy_pass(
+            a, b, claims, src, src_off, pool, &copy, indptr, &out_idx, &out_val, per_claim,
         );
-
-        // Heavy single-source rows re-bin by their now-exact nnz — a hub's
-        // bound can be arbitrarily loose.
-        let mut heavy_bins = RowBins::default();
-        for &r in &heavy {
-            let r = r as usize;
-            match thresholds.classify(indptr[r + 1] - indptr[r], 2) {
-                RowBin::List => heavy_bins.list.push(r as u32),
-                RowBin::Hash => heavy_bins.hash.push(r as u32),
-                _ => heavy_bins.dense.push(r as u32),
-            }
-        }
-        #[rustfmt::skip]
-        {
-            single_source_bin(a, b, claims, src, src_off, pool, workspaces, ncols,
-                &heavy_bins.list, RowBin::List, indptr,
-                &out_idx, &out_val, per_claim, sel_list);
-            single_source_bin(a, b, claims, src, src_off, pool, workspaces, ncols,
-                &heavy_bins.hash, RowBin::Hash, indptr,
-                &out_idx, &out_val, per_claim, sel_hash);
-            single_source_bin(a, b, claims, src, src_off, pool, workspaces, ncols,
-                &heavy_bins.dense, RowBin::Dense, indptr,
-                &out_idx, &out_val, per_claim, sel_spa);
-        };
+        heavy_single_pass(
+            a, b, claims, src, src_off, pool, workspaces, ncols, &heavy, indptr, &out_idx,
+            &out_val, per_claim,
+        );
 
         multi_source_pass(
             a, b, claims, src, src_off, pool, workspaces, ncols, &multi, indptr, &out_idx,
@@ -449,12 +458,12 @@ fn execute_batched<T: Scalar>(
     (c, ExecCounts::from_per_claim(schedule, per_claim))
 }
 
-/// One fused single-source bin of the batched executor: scatter each row
-/// through the accumulator its *bound* selects under its sole claim's
-/// mask, drain once into the worker's staging arena, count the exact
-/// entries against the claim, and record the exact size for the scan.
+/// Bounded single-source rows of the batched executor: scatter each row
+/// through the dense SPA under its sole claim's mask, drain once into the
+/// worker's staging arena, count the exact entries against the claim, and
+/// record the exact size for the scan.
 #[allow(clippy::too_many_arguments)]
-fn fused_claim_bin<T, A, Sel>(
+fn fused_single_pass<T: Scalar>(
     a: &CsrMatrix<T>,
     b: &CsrMatrix<T>,
     claims: &[ScheduledClaim<'_>],
@@ -463,36 +472,29 @@ fn fused_claim_bin<T, A, Sel>(
     pool: &ThreadPool,
     workspaces: &WorkspacePool,
     ncols: usize,
-    bin_rows: &[u32],
-    bin: RowBin,
-    ub: &[u64],
+    rows: &[u32],
     sizes: &mut [u64],
     staged: &Mutex<Vec<StagingBuffer<T>>>,
     per_claim: &[AtomicUsize],
-    sel: Sel,
-) where
-    T: Scalar,
-    A: RowAccumulator<T>,
-    Sel: for<'w> Fn(&'w mut EngineWorkspace<T>, usize) -> &'w mut A + Sync,
-{
-    if bin_rows.is_empty() {
+) {
+    if rows.is_empty() {
         return;
     }
     let out = DisjointSlice::new(sizes);
     pool.for_each_guided_items(
-        bin_rows,
-        fused_chunk_for(bin),
+        rows,
+        BOUNDED_CHUNK,
         || FusedStager::new(workspaces, ncols, staged),
         |stager, rs| {
-            // disjoint field borrows: the accumulator lives in `ws`, the
-            // staging arena next to it
+            // disjoint field borrows: the SPA lives in `ws`, the staging
+            // arena next to it
             let buf = stager.buf.as_mut().expect("present until drop");
+            let spa = &mut stager.ws.spa;
             for &r in rs {
                 let r = r as usize;
                 let ci = src[src_off[r]] as usize;
-                let acc = sel(&mut stager.ws, ub[r] as usize);
-                scatter_row(a, b, r, claims[ci].b_mask, acc);
-                let n = buf.stage(r as u32, acc);
+                scatter_row(a, b, r, claims[ci].b_mask, spa);
+                let n = buf.stage(r as u32, spa);
                 per_claim[ci].fetch_add(n, Ordering::Relaxed);
                 // each r written by exactly one claimant
                 unsafe { out.write(r, n as u64) };
@@ -501,31 +503,31 @@ fn fused_claim_bin<T, A, Sel>(
     );
 }
 
-/// The batched executor's copy bin: sole claim, sole masked source — the
+/// The batched executor's copy pass: sole claim, sole masked source — the
 /// output row is the scaled B row verbatim. SoA form: one memcpy of B's
-/// columns plus one vectorized scaled copy of its values. Empty bins skip their dispatch
-/// entirely (a parallel fork for zero work shows up as pure overhead on
-/// one-bin products).
+/// columns plus one vectorized scaled copy of its values. An empty pass
+/// skips its dispatch entirely (a parallel fork for zero work shows up as
+/// pure overhead).
 #[allow(clippy::too_many_arguments)]
-fn claim_copy_bin<T: Scalar>(
+fn copy_pass<T: Scalar>(
     a: &CsrMatrix<T>,
     b: &CsrMatrix<T>,
     claims: &[ScheduledClaim<'_>],
     src: &[u32],
     src_off: &[usize],
     pool: &ThreadPool,
-    bin_rows: &[u32],
+    rows: &[u32],
     indptr: &[usize],
     out_idx: &DisjointSlice<'_, ColIndex>,
     out_val: &DisjointSlice<'_, T>,
     per_claim: &[AtomicUsize],
 ) {
-    if bin_rows.is_empty() {
+    if rows.is_empty() {
         return;
     }
     pool.for_each_guided_items(
-        bin_rows,
-        chunk_for(RowBin::Copy),
+        rows,
+        COPY_CHUNK,
         || (),
         |(), rs| {
             for &r in rs {
@@ -582,7 +584,7 @@ fn multi_source_pass<T: Scalar>(
     }
     pool.for_each_guided_items(
         multi,
-        chunk_for(RowBin::Dense),
+        HEAVY_CHUNK,
         || workspaces.acquire::<T>(ncols),
         |ws, rs| {
             let EngineWorkspace {
@@ -641,26 +643,24 @@ fn prefetch_run<T>(cols: &[ColIndex], vals: &[T]) {
     }
 }
 
-/// Materialise one many-source run into the scratch arrays through `acc`:
-/// scatter under the claim's mask, then drain sorted into freshly-sized
-/// tails of `cols`/`vals`. Returns the run's nnz. Generic so the caller
-/// can pick the accumulator variant by the run's bound — the variants are
-/// bit-identical by contract, so the choice is pure speed.
-fn run_into<T: Scalar, A: RowAccumulator<T>>(
+/// Materialise one many-source run into the scratch arrays through the
+/// SPA: scatter under the claim's mask, then drain sorted into
+/// freshly-sized tails of `cols`/`vals`. Returns the run's nnz.
+fn run_into<T: Scalar>(
     a: &CsrMatrix<T>,
     b: &CsrMatrix<T>,
     r: usize,
     b_mask: Option<&[bool]>,
-    acc: &mut A,
+    spa: &mut SparseAccumulator<T>,
     cols: &mut Vec<ColIndex>,
     vals: &mut Vec<T>,
 ) -> usize {
-    scatter_row(a, b, r, b_mask, acc);
-    let n = acc.nnz();
+    scatter_row(a, b, r, b_mask, spa);
+    let n = spa.nnz();
     let start = cols.len();
     cols.resize(start + n, 0);
     vals.resize(start + n, T::ZERO);
-    acc.drain_sorted_into(&mut cols[start..], &mut vals[start..]);
+    spa.drain_sorted_into(&mut cols[start..], &mut vals[start..]);
     n
 }
 
@@ -697,7 +697,6 @@ fn fused_multi_pass<T: Scalar>(
     ub: &[u64],
     slot_nsrc: &[u8],
     claim_bits: &[u8],
-    thresholds: &BinThresholds,
     sizes: &mut [u64],
     staged: &Mutex<Vec<StagingBuffer<T>>>,
     per_claim: &[AtomicUsize],
@@ -708,7 +707,7 @@ fn fused_multi_pass<T: Scalar>(
     let out = DisjointSlice::new(sizes);
     pool.for_each_guided_items(
         multi,
-        fused_chunk_for(RowBin::Dense),
+        BOUNDED_CHUNK,
         || FusedStager::new(workspaces, ncols, staged),
         |stager, rs| {
             // disjoint field borrows: the workspace holds the runs, the
@@ -716,8 +715,6 @@ fn fused_multi_pass<T: Scalar>(
             let buf = stager.buf.as_mut().expect("present until drop");
             let EngineWorkspace {
                 spa,
-                list,
-                hash,
                 cols,
                 vals,
                 bounds,
@@ -843,19 +840,12 @@ fn fused_multi_pass<T: Scalar>(
                         }
                         _ => {
                             // saturated source count: scatter through the
-                            // accumulator the row's bound selects, then
-                            // norm-copy the drained run into staging
+                            // SPA, then norm-copy the drained run into
+                            // staging
                             cols.clear();
                             vals.clear();
                             let b_mask = claims[ci as usize].b_mask;
-                            let n = match thresholds.classify(cap, 2) {
-                                RowBin::List => run_into(a, b, r, b_mask, list, cols, vals),
-                                RowBin::Hash => {
-                                    hash.ensure_capacity(cap);
-                                    run_into(a, b, r, b_mask, hash, cols, vals)
-                                }
-                                _ => run_into(a, b, r, b_mask, spa, cols, vals),
-                            };
+                            let n = run_into(a, b, r, b_mask, spa, cols, vals);
                             for (t, (&c, &v)) in cols.iter().zip(vals.iter()).enumerate() {
                                 unsafe {
                                     (*cp.add(t)).write(c);
@@ -947,23 +937,9 @@ fn fused_multi_pass<T: Scalar>(
                                     vals.push(v);
                                 })
                             }
-                            // More than SET_MERGE_MAX_K: materialise through
-                            // the accumulator the *row's* bound selects —
-                            // the variants are bit-identical by contract,
-                            // so the choice is pure speed. `ub[r]` caps
-                            // every run's distinct columns (it sums all
-                            // claims), so the list/hash capacities hold;
-                            // bounded rows thereby keep their working set
-                            // in a small table instead of scattering into
-                            // the ncols-wide dense SPA.
-                            _ => match thresholds.classify(cap, 2) {
-                                RowBin::List => run_into(a, b, r, b_mask, list, cols, vals),
-                                RowBin::Hash => {
-                                    hash.ensure_capacity(cap);
-                                    run_into(a, b, r, b_mask, hash, cols, vals)
-                                }
-                                _ => run_into(a, b, r, b_mask, spa, cols, vals),
-                            },
+                            // More than SET_MERGE_MAX_K: materialise
+                            // through the SPA.
+                            _ => run_into(a, b, r, b_mask, spa, cols, vals),
                         };
                         claim_nnz[ci as usize] += n;
                         bounds.push(cols.len());
@@ -995,12 +971,12 @@ fn fused_multi_pass<T: Scalar>(
     );
 }
 
-/// One heavy single-source bin of the batched executor: scatter each row
-/// (already sized exactly by the symbolic pass) through the accumulator
-/// `sel` chooses under its sole claim's mask, count the entries against
-/// that claim, and drain into the final slot.
+/// Heavy single-source rows of the batched executor: scatter each row
+/// (already sized exactly by the symbolic pass) through the dense SPA
+/// under its sole claim's mask, count the entries against that claim, and
+/// drain into the final slot.
 #[allow(clippy::too_many_arguments)]
-fn single_source_bin<T, A, Sel>(
+fn heavy_single_pass<T: Scalar>(
     a: &CsrMatrix<T>,
     b: &CsrMatrix<T>,
     claims: &[ScheduledClaim<'_>],
@@ -1009,40 +985,34 @@ fn single_source_bin<T, A, Sel>(
     pool: &ThreadPool,
     workspaces: &WorkspacePool,
     ncols: usize,
-    bin_rows: &[u32],
-    bin: RowBin,
+    rows: &[u32],
     indptr: &[usize],
     out_idx: &DisjointSlice<'_, ColIndex>,
     out_val: &DisjointSlice<'_, T>,
     per_claim: &[AtomicUsize],
-    sel: Sel,
-) where
-    T: Scalar,
-    A: RowAccumulator<T>,
-    Sel: for<'w> Fn(&'w mut EngineWorkspace<T>, usize) -> &'w mut A + Sync,
-{
-    // Empty bins skip the dispatch: a pool fork plus a workspace checkout
-    // for zero rows is pure overhead.
-    if bin_rows.is_empty() {
+) {
+    // An empty pass skips the dispatch: a pool fork plus a workspace
+    // checkout for zero rows is pure overhead.
+    if rows.is_empty() {
         return;
     }
     pool.for_each_guided_items(
-        bin_rows,
-        chunk_for(bin),
+        rows,
+        HEAVY_CHUNK,
         || workspaces.acquire::<T>(ncols),
         |ws, rs| {
+            let spa = &mut ws.spa;
             for &r in rs {
                 let r = r as usize;
                 let ci = src[src_off[r]] as usize;
                 let at = indptr[r];
                 let size = indptr[r + 1] - at;
-                let acc = sel(ws, size);
-                scatter_row(a, b, r, claims[ci].b_mask, acc);
-                per_claim[ci].fetch_add(acc.nnz(), Ordering::Relaxed);
-                debug_assert_eq!(size, acc.nnz());
+                scatter_row(a, b, r, claims[ci].b_mask, spa);
+                per_claim[ci].fetch_add(spa.nnz(), Ordering::Relaxed);
+                debug_assert_eq!(size, spa.nnz());
                 // rows own disjoint indptr ranges
                 unsafe {
-                    acc.drain_sorted_into(out_idx.slice_mut(at, size), out_val.slice_mut(at, size));
+                    spa.drain_sorted_into(out_idx.slice_mut(at, size), out_val.slice_mut(at, size));
                 }
             }
         },

@@ -16,11 +16,10 @@
 //! plus Matrix Market I/O ([`io`]), row-size histograms ([`histogram`] — the
 //! raw material of the paper's Figures 1 and 5), serial reference kernels
 //! ([`reference`]) every parallel/heterogeneous algorithm is tested
-//! against, and the Gustavson sparse accumulators ([`accumulator`]) behind
-//! the host-side two-pass numeric engine.
+//! against, and the Gustavson sparse accumulator ([`accumulator`]) behind
+//! the host-side numeric engine.
 
 pub mod accumulator;
-pub mod binning;
 pub mod coo;
 pub mod csc;
 pub mod csr;
@@ -36,12 +35,7 @@ pub mod simd;
 pub mod upper_bound;
 pub mod workspace;
 
-pub use accumulator::{
-    HashAccumulator, ListAccumulator, RowAccumulator, RowSizer, SparseAccumulator,
-};
-pub use binning::{
-    chunk_for, fused_chunk_for, BinThresholds, RowBin, RowBins, FUSED_UB_MAX, GUIDED_CHUNK,
-};
+pub use accumulator::{RowSizer, SparseAccumulator};
 pub use coo::CooMatrix;
 pub use csc::CscMatrix;
 pub use csr::CsrMatrix;

@@ -9,8 +9,8 @@
 //!   `is_x86_feature_detected!("avx2")`.
 //!
 //! Bit-identity holds because none of the dispatched primitives reorders a
-//! floating-point reduction: gathers, scaled copies (elementwise `a * b`),
-//! and lower bounds are permutation-free, and the register-tiled `csrmm`
+//! floating-point reduction: gathers and scaled copies (elementwise
+//! `a * b`) are permutation-free, and the register-tiled `csrmm`
 //! kernel keeps each output element's additions in the exact `j`-order of
 //! the serial reference, starting from `T::ZERO`. The one FP-reordering
 //! variant — the tree-reduced csrmm tile ([`csrmm_row_tree_into`]) — is
@@ -193,36 +193,6 @@ fn gather_scalar<T: Scalar>(idx: &[ColIndex], table: &[T], out_vals: &mut [T]) {
     }
 }
 
-/// Drain for packed `(col << 32) | slot` keys (the hash accumulator's
-/// touched list): `out_cols[i] = packed[i] >> 32; out_vals[i] =
-/// table[packed[i] as u32]`. Sorting the packed words sorts by column
-/// (slots only break ties that cannot occur — columns are unique), so the
-/// drain needs no re-probe of the hash table.
-#[inline]
-pub fn gather_packed_into<T: Scalar>(
-    packed: &[u64],
-    table: &[T],
-    out_cols: &mut [ColIndex],
-    out_vals: &mut [T],
-) {
-    assert_eq!(packed.len(), out_cols.len(), "gather_packed_into: cols");
-    assert_eq!(packed.len(), out_vals.len(), "gather_packed_into: vals");
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if level() == SimdLevel::Avx2 {
-        if let (Some(table), Some(out)) = (cast::slice::<T, f64>(table), cast::slice_mut(out_vals))
-        {
-            // SAFETY: AVX2 verified by `level()`; slots are valid indices
-            // into `table` by the accumulator's invariant.
-            unsafe { avx2::gather_packed_f64(packed, table, out_cols, out) };
-            return;
-        }
-    }
-    for i in 0..packed.len() {
-        out_cols[i] = (packed[i] >> 32) as ColIndex;
-        out_vals[i] = table[packed[i] as u32 as usize];
-    }
-}
-
 /// Scaled copy: `dst[i] = scale * src[i]`. The single-source fast path —
 /// elementwise, so any lane width is bit-identical.
 #[inline]
@@ -244,26 +214,6 @@ pub fn scaled_copy<T: Scalar>(scale: T, src: &[T], dst: &mut [T]) {
     for (d, &s) in dst.iter_mut().zip(src) {
         *d = scale * s;
     }
-}
-
-/// Branchless Lemire-style lower bound: the first index `i` with
-/// `cols[i] >= col`, i.e. `cols.partition_point(|&c| c < col)`.
-///
-/// The classic binary search branches on every probe and mispredicts half
-/// the time on random keys; this form turns the probe into a conditional
-/// add the compiler lowers to `cmov`/`setb`, so short sorted runs (the list
-/// accumulator's ≤ 8 entries) probe in a handful of straight-line cycles.
-#[inline]
-pub fn lower_bound(cols: &[ColIndex], col: ColIndex) -> usize {
-    let mut base = 0usize;
-    let mut len = cols.len();
-    while len > 1 {
-        let half = len / 2;
-        // Branchless: advance past the left half iff its last key < col.
-        base += usize::from(cols[base + half - 1] < col) * half;
-        len -= half;
-    }
-    base + usize::from(len == 1 && cols[base] < col)
 }
 
 // ---------------------------------------------------------------------------
@@ -423,45 +373,6 @@ mod avx2 {
     }
 
     /// # Safety
-    /// AVX2 must be available; the low 32 bits of every `packed` entry must
-    /// be a valid index into `table`. Output slices are `packed.len()` long
-    /// (checked by the dispatching wrapper).
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn gather_packed_f64(
-        packed: &[u64],
-        table: &[f64],
-        out_cols: &mut [ColIndex],
-        out_vals: &mut [f64],
-    ) {
-        debug_assert!(packed.iter().all(|&p| ((p as u32) as usize) < table.len()));
-        let n = packed.len();
-        let whole = n & !3;
-        let slot_mask = _mm256_set1_epi64x(0xFFFF_FFFF);
-        // Compress the four 64-bit lanes' high halves (the columns) into
-        // the low 128 bits: dword lanes 1,3,5,7 -> 0,1,2,3.
-        let col_shuffle = _mm256_setr_epi32(1, 3, 5, 7, 0, 0, 0, 0);
-        let mut i = 0;
-        while i < whole {
-            let v = _mm256_loadu_si256(packed.as_ptr().add(i) as *const __m256i);
-            let slots = _mm256_and_si256(v, slot_mask);
-            let vals = _mm256_i64gather_pd::<8>(table.as_ptr(), slots);
-            _mm256_storeu_pd(out_vals.as_mut_ptr().add(i), vals);
-            let cols = _mm256_permutevar8x32_epi32(v, col_shuffle);
-            _mm_storeu_si128(
-                out_cols.as_mut_ptr().add(i) as *mut __m128i,
-                _mm256_castsi256_si128(cols),
-            );
-            i += 4;
-        }
-        while i < n {
-            let p = *packed.get_unchecked(i);
-            *out_cols.get_unchecked_mut(i) = (p >> 32) as ColIndex;
-            *out_vals.get_unchecked_mut(i) = *table.get_unchecked(p as u32 as usize);
-            i += 1;
-        }
-    }
-
-    /// # Safety
     /// AVX2 must be available; `src.len() == dst.len()` (checked by the
     /// dispatching wrapper).
     #[target_feature(enable = "avx2")]
@@ -548,26 +459,6 @@ mod tests {
     }
 
     #[test]
-    fn lower_bound_matches_partition_point() {
-        let cases: Vec<Vec<ColIndex>> = vec![
-            vec![],
-            vec![5],
-            vec![1, 3, 5, 7, 9],
-            vec![0, 1, 2, 3, 4, 5, 6, 7],
-            (0..33).map(|i| i * 3).collect(),
-        ];
-        for cols in &cases {
-            for probe in 0..110u32 {
-                assert_eq!(
-                    lower_bound(cols, probe),
-                    cols.partition_point(|&c| c < probe),
-                    "cols={cols:?} probe={probe}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn gather_levels_bit_identical() {
         let table = vals(257, 1);
         for n in [0usize, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 31, 33, 64] {
@@ -589,39 +480,6 @@ mod tests {
             );
             for (k, &i) in idx.iter().enumerate() {
                 assert_eq!(sv[k].to_bits(), table[i as usize].to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn gather_packed_levels_bit_identical() {
-        let table = vals(300, 2);
-        for n in [0usize, 1, 3, 4, 5, 8, 13, 16, 29] {
-            let packed: Vec<u64> = (0..n)
-                .map(|i| {
-                    let col = (i * 101) as u64;
-                    let slot = ((i * 53 + 7) % 300) as u64;
-                    (col << 32) | slot
-                })
-                .collect();
-            let run = |l| {
-                with_level(l, || {
-                    let mut oc = vec![0 as ColIndex; n];
-                    let mut ov = vec![0.0f64; n];
-                    gather_packed_into(&packed, &table, &mut oc, &mut ov);
-                    (oc, ov)
-                })
-            };
-            let (sc, sv) = run(SimdLevel::Scalar);
-            let (vc, vv) = run(SimdLevel::Avx2);
-            assert_eq!(sc, vc);
-            assert_eq!(
-                sv.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                vv.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-            );
-            for (k, &p) in packed.iter().enumerate() {
-                assert_eq!(sc[k], (p >> 32) as ColIndex);
-                assert_eq!(sv[k].to_bits(), table[p as u32 as usize].to_bits());
             }
         }
     }

@@ -24,9 +24,7 @@ use std::collections::HashMap;
 use std::ops::{Deref, DerefMut};
 use std::sync::Mutex;
 
-use crate::{
-    ColIndex, HashAccumulator, ListAccumulator, RowAccumulator, RowSizer, Scalar, SparseAccumulator,
-};
+use crate::{ColIndex, RowSizer, Scalar, SparseAccumulator};
 
 /// Staging arena for the fused single-pass tier: rows whose upper-bounded
 /// size fits the staging budget scatter once and drain here, into an
@@ -35,7 +33,7 @@ use crate::{
 /// slot once the exclusive scan has fixed the offsets.
 ///
 /// Lifetime: a worker checks a buffer out of the [`WorkspacePool`] for one
-/// fused bin pass and stages rows into it; buffers holding staged data are
+/// fused pass and stages rows into it; buffers holding staged data are
 /// handed to the compaction stage (not returned to the pool — the data
 /// must outlive the worker), then cleared and released with
 /// [`WorkspacePool::release_staging`].
@@ -61,10 +59,9 @@ impl<T: Scalar> StagingBuffer<T> {
         }
     }
 
-    /// Drain `acc` (sorted ascending, as every accumulator drains) into a
-    /// fresh exact-size carve-out and record it under `key`. Returns the
-    /// row's exact nnz.
-    pub fn stage<A: RowAccumulator<T>>(&mut self, key: u32, acc: &mut A) -> usize {
+    /// Drain `acc` (sorted ascending) into a fresh exact-size carve-out
+    /// and record it under `key`. Returns the row's exact nnz.
+    pub fn stage(&mut self, key: u32, acc: &mut SparseAccumulator<T>) -> usize {
         let n = acc.nnz();
         let start = self.cols.len();
         self.cols.resize(start + n, 0);
@@ -93,18 +90,14 @@ impl<T: Scalar> StagingBuffer<T> {
 }
 
 /// Everything one worker thread needs to run symbolic + numeric passes:
-/// the three accumulator variants, the symbolic sizer, and the scratch
-/// vectors used by the batched executor's multi-claim merge.
+/// the symbolic sizer, the dense SPA, and the scratch vectors used by the
+/// batched executor's multi-claim merge.
 #[derive(Debug)]
 pub struct EngineWorkspace<T> {
     /// Symbolic-pass sizer (O(ncols) stamps).
     pub sizer: RowSizer,
-    /// Dense SPA for hub rows (O(ncols) values + stamps).
+    /// Dense SPA, the numeric accumulator (O(ncols) values + stamps).
     pub spa: SparseAccumulator<T>,
-    /// Sorted-insertion list for tiny rows.
-    pub list: ListAccumulator<T>,
-    /// Open-addressing table for mid-size rows.
-    pub hash: HashAccumulator<T>,
     /// Batched-merge scratch: per-source column runs.
     pub cols: Vec<ColIndex>,
     /// Batched-merge scratch: per-source value runs.
@@ -119,8 +112,6 @@ impl<T: Scalar> EngineWorkspace<T> {
         Self {
             sizer: RowSizer::new(ncols),
             spa: SparseAccumulator::new(ncols),
-            list: ListAccumulator::new(),
-            hash: HashAccumulator::with_capacity(4),
             cols: Vec::new(),
             vals: Vec::new(),
             bounds: Vec::new(),
@@ -198,7 +189,7 @@ impl WorkspacePool {
         }
     }
 
-    /// Check out a staging arena for one fused bin pass. Unlike `acquire`,
+    /// Check out a staging arena for one fused pass. Unlike `acquire`,
     /// this hands over ownership with no guard: a buffer holding staged
     /// rows must outlive the worker that filled it (the compaction stage
     /// reads it), so the fused engines route filled buffers through a
@@ -361,9 +352,8 @@ mod tests {
     #[test]
     fn soa_drains_stay_clean_through_the_pool() {
         // The vectorized bulk drain must leave a pooled workspace exactly
-        // as reusable as the closure drain: generation stamps advanced,
-        // lists/tables emptied, no stale columns on the next checkout.
-        use crate::RowAccumulator;
+        // as reusable as the closure drain: generation stamps advanced, no
+        // stale columns on the next checkout.
         let pool = WorkspacePool::new();
         {
             let mut ws = pool.acquire::<f64>(64);
@@ -372,17 +362,10 @@ mod tests {
             let (mut c, mut v) = (vec![0; 2], vec![0.0; 2]);
             ws.spa.drain_sorted_into(&mut c, &mut v);
             assert_eq!(c, vec![2, 5]);
-            ws.list.scatter(9, 3.0);
-            ws.list.drain_sorted_into(&mut c[..1], &mut v[..1]);
-            assert_eq!(c[0], 9);
-            ws.hash.scatter(40, 4.0);
-            ws.hash.drain_sorted_into(&mut c[..1], &mut v[..1]);
-            assert_eq!(c[0], 40);
         }
         let mut ws = pool.acquire::<f64>(64);
         assert!(ws.spa.scatter(5, 1.0), "stale SPA stamp after SoA drain");
-        assert_eq!(ws.list.nnz(), 0, "list not reset by SoA drain");
-        assert_eq!(ws.hash.nnz(), 0, "hash not reset by SoA drain");
+        assert_eq!(ws.spa.nnz(), 1, "SPA not reset by SoA drain");
     }
 
     #[test]

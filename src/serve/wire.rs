@@ -166,12 +166,20 @@ fn parse_policy(value: Option<&Json>) -> Result<ThresholdPolicy, String> {
             Ok(ThresholdPolicy::Fixed { t_a, t_b })
         }
         "balanced" => Ok(ThresholdPolicy::Balanced {
-            candidates: value.usize_field("candidates").unwrap_or(10),
+            candidates: candidates(value)?,
         }),
         "empirical" => Ok(ThresholdPolicy::Empirical {
-            candidates: value.usize_field("candidates").unwrap_or(10),
+            candidates: candidates(value)?,
         }),
         other => Err(format!("unknown policy kind {other:?}")),
+    }
+}
+
+/// The `"candidates"` count of a searching policy (default 10, at least 1).
+fn candidates(policy: &Json) -> Result<usize, String> {
+    match policy.usize_field("candidates").unwrap_or(10) {
+        0 => Err("policy candidates must be at least 1".to_string()),
+        n => Ok(n),
     }
 }
 
@@ -253,6 +261,13 @@ pub fn handle_request(service: &SpmmService, request: &Json) -> Json {
                 return bad_request("gen needs \"nrows\" and \"nnz\"");
             };
             let alpha = request.get("alpha").and_then(Json::as_f64).unwrap_or(2.5);
+            // the generator asserts these; a request must not reach them
+            if nrows == 0 || nrows.checked_mul(nrows).is_none_or(|cap| nnz > cap) {
+                return bad_request("gen needs nrows >= 1 and nnz <= nrows^2");
+            }
+            if !(alpha.is_finite() && alpha > 1.0) {
+                return bad_request("gen needs a finite alpha > 1");
+            }
             let seed = request.usize_field("seed").unwrap_or(0) as u64;
             let scale = request.usize_field("scale").unwrap_or(1);
             let reply =
@@ -467,11 +482,35 @@ mod tests {
                 r#"{"op":"multiply","a":"x","b":"x","policy":{"kind":"warp"}}"#,
                 "bad_request",
             ),
+            // parameters the generator or the threshold ladder would
+            // otherwise panic on
+            (r#"{"op":"gen","nrows":0,"nnz":0}"#, "bad_request"),
+            (r#"{"op":"gen","nrows":10,"nnz":101}"#, "bad_request"),
+            (
+                r#"{"op":"gen","nrows":100,"nnz":500,"alpha":1.0}"#,
+                "bad_request",
+            ),
+            (
+                r#"{"op":"multiply","a":"x","b":"x","policy":{"kind":"empirical","candidates":0}}"#,
+                "bad_request",
+            ),
+            (
+                r#"{"op":"multiply","a":"x","b":"x","policy":{"kind":"balanced","candidates":0}}"#,
+                "bad_request",
+            ),
         ] {
             let reply = handle_request(&service, &json::parse(line).unwrap());
             assert_eq!(reply.get("ok"), Some(&Json::Bool(false)), "{line}");
             assert_eq!(reply.str_field("code"), Some(code), "{line}");
         }
+        // the service keeps serving after every rejection
+        let gen = r#"{"op":"gen","alias":"g","nrows":100,"nnz":500,"alpha":2.2}"#;
+        let reply = handle_request(&service, &json::parse(gen).unwrap());
+        assert_eq!(reply.get("ok"), Some(&Json::Bool(true)), "{reply:?}");
+        let multiply =
+            r#"{"op":"multiply","a":"g","b":"g","policy":{"kind":"empirical","candidates":1}}"#;
+        let reply = handle_request(&service, &json::parse(multiply).unwrap());
+        assert_eq!(reply.get("ok"), Some(&Json::Bool(true)), "{reply:?}");
     }
 
     #[test]

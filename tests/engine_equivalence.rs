@@ -90,6 +90,21 @@ fn workspace_pool_survives_products_of_different_widths() {
     }
 }
 
+#[test]
+fn batched_matches_per_claim_on_wide_outputs() {
+    // More than 2^15 output columns: wide enough that a size-binned engine
+    // would route mid-size rows away from the dense SPA, and with single-
+    // claim rows whose bound is tiny. Every route must still drain the
+    // reference's bits.
+    let wide = |seed| {
+        scale_free_matrix::<f64>(&GeneratorConfig::square_power_law(
+            33_000, 100_000, 2.1, seed,
+        ))
+    };
+    let (a, b) = (wide(11), wide(12));
+    check_all_paths(&a, &b, "wide A != B", &[1, 8]);
+}
+
 /// Run one recorded schedule through both executors at 1 and 8 host
 /// threads and require identical C (down to the value bits) and entry
 /// counts; returns the reference C for further checks.

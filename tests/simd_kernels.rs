@@ -1,8 +1,8 @@
 //! The SIMD numeric kernels are a perf knob only.
 //!
-//! The numeric hot loops — SoA accumulator drains, the scaled verbatim
-//! copy, branchless list inserts, packed hash drains, the two-run merge,
-//! and the register-tiled csrmm sweep — have runtime-dispatched AVX2
+//! The numeric hot loops — the SPA's SoA drain, the scaled verbatim
+//! copy, the two-run merge, and the register-tiled csrmm sweep — have
+//! runtime-dispatched AVX2
 //! variants behind a chunked scalar fallback. None of the dispatched
 //! shapes reorders a floating-point reduction, so the product of a
 //! forced-scalar run and a forced-AVX2 run must be bit-for-bit
@@ -93,7 +93,8 @@ fn simd_paths_are_bit_equal_on_self_product() {
 #[test]
 fn simd_paths_are_bit_equal_on_distinct_inputs() {
     // different row-size profiles exercise the dual thresholds and land
-    // rows in every accumulator bin on both mask halves
+    // rows on every engine route (copy, bounded, heavy, single- and
+    // multi-claim) on both mask halves
     let a = matrix(1_500, 7_500, 72);
     let b = matrix(1_500, 21_000, 73);
     check_all_paths(&a, &b, "A != B");
