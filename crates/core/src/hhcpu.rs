@@ -1,18 +1,21 @@
 //! Algorithm HH-CPU (the paper's Algorithm 1).
+//!
+//! A run is Phase I ([`SpmmArtifacts::build`]: thresholds, masks and the
+//! simulated Phase II/III plan of [`threshold::simulate_phases`]), then the
+//! numeric multiply of that plan's claims ([`schedule::execute`]) and the
+//! Phase IV merge charge. The phase simulation exists once, in
+//! `threshold`; this module only replays its plan.
 
 use std::sync::OnceLock;
 
 use spmm_sparse::{CsrMatrix, Scalar};
 
-use spmm_hetsim::gpu::{masked_output_widths_for_pooled, masked_output_widths_pooled};
-use spmm_hetsim::{DeviceKind, PhaseBreakdown, PhaseTimes};
-use spmm_workqueue::{End, RangeQueue};
+use spmm_hetsim::{DeviceKind, PhaseBreakdown, PhaseTimes, Platform};
 
 use crate::context::HeteroContext;
-use crate::kernels::rows_where;
 use crate::result::SpmmOutput;
 use crate::schedule::{self, ClaimSchedule, ExecPolicy, ScheduledClaim};
-use crate::threshold::{self, Phase1Plan, ThresholdPolicy};
+use crate::threshold::{self, Phase1Plan, PhasePlan, ThresholdPolicy, WidthTables};
 use crate::units::WorkUnitConfig;
 
 /// Configuration of one HH-CPU run.
@@ -20,8 +23,8 @@ use crate::units::WorkUnitConfig;
 pub struct HhCpuConfig {
     /// Phase I threshold policy.
     pub policy: ThresholdPolicy,
-    /// Phase III work-unit sizes; `None` ⇒ scale with the matrix
-    /// ([`WorkUnitConfig::auto`]).
+    /// Phase III work-unit sizes; `None` ⇒ sized to the H/L row lists
+    /// ([`threshold::adaptive_units`]).
     pub units: Option<WorkUnitConfig>,
     /// Which executor runs the scheduled numeric work.
     pub exec: ExecPolicy,
@@ -37,49 +40,58 @@ impl HhCpuConfig {
     }
 }
 
-/// Everything Phase I computes for one `(A, B, policy)` triple that is
+/// Everything Phase I computes for one `(A, B, policy, platform)` that is
 /// worth keeping across repeated multiplies of the same operands: the
-/// [`Phase1Plan`] (thresholds, Boolean masks, symbolic row-size structures)
-/// and the masked GPU width tables. Building this is the dominant
+/// [`Phase1Plan`] (thresholds, Boolean masks, symbolic row-size
+/// structures), the simulated Phase II/III [`PhasePlan`] of the chosen
+/// thresholds, and the masked GPU width tables. Building this is the whole
 /// non-numeric cost of a run — the empirical threshold search alone
-/// evaluates the full device cost models once per ladder candidate — so a
-/// serve layer caches it keyed by content hash and hands warm requests to
-/// [`hh_cpu_with_artifacts`], which is bit-identical to a cold [`hh_cpu`]
-/// by construction (it runs exactly the same code on the same values; only
-/// the wall-clock work of *recomputing* them is skipped).
+/// simulates Phases II and III once per ladder candidate, and the winner's
+/// plan is the one kept — so a serve layer caches it keyed by content hash
+/// and hands warm requests to [`hh_cpu_with_artifacts`], which then only
+/// runs the numeric multiply and charges the plan's simulated ns. That is
+/// bit-identical to a cold [`hh_cpu`] by construction: the plan is a pure
+/// function of the key, and the run consumes it by value.
 #[derive(Debug)]
 pub struct SpmmArtifacts {
     /// The threshold policy the plan was built under (cache-key sanity).
     pub policy: ThresholdPolicy,
+    /// The platform the phase plan was simulated on: its device costs are
+    /// baked into the plan, so a run on another platform is refused.
+    pub platform: Platform,
     /// Thresholds, Boolean masks, and symbolic structures.
     pub plan: Phase1Plan,
-    /// GPU output-width table under the `B_L` mask (all A rows) — serves
-    /// the Phase II `A_L × B_L` product and the GPU's `A_H × B_L` claims.
-    pub w_low: Vec<u32>,
-    /// Width table under the `B_H` mask, restricted to `A_L` rows. Only
-    /// needed when the GPU drains the CPU's queue end, so it is built
-    /// lazily on first use and memoised here for later warm runs.
-    w_high: OnceLock<Vec<u32>>,
+    /// GPU width tables under the chosen masks.
+    pub widths: WidthTables,
+    /// The Phase II/III plan under the default work units — set by
+    /// [`Self::build`], and simulated on first run for a row band.
+    pub phases: OnceLock<PhasePlan>,
 }
 
 impl SpmmArtifacts {
-    /// Run Phase I and build the eager width table — the cold-path work
-    /// that [`hh_cpu`] performs on every call and a serve layer performs
-    /// once per `(A, B, policy)`.
+    /// Run Phase I and keep the chosen thresholds' Phase II/III plan and
+    /// width tables — the cold-path work that [`hh_cpu`] performs on every
+    /// call and a serve layer performs once per `(A, B, policy)`.
     pub fn build<T: Scalar>(
         ctx: &HeteroContext,
         a: &CsrMatrix<T>,
         b: &CsrMatrix<T>,
         policy: ThresholdPolicy,
     ) -> Self {
-        let plan = threshold::identify_plan(ctx, a, b, policy);
-        let b_low: Vec<bool> = plan.thresholds.b_high.iter().map(|&h| !h).collect();
-        let w_low = masked_output_widths_pooled(a, b, Some(&b_low), &ctx.pool, &ctx.workspaces);
+        let (plan, winner) = threshold::identify_with_winner(ctx, a, b, policy);
+        // Fixed and Balanced ran no search: simulate their pair once, cold
+        let (phases, widths) = winner.unwrap_or_else(|| {
+            let mut sim = threshold::serial_context(ctx);
+            sim.pool = ctx.pool.clone();
+            let t = (plan.thresholds.t_a, plan.thresholds.t_b);
+            threshold::evaluate(&mut sim, a, b, t, &plan.sym_a, plan.sym_b())
+        });
         Self {
             policy,
+            platform: ctx.platform,
             plan,
-            w_low,
-            w_high: OnceLock::new(),
+            widths,
+            phases: OnceLock::from(phases),
         }
     }
 
@@ -89,17 +101,15 @@ impl SpmmArtifacts {
     /// This is the sharding contract's load-bearing move: Phase I ran
     /// *once* on the full operands, and every band inherits the global
     /// thresholds, the global `B` classification, and its slice of the
-    /// global `A` masks and GPU width tables. Because every downstream
+    /// global `A` masks and `B_L` width table. Because every downstream
     /// decision that touches C's *bits* (which mask covers which row, how
     /// rows merge) depends only on the row's own content plus these global
     /// masks, a band run with sliced artifacts produces rows bit-identical
     /// to the monolithic run — re-running Phase I per band would not
     /// (per-band thresholds would reclassify rows).
     ///
-    /// The `w_high` table is deliberately *not* sliced: it is lazily built
-    /// over `A_L` rows on first GPU drain of the CPU queue end, and each
-    /// band memoises its own on demand from the same deterministic
-    /// computation.
+    /// The band's own Phase II/III plan (its queue holds only its rows) and
+    /// its `B_H` width table are simulated on the band's first run and kept.
     pub fn for_row_band<T: Scalar>(
         &self,
         rows: std::ops::Range<usize>,
@@ -122,11 +132,17 @@ impl SpmmArtifacts {
             sym_a: threshold::SymbolicStructure::from_matrix(band),
             sym_b: Some(self.plan.sym_b().clone()),
         };
+        let low = self.widths.low.get();
+        let widths = WidthTables {
+            low: low.map_or_else(OnceLock::new, |w| w[rows].to_vec().into()),
+            high: OnceLock::new(),
+        };
         SpmmArtifacts {
             policy: self.policy,
+            platform: self.platform,
             plan,
-            w_low: self.w_low[rows].to_vec(),
-            w_high: OnceLock::new(),
+            widths,
+            phases: OnceLock::new(),
         }
     }
 
@@ -135,16 +151,21 @@ impl SpmmArtifacts {
         let plan = &self.plan;
         let masks = plan.thresholds.a_high.len() + plan.thresholds.b_high.len();
         let syms = plan.sym_a.byte_size() + plan.sym_b.as_ref().map_or(0, |s| s.byte_size());
-        let widths = (self.w_low.len() + self.w_high.get().map_or(0, Vec::len)) * 4;
-        masks + syms + widths + std::mem::size_of::<Self>()
+        let widths = [&self.widths.low, &self.widths.high].map(|w| w.get().map_or(0, Vec::len));
+        let phases = self.phases.get().map_or(0, |p| {
+            (p.rows_ah.len() + p.rows_al.len()) * std::mem::size_of::<usize>()
+                + p.b_low.len()
+                + p.claims.len() * std::mem::size_of::<threshold::PlannedClaim>()
+        });
+        masks + syms + (widths[0] + widths[1]) * 4 + phases + std::mem::size_of::<Self>()
     }
 }
 
 /// Run Algorithm HH-CPU: `C = A × B` with the four-way split of §III.
 ///
-/// Devices start cold (`ctx.reset()` is called), the numeric result is
-/// exact (tested against the Gustavson reference), and the returned
-/// profile carries the simulated per-phase times of the platform model.
+/// Devices start cold, the numeric result is exact (tested against the
+/// Gustavson reference), and the returned profile carries the simulated
+/// per-phase times of the platform model.
 pub fn hh_cpu<T: Scalar>(
     ctx: &mut HeteroContext,
     a: &CsrMatrix<T>,
@@ -159,12 +180,16 @@ pub fn hh_cpu<T: Scalar>(
 /// serve layer. The run is bit-identical to a cold [`hh_cpu`] on the same
 /// operands — same `C`, same [`PhaseBreakdown`] (Phase I's *simulated*
 /// cost is still charged; only the host-side recomputation is skipped),
-/// same thresholds — because Phase I is deterministic in `(A, B, policy)`
-/// and everything after it consumes the plan by value.
+/// same thresholds — because Phase I and the Phase II/III simulation are
+/// deterministic in `(A, B, policy, platform, units)` and everything after
+/// them consumes the plan by value. A `config.units` other than the
+/// default adaptive grains simulates its own plan and leaves the kept one
+/// alone.
 ///
 /// The caller is responsible for passing artifacts built for these exact
 /// operands and `config.policy` (a content-hash-keyed cache makes that
-/// structural); the policy is cross-checked as a cheap guard.
+/// structural); the policy and the platform are cross-checked as cheap
+/// guards.
 pub fn hh_cpu_with_artifacts<T: Scalar>(
     ctx: &mut HeteroContext,
     a: &CsrMatrix<T>,
@@ -181,12 +206,13 @@ pub fn hh_cpu_with_artifacts<T: Scalar>(
         artifacts.policy, config.policy,
         "artifacts were built under a different threshold policy"
     );
-    ctx.reset();
+    assert_eq!(
+        artifacts.platform, ctx.platform,
+        "artifacts were planned for a different platform"
+    );
 
     // ---- Phase I: thresholds + Boolean row classification, from the
-    // (possibly cached) plan. The plan keeps the symbolic row-size
-    // structures, so every Phase III mean and nnz total below is a
-    // prefix-sum lookup, not a CSR rescan. ----
+    // (possibly cached) plan. ----
     let plan = &artifacts.plan;
     let th = &plan.thresholds;
     let phase1 = PhaseTimes::new(
@@ -205,188 +231,29 @@ pub fn hh_cpu_with_artifacts<T: Scalar>(
     };
     let mut transfer_ns = ctx.link.transfer_ns(row_meta_bytes + matrix_bytes);
 
-    let b_low: Vec<bool> = th.b_high.iter().map(|&h| !h).collect();
-    let rows_ah = rows_where(&th.a_high, true);
-    let rows_al = rows_where(&th.a_high, false);
-    // Work-unit grains: the paper's fixed 1000/10000 rows at full scale, or
-    // sized to the actual H/L row lists so the queue always holds enough
-    // units for the endgame to balance (the last unit bounds the final
-    // clock gap between the devices).
-    let units = config
-        .units
-        .unwrap_or_else(|| WorkUnitConfig::adaptive(rows_al.len(), rows_ah.len()));
-
-    // Width tables for the planned GPU costing: the B_L table serves the
-    // Phase II product (A_L rows) and the GPU's A_H × B_L claims — all A
-    // rows together — so it was built eagerly (across the host pool) with
-    // the artifacts. The B_H table only matters if the GPU drains the
-    // CPU's queue end, and then only for A_L rows, so it is built lazily,
-    // restricted, and memoised on the artifacts for later warm runs.
-    let w_low = &artifacts.w_low;
-
-    // ---- Phase II: A_H × B_H on CPU ∥ A_L × B_L on GPU. The CPU side
-    // runs the cache-blocked kernel of §III-B (B_H tiled through L2). ----
-    let cpu2 = ctx
-        .cpu
-        .spmm_cost_blocked(a, b, rows_ah.iter().copied(), Some(&th.b_high));
-    let gpu2 = ctx
-        .gpu
-        .spmm_cost_planned(a, b, rows_al.iter().copied(), Some(&b_low), w_low);
-    let phase2 = PhaseTimes::new(cpu2, gpu2);
-
-    // ---- Phase III: A_L × B_H and A_H × B_L through the double-ended
-    // workqueue (§III-C): "on the CPU end of the queue, we fill the queue
-    // with work-units corresponding to the product A_L × B_H and on the
-    // GPU end … A_H × B_L"; a device moves to the other product only
-    // "after finishing" its own. Work-unit sizes follow §IV-B, converted
-    // from the paper's row counts into a nonzero budget so a claim of
-    // dense A_H rows is as small (in rows) as it is heavy (per row). The
-    // simulation is event-driven: whichever device's clock is behind
-    // claims next, so the clocks stay near-equal — the load balance the
-    // queue exists for. ----
-    let hd_b = th.hd_rows_b();
-    let ld_b = b.nrows() - hd_b;
-    // Means and totals from the Phase I prefix sums: integer sums over the
-    // same row sets the old CSR walks covered, so every derived f64 is
-    // bit-identical — one binary search instead of an O(rows) rescan.
-    let sym_a = &plan.sym_a;
-    let mean_al = if rows_al.is_empty() {
-        0.0
-    } else {
-        sym_a.ld_nnz(th.t_a) as f64 / rows_al.len() as f64
+    // ---- Phases II and III: the simulated plan (threshold::
+    // simulate_phases), kept on the artifacts for the default work units.
+    // Work-unit grains: the paper's fixed 1000/10000 rows at full scale,
+    // or sized to the actual H/L row lists so the queue always holds
+    // enough units for the endgame to balance. ----
+    let default_units = threshold::adaptive_units(&plan.sym_a, th.t_a);
+    let units = config.units.unwrap_or(default_units);
+    let mut simulate = |units| {
+        let (sym_a, sym_b) = (&plan.sym_a, plan.sym_b());
+        let t = (th.t_a, th.t_b);
+        threshold::simulate_phases(ctx, a, b, t, sym_a, sym_b, units, &artifacts.widths)
     };
-    let mean_ah = if rows_ah.is_empty() {
-        0.0
+    let fresh;
+    let phases = if units == default_units {
+        artifacts.phases.get_or_init(|| simulate(units))
     } else {
-        sym_a.hd_nnz(th.t_a) as f64 / rows_ah.len() as f64
+        fresh = simulate(units);
+        &fresh
     };
-    // The CPU's A_L × B_H work is one cache-blocked tiling pass shared by
-    // all of its claims (consecutive rows off the same end continue the
-    // pass), so the pass is costed once and claims are charged their nnz
-    // share of it.
-    let lh_nnz: f64 = sym_a.ld_nnz(th.t_a) as f64;
-    // Per-claim nnz shares come from one prefix-sum array over the A_L
-    // list (claims are contiguous ranges of it).
-    let mut al_prefix: Vec<u64> = Vec::with_capacity(rows_al.len() + 1);
-    al_prefix.push(0);
-    for &i in &rows_al {
-        al_prefix.push(al_prefix.last().unwrap() + sym_a.row_size(i) as u64);
-    }
-    let lh_blocked_total = if hd_b > 0 && !rows_al.is_empty() {
-        ctx.cpu
-            .spmm_cost_blocked(a, b, rows_al.iter().copied(), Some(&th.b_high))
-    } else {
-        0.0
-    };
-    // structurally-zero products are not enqueued at all
-    let lh_queue = RangeQueue::new(if hd_b > 0 { rows_al.len() } else { 0 });
-    let hl_queue = RangeQueue::new(if ld_b > 0 { rows_ah.len() } else { 0 });
-    let cpu_claim_nnz = (units.cpu_rows as f64 * mean_al).max(1.0);
-    let gpu_claim_nnz = (units.gpu_rows as f64 * mean_ah).max(1.0);
-    let grain = |claim_nnz: f64, mean: f64| ((claim_nnz / mean.max(1.0)) as usize).max(1);
-
-    let mut cpu_claims: Vec<ScheduledClaim<'_>> = Vec::new();
-    let mut gpu_claims: Vec<ScheduledClaim<'_>> = Vec::new();
-    let mut cpu_clock = 0.0f64;
-    let mut gpu_clock = 0.0f64;
-    loop {
-        let cpu_turn = cpu_clock <= gpu_clock;
-        // own product first, then help the other end
-        let claim = if cpu_turn {
-            lh_queue
-                .claim(End::Front, grain(cpu_claim_nnz, mean_al))
-                .map(|r| (r, false))
-                .or_else(|| {
-                    hl_queue
-                        .claim(End::Front, grain(cpu_claim_nnz, mean_ah))
-                        .map(|r| (r, true))
-                })
-        } else {
-            hl_queue
-                .claim(End::Back, grain(gpu_claim_nnz, mean_ah))
-                .map(|r| (r, true))
-                .or_else(|| {
-                    lh_queue
-                        .claim(End::Back, grain(gpu_claim_nnz, mean_al))
-                        .map(|r| (r, false))
-                })
-        };
-        let Some((piece, high_rows)) = claim else {
-            break;
-        };
-        let (rows, b_mask): (&[usize], &[bool]) = if high_rows {
-            (&rows_ah[piece.clone()], &b_low)
-        } else {
-            (&rows_al[piece.clone()], &th.b_high)
-        };
-        if cpu_turn {
-            // B_H-side products stay cache-blocked on the CPU (the claim's
-            // share of the single tiling pass); when the CPU helps with
-            // the GPU end (A_H × B_L) the B operand is scattered and the
-            // streaming kernel is the right model.
-            let ns = if high_rows {
-                ctx.cpu.spmm_cost(a, b, rows.iter().copied(), Some(b_mask))
-            } else {
-                let piece_nnz = (al_prefix[piece.end] - al_prefix[piece.start]) as f64;
-                lh_blocked_total * piece_nnz / lh_nnz.max(1.0)
-            };
-            cpu_clock += ns;
-            cpu_claims.push(ScheduledClaim {
-                device: DeviceKind::Cpu,
-                rows,
-                b_mask: Some(b_mask),
-                sim_ns: ns,
-            });
-        } else {
-            let ns = if high_rows {
-                ctx.gpu
-                    .spmm_cost_planned(a, b, rows.iter().copied(), Some(b_mask), w_low)
-            } else {
-                let w = artifacts.w_high.get_or_init(|| {
-                    masked_output_widths_for_pooled(
-                        a,
-                        b,
-                        Some(&th.b_high),
-                        &rows_al,
-                        &ctx.pool,
-                        &ctx.workspaces,
-                    )
-                });
-                ctx.gpu
-                    .spmm_cost_planned(a, b, rows.iter().copied(), Some(b_mask), w)
-            };
-            gpu_clock += ns;
-            gpu_claims.push(ScheduledClaim {
-                device: DeviceKind::Gpu,
-                rows,
-                b_mask: Some(b_mask),
-                sim_ns: ns,
-            });
-        }
-    }
-    let phase3 = PhaseTimes::new(cpu_clock, gpu_clock);
 
     // ---- Execute: all scheduled numeric work in one batched pass (or the
-    // per-claim reference, per `config.exec`). Claims go in block order —
-    // each device's Phase II product first, then its Phase III claims in
-    // claim order — exactly the order the pre-split code pushed its
-    // RowBlocks, which fixes the merge's floating-point summation. ----
-    let mut claims = Vec::with_capacity(2 + cpu_claims.len() + gpu_claims.len());
-    claims.push(ScheduledClaim {
-        device: DeviceKind::Cpu,
-        rows: &rows_ah,
-        b_mask: Some(&th.b_high),
-        sim_ns: cpu2,
-    });
-    claims.extend(cpu_claims);
-    claims.push(ScheduledClaim {
-        device: DeviceKind::Gpu,
-        rows: &rows_al,
-        b_mask: Some(&b_low),
-        sim_ns: gpu2,
-    });
-    claims.extend(gpu_claims);
-    let sched = ClaimSchedule { claims };
+    // per-claim reference, per `config.exec`). ----
+    let sched = claim_schedule(phases, &th.b_high);
     let (c, counts) = schedule::execute(
         a,
         b,
@@ -416,17 +283,57 @@ pub fn hh_cpu_with_artifacts<T: Scalar>(
         c,
         profile: PhaseBreakdown {
             phase1,
-            phase2,
-            phase3,
+            phase2: phases.phase2,
+            phase3: phases.phase3,
             phase4,
             transfer_ns,
         },
         threshold_a: th.t_a,
         threshold_b: th.t_b,
-        hd_rows_a: th.hd_rows_a(),
-        hd_rows_b: th.hd_rows_b(),
+        hd_rows_a: phases.rows_ah.len(),
+        hd_rows_b: plan.sym_b().hd_rows(th.t_b),
         tuples_merged,
     }
+}
+
+/// The executable schedule of a [`PhasePlan`], claims in block order —
+/// each device's Phase II product first, then its Phase III claims in push
+/// order — exactly the order the pre-split code pushed its RowBlocks,
+/// which fixes the merge's floating-point summation.
+fn claim_schedule<'a>(phases: &'a PhasePlan, b_high: &'a [bool]) -> ClaimSchedule<'a> {
+    let b_low = &phases.b_low[..];
+    let phase2 = |device, rows, b_mask, sim_ns| ScheduledClaim {
+        device,
+        rows,
+        b_mask: Some(b_mask),
+        sim_ns,
+    };
+    let mut cpu = vec![phase2(
+        DeviceKind::Cpu,
+        &phases.rows_ah[..],
+        b_high,
+        phases.phase2.cpu_ns,
+    )];
+    let mut gpu = vec![phase2(
+        DeviceKind::Gpu,
+        &phases.rows_al[..],
+        b_low,
+        phases.phase2.gpu_ns,
+    )];
+    for c in &phases.claims {
+        let (rows, b_mask) = if c.high {
+            (&phases.rows_ah[c.rows.clone()], b_low)
+        } else {
+            (&phases.rows_al[c.rows.clone()], b_high)
+        };
+        let claim = phase2(c.device, rows, b_mask, c.sim_ns);
+        match c.device {
+            DeviceKind::Cpu => cpu.push(claim),
+            DeviceKind::Gpu => gpu.push(claim),
+        }
+    }
+    cpu.extend(gpu);
+    ClaimSchedule { claims: cpu }
 }
 
 #[cfg(test)]
@@ -546,7 +453,23 @@ mod tests {
             assert_eq!(warm.threshold_b, cold.threshold_b);
             assert_eq!(warm.tuples_merged, cold.tuples_merged);
         }
-        assert!(artifacts.byte_size() > 0);
+        // the LRU accounting counts the kept plan's row lists and B_L mask
+        // and the width tables
+        let phases = artifacts.phases.get().expect("build keeps the plan");
+        let w_low = artifacts.widths.low.get().expect("build keeps B_L widths");
+        let kept = (phases.rows_ah.len() + phases.rows_al.len()) * 8 + phases.b_low.len();
+        let floor = artifacts.plan.sym_a.byte_size() + kept + w_low.len() * 4;
+        assert!(artifacts.byte_size() >= floor);
+    }
+
+    #[test]
+    #[should_panic(expected = "different platform")]
+    fn mismatched_artifact_platform_is_rejected() {
+        let a = scale_free(200, 1_000, 2.5, 12);
+        let config = HhCpuConfig::default();
+        let artifacts = SpmmArtifacts::build(&HeteroContext::paper(), &a, &a, config.policy);
+        let mut ctx = HeteroContext::scaled(4);
+        hh_cpu_with_artifacts(&mut ctx, &a, &a, &config, &artifacts);
     }
 
     #[test]

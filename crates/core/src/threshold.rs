@@ -1,25 +1,34 @@
-//! Phase I: density-threshold selection and row classification (§III-A).
+//! Phase I: density-threshold selection and row classification (§III-A),
+//! and the one Phase II/III simulation of HH-CPU ([`simulate_phases`]).
 //!
 //! "Keeping t small may mean that the work done by the CPU in Phase II
 //! would increase, whereas keeping t large may tilt the balance towards the
 //! GPU. Hence, we chose to identify t empirically."
 //!
-//! Two policies are provided:
+//! Three policies are provided:
 //!
 //! * [`ThresholdPolicy::Fixed`] — a caller-supplied threshold (what the
 //!   Figure 8 sweep uses).
-//! * [`ThresholdPolicy::Balanced`] — the default: pick, from the row-size
-//!   histogram's quantile candidates, the threshold that best balances the
-//!   *estimated* Phase II work between the devices. This is the analytic
-//!   stand-in for the paper's offline empirical search (the paper lists
-//!   "analytical techniques to identify the threshold" as future work —
-//!   §VI; this policy is that extension).
+//! * [`ThresholdPolicy::Balanced`] — pick, from the row-size histogram's
+//!   quantile candidates, the threshold that best balances the *estimated*
+//!   Phase II work between the devices: the "analytical techniques to
+//!   identify the threshold" the paper lists as future work (§VI).
+//! * [`ThresholdPolicy::Empirical`] — the default and the paper's method:
+//!   simulate Phases II and III ([`simulate_phases`]) for every candidate
+//!   of a log-spaced ladder and keep the fastest, whose [`PhasePlan`] the
+//!   run then replays instead of simulating it again.
+
+use std::ops::Range;
+use std::sync::OnceLock;
 
 use spmm_hetsim::gpu::{masked_output_widths_for_pooled, masked_output_widths_pooled};
+use spmm_hetsim::{DeviceKind, PhaseTimes};
 use spmm_parallel::ThreadPool;
 use spmm_sparse::{CsrMatrix, RowHistogram, Scalar};
+use spmm_workqueue::{End, RangeQueue};
 
 use crate::context::HeteroContext;
+use crate::units::WorkUnitConfig;
 
 /// How Phase I picks the thresholds `t_A` and `t_B`. `Eq`/`Hash` are
 /// derived (every variant is integer-parameterised) so a policy can key a
@@ -110,12 +119,24 @@ pub fn identify_plan<T: Scalar>(
     b: &CsrMatrix<T>,
     policy: ThresholdPolicy,
 ) -> Phase1Plan {
+    identify_with_winner(ctx, a, b, policy).0
+}
+
+/// [`identify_plan`] plus, under [`ThresholdPolicy::Empirical`], the
+/// winning candidate's Phase II/III plan and width tables.
+pub(crate) fn identify_with_winner<T: Scalar>(
+    ctx: &HeteroContext,
+    a: &CsrMatrix<T>,
+    b: &CsrMatrix<T>,
+    policy: ThresholdPolicy,
+) -> (Phase1Plan, Option<(PhasePlan, WidthTables)>) {
     let sym_a = SymbolicStructure::from_matrix(a);
     let sym_b = if std::ptr::eq(a, b) {
         None
     } else {
         Some(SymbolicStructure::from_matrix(b))
     };
+    let mut winner = None;
     let (t_a, t_b) = match policy {
         ThresholdPolicy::Fixed { t_a, t_b } => (t_a, t_b),
         ThresholdPolicy::Balanced { candidates } => {
@@ -132,7 +153,7 @@ pub fn identify_plan<T: Scalar>(
             (t_a, t_b)
         }
         ThresholdPolicy::Empirical { candidates } => {
-            let t = empirical_threshold(
+            let (t, best) = empirical_threshold(
                 ctx,
                 a,
                 b,
@@ -140,12 +161,13 @@ pub fn identify_plan<T: Scalar>(
                 &sym_a,
                 sym_b.as_ref().unwrap_or(&sym_a),
             );
+            winner = best;
             (t, t)
         }
     };
     let a_high = sym_a.classify(t_a);
     let b_high = sym_b.as_ref().unwrap_or(&sym_a).classify(t_b);
-    Phase1Plan {
+    let plan = Phase1Plan {
         thresholds: Thresholds {
             t_a,
             t_b,
@@ -154,7 +176,8 @@ pub fn identify_plan<T: Scalar>(
         },
         sym_a,
         sym_b,
-    }
+    };
+    (plan, winner)
 }
 
 /// The Boolean array: row `i` is high-density iff it has at least `t`
@@ -332,16 +355,18 @@ fn balanced_threshold(
 }
 
 /// The paper's empirical Phase I search: for each candidate threshold,
-/// evaluate the device cost models on the four partial products (fresh
-/// device state per candidate) and keep the candidate with the smallest
-/// estimated total. One threshold is used for both matrices, as in the
-/// paper's per-matrix experiments (Figure 5 annotates a single threshold).
+/// simulate Phases II and III on cold devices ([`simulate_phases`]) and
+/// keep the candidate with the smallest `phase II wall + phase III wall`.
+/// One threshold is used for both matrices, as in the paper's per-matrix
+/// experiments (Figure 5 annotates a single threshold). The winner's plan
+/// and width tables come back with its pick, so the run that follows never
+/// simulates it a second time.
 ///
 /// The search fans the ladder out over the host pool: every candidate gets
 /// its own freshly cloned devices (no shared mutable state), the candidate
-/// costs come back in ladder order, and the argmin is taken serially with
-/// the same strict `<` the serial loop used — so the picked `t` and its
-/// estimated cost are bit-identical for every host thread count.
+/// plans come back in ladder order, and the argmin is taken serially with
+/// the same strict `<` the serial loop uses — so the picked `t`, its plan
+/// and its cost are bit-identical for every host thread count.
 fn empirical_threshold<T: Scalar>(
     ctx: &HeteroContext,
     a: &CsrMatrix<T>,
@@ -349,7 +374,7 @@ fn empirical_threshold<T: Scalar>(
     candidates: usize,
     sym_a: &SymbolicStructure,
     sym_b: &SymbolicStructure,
-) -> usize {
+) -> (usize, Option<(PhasePlan, WidthTables)>) {
     // Log-spaced candidate ladder: the interesting thresholds live in the
     // distribution's tail, which row-count quantiles never reach. The
     // single shared `t` classifies *both* matrices, so for A ≠ B products
@@ -374,43 +399,62 @@ fn empirical_threshold<T: Scalar>(
         }
     }
 
-    // Serial fast path: with one host thread the pool dispatch buys
-    // nothing, and the dominant per-candidate fixed cost — building a
-    // fresh cache hierarchy for each device — can be reused instead.
-    // `reset()` restores exactly the cold state a fresh construction
-    // yields (sets flushed, stats zeroed), so every candidate still costs
-    // against cold devices and the picks are bit-identical to the
-    // fan-out; the `phase1_determinism` suite pins this.
-    let totals: Vec<f64> = if ctx.pool.num_threads() == 1 {
-        let mut cpu = spmm_hetsim::CpuDevice::new(ctx.platform.cpu);
-        let mut gpu = spmm_hetsim::GpuDevice::new(ctx.platform.gpu);
-        ladder
-            .iter()
-            .map(|&t| {
-                let (p2, p3) = estimate_phases_on(ctx, a, b, t, sym_a, sym_b, &mut cpu, &mut gpu);
-                p2 + p3
-            })
-            .collect()
-    } else {
-        ctx.pool.par_map(ladder.len(), |k| {
-            let (p2, p3) = estimate_phases_with(ctx, a, b, ladder[k], sym_a, sym_b);
-            p2 + p3
-        })
-    };
-    let mut best = (f64::INFINITY, 1usize);
-    for (&t, total) in ladder.iter().zip(totals) {
+    let mut best = (f64::INFINITY, 1usize, None);
+    let mut consider = |t: usize, candidate: (PhasePlan, WidthTables)| {
+        let total = candidate.0.phase2.wall() + candidate.0.phase3.wall();
         if total < best.0 {
-            best = (total, t);
+            best = (total, t, Some(candidate));
+        }
+    };
+    if ctx.pool.num_threads() == 1 {
+        // Serial fast path: with one host thread the pool dispatch buys
+        // nothing, and the dominant per-candidate fixed cost — building a
+        // fresh cache hierarchy for each device — can be reused instead.
+        // `simulate_phases` resets the devices to exactly the cold state a
+        // fresh construction yields (sets flushed, stats zeroed), so every
+        // candidate still costs against cold devices and the picks are
+        // bit-identical to the fan-out; `phase1_determinism` pins this.
+        let mut sim = serial_context(ctx);
+        for &t in &ladder {
+            consider(t, evaluate(&mut sim, a, b, (t, t), sym_a, sym_b));
+        }
+    } else {
+        let evaluated = ctx.pool.par_map(ladder.len(), |k| {
+            let t = ladder[k];
+            evaluate(&mut serial_context(ctx), a, b, (t, t), sym_a, sym_b)
+        });
+        for (&t, candidate) in ladder.iter().zip(evaluated) {
+            consider(t, candidate);
         }
     }
-    best.1
+    (best.1, best.2)
 }
 
-/// Cost-model-only dry run of Phases II and III for threshold `t` —
-/// identical structure to `hh_cpu` (overlapped Phase II, event-driven
-/// double-ended queue in Phase III) but with fresh cloned devices and no
-/// numeric work. Returns the estimated total (`phase II wall + phase III
-/// wall`).
+/// A context with fresh devices of `ctx`'s platform and a one-thread pool:
+/// width tables built inside `par_map` workers must not nest pools.
+pub(crate) fn serial_context(ctx: &HeteroContext) -> HeteroContext {
+    HeteroContext::with_shared(ctx.platform, ThreadPool::new(1), ctx.workspaces.clone())
+}
+
+/// One threshold pair's simulated Phase II/III plan under the default
+/// (adaptive) work units, with the width tables it built on the way.
+pub(crate) fn evaluate<T: Scalar>(
+    sim: &mut HeteroContext,
+    a: &CsrMatrix<T>,
+    b: &CsrMatrix<T>,
+    (t_a, t_b): (usize, usize),
+    sym_a: &SymbolicStructure,
+    sym_b: &SymbolicStructure,
+) -> (PhasePlan, WidthTables) {
+    let widths = WidthTables::default();
+    let units = adaptive_units(sym_a, t_a);
+    let plan = simulate_phases(sim, a, b, (t_a, t_b), sym_a, sym_b, units, &widths);
+    (plan, widths)
+}
+
+/// Cost-model-only dry run of Phases II and III for threshold `t` (fresh
+/// cloned devices, no numeric work). Returns the estimated total (`phase
+/// II wall + phase III wall`).
 pub fn estimate_run<T: Scalar>(
     ctx: &HeteroContext,
     a: &CsrMatrix<T>,
@@ -440,17 +484,9 @@ pub fn estimate_phases<T: Scalar>(
     estimate_phases_with(ctx, a, b, t, &sym_a, sym_b.as_ref().unwrap_or(&sym_a))
 }
 
-/// [`estimate_phases`] against precomputed symbolic structures: every
-/// classification aggregate (row lists, masks, HD counts, mean row sizes,
-/// nnz totals) is derived from `sym_a`/`sym_b` — `O(log n)` lookups plus
-/// one sweep of the cached size arrays — instead of re-scanning the CSR
-/// per candidate. Pass the same structure twice for the self-product.
-///
-/// GPU claims are costed through [`GpuDevice::spmm_cost_planned`] against
-/// width tables built once per mask (bit-identical ns; the candidate's
-/// O(flops) stamp walks collapse into one integer precompute). The tables
-/// are built serially — this function runs inside the candidate-parallel
-/// `par_map` workers, which must not nest pools.
+/// [`estimate_phases`] against precomputed symbolic structures (pass the
+/// same structure twice for the self-product): the walls of the
+/// [`simulate_phases`] plan that an empirical Phase I would weigh for `t`.
 pub fn estimate_phases_with<T: Scalar>(
     ctx: &HeteroContext,
     a: &CsrMatrix<T>,
@@ -459,126 +495,225 @@ pub fn estimate_phases_with<T: Scalar>(
     sym_a: &SymbolicStructure,
     sym_b: &SymbolicStructure,
 ) -> (f64, f64) {
-    let mut cpu = spmm_hetsim::CpuDevice::new(ctx.platform.cpu);
-    let mut gpu = spmm_hetsim::GpuDevice::new(ctx.platform.gpu);
-    estimate_phases_on(ctx, a, b, t, sym_a, sym_b, &mut cpu, &mut gpu)
+    let (plan, _) = evaluate(&mut serial_context(ctx), a, b, (t, t), sym_a, sym_b);
+    (plan.phase2.wall(), plan.phase3.wall())
 }
 
-/// [`estimate_phases_with`] against caller-owned devices, `reset()` to
-/// cold state at entry. The serial ladder loop reuses one device pair
-/// across all candidates — the simulated costs depend only on cache
-/// contents, and a reset hierarchy is bitwise the fresh one, so this is
-/// the exact per-candidate cost of the cloned-device form without its
-/// per-candidate hierarchy allocations.
+/// GPU output-width tables of one threshold pair's masks, each built on
+/// first use and kept: `low` under the `B_L` mask over all A rows (the
+/// Phase II `A_L × B_L` product and the GPU's `A_H × B_L` claims), and
+/// `high` under the `B_H` mask over `A_L` rows only, needed just when the
+/// GPU drains the CPU's queue end. Widths are integer tables, so a kept
+/// table is bit-equal to a rebuilt one.
+#[derive(Debug, Default)]
+pub struct WidthTables {
+    pub low: OnceLock<Vec<u32>>,
+    pub high: OnceLock<Vec<u32>>,
+}
+
+/// One Phase III claim off the double-ended queue, in the order the
+/// simulation pushed it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PlannedClaim {
+    pub device: DeviceKind,
+    /// `true` ⇒ rows of `A_H` against the `B_L` mask (the GPU end's
+    /// product); `false` ⇒ rows of `A_L` against `B_H` (the CPU end's).
+    pub high: bool,
+    /// Range into [`PhasePlan::rows_ah`] (`high`) or [`PhasePlan::rows_al`].
+    pub rows: Range<usize>,
+    /// Simulated ns the cost model charged for the claim.
+    pub sim_ns: f64,
+}
+
+/// The outcome of one Phase II/III simulation — a pure function of the
+/// operands, the threshold pair, the platform and the work units, so it
+/// can be kept with the Phase I artifacts and replayed by every later run
+/// instead of being simulated again.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PhasePlan {
+    /// Phase II: `A_H × B_H` on the CPU ∥ `A_L × B_L` on the GPU.
+    pub phase2: PhaseTimes,
+    /// Phase III: the two device clocks when the queue ran dry.
+    pub phase3: PhaseTimes,
+    /// `A_H` rows in ascending order.
+    pub rows_ah: Vec<usize>,
+    /// `A_L` rows in ascending order.
+    pub rows_al: Vec<usize>,
+    /// The `B_L` mask (the complement of [`Thresholds::b_high`]).
+    pub b_low: Vec<bool>,
+    /// Phase III claims in push order.
+    pub claims: Vec<PlannedClaim>,
+    /// The work-unit grains the queue was simulated with.
+    pub units: WorkUnitConfig,
+}
+
+/// The work units a run uses when the caller names none: sized to the
+/// `A_L` / `A_H` row-list lengths ([`WorkUnitConfig::adaptive`]).
+pub fn adaptive_units(sym_a: &SymbolicStructure, t_a: usize) -> WorkUnitConfig {
+    let high = sym_a.hd_rows(t_a);
+    WorkUnitConfig::adaptive(sym_a.nrows() - high, high)
+}
+
+/// The Phase II/III simulation of HH-CPU (§III-B, §III-C) for thresholds
+/// `(t_a, t_b)` on cold devices, with no numeric work. The empirical
+/// Phase I runs it once per candidate, and a run replays its plan.
+///
+/// Phase II overlaps `A_H × B_H` on the CPU (the cache-blocked kernel, B_H
+/// tiled through L2) with `A_L × B_L` on the GPU. Phase III runs
+/// `A_L × B_H` and `A_H × B_L` through the double-ended workqueue: "on the
+/// CPU end of the queue, we fill the queue with work-units corresponding
+/// to the product A_L × B_H and on the GPU end … A_H × B_L"; a device
+/// moves to the other product only "after finishing" its own. Work-unit
+/// sizes follow §IV-B, converted from the paper's row counts into a
+/// nonzero budget so a claim of dense A_H rows is as small (in rows) as it
+/// is heavy (per row). The simulation is event-driven: whichever device's
+/// clock is behind claims next, so the clocks stay near-equal — the load
+/// balance the queue exists for.
+///
+/// `ctx`'s devices are reset at entry, and only its platform, devices,
+/// pool and workspaces are used. GPU costs go through
+/// [`spmm_hetsim::GpuDevice::spmm_cost_planned`] against `widths`, each
+/// table built on first need through `ctx.pool` and kept there for the
+/// caller.
 #[allow(clippy::too_many_arguments)]
-fn estimate_phases_on<T: Scalar>(
-    ctx: &HeteroContext,
+pub fn simulate_phases<T: Scalar>(
+    ctx: &mut HeteroContext,
     a: &CsrMatrix<T>,
     b: &CsrMatrix<T>,
-    t: usize,
+    (t_a, t_b): (usize, usize),
     sym_a: &SymbolicStructure,
     sym_b: &SymbolicStructure,
-    cpu: &mut spmm_hetsim::CpuDevice,
-    gpu: &mut spmm_hetsim::GpuDevice,
-) -> (f64, f64) {
-    cpu.reset();
-    gpu.reset();
-    let (rows_h, rows_l) = sym_a.partition_rows(t);
-    let b_high = sym_b.classify(t);
+    units: WorkUnitConfig,
+    widths: &WidthTables,
+) -> PhasePlan {
+    ctx.reset();
+    let (rows_ah, rows_al) = sym_a.partition_rows(t_a);
+    let b_high = sym_b.classify(t_b);
     let b_low: Vec<bool> = b_high.iter().map(|&h| !h).collect();
-    let hd_b = sym_b.hd_rows(t);
+    let hd_b = sym_b.hd_rows(t_b);
     let ld_b = b.nrows() - hd_b;
+    let w_low = widths.low.get_or_init(|| {
+        masked_output_widths_pooled(a, b, Some(&b_low), &ctx.pool, &ctx.workspaces)
+    });
 
-    let serial = ThreadPool::new(1);
-    // Widths under B_L serve both the Phase II product (A_L rows) and the
-    // GPU's A_H × B_L claims — together every A row, so build eagerly. The
-    // B_H table only matters if the GPU drains the CPU's queue end, and
-    // then only for A_L rows — build lazily, restricted to that quadrant.
-    let w_low = masked_output_widths_pooled(a, b, Some(&b_low), &serial, &ctx.workspaces);
-    let mut w_high: Option<Vec<u32>> = None;
+    let cpu2 = ctx
+        .cpu
+        .spmm_cost_blocked(a, b, rows_ah.iter().copied(), Some(&b_high));
+    let gpu2 = ctx
+        .gpu
+        .spmm_cost_planned(a, b, rows_al.iter().copied(), Some(&b_low), w_low);
 
-    let c2 = cpu.spmm_cost_blocked(a, b, rows_h.iter().copied(), Some(&b_high));
-    let g2 = gpu.spmm_cost_planned(a, b, rows_l.iter().copied(), Some(&b_low), &w_low);
-
-    // Phase III dry run over the same two-queue, nnz-budgeted discipline
-    // as `hh_cpu`. The means and nnz totals are integer sums over fixed row
-    // sets, so the prefix-sum derivations are bit-identical to a re-scan.
-    let units = crate::units::WorkUnitConfig::adaptive(rows_l.len(), rows_h.len());
-    let mean_al = if rows_l.is_empty() {
+    // Means and totals from the Phase I prefix sums: integer sums over
+    // fixed row sets, so every derived f64 is bit-identical to a CSR
+    // rescan — one binary search instead of an O(rows) walk.
+    let mean_al = if rows_al.is_empty() {
         0.0
     } else {
-        sym_a.ld_nnz(t) as f64 / rows_l.len() as f64
+        sym_a.ld_nnz(t_a) as f64 / rows_al.len() as f64
     };
-    let mean_ah = if rows_h.is_empty() {
+    let mean_ah = if rows_ah.is_empty() {
         0.0
     } else {
-        sym_a.hd_nnz(t) as f64 / rows_h.len() as f64
+        sym_a.hd_nnz(t_a) as f64 / rows_ah.len() as f64
     };
-    let lh_nnz: f64 = sym_a.ld_nnz(t) as f64;
-    let lh_blocked_total = if hd_b > 0 && !rows_l.is_empty() {
-        cpu.spmm_cost_blocked(a, b, rows_l.iter().copied(), Some(&b_high))
+    // The CPU's A_L × B_H work is one cache-blocked tiling pass shared by
+    // all of its claims (consecutive rows off the same end continue the
+    // pass), so the pass is costed once and claims are charged their nnz
+    // share of it.
+    let lh_nnz = sym_a.ld_nnz(t_a) as f64;
+    let lh_blocked_total = if hd_b > 0 && !rows_al.is_empty() {
+        ctx.cpu
+            .spmm_cost_blocked(a, b, rows_al.iter().copied(), Some(&b_high))
     } else {
         0.0
     };
-    let lh_queue = spmm_workqueue::RangeQueue::new(if hd_b > 0 { rows_l.len() } else { 0 });
-    let hl_queue = spmm_workqueue::RangeQueue::new(if ld_b > 0 { rows_h.len() } else { 0 });
+    // structurally-zero products are not enqueued at all
+    let lh_queue = RangeQueue::new(if hd_b > 0 { rows_al.len() } else { 0 });
+    let hl_queue = RangeQueue::new(if ld_b > 0 { rows_ah.len() } else { 0 });
     let cpu_claim_nnz = (units.cpu_rows as f64 * mean_al).max(1.0);
     let gpu_claim_nnz = (units.gpu_rows as f64 * mean_ah).max(1.0);
-    let grain = |claim_nnz: f64, m: f64| ((claim_nnz / m.max(1.0)) as usize).max(1);
+    let grain = |claim_nnz: f64, mean: f64| ((claim_nnz / mean.max(1.0)) as usize).max(1);
+
+    let mut claims = Vec::new();
     let (mut cpu_clock, mut gpu_clock) = (0.0f64, 0.0f64);
     loop {
         let cpu_turn = cpu_clock <= gpu_clock;
+        // own product first, then help the other end
         let claim = if cpu_turn {
             lh_queue
-                .claim(spmm_workqueue::End::Front, grain(cpu_claim_nnz, mean_al))
+                .claim(End::Front, grain(cpu_claim_nnz, mean_al))
                 .map(|r| (r, false))
                 .or_else(|| {
                     hl_queue
-                        .claim(spmm_workqueue::End::Front, grain(cpu_claim_nnz, mean_ah))
+                        .claim(End::Front, grain(cpu_claim_nnz, mean_ah))
                         .map(|r| (r, true))
                 })
         } else {
             hl_queue
-                .claim(spmm_workqueue::End::Back, grain(gpu_claim_nnz, mean_ah))
+                .claim(End::Back, grain(gpu_claim_nnz, mean_ah))
                 .map(|r| (r, true))
                 .or_else(|| {
                     lh_queue
-                        .claim(spmm_workqueue::End::Back, grain(gpu_claim_nnz, mean_al))
+                        .claim(End::Back, grain(gpu_claim_nnz, mean_al))
                         .map(|r| (r, false))
                 })
         };
         let Some((piece, high)) = claim else { break };
         let (rows, mask): (&[usize], &[bool]) = if high {
-            (&rows_h[piece], &b_low)
+            (&rows_ah[piece.clone()], &b_low)
         } else {
-            (&rows_l[piece], &b_high)
+            (&rows_al[piece.clone()], &b_high)
         };
-        if cpu_turn {
-            cpu_clock += if high {
-                cpu.spmm_cost(a, b, rows.iter().copied(), Some(mask))
+        let (device, sim_ns) = if cpu_turn {
+            // B_H-side products stay cache-blocked on the CPU (the claim's
+            // share of the single tiling pass); when the CPU helps with
+            // the GPU end (A_H × B_L) the B operand is scattered and the
+            // streaming kernel is the right model.
+            let ns = if high {
+                ctx.cpu.spmm_cost(a, b, rows.iter().copied(), Some(mask))
             } else {
-                let piece_nnz: f64 = rows.iter().map(|&i| a.row_nnz(i)).sum::<usize>() as f64;
+                let piece_nnz = rows.iter().map(|&i| sym_a.row_size(i)).sum::<usize>() as f64;
                 lh_blocked_total * piece_nnz / lh_nnz.max(1.0)
             };
+            cpu_clock += ns;
+            (DeviceKind::Cpu, ns)
         } else {
-            gpu_clock += if high {
-                gpu.spmm_cost_planned(a, b, rows.iter().copied(), Some(mask), &w_low)
+            let w = if high {
+                w_low
             } else {
-                let w = w_high.get_or_insert_with(|| {
+                widths.high.get_or_init(|| {
                     masked_output_widths_for_pooled(
                         a,
                         b,
                         Some(&b_high),
-                        &rows_l,
-                        &serial,
+                        &rows_al,
+                        &ctx.pool,
                         &ctx.workspaces,
                     )
-                });
-                gpu.spmm_cost_planned(a, b, rows.iter().copied(), Some(mask), w)
+                })
             };
-        }
+            let ns = ctx
+                .gpu
+                .spmm_cost_planned(a, b, rows.iter().copied(), Some(mask), w);
+            gpu_clock += ns;
+            (DeviceKind::Gpu, ns)
+        };
+        claims.push(PlannedClaim {
+            device,
+            high,
+            rows: piece,
+            sim_ns,
+        });
     }
-    (c2.max(g2), cpu_clock.max(gpu_clock))
+    PhasePlan {
+        phase2: PhaseTimes::new(cpu2, gpu2),
+        phase3: PhaseTimes::new(cpu_clock, gpu_clock),
+        rows_ah,
+        rows_al,
+        b_low,
+        claims,
+        units,
+    }
 }
 
 #[cfg(test)]

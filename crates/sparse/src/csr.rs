@@ -388,33 +388,42 @@ impl<T: Scalar> CsrMatrix<T> {
 
     /// Deterministic 64-bit content hash over the exact stored
     /// representation: shape, row pointers, column indices, and the *bit
-    /// patterns* of the values (FNV-1a). Two matrices hash equal iff they
-    /// are `==` as CSR structures — `-0.0` vs `+0.0` and differently-NaN
-    /// payloads hash differently, which is exactly what a bit-identity
-    /// contract wants. This keys the serve layer's matrix registry and
-    /// doubles as a wire-size proof of bit equality for results.
+    /// patterns* of the values. Equal bits ([`Self::bit_eq`]) give equal
+    /// hashes, and `-0.0` vs `+0.0` or differently-NaN payloads hash
+    /// differently — exactly what a bit-identity contract wants. This keys
+    /// the serve layer's matrix registry and doubles as a wire-size proof
+    /// of bit equality for results.
+    ///
+    /// The hash reads u64 words: the shape, the row pointers widened to
+    /// u64, the column indices packed two per word (the first in the low
+    /// half, as a little-endian load of the pair would read them), then
+    /// [`Scalar::value_bits`]. Four independent multiply-rotate lanes (the
+    /// xxHash64 round) absorb each section's words in turn, and an
+    /// avalanche folds them into one value. It depends on no per-process
+    /// state, so every run and every host computes the same hash.
     pub fn content_hash(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut mix = |word: u64| {
-            for byte in word.to_le_bytes() {
-                h ^= byte as u64;
-                h = h.wrapping_mul(PRIME);
-            }
-        };
-        mix(self.nrows as u64);
-        mix(self.ncols as u64);
-        for &p in &self.indptr {
-            mix(p as u64);
-        }
-        for &c in &self.indices {
-            mix(c as u64);
-        }
-        for &v in &self.values {
-            mix(v.value_bits());
-        }
-        h
+        let mut h = WordHash::new();
+        h.absorb::<usize, 1>(&[self.nrows, self.ncols], |w| w[0] as u64);
+        h.absorb::<usize, 1>(&self.indptr, |w| w[0] as u64);
+        h.absorb::<ColIndex, 2>(&self.indices, |w| {
+            w[0] as u64 | w.get(1).map_or(0, |&c| (c as u64) << 32)
+        });
+        h.absorb::<T, 1>(&self.values, |w| w[0].value_bits());
+        h.finish()
+    }
+
+    /// Bit equality of the stored representation: same shape, row
+    /// pointers, column indices and value *bit patterns* (so, unlike `==`,
+    /// a NaN equals the same NaN and `-0.0` differs from `+0.0`).
+    pub fn bit_eq(&self, other: &Self) -> bool {
+        self.shape() == other.shape()
+            && self.indptr == other.indptr
+            && self.indices == other.indices
+            && self
+                .values
+                .iter()
+                .zip(&other.values)
+                .all(|(x, y)| x.value_bits() == y.value_bits())
     }
 
     /// Element-wise approximate equality; shapes must match and entries are
@@ -464,6 +473,77 @@ impl<T: Scalar> CsrMatrix<T> {
             }
         }
         true
+    }
+}
+
+const P1: u64 = 0x9e37_79b1_85eb_ca87;
+const P2: u64 = 0xc2b2_ae3d_27d4_eb4f;
+const P3: u64 = 0x1656_67b1_9e37_79f9;
+const P4: u64 = 0x85eb_ca77_c2b2_ae63;
+
+/// The word hasher behind [`CsrMatrix::content_hash`]: four independent
+/// lanes, each a chain of xxHash64 rounds, so consecutive words do not wait
+/// on one another's multiply.
+struct WordHash {
+    lanes: [u64; 4],
+    words: u64,
+}
+
+impl WordHash {
+    fn new() -> Self {
+        Self {
+            lanes: [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()],
+            words: 0,
+        }
+    }
+
+    #[inline(always)]
+    fn round(acc: u64, word: u64) -> u64 {
+        acc.wrapping_add(word.wrapping_mul(P2))
+            .rotate_left(31)
+            .wrapping_mul(P1)
+    }
+
+    /// Absorb one section: `items` read `PER` at a time into words, four
+    /// words per block across the lanes; a short last block feeds the
+    /// first lanes only. Section lengths follow from what came before (the
+    /// shape fixes the row pointers, the last row pointer fixes nnz), so
+    /// the word stream is unambiguous.
+    #[inline(always)]
+    fn absorb<X, const PER: usize>(&mut self, items: &[X], word: impl Fn(&[X]) -> u64) {
+        let mut blocks = items.chunks_exact(4 * PER);
+        for block in &mut blocks {
+            let (w0, rest) = block.split_at(PER);
+            let (w1, rest) = rest.split_at(PER);
+            let (w2, w3) = rest.split_at(PER);
+            self.lanes[0] = Self::round(self.lanes[0], word(w0));
+            self.lanes[1] = Self::round(self.lanes[1], word(w1));
+            self.lanes[2] = Self::round(self.lanes[2], word(w2));
+            self.lanes[3] = Self::round(self.lanes[3], word(w3));
+        }
+        for (lane, w) in blocks.remainder().chunks(PER).enumerate() {
+            self.lanes[lane] = Self::round(self.lanes[lane], word(w));
+        }
+        self.words += items.len().div_ceil(PER) as u64;
+    }
+
+    /// Fold the lanes and the word count, then avalanche.
+    fn finish(self) -> u64 {
+        let [a, b, c, d] = self.lanes;
+        let mut h = a
+            .rotate_left(1)
+            .wrapping_add(b.rotate_left(7))
+            .wrapping_add(c.rotate_left(12))
+            .wrapping_add(d.rotate_left(18));
+        for lane in self.lanes {
+            h = (h ^ Self::round(0, lane)).wrapping_mul(P1).wrapping_add(P4);
+        }
+        h = h.wrapping_add(self.words);
+        h ^= h >> 33;
+        h = h.wrapping_mul(P2);
+        h ^= h >> 29;
+        h = h.wrapping_mul(P3);
+        h ^ (h >> 32)
     }
 }
 
@@ -707,5 +787,100 @@ mod tests {
         let tail = a.row_band(4..5);
         assert_eq!(tail.indptr(), &[0, 1]);
         assert_eq!(tail.row(0), a.row(4));
+    }
+
+    /// An odd-nnz matrix (5 entries: the packed-index tail is a lone
+    /// index), with distinct values so swaps are visible.
+    fn odd() -> CsrMatrix<f64> {
+        CsrMatrix::try_new(
+            3,
+            4,
+            vec![0, 2, 3, 5],
+            vec![0, 3, 1, 0, 2],
+            vec![1.5, -2.0, 3.25, 4.0, 0.5],
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn content_hash_sees_every_bit() {
+        let base = odd();
+        let h = base.content_hash();
+        let mut seen = std::collections::HashSet::from([h]);
+        let mut fresh = |m: CsrMatrix<f64>, what: String| {
+            assert!(seen.insert(m.content_hash()), "{what}: hash did not change");
+        };
+        for i in 0..base.indptr.len() {
+            for bit in 0..usize::BITS {
+                let mut m = base.clone();
+                m.indptr[i] ^= 1 << bit;
+                fresh(m, format!("indptr[{i}] bit {bit}"));
+            }
+        }
+        for i in 0..base.indices.len() {
+            for bit in 0..ColIndex::BITS {
+                let mut m = base.clone();
+                m.indices[i] ^= 1 << bit;
+                fresh(m, format!("indices[{i}] bit {bit}"));
+            }
+        }
+        for i in 0..base.values.len() {
+            for bit in 0..64 {
+                let mut m = base.clone();
+                m.values[i] = f64::from_bits(m.values[i].to_bits() ^ (1 << bit));
+                fresh(m, format!("values[{i}] bit {bit}"));
+            }
+        }
+        let mut swapped = base.clone();
+        swapped.values.swap(1, 3);
+        fresh(swapped, "swapped values".into());
+        let mut wider = base.clone();
+        wider.ncols += 1;
+        fresh(wider, "same arrays, wider shape".into());
+    }
+
+    #[test]
+    fn content_hash_separates_signed_zeros_and_nan_payloads() {
+        let with = |v: f64| {
+            let mut m = odd();
+            m.values[4] = v;
+            m
+        };
+        let (pos, neg) = (with(0.0), with(-0.0));
+        assert_eq!(pos, neg, "== treats the zeros as equal");
+        assert!(!pos.bit_eq(&neg));
+        assert_ne!(pos.content_hash(), neg.content_hash());
+        let (nan1, nan2) = (
+            with(f64::from_bits(0x7ff8_0000_0000_0001)),
+            with(f64::from_bits(0x7ff8_0000_0000_0002)),
+        );
+        assert!(nan1.bit_eq(&nan1.clone()), "a NaN is bit-equal to itself");
+        assert!(!nan1.bit_eq(&nan2));
+        assert_ne!(nan1.content_hash(), nan2.content_hash());
+        assert_eq!(nan1.content_hash(), nan1.clone().content_hash());
+    }
+
+    #[test]
+    fn content_hash_is_route_independent() {
+        let base = odd();
+        let mut coo = CooMatrix::new(3, 4);
+        // pushed out of order: the conversion sorts
+        for (r, c, v) in [
+            (2, 2, 0.5),
+            (0, 3, -2.0),
+            (1, 1, 3.25),
+            (0, 0, 1.5),
+            (2, 0, 4.0),
+        ] {
+            coo.push(r, c, v);
+        }
+        let from_coo = coo.to_csr().unwrap();
+        assert!(from_coo.bit_eq(&base));
+        assert_eq!(from_coo.content_hash(), base.content_hash());
+        let mut text = Vec::new();
+        crate::io::write_matrix_market(&base, &mut text).unwrap();
+        let back: CsrMatrix<f64> = crate::io::read_matrix_market_from(&text[..]).unwrap();
+        assert!(back.bit_eq(&base));
+        assert_eq!(back.content_hash(), base.content_hash());
     }
 }

@@ -6,7 +6,10 @@
 //! trace replayed twice — dedups to one `Arc`, which also means the
 //! self-product fast paths in the engine (keyed on pointer identity) fire
 //! for every `A = B` request, exactly as they do for a cold single-shot
-//! run that passes the same reference twice.
+//! run that passes the same reference twice. A key hit is only a dedup
+//! once the two matrices compare bit-equal ([`CsrMatrix::bit_eq`]): a
+//! 64-bit hash can collide, and a collision must fail the load rather than
+//! silently alias two different operands.
 //!
 //! Entries carry serving metadata on top of the content: an optional
 //! human alias (`"wiki-Vote"`), the load *spec* (dataset + scale, or
@@ -21,6 +24,8 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use spmm_sparse::CsrMatrix;
+
+use super::service::ServeError;
 
 /// Content hash identifying a registered matrix.
 pub type MatrixKey = u64;
@@ -91,20 +96,36 @@ impl MatrixRegistry {
     /// Register a matrix. Hashes the content; if it is already present the
     /// new copy is dropped (dedup) and metadata is refreshed. Evicts LRU
     /// entries if the cap is exceeded — the entry just inserted is never
-    /// evicted, so a single oversized matrix still serves.
+    /// evicted, so a single oversized matrix still serves. A key already
+    /// held by a *different* matrix is a [`ServeError::HashCollision`], and
+    /// the registry is left as it was.
     pub fn insert(
         &self,
         matrix: CsrMatrix<f64>,
         alias: Option<&str>,
         spec: Option<&str>,
         default_scale: usize,
-    ) -> InsertOutcome {
-        let key = matrix.content_hash();
+    ) -> Result<InsertOutcome, ServeError> {
+        self.insert_keyed(matrix.content_hash(), matrix, alias, spec, default_scale)
+    }
+
+    /// [`Self::insert`] under a given key (tests force collisions here).
+    fn insert_keyed(
+        &self,
+        key: MatrixKey,
+        matrix: CsrMatrix<f64>,
+        alias: Option<&str>,
+        spec: Option<&str>,
+        default_scale: usize,
+    ) -> Result<InsertOutcome, ServeError> {
         let bytes = matrix.byte_size();
         let mut inner = self.inner.lock().unwrap();
         inner.tick += 1;
         let tick = inner.tick;
         let dedup = match inner.entries.get_mut(&key) {
+            Some(entry) if !entry.matrix.bit_eq(&matrix) => {
+                return Err(ServeError::HashCollision(key));
+            }
             Some(entry) => {
                 entry.last_used = tick;
                 entry.default_scale = default_scale;
@@ -140,11 +161,11 @@ impl MatrixRegistry {
             inner.specs.insert(s.to_string(), key);
         }
         let evicted = self.enforce_cap(&mut inner, key);
-        InsertOutcome {
+        Ok(InsertOutcome {
             key,
             dedup,
             evicted,
-        }
+        })
     }
 
     /// The matrix and its default platform scale, touching LRU recency and
@@ -248,8 +269,8 @@ mod tests {
     #[test]
     fn content_dedup_returns_one_key_and_one_arc() {
         let reg = MatrixRegistry::new(usize::MAX);
-        let first = reg.insert(matrix(1), Some("m1"), None, 1);
-        let second = reg.insert(matrix(1), Some("other-name"), None, 1);
+        let first = reg.insert(matrix(1), Some("m1"), None, 1).unwrap();
+        let second = reg.insert(matrix(1), Some("other-name"), None, 1).unwrap();
         assert!(!first.dedup);
         assert!(second.dedup);
         assert_eq!(first.key, second.key);
@@ -266,7 +287,7 @@ mod tests {
     #[test]
     fn resolve_accepts_hex_keys() {
         let reg = MatrixRegistry::new(usize::MAX);
-        let key = reg.insert(matrix(2), None, None, 1).key;
+        let key = reg.insert(matrix(2), None, None, 1).unwrap().key;
         assert_eq!(reg.resolve(&super::super::json::hex64(key)), Some(key));
         assert_eq!(reg.resolve("0xdeadbeef"), None);
         assert_eq!(reg.resolve("unknown"), None);
@@ -278,6 +299,7 @@ mod tests {
         assert_eq!(reg.lookup_spec("dataset:x:32"), None);
         let key = reg
             .insert(matrix(3), Some("x"), Some("dataset:x:32"), 4)
+            .unwrap()
             .key;
         assert_eq!(reg.lookup_spec("dataset:x:32"), Some(key));
         assert!(reg.stats().spec_hits >= 1);
@@ -289,11 +311,11 @@ mod tests {
         // fits any two of the three, never all three
         let cap = m1.byte_size() + m3.byte_size() + m2.byte_size() / 2;
         let reg = MatrixRegistry::new(cap);
-        let k1 = reg.insert(m1, Some("m1"), Some("s1"), 1).key;
-        let k2 = reg.insert(m2, Some("m2"), None, 1).key;
+        let k1 = reg.insert(m1, Some("m1"), Some("s1"), 1).unwrap().key;
+        let k2 = reg.insert(m2, Some("m2"), None, 1).unwrap().key;
         // touch k1 so k2 is the LRU victim when m3 arrives
         reg.get(k1).unwrap();
-        let out = reg.insert(m3, Some("m3"), None, 1);
+        let out = reg.insert(m3, Some("m3"), None, 1).unwrap();
         assert_eq!(out.evicted, vec![k2]);
         assert!(reg.get(k2).is_none());
         assert!(reg.get(k1).is_some());
@@ -307,7 +329,29 @@ mod tests {
     #[test]
     fn oversized_single_entry_still_serves() {
         let reg = MatrixRegistry::new(8);
-        let key = reg.insert(matrix(20), None, None, 1).key;
+        let key = reg.insert(matrix(20), None, None, 1).unwrap().key;
         assert!(reg.get(key).is_some(), "newest entry is never evicted");
+    }
+
+    #[test]
+    fn colliding_key_is_an_error_not_an_alias() {
+        let reg = MatrixRegistry::new(usize::MAX);
+        let (m1, m2) = (matrix(30), matrix(31));
+        let key = 0x5eed;
+        let first = reg.insert_keyed(key, m1.clone(), Some("m1"), Some("s1"), 1);
+        assert!(!first.unwrap().dedup);
+        // a different matrix under the same key is refused, and touches
+        // neither the entry nor the alias and spec tables
+        let clash = reg.insert_keyed(key, m2, Some("m2"), Some("s2"), 7);
+        assert_eq!(clash, Err(ServeError::HashCollision(key)));
+        assert_eq!(reg.resolve("m2"), None);
+        assert_eq!(reg.lookup_spec("s2"), None);
+        let (held, scale) = reg.get(key).unwrap();
+        assert!(held.bit_eq(&m1));
+        assert_eq!(scale, 1);
+        let stats = reg.stats();
+        assert_eq!((stats.entries, stats.dedup_hits), (1, 0));
+        // the same matrix under that key still dedups
+        assert!(reg.insert_keyed(key, m1, None, None, 1).unwrap().dedup);
     }
 }

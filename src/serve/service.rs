@@ -85,6 +85,9 @@ pub enum ServeError {
     Rejected,
     /// Malformed request (bad op, missing field, unknown dataset, …).
     BadRequest(String),
+    /// A loaded matrix hashed to the key of a different registered matrix
+    /// (the load is refused; nothing was registered).
+    HashCollision(MatrixKey),
 }
 
 impl std::fmt::Display for ServeError {
@@ -96,6 +99,11 @@ impl std::fmt::Display for ServeError {
             }
             ServeError::Rejected => write!(f, "rejected: request queue full"),
             ServeError::BadRequest(msg) => write!(f, "bad request: {msg}"),
+            ServeError::HashCollision(key) => write!(
+                f,
+                "content hash {} already names a different matrix",
+                super::json::hex64(*key)
+            ),
         }
     }
 }
@@ -316,12 +324,29 @@ impl SpmmService {
 
     /// Register an in-memory matrix under `alias`, default scale
     /// `scale`.
+    ///
+    /// # Panics
+    ///
+    /// If the matrix's content hash already names a different registered
+    /// matrix; [`Self::try_insert_matrix`] returns that as an error.
     pub fn insert_matrix(
         &self,
         matrix: CsrMatrix<f64>,
         alias: Option<&str>,
         scale: usize,
     ) -> LoadReply {
+        self.try_insert_matrix(matrix, alias, scale)
+            .unwrap_or_else(|err| panic!("{err}"))
+    }
+
+    /// [`Self::insert_matrix`], answering a content-hash collision with
+    /// [`ServeError::HashCollision`] — the form for untrusted input.
+    pub fn try_insert_matrix(
+        &self,
+        matrix: CsrMatrix<f64>,
+        alias: Option<&str>,
+        scale: usize,
+    ) -> Result<LoadReply, ServeError> {
         self.register(matrix, alias, None, scale)
     }
 
@@ -336,11 +361,17 @@ impl SpmmService {
             return Ok(reply);
         }
         let matrix = dataset.load::<f64>(scale.max(1));
-        Ok(self.register(matrix, Some(dataset.entry().name), Some(&spec), effective))
+        self.register(matrix, Some(dataset.entry().name), Some(&spec), effective)
     }
 
     /// Generate and register a square power-law matrix. Warm repeats of
     /// the same parameters skip regeneration.
+    ///
+    /// # Panics
+    ///
+    /// If the generated matrix's content hash already names a different
+    /// registered matrix; [`Self::try_load_generated`] returns that as an
+    /// error.
     pub fn load_generated(
         &self,
         alias: Option<&str>,
@@ -350,6 +381,21 @@ impl SpmmService {
         seed: u64,
         scale: usize,
     ) -> LoadReply {
+        self.try_load_generated(alias, nrows, nnz, alpha, seed, scale)
+            .unwrap_or_else(|err| panic!("{err}"))
+    }
+
+    /// [`Self::load_generated`], answering a content-hash collision with
+    /// [`ServeError::HashCollision`].
+    pub fn try_load_generated(
+        &self,
+        alias: Option<&str>,
+        nrows: usize,
+        nnz: usize,
+        alpha: f64,
+        seed: u64,
+        scale: usize,
+    ) -> Result<LoadReply, ServeError> {
         let spec = format!("gen:{nrows}:{nnz}:{alpha}:{seed}");
         if let Some(mut reply) = self.warm_load(&spec, scale) {
             if let Some(a) = alias {
@@ -357,11 +403,11 @@ impl SpmmService {
                 if let Some((m, _)) = self.registry.get(reply.key) {
                     let out = self
                         .registry
-                        .insert((*m).clone(), Some(a), Some(&spec), scale);
+                        .insert((*m).clone(), Some(a), Some(&spec), scale)?;
                     reply.warm = out.dedup;
                 }
             }
-            return reply;
+            return Ok(reply);
         }
         let matrix =
             scale_free_matrix::<f64>(&GeneratorConfig::square_power_law(nrows, nnz, alpha, seed));
@@ -442,20 +488,20 @@ impl SpmmService {
         alias: Option<&str>,
         spec: Option<&str>,
         scale: usize,
-    ) -> LoadReply {
+    ) -> Result<LoadReply, ServeError> {
         let (nrows, ncols, nnz) = (matrix.nrows(), matrix.ncols(), matrix.nnz());
-        let outcome = self.registry.insert(matrix, alias, spec, scale);
+        let outcome = self.registry.insert(matrix, alias, spec, scale)?;
         for evicted in &outcome.evicted {
             self.artifacts.purge_matrix(*evicted);
         }
-        LoadReply {
+        Ok(LoadReply {
             key: outcome.key,
             nrows,
             ncols,
             nnz,
             scale,
             warm: outcome.dedup,
-        }
+        })
     }
 
     /// The multiply body, shared by the admitted single and batch paths.

@@ -101,6 +101,7 @@ fn error_reply(err: &ServeError) -> Json {
         ServeError::ShapeMismatch { .. } => "shape_mismatch",
         ServeError::Rejected => "rejected",
         ServeError::BadRequest(_) => "bad_request",
+        ServeError::HashCollision(_) => "hash_collision",
     };
     Json::obj(vec![
         ("ok", Json::Bool(false)),
@@ -270,9 +271,11 @@ pub fn handle_request(service: &SpmmService, request: &Json) -> Json {
             }
             let seed = request.usize_field("seed").unwrap_or(0) as u64;
             let scale = request.usize_field("scale").unwrap_or(1);
-            let reply =
-                service.load_generated(request.str_field("alias"), nrows, nnz, alpha, seed, scale);
-            load_reply(&reply)
+            let alias = request.str_field("alias");
+            match service.try_load_generated(alias, nrows, nnz, alpha, seed, scale) {
+                Ok(reply) => load_reply(&reply),
+                Err(err) => error_reply(&err),
+            }
         }
         "load_path" => {
             let Some(path) = request.str_field("path") else {
@@ -281,8 +284,10 @@ pub fn handle_request(service: &SpmmService, request: &Json) -> Json {
             let scale = request.usize_field("scale").unwrap_or(1);
             match spmm_sparse::io::read_matrix_market::<f64, _>(path) {
                 Ok(matrix) => {
-                    let reply = service.insert_matrix(matrix, request.str_field("alias"), scale);
-                    load_reply(&reply)
+                    match service.try_insert_matrix(matrix, request.str_field("alias"), scale) {
+                        Ok(reply) => load_reply(&reply),
+                        Err(err) => error_reply(&err),
+                    }
                 }
                 Err(err) => bad_request(format!("cannot load {path:?}: {err}")),
             }
