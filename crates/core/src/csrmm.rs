@@ -11,57 +11,31 @@ use crate::context::HeteroContext;
 use crate::kernels::rows_where;
 use crate::threshold::{self, ThresholdPolicy};
 
-/// Which numeric kernel computes the real csrmm product.
-///
-/// The simulated timing is kernel-independent (the cost models charge the
-/// same flops either way); the enum only selects how the host computes the
-/// actual values.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CsrmmKernel {
-    /// Register-tiled sweep ([`simd::csrmm_row_into`]): 8 dense output
-    /// columns per pass over the sparse row, partial sums in registers.
-    /// Accumulation order per element is unchanged, so the product is
-    /// **bit-identical** to [`spmm_sparse::reference::csrmm`].
-    #[default]
-    Tiled,
-    /// Even/odd tree-reduced tiles ([`simd::csrmm_row_tree_into`]): halves
-    /// the loop-carried add dependence but **reorders the FP reduction**.
-    /// Never selected implicitly — callers opting in must compare results
-    /// with a tolerance, not bit equality.
-    TreeReduced,
-}
-
-/// Host-side `C = A × B` with the chosen kernel and no simulated platform
-/// attached — the raw numeric sweep the baselines wrap and the perf probes
-/// time. [`CsrmmKernel::Tiled`] is bit-identical to
-/// [`spmm_sparse::reference::csrmm`].
-pub fn csrmm_compute<T: Scalar>(
-    a: &CsrMatrix<T>,
-    b: &DenseMatrix<T>,
-    kernel: CsrmmKernel,
-) -> DenseMatrix<T> {
+/// Host-side `C = A × B` with the register-tiled kernel and no simulated
+/// platform attached — the raw numeric sweep the baselines wrap and the
+/// perf probes time. Bit-identical to [`spmm_sparse::reference::csrmm`].
+pub fn csrmm_compute<T: Scalar>(a: &CsrMatrix<T>, b: &DenseMatrix<T>) -> DenseMatrix<T> {
     assert_eq!(a.ncols(), b.nrows(), "A and B incompatible");
     let mut c = DenseMatrix::zeros(a.nrows(), b.ncols());
-    csrmm_rows(a, b, 0..a.nrows(), kernel, &mut c);
+    csrmm_rows(a, b, 0..a.nrows(), &mut c);
     c
 }
 
-/// Compute `C[i, :] = A[i, :] × B` for each listed row with the chosen
-/// kernel. Rows not listed are left untouched (the heterogeneous split
-/// visits each row exactly once across its disjoint halves).
+/// Compute `C[i, :] = A[i, :] × B` for each listed row with the
+/// register-tiled [`simd::csrmm_row_into`]: 8 dense output columns per pass
+/// over the sparse row, partial sums in registers, each element still
+/// accumulated in ascending-`j` order. Rows not listed are left untouched
+/// (the heterogeneous split visits each row exactly once across its
+/// disjoint halves).
 fn csrmm_rows<T: Scalar>(
     a: &CsrMatrix<T>,
     b: &DenseMatrix<T>,
     rows: impl IntoIterator<Item = usize>,
-    kernel: CsrmmKernel,
     c: &mut DenseMatrix<T>,
 ) {
     for i in rows {
         let (acols, avals) = a.row(i);
-        match kernel {
-            CsrmmKernel::Tiled => simd::csrmm_row_into(acols, avals, b, c.row_mut(i)),
-            CsrmmKernel::TreeReduced => simd::csrmm_row_tree_into(acols, avals, b, c.row_mut(i)),
-        }
+        simd::csrmm_row_into(acols, avals, b, c.row_mut(i));
     }
 }
 
@@ -133,19 +107,6 @@ pub fn hh_csrmm<T: Scalar>(
     b: &DenseMatrix<T>,
     policy: ThresholdPolicy,
 ) -> CsrmmOutput<T> {
-    hh_csrmm_with_kernel(ctx, a, b, policy, CsrmmKernel::default())
-}
-
-/// [`hh_csrmm`] with an explicit numeric kernel. [`CsrmmKernel::Tiled`]
-/// (the default) stays bit-identical to the reference; selecting
-/// [`CsrmmKernel::TreeReduced`] is the tolerance-gated opt-in.
-pub fn hh_csrmm_with_kernel<T: Scalar>(
-    ctx: &mut HeteroContext,
-    a: &CsrMatrix<T>,
-    b: &DenseMatrix<T>,
-    policy: ThresholdPolicy,
-    kernel: CsrmmKernel,
-) -> CsrmmOutput<T> {
     assert_eq!(
         a.ncols(),
         b.nrows(),
@@ -210,7 +171,7 @@ pub fn hh_csrmm_with_kernel<T: Scalar>(
     // Real numeric result: the halves are row-disjoint, so each output row
     // is produced by exactly one kernel sweep.
     let mut c = DenseMatrix::zeros(a.nrows(), b.ncols());
-    csrmm_rows(a, b, rows_h.iter().chain(&rows_l).copied(), kernel, &mut c);
+    csrmm_rows(a, b, rows_h.iter().chain(&rows_l).copied(), &mut c);
 
     CsrmmOutput {
         c,
@@ -234,7 +195,7 @@ pub fn cpu_csrmm<T: Scalar>(
 ) -> CsrmmOutput<T> {
     ctx.reset();
     let cpu_ns = ctx.cpu.csrmm_cost(a, b.ncols(), 0..a.nrows());
-    let c = csrmm_compute(a, b, CsrmmKernel::Tiled);
+    let c = csrmm_compute(a, b);
     CsrmmOutput {
         c,
         profile: PhaseBreakdown {
@@ -257,7 +218,7 @@ pub fn gpu_csrmm<T: Scalar>(
     let mut transfer_ns = ctx.link.transfer_ns(a.byte_size() + b_bytes);
     let gpu_ns = ctx.gpu.csrmm_cost(a, b.ncols(), 0..a.nrows());
     transfer_ns += ctx.link.transfer_ns(a.nrows() * b.ncols() * 8);
-    let c = csrmm_compute(a, b, CsrmmKernel::Tiled);
+    let c = csrmm_compute(a, b);
     CsrmmOutput {
         c,
         profile: PhaseBreakdown {
@@ -292,7 +253,7 @@ mod tests {
 
     #[test]
     fn tiled_kernel_is_bit_identical_to_reference() {
-        // The default kernel keeps per-element j-order accumulation, so the
+        // The tiled kernel keeps per-element j-order accumulation, so the
         // contract is exact bits, not a tolerance — across every baseline
         // and the split path, including ragged (non-multiple-of-8) widths.
         for k in [8, 11, 16, 19] {
@@ -313,23 +274,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn tree_reduced_kernel_is_tolerance_gated() {
-        // The opt-in kernel reorders the FP sum: correct to a tolerance,
-        // with no bit-identity promise.
-        let mut ctx = HeteroContext::paper();
-        let (a, b) = inputs(400, 16);
-        let out = hh_csrmm_with_kernel(
-            &mut ctx,
-            &a,
-            &b,
-            ThresholdPolicy::Fixed { t_a: 4, t_b: 4 },
-            CsrmmKernel::TreeReduced,
-        );
-        let expected = spmm_sparse::reference::csrmm(&a, &b).unwrap();
-        assert!(out.c.approx_eq(&expected, 1e-9, 1e-12));
     }
 
     #[test]

@@ -18,21 +18,18 @@
 //! (`schedule::execute`) is pinned against bit for bit.
 //!
 //! The production executor's building blocks live here too: the shared
-//! accumulation order ([`scatter_row`]), the per-worker staging of its
-//! fused tier, and the compaction that stitches staged rows into their
-//! final slots.
-
-use std::sync::Mutex;
+//! accumulation order ([`scatter_row`]) and the compaction that stitches
+//! staged rows into their final slots.
 
 use spmm_parallel::{DisjointSlice, ThreadPool};
-use spmm_sparse::{
-    ColIndex, CsrMatrix, PooledWorkspace, Scalar, SparseAccumulator, StagingBuffer, WorkspacePool,
-};
-
-use crate::schedule::COPY_CHUNK;
+use spmm_sparse::{ColIndex, CsrMatrix, Scalar, SparseAccumulator, StagingBuffer, WorkspacePool};
 
 /// Base chunk size for guided self-scheduling over undifferentiated rows.
 pub(crate) const GUIDED_CHUNK: usize = 16;
+
+/// Guided chunk for the staging compaction: each row is a memcpy, so
+/// scheduling overhead dominates and chunks are large.
+const COPY_CHUNK: usize = 16 * GUIDED_CHUNK;
 
 /// A partial product over a masked row set, stored as packed CSR rows.
 ///
@@ -232,45 +229,6 @@ fn mark_row<T: Scalar>(
         }
         for &c in b.row(j as usize).0 {
             sizer.mark(c);
-        }
-    }
-}
-
-/// Per-worker scratch for one fused pass: a pooled workspace (the SPA and
-/// merge scratch) plus an owned staging arena. On worker exit the arena
-/// either returns to the pool (nothing staged) or is captured into the
-/// pass's sink so the compaction stage can read it — staged data must
-/// outlive the worker that produced it.
-pub(crate) struct FusedStager<'p, T: Scalar> {
-    pub(crate) ws: PooledWorkspace<'p, T>,
-    pool: &'p WorkspacePool,
-    pub(crate) buf: Option<StagingBuffer<T>>,
-    sink: &'p Mutex<Vec<StagingBuffer<T>>>,
-}
-
-impl<'p, T: Scalar> FusedStager<'p, T> {
-    pub(crate) fn new(
-        pool: &'p WorkspacePool,
-        ncols: usize,
-        sink: &'p Mutex<Vec<StagingBuffer<T>>>,
-    ) -> Self {
-        Self {
-            ws: pool.acquire::<T>(ncols),
-            pool,
-            buf: Some(pool.take_staging()),
-            sink,
-        }
-    }
-}
-
-impl<T: Scalar> Drop for FusedStager<'_, T> {
-    fn drop(&mut self) {
-        if let Some(buf) = self.buf.take() {
-            if buf.is_empty() {
-                self.pool.release_staging(buf);
-            } else {
-                self.sink.lock().unwrap().push(buf);
-            }
         }
     }
 }

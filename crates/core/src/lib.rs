@@ -36,7 +36,6 @@ pub mod merge;
 pub mod result;
 pub mod schedule;
 pub mod shard;
-pub mod spmv;
 pub mod threshold;
 pub mod units;
 pub mod vendor;

@@ -10,10 +10,6 @@
 //! `⟨r, c, v⟩` tuples, mark like-tuples, scan, segmented add) survives as
 //! what the simulated devices charge for (`merge_cost`), since the paper's
 //! GPUs really do sort.
-//!
-//! The remaining functions are the production executor's merge kernels:
-//! two-run and set-touch merges over scaled B rows that sum in exactly the
-//! order `concat_row_blocks` does, so both executors agree bit for bit.
 
 use crate::kernels::RowBlock;
 use spmm_parallel::{exclusive_scan, DisjointSlice, ThreadPool};
@@ -126,295 +122,17 @@ pub fn concat_row_blocks<T: Scalar>(
     CsrMatrix::from_parts_unchecked(nrows, ncols, indptr, indices, values)
 }
 
-/// [`merge2_sorted`] with the run scaling folded into the merge: run `k`
-/// is the B row `(ck, vk)` scaled by `sk`, never materialised. The fused
-/// multi pass uses this when both claims of an output row have exactly one
-/// masked source — the runs a scatter + drain would produce are the scaled
-/// B rows verbatim (ascending, collision-free), so merging straight from
-/// B skips the accumulator and the scratch writes entirely. Each emitted
-/// value is `T::ZERO + sk * vk[i]` in run order — the product is the very
-/// multiply `scatter_row` performs and the accumulation is the generic
-/// loop's, so the bits match the materialised merge exactly. Either side
-/// may be empty (a claim whose mask excludes every source).
-pub(crate) fn merge2_scaled<T: Scalar, F: FnMut(ColIndex, T)>(
-    s0: T,
-    c0: &[ColIndex],
-    v0: &[T],
-    s1: T,
-    c1: &[ColIndex],
-    v1: &[T],
-    mut emit: F,
-) -> usize {
-    let (mut i, mut j) = (0usize, 0usize);
-    let mut distinct = 0usize;
-    while i < c0.len() && j < c1.len() {
-        let (a, b) = (c0[i], c1[j]);
-        let mut sum = T::ZERO;
-        let col = a.min(b);
-        if a <= b {
-            sum += s0 * v0[i];
-            i += 1;
-        }
-        if b <= a {
-            sum += s1 * v1[j];
-            j += 1;
-        }
-        emit(col, sum);
-        distinct += 1;
-    }
-    while i < c0.len() {
-        let mut sum = T::ZERO;
-        sum += s0 * v0[i];
-        emit(c0[i], sum);
-        i += 1;
-        distinct += 1;
-    }
-    while j < c1.len() {
-        let mut sum = T::ZERO;
-        sum += s1 * v1[j];
-        emit(c1[j], sum);
-        j += 1;
-        distinct += 1;
-    }
-    distinct
-}
-
-/// Materialise one *run* with exactly two masked sources as a direct merge
-/// of the two scaled B rows, mirroring the accumulator's first-touch
-/// semantics instead of [`merge2_scaled`]'s run-merge semantics: a column
-/// hit by one source emits `sk * vk` verbatim (scatter's first touch
-/// *sets* the product), and a collision emits `s0*v0 + s1*v1` — the
-/// `values[c] += val` the accumulator performs on the second visit, in
-/// the same source order (side 0 must be the earlier A-row entry). Output
-/// is ascending by column, exactly a `drain_sorted` — so the scatter, the
-/// touched-list sort, and the gather all disappear. Returns distinct
-/// columns (the run's nnz).
-pub(crate) fn merge2_scaled_set<T: Scalar, F: FnMut(ColIndex, T)>(
-    s0: T,
-    c0: &[ColIndex],
-    v0: &[T],
-    s1: T,
-    c1: &[ColIndex],
-    v1: &[T],
-    mut emit: F,
-) -> usize {
-    let (mut i, mut j) = (0usize, 0usize);
-    let mut distinct = 0usize;
-    while i < c0.len() && j < c1.len() {
-        let (a, b) = (c0[i], c1[j]);
-        if a < b {
-            emit(a, s0 * v0[i]);
-            i += 1;
-        } else if b < a {
-            emit(b, s1 * v1[j]);
-            j += 1;
-        } else {
-            let mut sum = s0 * v0[i];
-            sum += s1 * v1[j];
-            emit(a, sum);
-            i += 1;
-            j += 1;
-        }
-        distinct += 1;
-    }
-    while i < c0.len() {
-        emit(c0[i], s0 * v0[i]);
-        i += 1;
-        distinct += 1;
-    }
-    while j < c1.len() {
-        emit(c1[j], s1 * v1[j]);
-        j += 1;
-        distinct += 1;
-    }
-    distinct
-}
-
-/// Ping-pong buffers for [`merge_scaled_set`]'s cascade intermediates.
-/// One per worker, reused across rows — capacities grow to the largest
-/// run and stay.
-pub(crate) struct MergeScratch<T> {
-    c0: Vec<ColIndex>,
-    v0: Vec<T>,
-    c1: Vec<ColIndex>,
-    v1: Vec<T>,
-}
-
-impl<T> Default for MergeScratch<T> {
-    fn default() -> Self {
-        Self {
-            c0: Vec::new(),
-            v0: Vec::new(),
-            c1: Vec::new(),
-            v1: Vec::new(),
-        }
-    }
-}
-
-/// One step of the cascade: the left run is an already-materialised
-/// prefix (values verbatim — each column holds its fold over the runs
-/// merged so far), the right run is the next scaled B row. A column only
-/// in the prefix passes through untouched; first touch from the right
-/// *sets* `s1 * v` (the scatter's first visit); a collision appends
-/// `+=` to the prefix — the accumulator's next visit in source order.
-fn merge2_mixed_set<T: Scalar, F: FnMut(ColIndex, T)>(
-    c0: &[ColIndex],
-    v0: &[T],
-    s1: T,
-    c1: &[ColIndex],
-    v1: &[T],
-    mut emit: F,
-) -> usize {
-    let (mut i, mut j) = (0usize, 0usize);
-    let mut distinct = 0usize;
-    while i < c0.len() && j < c1.len() {
-        let (a, b) = (c0[i], c1[j]);
-        if a < b {
-            emit(a, v0[i]);
-            i += 1;
-        } else if b < a {
-            emit(b, s1 * v1[j]);
-            j += 1;
-        } else {
-            let mut sum = v0[i];
-            sum += s1 * v1[j];
-            emit(a, sum);
-            i += 1;
-            j += 1;
-        }
-        distinct += 1;
-    }
-    while i < c0.len() {
-        emit(c0[i], v0[i]);
-        i += 1;
-        distinct += 1;
-    }
-    while j < c1.len() {
-        emit(c1[j], s1 * v1[j]);
-        j += 1;
-        distinct += 1;
-    }
-    distinct
-}
-
-/// [`merge2_scaled_set`] generalised to k scaled B rows: materialise a run
-/// with `runs.len()` masked sources without touching an accumulator.
-/// `runs` must be ordered by the sources' A-row positions — the
-/// accumulator visits sources in exactly that order, so accumulating a
-/// shared column in run order (first contributing run *sets* `s * v`,
-/// later ones `+=`) reproduces the scatter's bits: same first touch, same
-/// add sequence, ascending drain.
-///
-/// Shape: a left-associated cascade of two-cursor merges through the
-/// ping-pong scratch. After merging runs `0..m`, the prefix holds each
-/// column's fold over those runs in run order, so merging run `m` appends
-/// exactly the accumulator's next `+=` — the same bits as a k-pointer
-/// visit-order loop, without its two scans of every cursor per emitted
-/// column. The intermediates cost extra copies, but each step is the
-/// branch-predictable two-run merge, which wins for the small k the
-/// caller caps at
-/// [`SET_MERGE_MAX_K`](spmm_sparse::upper_bound::SET_MERGE_MAX_K).
-pub(crate) fn merge_scaled_set<T: Scalar, F: FnMut(ColIndex, T)>(
-    runs: &[(T, &[ColIndex], &[T])],
-    scratch: &mut MergeScratch<T>,
-    emit: F,
-) -> usize {
-    debug_assert!(runs.len() >= 2);
-    if runs.len() == 2 {
-        let (s0, c0, v0) = runs[0];
-        let (s1, c1, v1) = runs[1];
-        return merge2_scaled_set(s0, c0, v0, s1, c1, v1, emit);
-    }
-    let MergeScratch { c0, v0, c1, v1 } = scratch;
-    c0.clear();
-    v0.clear();
-    {
-        let (sa, ca, va) = runs[0];
-        let (sb, cb, vb) = runs[1];
-        merge2_scaled_set(sa, ca, va, sb, cb, vb, |c, v| {
-            c0.push(c);
-            v0.push(v);
-        });
-    }
-    let (mut cur_c, mut cur_v, mut spare_c, mut spare_v) = (c0, v0, c1, v1);
-    for &(s, cb, vb) in &runs[2..runs.len() - 1] {
-        spare_c.clear();
-        spare_v.clear();
-        merge2_mixed_set(cur_c, cur_v, s, cb, vb, |c, v| {
-            spare_c.push(c);
-            spare_v.push(v);
-        });
-        std::mem::swap(&mut cur_c, &mut spare_c);
-        std::mem::swap(&mut cur_v, &mut spare_v);
-    }
-    let &(s, cb, vb) = runs.last().expect("len >= 3");
-    merge2_mixed_set(cur_c, cur_v, s, cb, vb, emit)
-}
-
-/// Two-run merge, the overwhelmingly common case (one output row appears
-/// in at most one block per B-mask half, and the masks split in two). The
-/// generic k-way loop below re-scans every run per emitted column; this
-/// walks both runs with two cursors and one three-way compare per output —
-/// straight-line code the compiler can branch-predict and unroll.
-///
-/// Each emitted value is `T::ZERO` + the run contributions in run order —
-/// exactly the generic loop's accumulation, so the output bits are
-/// identical (including the `+0.0` normalization of `-0.0` entries).
-pub(crate) fn merge2_sorted<T: Scalar, F: FnMut(ColIndex, T)>(
-    c0: &[ColIndex],
-    v0: &[T],
-    c1: &[ColIndex],
-    v1: &[T],
-    mut emit: F,
-) -> usize {
-    let (mut i, mut j) = (0usize, 0usize);
-    let mut distinct = 0usize;
-    while i < c0.len() && j < c1.len() {
-        let (a, b) = (c0[i], c1[j]);
-        let mut sum = T::ZERO;
-        let col = a.min(b);
-        if a <= b {
-            sum += v0[i];
-            i += 1;
-        }
-        if b <= a {
-            sum += v1[j];
-            j += 1;
-        }
-        emit(col, sum);
-        distinct += 1;
-    }
-    while i < c0.len() {
-        let mut sum = T::ZERO;
-        sum += v0[i];
-        emit(c0[i], sum);
-        i += 1;
-        distinct += 1;
-    }
-    while j < c1.len() {
-        let mut sum = T::ZERO;
-        sum += v1[j];
-        emit(c1[j], sum);
-        j += 1;
-        distinct += 1;
-    }
-    distinct
-}
-
 /// k-way merge of one output row's sources (each column-sorted), summing
 /// values of columns shared between sources. Calls `emit(col, sum)` in
 /// ascending column order and returns the number of distinct columns.
-/// Two-source rows take [`merge2_sorted`]; the min-scan loop handles k > 2.
+/// Each sum starts from `T::ZERO` and adds the sources' values in source
+/// order — the arithmetic the batched executor's
+/// [`fold_into`](spmm_sparse::SparseAccumulator::fold_into) reproduces.
 fn merge_row<T: Scalar, F: FnMut(ColIndex, T)>(
     sources: &[(u32, u32)],
     blocks: &[RowBlock<T>],
     mut emit: F,
 ) -> usize {
-    if let [(b0, k0), (b1, k1)] = *sources {
-        let (_, c0, v0) = blocks[b0 as usize].row(k0 as usize);
-        let (_, c1, v1) = blocks[b1 as usize].row(k1 as usize);
-        return merge2_sorted(c0, v0, c1, v1, emit);
-    }
     let mut runs: Vec<(&[ColIndex], &[T], usize)> = sources
         .iter()
         .map(|&(bi, k)| {
@@ -447,7 +165,6 @@ fn merge_row<T: Scalar, F: FnMut(ColIndex, T)>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spmm_rng::{Rng, StdRng};
 
     fn pool() -> ThreadPool {
         ThreadPool::new(4)
@@ -504,55 +221,6 @@ mod tests {
         assert_eq!(c.get(1, 2), 7.0);
         assert_eq!(c.get(1, 3), 7.0);
         assert_eq!(c.get(2, 1), 9.0);
-    }
-
-    /// The 2-run fast path must emit exactly what the generic min-scan
-    /// loop emits, bit for bit — including `-0.0` entries, which the
-    /// `T::ZERO + v` accumulation normalizes to `+0.0` in both.
-    #[test]
-    fn merge2_matches_generic_kway_bitwise() {
-        let mut rng = StdRng::seed_from_u64(123);
-        for trial in 0..20 {
-            let make_run = |rng: &mut StdRng, n: usize| {
-                let mut cols: Vec<ColIndex> = (0..n as u32 * 3).collect();
-                // random subset, kept sorted
-                cols.retain(|_| rng.gen_range(0..3u32) == 0);
-                let vals: Vec<f64> = cols
-                    .iter()
-                    .map(|_| match rng.gen_range(0..10u32) {
-                        0 => -0.0,
-                        1 => 0.0,
-                        _ => rng.gen_range(-1.0..1.0),
-                    })
-                    .collect();
-                (cols, vals)
-            };
-            let (c0, v0) = make_run(&mut rng, 10 + trial);
-            let (c1, v1) = make_run(&mut rng, 10 + trial);
-            let blocks = vec![RowBlock {
-                rows: vec![0, 0],
-                indptr: vec![0, c0.len(), c0.len() + c1.len()],
-                indices: c0.iter().chain(&c1).copied().collect(),
-                values: v0.iter().chain(&v1).copied().collect(),
-            }];
-            // generic loop, forced by a 3-source list whose third run is empty
-            let empty = RowBlock::<f64> {
-                rows: vec![0],
-                indptr: vec![0, 0],
-                indices: vec![],
-                values: vec![],
-            };
-            let mut all = blocks;
-            all.push(empty);
-            let mut via_generic = Vec::new();
-            let n_generic = merge_row(&[(0, 0), (0, 1), (1, 0)], &all, |c, v| {
-                via_generic.push((c, v.to_bits()))
-            });
-            let mut via_fast = Vec::new();
-            let n_fast = merge2_sorted(&c0, &v0, &c1, &v1, |c, v| via_fast.push((c, v.to_bits())));
-            assert_eq!(n_generic, n_fast, "trial {trial}");
-            assert_eq!(via_generic, via_fast, "trial {trial}");
-        }
     }
 
     #[test]

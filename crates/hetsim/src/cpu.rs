@@ -215,39 +215,6 @@ impl CpuDevice {
             * self.spec.kernel_overhead
     }
 
-    /// Simulated ns to multiply the given rows of `a` with a dense vector
-    /// (SpMV — the workload of the paper's reference [10], which first
-    /// proposed the architecture-/workload-aware split this paper extends
-    /// to spmm). Streams each row's entries and gathers from `x`.
-    pub fn spmv_cost<T: Scalar>(
-        &mut self,
-        a: &CsrMatrix<T>,
-        rows: impl Iterator<Item = usize>,
-    ) -> SimNs {
-        let mut total = 0.0f64;
-        let mut max_row = 0.0f64;
-        for i in rows {
-            let (acols, _) = a.row(i);
-            if acols.is_empty() {
-                continue;
-            }
-            let mut row_ns = self.hierarchy.access_stream(
-                A_BASE + (a.indptr()[i] * ENTRY_BYTES) as u64,
-                acols.len() * ENTRY_BYTES,
-            );
-            for &j in acols {
-                // gather x[j]: one (cached) scalar access
-                row_ns += self.hierarchy.access(B_BASE + j as u64 * 8);
-                row_ns += self.spec.flop_ns;
-            }
-            row_ns += self.spec.tuple_write_ns; // y[i] store
-            total += row_ns;
-            max_row = max_row.max(row_ns);
-        }
-        ((total / (self.spec.cores as f64 * self.spec.parallel_efficiency)).max(max_row))
-            * self.spec.kernel_overhead
-    }
-
     /// ns for the CPU's share of Phase I: scanning row sizes and picking
     /// the threshold from the histogram (`O(nrows)` streaming).
     pub fn threshold_scan_cost(&self, nrows: usize) -> SimNs {

@@ -294,44 +294,6 @@ impl GpuDevice {
         wall * self.spec.cycle_ns() * self.spec.kernel_overhead + self.spec.launch_ns
     }
 
-    /// Simulated ns for the GPU to multiply the given rows of `a` with a
-    /// dense vector (SpMV; see `CpuDevice::spmv_cost`). Warp-per-row with
-    /// lanes parallel across the row's nonzeros; `x` gathers go through
-    /// the L2.
-    pub fn spmv_cost<T: Scalar>(
-        &mut self,
-        a: &CsrMatrix<T>,
-        rows: impl Iterator<Item = usize>,
-    ) -> SimNs {
-        let mut total_cycles = 0.0f64;
-        let mut max_row_depth = 0.0f64;
-        let mut any = false;
-        for i in rows {
-            any = true;
-            let (acols, _) = a.row(i);
-            if acols.is_empty() {
-                continue;
-            }
-            let mut row_cycles = self.read_cycles(
-                A_BASE + (a.indptr()[i] * ENTRY_BYTES) as u64,
-                acols.len() * ENTRY_BYTES,
-            );
-            for &j in acols {
-                row_cycles += self.read_cycles(B_BASE + j as u64 * 8, 8) / 4.0;
-            }
-            let steps = acols.len().div_ceil(self.spec.warp_width) as f64;
-            row_cycles += steps * self.spec.simd_step_cycles;
-            total_cycles += row_cycles;
-            let depth = row_cycles / acols.len().clamp(1, self.spec.warp_width) as f64;
-            max_row_depth = max_row_depth.max(depth);
-        }
-        if !any {
-            return 0.0;
-        }
-        let wall = (total_cycles / self.spec.parallel_warps()).max(max_row_depth);
-        wall * self.spec.cycle_ns() * self.spec.kernel_overhead + self.spec.launch_ns
-    }
-
     /// ns for the GPU's share of Phase I: computing the Boolean
     /// high/low-density array from the row sizes ("embarrassingly parallel
     /// … we perform this computation on GPU", §III-A).
@@ -447,8 +409,8 @@ fn widths_impl<T: Scalar>(
                 if acols.is_empty() {
                     continue;
                 }
-                // Bounds sweep first (upper_bound's estimator, inlined to
-                // also keep the sole source's index): a single masked
+                // Bounds sweep first (Σ |B(k,:)| over the row's masked
+                // sources, keeping the sole source's index): a single masked
                 // source makes the bound *exact* — the width is that B
                 // row's size, no marking at all — and a tiny bound routes
                 // to the scratch list. Only loose-bounded rows pay the

@@ -12,7 +12,9 @@
 //! accumulator: the first touch of a column sets its value, every later
 //! touch `+=`s in visit order, and the drain emits ascending by column.
 //! It is the reference's own accumulator too, so every engine path that
-//! scatters through it reproduces the reference's bits.
+//! scatters through it reproduces the reference's bits, and
+//! [`SparseAccumulator::fold_into`] sums several such rows into a second
+//! accumulator with the reference's per-row merge arithmetic.
 //!
 //! [`RowSizer`] is the symbolic-pass companion: it only needs
 //! distinct-column counts and therefore skips the value array entirely.
@@ -99,6 +101,28 @@ impl<T: Scalar> SparseAccumulator<T> {
     pub fn drain_sorted_into(&mut self, out_cols: &mut [ColIndex], out_vals: &mut [T]) {
         self.touched.sort_unstable();
         simd::gather_into(&self.touched, &self.values, out_cols, out_vals);
+        self.touched.clear();
+        self.advance_generation();
+    }
+
+    /// Fold the current row into `outer` and reset for the next row: a
+    /// column `outer` has not yet seen in its row stores `T::ZERO + v`, a
+    /// column it has seen does `+= v`. Folding several runs in order thus
+    /// performs exactly `sum = 0; sum += v_1; sum += v_2; …` per column —
+    /// the per-row merge of sorted runs, without sorting or materialising
+    /// any run. The visit order within one fold does not matter: each
+    /// column is folded at most once per call.
+    pub fn fold_into(&mut self, outer: &mut Self) {
+        for &col in &self.touched {
+            let (c, v) = (col as usize, self.values[col as usize]);
+            if outer.stamp[c] == outer.generation {
+                outer.values[c] += v;
+            } else {
+                outer.stamp[c] = outer.generation;
+                outer.values[c] = T::ZERO + v;
+                outer.touched.push(col);
+            }
+        }
         self.touched.clear();
         self.advance_generation();
     }
@@ -256,6 +280,24 @@ mod tests {
         sizer.mark(0);
         assert_eq!(sizer.finish_row(), 1);
         assert!(sizer.mark(0), "stamp from before the wrap must not alias");
+    }
+
+    #[test]
+    fn fold_sums_runs_from_zero_in_fold_order() {
+        let mut inner = SparseAccumulator::<f64>::new(8);
+        let mut outer = SparseAccumulator::<f64>::new(8);
+        inner.scatter(2, -0.0);
+        inner.scatter(5, 1.0);
+        inner.fold_into(&mut outer);
+        assert_eq!(inner.nnz(), 0, "fold resets the folded row");
+        inner.scatter(5, 2.0);
+        inner.scatter(7, -0.0);
+        inner.fold_into(&mut outer);
+        let mut out = Vec::new();
+        outer.drain_sorted(|c, v| out.push((c, v.to_bits())));
+        // first folds store 0 + v, so -0.0 comes out +0.0
+        let want = [(2, 0.0f64), (5, 3.0), (7, 0.0)];
+        assert_eq!(out, want.map(|(c, v)| (c, v.to_bits())));
     }
 
     #[test]

@@ -24,7 +24,6 @@ pub mod coo;
 pub mod csc;
 pub mod csr;
 pub mod dense;
-pub mod ell;
 pub mod error;
 pub mod histogram;
 pub mod io;
@@ -32,7 +31,6 @@ pub mod ops;
 pub mod reference;
 pub mod scalar;
 pub mod simd;
-pub mod upper_bound;
 pub mod workspace;
 
 pub use accumulator::{RowSizer, SparseAccumulator};
@@ -40,12 +38,10 @@ pub use coo::CooMatrix;
 pub use csc::CscMatrix;
 pub use csr::CsrMatrix;
 pub use dense::DenseMatrix;
-pub use ell::EllMatrix;
 pub use error::SparseError;
 pub use histogram::RowHistogram;
 pub use scalar::Scalar;
 pub use simd::SimdLevel;
-pub use upper_bound::RowBound;
 pub use workspace::{EngineWorkspace, PooledSizer, PooledWorkspace, StagingBuffer, WorkspacePool};
 
 /// Index type used for column indices. `u32` halves the memory traffic of the

@@ -8,14 +8,10 @@
 //!   behind the `simd` cargo feature and selected at runtime via
 //!   `is_x86_feature_detected!("avx2")`.
 //!
-//! Bit-identity holds because none of the dispatched primitives reorders a
-//! floating-point reduction: gathers and scaled copies (elementwise
-//! `a * b`) are permutation-free, and the register-tiled `csrmm`
-//! kernel keeps each output element's additions in the exact `j`-order of
-//! the serial reference, starting from `T::ZERO`. The one FP-reordering
-//! variant — the tree-reduced csrmm tile ([`csrmm_row_tree_into`]) — is
-//! *not* dispatched implicitly; callers opt in explicitly and gate it with
-//! a tolerance, never with bit equality.
+//! Bit-identity holds because neither primitive reorders a floating-point
+//! reduction: the gather is permutation-free, and the register-tiled
+//! `csrmm` kernel keeps each output element's additions in the exact
+//! `j`-order of the serial reference, starting from `T::ZERO`.
 //!
 //! The active level can be forced (`set_forced`) so perf probes and the
 //! equivalence suite can pin scalar-vs-vector runs against each other, and
@@ -122,16 +118,6 @@ mod cast {
             None
         }
     }
-
-    #[inline]
-    pub fn value<T: Copy + 'static, U: Copy + 'static>(v: T) -> Option<U> {
-        if TypeId::of::<T>() == TypeId::of::<U>() {
-            // SAFETY: T and U are the same type.
-            Some(unsafe { std::mem::transmute_copy::<T, U>(&v) })
-        } else {
-            None
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -190,29 +176,6 @@ fn gather_scalar<T: Scalar>(idx: &[ColIndex], table: &[T], out_vals: &mut [T]) {
     while i < n {
         out_vals[i] = table[idx[i] as usize];
         i += 1;
-    }
-}
-
-/// Scaled copy: `dst[i] = scale * src[i]`. The single-source fast path —
-/// elementwise, so any lane width is bit-identical.
-#[inline]
-pub fn scaled_copy<T: Scalar>(scale: T, src: &[T], dst: &mut [T]) {
-    assert_eq!(src.len(), dst.len(), "scaled_copy: length mismatch");
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if level() == SimdLevel::Avx2 {
-        if let (Some(scale), Some(src), Some(dst)) = (
-            cast::value::<T, f64>(scale),
-            cast::slice(src),
-            cast::slice_mut(dst),
-        ) {
-            // SAFETY: AVX2 verified by `level()`.
-            unsafe { avx2::scaled_copy_f64(scale, src, dst) };
-            return;
-        }
-    }
-    // `scale * s` (scale on the left) mirrors the engine's `aij * bjc`.
-    for (d, &s) in dst.iter_mut().zip(src) {
-        *d = scale * s;
     }
 }
 
@@ -285,58 +248,6 @@ fn csrmm_row_scalar<T: Scalar>(
     }
 }
 
-/// Tree-reduced variant of [`csrmm_row_into`]: the sparse row is split into
-/// even/odd entry streams accumulated independently and summed at the end,
-/// halving the loop-carried dependence. This **reorders the FP reduction**,
-/// so it is never selected implicitly — callers opt in (e.g.
-/// `CsrmmKernel::TreeReduced`) and must gate results with a tolerance, not
-/// bit equality.
-pub fn csrmm_row_tree_into<T: Scalar>(
-    acols: &[ColIndex],
-    avals: &[T],
-    b: &DenseMatrix<T>,
-    out: &mut [T],
-) {
-    let ncols = b.ncols();
-    let bdata = b.data();
-    assert_eq!(out.len(), ncols, "csrmm_row_tree_into: output width");
-    let mut c0 = 0;
-    while c0 + CSRMM_TILE <= ncols {
-        let mut even = [T::ZERO; CSRMM_TILE];
-        let mut odd = [T::ZERO; CSRMM_TILE];
-        let mut k = 0;
-        while k + 1 < acols.len() {
-            let (j0, a0) = (acols[k] as usize, avals[k]);
-            let (j1, a1) = (acols[k + 1] as usize, avals[k + 1]);
-            let b0 = &bdata[j0 * ncols + c0..][..CSRMM_TILE];
-            let b1 = &bdata[j1 * ncols + c0..][..CSRMM_TILE];
-            for t in 0..CSRMM_TILE {
-                even[t] += a0 * b0[t];
-                odd[t] += a1 * b1[t];
-            }
-            k += 2;
-        }
-        if k < acols.len() {
-            let (j, a) = (acols[k] as usize, avals[k]);
-            let brow = &bdata[j * ncols + c0..][..CSRMM_TILE];
-            for t in 0..CSRMM_TILE {
-                even[t] += a * brow[t];
-            }
-        }
-        for t in 0..CSRMM_TILE {
-            out[c0 + t] = even[t] + odd[t];
-        }
-        c0 += CSRMM_TILE;
-    }
-    for (c, o) in out.iter_mut().enumerate().skip(c0) {
-        let mut acc = T::ZERO;
-        for (&j, &aij) in acols.iter().zip(avals) {
-            acc += aij * bdata[j as usize * ncols + c];
-        }
-        *o = acc;
-    }
-}
-
 // ---------------------------------------------------------------------------
 // AVX2 variants (f64). Compiled only with the `simd` feature on x86_64;
 // every entry point is `#[target_feature(enable = "avx2")]` and reached
@@ -368,26 +279,6 @@ mod avx2 {
         }
         while i < n {
             *out.get_unchecked_mut(i) = *table.get_unchecked(*idx.get_unchecked(i) as usize);
-            i += 1;
-        }
-    }
-
-    /// # Safety
-    /// AVX2 must be available; `src.len() == dst.len()` (checked by the
-    /// dispatching wrapper).
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn scaled_copy_f64(scale: f64, src: &[f64], dst: &mut [f64]) {
-        let s = _mm256_set1_pd(scale);
-        let n = src.len();
-        let whole = n & !3;
-        let mut i = 0;
-        while i < whole {
-            let v = _mm256_loadu_pd(src.as_ptr().add(i));
-            _mm256_storeu_pd(dst.as_mut_ptr().add(i), _mm256_mul_pd(s, v));
-            i += 4;
-        }
-        while i < n {
-            *dst.get_unchecked_mut(i) = scale * *src.get_unchecked(i);
             i += 1;
         }
     }
@@ -485,40 +376,6 @@ mod tests {
     }
 
     #[test]
-    fn scaled_copy_levels_bit_identical() {
-        for n in [0usize, 1, 2, 3, 4, 5, 6, 7, 8, 9, 17, 32, 65] {
-            let src = vals(n, 3);
-            let scale = -1.75f64;
-            let run = |l| {
-                with_level(l, || {
-                    let mut dst = vec![0.0f64; n];
-                    scaled_copy(scale, &src, &mut dst);
-                    dst
-                })
-            };
-            let s = run(SimdLevel::Scalar);
-            let v = run(SimdLevel::Avx2);
-            assert_eq!(
-                s.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                v.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
-            );
-            for (k, x) in s.iter().enumerate() {
-                assert_eq!(x.to_bits(), (scale * src[k]).to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn scaled_copy_f32_falls_back_cleanly() {
-        let src: Vec<f32> = (0..13).map(|i| i as f32 * 0.5 - 3.0).collect();
-        let mut dst = vec![0.0f32; 13];
-        with_level(SimdLevel::Avx2, || scaled_copy(2.0f32, &src, &mut dst));
-        for (d, &s) in dst.iter().zip(&src) {
-            assert_eq!(d.to_bits(), (2.0f32 * s).to_bits());
-        }
-    }
-
-    #[test]
     fn csrmm_row_matches_reference_bitwise() {
         // Widths straddling the 8-column tile, rows with nnz 0..=9 to cover
         // every remainder-lane count.
@@ -550,21 +407,6 @@ mod tests {
                     );
                 }
             }
-        }
-    }
-
-    #[test]
-    fn csrmm_tree_variant_is_close_not_necessarily_identical() {
-        let ncols = 16;
-        let b = DenseMatrix::from_row_major(12, ncols, vals(12 * ncols, 6));
-        let acols: Vec<ColIndex> = (0..12).map(|k| k as ColIndex).collect();
-        let avals = vals(12, 7);
-        let mut exact = vec![0.0f64; ncols];
-        csrmm_row_into(&acols, &avals, &b, &mut exact);
-        let mut tree = vec![0.0f64; ncols];
-        csrmm_row_tree_into(&acols, &avals, &b, &mut tree);
-        for (t, e) in tree.iter().zip(&exact) {
-            assert!(t.approx_eq(*e, 1e-12, 1e-9), "tree={t} exact={e}");
         }
     }
 

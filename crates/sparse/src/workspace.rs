@@ -1,8 +1,7 @@
 //! Pooled per-thread engine workspaces.
 //!
-//! Every numeric pass needs O(ncols) dense state (the SPA's stamp/value
-//! arrays, the sizer's stamp array) plus assorted scratch vectors. Before
-//! pooling, each `row_products` call — four masked products per multiply,
+//! Every numeric pass needs O(ncols) dense state: the SPAs' stamp/value
+//! arrays, or the sizer's stamp array for a symbolic pass. Before pooling, each `row_products` call — four masked products per multiply,
 //! one width table per Phase-I ladder candidate — allocated and zeroed
 //! that state from scratch on every worker thread. The pool makes the
 //! allocation once per thread slot and generation-reuses it forever.
@@ -26,22 +25,21 @@ use std::sync::Mutex;
 
 use crate::{ColIndex, RowSizer, Scalar, SparseAccumulator};
 
-/// Staging arena for the fused single-pass tier: rows whose upper-bounded
-/// size fits the staging budget scatter once and drain here, into an
-/// exact-size carve-out appended to two progressively-growing SoA vectors.
-/// The compaction pass later memcpys each carved run into its final CSR
-/// slot once the exclusive scan has fixed the offsets.
+/// Staging arena for the batched executor: every output row drains here,
+/// into an exact-size carve-out appended to two progressively-growing SoA
+/// vectors. The compaction pass later memcpys each carved run into its
+/// final CSR slot once the exclusive scan has fixed the offsets.
 ///
 /// Lifetime: a worker checks a buffer out of the [`WorkspacePool`] for one
-/// fused pass and stages rows into it; buffers holding staged data are
-/// handed to the compaction stage (not returned to the pool — the data
-/// must outlive the worker), then cleared and released with
+/// pass and stages rows into it; buffers holding staged data are handed
+/// to the compaction stage (not returned to the pool — the data must
+/// outlive the worker), then cleared and released with
 /// [`WorkspacePool::release_staging`].
 #[derive(Debug, Default)]
 pub struct StagingBuffer<T> {
     /// `(row key, start offset into cols/vals)` per staged row, in staging
-    /// order. The run length is the row's exact drained nnz — recoverable
-    /// from the final indptr, so it is not stored twice.
+    /// order. A row's run (its exact drained nnz) ends where the next
+    /// staged row starts, or at the end of `cols`, so it is not stored.
     pub rows: Vec<(u32, usize)>,
     /// Carved column runs.
     pub cols: Vec<ColIndex>,
@@ -89,39 +87,29 @@ impl<T: Scalar> StagingBuffer<T> {
     }
 }
 
-/// Everything one worker thread needs to run symbolic + numeric passes:
-/// the symbolic sizer, the dense SPA, and the scratch vectors used by the
-/// batched executor's multi-claim merge.
+/// Everything one worker thread needs for the numeric pass: the dense SPA
+/// and a second one the batched executor folds multi-claim rows into.
 #[derive(Debug)]
 pub struct EngineWorkspace<T> {
-    /// Symbolic-pass sizer (O(ncols) stamps).
-    pub sizer: RowSizer,
     /// Dense SPA, the numeric accumulator (O(ncols) values + stamps).
     pub spa: SparseAccumulator<T>,
-    /// Batched-merge scratch: per-source column runs.
-    pub cols: Vec<ColIndex>,
-    /// Batched-merge scratch: per-source value runs.
-    pub vals: Vec<T>,
-    /// Batched-merge scratch: run boundaries into `cols`/`vals`.
-    pub bounds: Vec<usize>,
+    /// Second dense SPA: the fold target of a row's per-claim runs.
+    pub outer: SparseAccumulator<T>,
 }
 
 impl<T: Scalar> EngineWorkspace<T> {
     /// Workspace covering outputs with `ncols` columns.
     pub fn new(ncols: usize) -> Self {
         Self {
-            sizer: RowSizer::new(ncols),
             spa: SparseAccumulator::new(ncols),
-            cols: Vec::new(),
-            vals: Vec::new(),
-            bounds: Vec::new(),
+            outer: SparseAccumulator::new(ncols),
         }
     }
 
     /// Grow the dense members to cover at least `ncols` columns.
     pub fn ensure_ncols(&mut self, ncols: usize) {
-        self.sizer.ensure_ncols(ncols);
         self.spa.ensure_ncols(ncols);
+        self.outer.ensure_ncols(ncols);
     }
 }
 
@@ -189,10 +177,10 @@ impl WorkspacePool {
         }
     }
 
-    /// Check out a staging arena for one fused pass. Unlike `acquire`,
-    /// this hands over ownership with no guard: a buffer holding staged
-    /// rows must outlive the worker that filled it (the compaction stage
-    /// reads it), so the fused engines route filled buffers through a
+    /// Check out a staging arena for one pass. Unlike `acquire`, this
+    /// hands over ownership with no guard: a buffer holding staged rows
+    /// must outlive the worker that filled it (the compaction stage reads
+    /// it), so the batched executor routes filled buffers through a
     /// capture sink and call [`Self::release_staging`] after compaction;
     /// buffers that stay empty go straight back.
     pub fn take_staging<T: Scalar>(&self) -> StagingBuffer<T> {
@@ -334,8 +322,8 @@ mod tests {
             let mut ws = pool.acquire::<f64>(4);
             ws.spa.scatter(2, 9.0);
             ws.spa.drain_sorted(|_, _| {});
-            ws.sizer.mark(1);
-            ws.sizer.finish_row();
+            ws.outer.scatter(1, 9.0);
+            ws.outer.drain_sorted(|_, _| {});
         }
         // wider checkout: grown slots and stale stamps must read untouched
         let mut ws = pool.acquire::<f64>(32);
@@ -344,9 +332,8 @@ mod tests {
         let mut cols = Vec::new();
         ws.spa.drain_sorted(|c, _| cols.push(c));
         assert_eq!(cols, vec![2, 30]);
-        assert!(ws.sizer.mark(1), "stale sizer stamp aliased");
-        assert!(ws.sizer.mark(31));
-        assert_eq!(ws.sizer.finish_row(), 2);
+        assert!(ws.outer.scatter(1, 1.0), "stale fold-SPA stamp aliased");
+        assert!(ws.outer.scatter(31, 1.0), "grown fold-SPA slot not clean");
     }
 
     #[test]

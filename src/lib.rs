@@ -60,7 +60,7 @@ pub use spmm_workqueue as workqueue;
 /// One-stop imports for applications.
 pub mod prelude {
     pub use spmm_core::{
-        csrmm::{cpu_csrmm, csrmm_compute, gpu_csrmm, hh_csrmm, hh_csrmm_with_kernel, CsrmmKernel},
+        csrmm::{cpu_csrmm, csrmm_compute, gpu_csrmm, hh_csrmm},
         cusparse_like, hh_cpu, hh_cpu_sharded, hipc2012, hipc2012_with, mkl_like, sorted_workqueue,
         sorted_workqueue_with, unsorted_workqueue, unsorted_workqueue_with, ExecPolicy,
         HeteroContext, HhCpuConfig, PhaseBreakdown, Platform, ShardConfig, ShardMode, ShardPlan,

@@ -1,15 +1,16 @@
-//! The production engine's per-row routing is a perf knob only.
+//! The production engine's fold of per-claim runs is a perf knob only.
 //!
-//! `ExecPolicy::Batched` routes each output row by its size bound and
-//! masked source count: a scaled verbatim copy for a sole masked source,
-//! otherwise a fused (bounded) or exactly sized (heavy) pass through the
-//! dense SPA. Every route scatters in the same A-row visit order (first
-//! touch sets, later touches `+=`) and drains ascending by column, so the
-//! floating-point bits of the result must be *identical* to the plain
+//! `ExecPolicy::Batched` treats a row by its claim count: a one-claim row
+//! drains straight from the dense SPA, and a multi-claim row folds each
+//! claim's SPA run, in claim order, into a second SPA. Every run scatters
+//! in the same A-row visit order (first touch sets, later touches `+=`),
+//! the fold sums each column from `T::ZERO` in claim order exactly as the
+//! reference's per-row merge does, and drains are ascending by column, so
+//! the floating-point bits of the result must be *identical* to the plain
 //! dense-SPA `ExecPolicy::PerClaim` reference — not approximately equal,
 //! identical. These tests pin that contract across all four algorithm
-//! paths and several host thread counts, on inputs whose rows take every
-//! route.
+//! paths and several host thread counts, on inputs with one-claim and
+//! multi-claim rows.
 
 use hetero_spmm::prelude::*;
 
@@ -26,8 +27,7 @@ fn adaptive_engine_is_bit_equal_on_self_product() {
 fn adaptive_engine_is_bit_equal_on_distinct_inputs() {
     // different row-size profiles on the two sides exercise the dual
     // threshold pair and the A_H × B_L / A_L × B_H cross products, which
-    // send rows down every route (copy rows from single-source masks,
-    // bounded and heavy rows through the SPA)
+    // give rows one, two or more claims
     let a = matrix(2_000, 10_000, 52);
     let b = matrix(2_000, 28_000, 53);
     check_all_paths(&a, &b, "A != B", &[1, 2, 8]);
@@ -37,7 +37,7 @@ fn adaptive_engine_is_bit_equal_on_distinct_inputs() {
 #[test]
 fn adaptive_engine_is_bit_equal_on_catalog_clone() {
     // a clone with a different hub profile from the wiki-Vote case in
-    // schedule_equivalence.rs, so the routes fill in other proportions
+    // schedule_equivalence.rs, so claim counts fill in other proportions
     let a = Dataset::by_name("email-Enron").unwrap().load::<f64>(32);
     check_all_paths(&a, &a, "email-Enron", &[1, 2, 8]);
 }

@@ -2,26 +2,27 @@
 //!
 //! Every algorithm path records a `ClaimSchedule` during its event-driven
 //! planning loop and runs the numeric work afterwards through one of two
-//! executors: `ExecPolicy::Batched`, the production engine (one bounds
-//! pass over every claim, fused single-scatter staging for bounded rows,
-//! an exact symbolic pass only for the heavy tail, one scan), or
-//! `ExecPolicy::PerClaim`, the reference (a plain dense-SPA two-pass
-//! `row_products` per claim, then `concat_row_blocks`). Every row of the
-//! production engine is produced in the reference's scatter order (first
-//! touch sets, later touches `+=`) and drained ascending, and multi-claim
-//! rows sum their per-claim runs in claim order, so the floating-point
-//! bits must be *identical* — not approximately equal, identical.
+//! executors: `ExecPolicy::Batched`, the production engine (one pass over
+//! every row with a claim: each claim's run scatters through a dense SPA,
+//! a multi-claim row folds its runs into a second SPA, one scan and one
+//! compaction build C), or `ExecPolicy::PerClaim`, the reference (a plain
+//! dense-SPA two-pass `row_products` per claim, then `concat_row_blocks`).
+//! Every run of the production engine is produced in the reference's
+//! scatter order (first touch sets, later touches `+=`), a one-claim row is
+//! kept verbatim and a multi-claim row sums its runs from `T::ZERO` in
+//! claim order, so the floating-point bits must be *identical* — not
+//! approximately equal, identical.
 //!
 //! These tests pin that contract for all four algorithm paths at several
 //! host thread counts on every Table I clone and under the sharded driver:
 //! identical output matrix (down to the value bits), identical simulated
 //! `PhaseBreakdown`, identical thresholds, identical `tuples_merged`. The
 //! same check on generated `A = B`, `A ≠ B` and `B ≠ A` inputs lives in
-//! `schedule_equivalence.rs`, `adaptive_engine.rs` and `fused_engine.rs`,
-//! one per tier of the production engine. The small direct-executor cases
-//! cover degenerate product shapes (1×1, empty operands, zero-row claims,
-//! rows with more than eight claims, products of a few thousand flops),
-//! and the committed Phase-I goldens must survive untouched.
+//! `schedule_equivalence.rs`, `adaptive_engine.rs` and `fused_engine.rs`.
+//! The small direct-executor cases cover degenerate product shapes (1×1,
+//! empty operands, zero-row claims, rows with many claims, products of a
+//! few thousand flops) and operands of signed zeros and NaN payloads, and
+//! the committed Phase-I goldens must survive untouched.
 
 use hetero_spmm::core::schedule::{self, ClaimSchedule, ScheduledClaim};
 use hetero_spmm::core::threshold::identify;
@@ -36,8 +37,8 @@ use common::{assert_identical, check_all_paths, matrix};
 #[test]
 fn batched_matches_per_claim_on_all_table1_clones() {
     // every Table I clone self-product plus a distinct-B product per clone,
-    // so each published row-size distribution routes rows through every
-    // tier of the production engine; debug-build runtime keeps the clones
+    // so each published row-size distribution feeds the production engine
+    // one-claim and multi-claim rows; debug-build runtime keeps the clones
     // at a deeper shrink than the release benches (bit-identity is
     // scale-independent)
     for d in Dataset::all() {
@@ -92,10 +93,9 @@ fn workspace_pool_survives_products_of_different_widths() {
 
 #[test]
 fn batched_matches_per_claim_on_wide_outputs() {
-    // More than 2^15 output columns: wide enough that a size-binned engine
-    // would route mid-size rows away from the dense SPA, and with single-
-    // claim rows whose bound is tiny. Every route must still drain the
-    // reference's bits.
+    // More than 2^15 output columns: both SPAs span the whole width, and
+    // most rows touch only a few of its columns. Every row must still
+    // drain the reference's bits.
     let wide = |seed| {
         scale_free_matrix::<f64>(&GeneratorConfig::square_power_law(
             33_000, 100_000, 2.1, seed,
@@ -105,25 +105,30 @@ fn batched_matches_per_claim_on_wide_outputs() {
     check_all_paths(&a, &b, "wide A != B", &[1, 8]);
 }
 
-/// Run one recorded schedule through both executors at 1 and 8 host
-/// threads and require identical C (down to the value bits) and entry
-/// counts; returns the reference C for further checks.
+/// Run one recorded schedule through both executors at each host thread
+/// count and require identical C (down to the value bits, so NaN inputs
+/// compare too) and entry counts; returns the reference C for further
+/// checks.
 fn execute_both(
     a: &CsrMatrix<f64>,
     b: &CsrMatrix<f64>,
     schedule: &ClaimSchedule<'_>,
+    threads: &[usize],
     what: &str,
 ) -> CsrMatrix<f64> {
     let shape = (a.nrows(), b.ncols());
     let ws = WorkspacePool::new();
     let mut want = None;
-    for threads in [1, 8] {
+    for &threads in threads {
         let pool = ThreadPool::new(threads);
         let (c_ref, n_ref) =
             schedule::execute(a, b, schedule, shape, &pool, &ws, ExecPolicy::PerClaim);
         let (c_bat, n_bat) =
             schedule::execute(a, b, schedule, shape, &pool, &ws, ExecPolicy::Batched);
-        assert_eq!(c_bat, c_ref, "{what}: C diverged at {threads} threads");
+        assert!(
+            c_bat.bit_eq(&c_ref),
+            "{what}: C diverged at {threads} threads"
+        );
         assert_eq!(
             c_bat.content_hash(),
             c_ref.content_hash(),
@@ -177,7 +182,7 @@ fn check_small_product(a: &CsrMatrix<f64>, b: &CsrMatrix<f64>, what: &str) {
     let whole = ClaimSchedule {
         claims: vec![claim(&all, None, DeviceKind::Cpu)],
     };
-    let c = execute_both(a, b, &whole, &format!("{what}, one claim"));
+    let c = execute_both(a, b, &whole, &[1, 8], &format!("{what}, one claim"));
     let expected = reference::spmm_rowrow(a, b).unwrap();
     assert!(
         c.approx_eq(&expected, 1e-12, 1e-12),
@@ -190,7 +195,7 @@ fn check_small_product(a: &CsrMatrix<f64>, b: &CsrMatrix<f64>, what: &str) {
     let high: Vec<usize> = all.iter().copied().filter(|&i| a.row_nnz(i) >= t).collect();
     let low: Vec<usize> = all.iter().copied().filter(|&i| a.row_nnz(i) < t).collect();
     let split = split_schedule(&all, &high, &low, &b_high, &b_low);
-    let c = execute_both(a, b, &split, &format!("{what}, mask split"));
+    let c = execute_both(a, b, &split, &[1, 8], &format!("{what}, mask split"));
     assert!(c.approx_eq(&expected, 1e-9, 1e-12), "{what}: split product");
 }
 
@@ -239,16 +244,14 @@ fn small_products_match_reference_zero_row_claims() {
             claim(&none, None, DeviceKind::Gpu),
         ],
     };
-    let c = execute_both(&a, &a, &schedule, "zero-row claims");
+    let c = execute_both(&a, &a, &schedule, &[1, 8], "zero-row claims");
     assert!(c.approx_eq(&reference::spmm_rowrow(&a, &a).unwrap(), 1e-12, 1e-12));
 }
 
 #[test]
 fn small_products_match_reference_rows_with_many_claims() {
-    // More than 8 claims on one output row leaves the bounds pass no bit
-    // space for per-claim mask verdicts, so the production engine falls
-    // back to mask-checked scans — on rows fed by one, two, and many
-    // masked sources per claim.
+    // Many claims on one output row, each fed by one, two, or many masked
+    // sources: every claim's run folds into the row in claim order.
     let a = matrix(60, 600, 71);
     let b = matrix(60, 500, 72);
     let all: Vec<usize> = (0..a.nrows()).collect();
@@ -272,8 +275,106 @@ fn small_products_match_reference_rows_with_many_claims() {
                 })
                 .collect(),
         };
-        let c = execute_both(&a, &b, &schedule, &format!("{nclaims} claims per row"));
+        let c = execute_both(
+            &a,
+            &b,
+            &schedule,
+            &[1, 8],
+            &format!("{nclaims} claims per row"),
+        );
         assert!(c.approx_eq(&reference::spmm_rowrow(&a, &b).unwrap(), 1e-9, 1e-12));
+    }
+}
+
+/// A quiet NaN with a payload, which products and sums carry into C's
+/// bits: both executors must carry it to the same entries.
+const NAN_PAYLOAD: u64 = 0x7ff8_0000_0000_0badu64;
+
+/// An `n × n` operand whose values are −0.0, +0.0 and −1.0, plus one NaN
+/// with a payload. Its products are signed zeros, ±1 and NaN, so a row's
+/// bits show whether the executor copied a one-claim row verbatim (keeping
+/// −0.0) and summed a multi-claim row from `T::ZERO` (turning −0.0 into
+/// +0.0), as the reference does.
+fn signed_zero_nan_matrix(n: usize, seed: usize) -> CsrMatrix<f64> {
+    let mut coo = CooMatrix::new(n, n);
+    for i in 0..n {
+        for j in 0..n {
+            if (i * 7 + j * 13 + seed * 5) % 11 < 4 {
+                let v = [-0.0, 0.0, -1.0, -0.0][(i + 3 * j + seed) % 4];
+                coo.push(i, j, v);
+            }
+        }
+    }
+    coo.push(seed, (seed * 5) % n, f64::from_bits(NAN_PAYLOAD));
+    coo.to_csr().unwrap()
+}
+
+#[test]
+fn signed_zeros_and_nan_payloads_match_under_every_claim_shape() {
+    let n = 24;
+    let a = signed_zero_nan_matrix(n, 1);
+    let b = signed_zero_nan_matrix(n, 4);
+    let all: Vec<usize> = (0..n).collect();
+    let evens: Vec<usize> = (0..n).step_by(2).collect();
+    let half: Vec<bool> = (0..n).map(|j| j % 3 == 0).collect();
+    let rest: Vec<bool> = half.iter().map(|&h| !h).collect();
+    let nothing = vec![false; n];
+    for (b, pair) in [(&a, "A * A"), (&b, "A * B")] {
+        let one = ClaimSchedule {
+            claims: vec![claim(&all, None, DeviceKind::Cpu)],
+        };
+        let complementary = ClaimSchedule {
+            claims: vec![
+                claim(&all, Some(&half), DeviceKind::Cpu),
+                claim(&all, Some(&rest), DeviceKind::Gpu),
+            ],
+        };
+        let with_empty = ClaimSchedule {
+            claims: vec![
+                claim(&all, Some(&half), DeviceKind::Cpu),
+                claim(&all, Some(&nothing), DeviceKind::Gpu),
+                claim(&all, Some(&rest), DeviceKind::Cpu),
+            ],
+        };
+        let overlapping = ClaimSchedule {
+            claims: vec![
+                claim(&all, None, DeviceKind::Gpu),
+                claim(&evens, Some(&half), DeviceKind::Cpu),
+            ],
+        };
+        let threads = [1, 3];
+        let c_one = execute_both(&a, b, &one, &threads, &format!("{pair}, one claim"));
+        let c_split = execute_both(&a, b, &complementary, &threads, &format!("{pair}, split"));
+        execute_both(
+            &a,
+            b,
+            &with_empty,
+            &threads,
+            &format!("{pair}, empty claim"),
+        );
+        execute_both(
+            &a,
+            b,
+            &overlapping,
+            &threads,
+            &format!("{pair}, overlapping"),
+        );
+        // the fixture really carries what it is for
+        assert!(
+            c_one
+                .values()
+                .iter()
+                .any(|v| v.to_bits() == (-0.0f64).to_bits()),
+            "{pair}: no -0.0 in C"
+        );
+        assert!(
+            c_one.values().iter().any(|v| v.is_nan()),
+            "{pair}: no NaN in C"
+        );
+        assert!(
+            !c_split.bit_eq(&c_one),
+            "{pair}: split sums never normalised a -0.0"
+        );
     }
 }
 

@@ -1,11 +1,10 @@
-//! The production engine's fused single-scatter tier is a perf knob only.
+//! The production engine's staging is a perf knob only.
 //!
-//! Under `ExecPolicy::Batched`, rows whose structural upper bound (Σ over
-//! k∈A(i,:) of |B(k,:)|) fits the staging budget skip the symbolic pass:
-//! they scatter once through the accumulator their bound selects, drain
-//! into pooled staging buffers, and a compaction pass stitches them next
-//! to the exactly-sized heavy rows. Every row is still produced in the
-//! same scatter order (first touch sets, later touches `+=`) with the same
+//! Under `ExecPolicy::Batched` every output row is computed once, without
+//! a symbolic pass: it drains into a pooled staging buffer, and after one
+//! scan over the exact staged sizes a compaction pass copies each staged
+//! run into its final slot. Every run is still produced in the same
+//! scatter order (first touch sets, later touches `+=`) with the same
 //! ascending drain, staged runs are copied verbatim, and the indptr scan
 //! runs over exact integer sizes — so the floating-point bits must be
 //! *identical* to the two-pass `ExecPolicy::PerClaim` reference. These
@@ -25,9 +24,9 @@ fn fused_engine_is_bit_equal_on_self_product() {
 #[test]
 fn fused_engine_is_bit_equal_on_distinct_inputs() {
     // different row-size profiles on the two sides exercise the dual
-    // threshold pair and the A_H × B_L / A_L × B_H cross products: copy
-    // rows from single-source masks, bounded list/hash/dense rows, and
-    // heavy hub rows that must keep the exact symbolic pass
+    // threshold pair and the A_H × B_L / A_L × B_H cross products: rows
+    // from a single masked source, small rows, and hub rows that stage
+    // thousands of entries
     let a = matrix(2_000, 10_000, 62);
     let b = matrix(2_000, 28_000, 63);
     check_all_paths(&a, &b, "A != B", &[1, 2, 8]);

@@ -4,7 +4,7 @@
 //! planning loop and runs the numeric work afterwards, either per claim
 //! (`ExecPolicy::PerClaim`, the reference: one row block per claim, then
 //! concatenate) or batched (`ExecPolicy::Batched`, the production engine:
-//! one bounds pass and one scan over every claim at once). These tests pin
+//! one pass and one scan over every claim at once). These tests pin
 //! the batched executor bit-equal to the per-claim reference for all four
 //! algorithm paths, at several host thread counts, for both the `A = B`
 //! self-product and the `A ≠ B` case — identical output matrix, identical

@@ -1,17 +1,13 @@
 //! The SIMD numeric kernels are a perf knob only.
 //!
-//! The numeric hot loops — the SPA's SoA drain, the scaled verbatim
-//! copy, the two-run merge, and the register-tiled csrmm sweep — have
-//! runtime-dispatched AVX2
-//! variants behind a chunked scalar fallback. None of the dispatched
-//! shapes reorders a floating-point reduction, so the product of a
-//! forced-scalar run and a forced-AVX2 run must be bit-for-bit
+//! The numeric hot loops — the SPA's SoA drain and the register-tiled
+//! csrmm sweep — have runtime-dispatched AVX2 variants behind a chunked
+//! scalar fallback. Neither reorders a floating-point reduction, so the
+//! product of a forced-scalar run and a forced-AVX2 run must be bit-for-bit
 //! *identical*, across all four algorithm paths, both executors (the
 //! production batched engine and the per-claim reference), several host
-//! thread counts, `A = B` and `A ≠ B`,
-//! remainder-lane row sizes (`nnz ≡ 1..7 mod 8`), and empty rows. The one
-//! FP-reordering variant — the tree-reduced csrmm tile — is opt-in and is
-//! pinned here to a tolerance, never to bits.
+//! thread counts, `A = B` and `A ≠ B`, remainder-lane row sizes
+//! (`nnz ≡ 1..7 mod 8`), and empty rows.
 //!
 //! On hosts without AVX2 (or with `SPMM_SIMD=scalar` exported, as in CI's
 //! scalar-fallback leg) forcing `Avx2` resolves to the scalar path and the
@@ -93,16 +89,15 @@ fn simd_paths_are_bit_equal_on_self_product() {
 #[test]
 fn simd_paths_are_bit_equal_on_distinct_inputs() {
     // different row-size profiles exercise the dual thresholds and land
-    // rows on every engine route (copy, bounded, heavy, single- and
-    // multi-claim) on both mask halves
+    // both single- and multi-claim rows on both mask halves
     let a = matrix(1_500, 7_500, 72);
     let b = matrix(1_500, 21_000, 73);
     check_all_paths(&a, &b, "A != B");
 }
 
 /// A matrix pair built so output rows cover every drain remainder class:
-/// `nnz(C[i,:]) ≡ 0..7 (mod 8)`, rows drained through the copy path, rows
-/// merged from two B-rows, fully empty rows, and rows fed by empty B rows.
+/// `nnz(C[i,:]) ≡ 0..7 (mod 8)`, rows that are one scaled B row, rows
+/// summed from two B-rows, fully empty rows, and rows fed by empty B rows.
 fn remainder_lane_inputs() -> (CsrMatrix<f64>, CsrMatrix<f64>) {
     let n = 48usize;
     // B: row j holds j % 17 entries (0..=16 spans every residue mod 8,
@@ -114,7 +109,7 @@ fn remainder_lane_inputs() -> (CsrMatrix<f64>, CsrMatrix<f64>) {
             b.push(j, c, ((j * 31 + c) % 23) as f64 * 0.5 - 3.0);
         }
     }
-    // A: even rows are single-entry (copy path ⇒ C row = scaled B row,
+    // A: even rows are single-entry (C row = scaled B row,
     // every width of B appears verbatim); odd rows sum two adjacent B rows
     // (overlapping column ranges ⇒ genuine accumulation, union sizes
     // spread across residues). Row n-1 is left fully empty.
@@ -174,29 +169,4 @@ fn tiled_csrmm_is_bit_equal_across_levels_and_to_reference() {
             );
         }
     }
-}
-
-#[test]
-fn tree_reduced_csrmm_is_tolerance_gated_only() {
-    // The opt-in kernel reorders the FP sum: pin it to a tolerance and
-    // *document* (not require) that its bits may differ from the oracle.
-    let a = matrix(600, 4_200, 75);
-    let k = 16;
-    let data: Vec<f64> = (0..a.ncols() * k)
-        .map(|i| ((i * 7) % 31) as f64 * 0.25 - 2.0)
-        .collect();
-    let b = DenseMatrix::from_row_major(a.ncols(), k, data);
-    let expected = reference::csrmm(&a, &b).unwrap();
-    let mut ctx = HeteroContext::paper();
-    let out = hetero_spmm::core::csrmm::hh_csrmm_with_kernel(
-        &mut ctx,
-        &a,
-        &b,
-        ThresholdPolicy::Fixed { t_a: 6, t_b: 6 },
-        CsrmmKernel::TreeReduced,
-    );
-    assert!(
-        out.c.approx_eq(&expected, 1e-9, 1e-12),
-        "tree-reduced csrmm outside tolerance"
-    );
 }
