@@ -3,7 +3,7 @@
 //! high-density submatrix A_H of A with B on the CPU and the low-density
 //! submatrix A_L of A with B on the GPU."
 
-use spmm_sparse::{simd, CsrMatrix, DenseMatrix, Scalar};
+use spmm_sparse::{ColIndex, CsrMatrix, DenseMatrix, Scalar};
 
 use spmm_hetsim::{PhaseBreakdown, PhaseTimes, SimNs};
 
@@ -22,11 +22,12 @@ pub fn csrmm_compute<T: Scalar>(a: &CsrMatrix<T>, b: &DenseMatrix<T>) -> DenseMa
 }
 
 /// Compute `C[i, :] = A[i, :] × B` for each listed row with the
-/// register-tiled [`simd::csrmm_row_into`]: 8 dense output columns per pass
-/// over the sparse row, partial sums in registers, each element still
-/// accumulated in ascending-`j` order. Rows not listed are left untouched
-/// (the heterogeneous split visits each row exactly once across its
-/// disjoint halves).
+/// register-tiled [`csrmm_row`]: [`CSRMM_TILE`] dense output columns per
+/// pass over the sparse row, partial sums in a fixed-size array the
+/// compiler keeps in registers, each element still accumulated in
+/// ascending-`j` order. Rows not listed are left untouched (the
+/// heterogeneous split visits each row exactly once across its disjoint
+/// halves).
 fn csrmm_rows<T: Scalar>(
     a: &CsrMatrix<T>,
     b: &DenseMatrix<T>,
@@ -35,7 +36,45 @@ fn csrmm_rows<T: Scalar>(
 ) {
     for i in rows {
         let (acols, avals) = a.row(i);
-        simd::csrmm_row_into(acols, avals, b, c.row_mut(i));
+        csrmm_row(acols, avals, b, c.row_mut(i));
+    }
+}
+
+/// Dense B-columns processed per A-row sweep by [`csrmm_row`].
+const CSRMM_TILE: usize = 8;
+
+/// Register-tiled `C[row] = Σ_j a_j * B[j]` over one sparse A-row.
+///
+/// Loop-interchanged: for each tile of [`CSRMM_TILE`] output columns the
+/// sparse row is swept once with the tile's partial sums held in registers,
+/// so B traffic is sequential within a tile and C is written exactly once.
+/// Each output element still accumulates in ascending-`j` order starting
+/// from `T::ZERO` — **bit-identical** to [`spmm_sparse::reference::csrmm`].
+///
+/// `out` must be `b.ncols()` long; its prior contents are overwritten.
+fn csrmm_row<T: Scalar>(acols: &[ColIndex], avals: &[T], b: &DenseMatrix<T>, out: &mut [T]) {
+    let ncols = b.ncols();
+    assert_eq!(out.len(), ncols, "csrmm_row: output width");
+    let bdata = b.data();
+    let mut c0 = 0;
+    while c0 + CSRMM_TILE <= ncols {
+        let mut acc = [T::ZERO; CSRMM_TILE];
+        for (&j, &aij) in acols.iter().zip(avals) {
+            let brow = &bdata[j as usize * ncols + c0..][..CSRMM_TILE];
+            for (a, &bv) in acc.iter_mut().zip(brow) {
+                *a += aij * bv;
+            }
+        }
+        out[c0..c0 + CSRMM_TILE].copy_from_slice(&acc);
+        c0 += CSRMM_TILE;
+    }
+    // Remainder columns: same per-element j-order accumulation.
+    for (c, o) in out.iter_mut().enumerate().skip(c0) {
+        let mut acc = T::ZERO;
+        for (&j, &aij) in acols.iter().zip(avals) {
+            acc += aij * bdata[j as usize * ncols + c];
+        }
+        *o = acc;
     }
 }
 
@@ -256,7 +295,7 @@ mod tests {
         // The tiled kernel keeps per-element j-order accumulation, so the
         // contract is exact bits, not a tolerance — across every baseline
         // and the split path, including ragged (non-multiple-of-8) widths.
-        for k in [8, 11, 16, 19] {
+        for k in [5, 8, 11, 16, 19, 24] {
             let mut ctx = HeteroContext::paper();
             let (a, b) = inputs(350, k);
             let expected = spmm_sparse::reference::csrmm(&a, &b).unwrap();

@@ -19,7 +19,7 @@
 //! [`RowSizer`] is the symbolic-pass companion: it only needs
 //! distinct-column counts and therefore skips the value array entirely.
 
-use crate::{simd, ColIndex, Scalar};
+use crate::{ColIndex, Scalar};
 
 /// Gustavson sparse accumulator: scatter `(col, val)` contributions for one
 /// output row, then drain them in column order. Reusable across rows; build
@@ -95,12 +95,13 @@ impl<T: Scalar> SparseAccumulator<T> {
     /// exactly [`nnz`](Self::nnz) long), ascending by column, and reset for
     /// the next row. The SoA bulk form of [`drain_sorted`](Self::drain_sorted):
     /// sort the touched list once, memcpy it as the column array, and
-    /// gather the values by hardware gather (AVX2) or a chunked scalar
-    /// loop — no per-element closure dispatch. Same values, same order,
-    /// bit-identical.
+    /// gather the values with a 4-way unrolled loop — no per-element
+    /// closure dispatch. Same values, same order, bit-identical.
     pub fn drain_sorted_into(&mut self, out_cols: &mut [ColIndex], out_vals: &mut [T]) {
         self.touched.sort_unstable();
-        simd::gather_into(&self.touched, &self.values, out_cols, out_vals);
+        assert_eq!(self.touched.len(), out_vals.len(), "drain: vals length");
+        out_cols.copy_from_slice(&self.touched);
+        gather(&self.touched, &self.values, out_vals);
         self.touched.clear();
         self.advance_generation();
     }
@@ -135,6 +136,32 @@ impl<T: Scalar> SparseAccumulator<T> {
         } else {
             self.generation += 1;
         }
+    }
+}
+
+/// Gather values only: `out_vals[i] = table[idx[i]]`.
+#[inline]
+fn gather<T: Scalar>(idx: &[ColIndex], table: &[T], out_vals: &mut [T]) {
+    // Chunked by 4 for ILP; the tail runs per element. The loads are
+    // data-dependent (a true gather) so scalar code can't fuse them, but
+    // splitting the chains lets the core overlap the four cache misses.
+    let n = idx.len();
+    let whole = n & !3;
+    let mut i = 0;
+    while i < whole {
+        let v0 = table[idx[i] as usize];
+        let v1 = table[idx[i + 1] as usize];
+        let v2 = table[idx[i + 2] as usize];
+        let v3 = table[idx[i + 3] as usize];
+        out_vals[i] = v0;
+        out_vals[i + 1] = v1;
+        out_vals[i + 2] = v2;
+        out_vals[i + 3] = v3;
+        i += 4;
+    }
+    while i < n {
+        out_vals[i] = table[idx[i] as usize];
+        i += 1;
     }
 }
 
@@ -363,6 +390,23 @@ mod tests {
                 soa_of(&mut spa, &stream),
                 "SoA drain diverged at len {len}"
             );
+        }
+    }
+
+    /// Every unrolled-chunk remainder (lengths ≡ 0..3 mod 4) gathers
+    /// exactly `table[idx]`, bit for bit.
+    #[test]
+    fn gather_reads_table_bits_at_every_length() {
+        let table: Vec<f64> = (0..257u64)
+            .map(|i| ((i.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 1) % 2000) as f64 / 7.0 - 140.0)
+            .collect();
+        for n in [0usize, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 31, 33, 64] {
+            let idx: Vec<ColIndex> = (0..n).map(|i| ((i * 37 + 11) % 257) as ColIndex).collect();
+            let mut out = vec![f64::NAN; n];
+            gather(&idx, &table, &mut out);
+            for (k, &i) in idx.iter().enumerate() {
+                assert_eq!(out[k].to_bits(), table[i as usize].to_bits(), "len {n}");
+            }
         }
     }
 

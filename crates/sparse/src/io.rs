@@ -11,7 +11,7 @@
 use std::io::{BufRead, BufReader, Read, Write};
 use std::path::Path;
 
-use crate::{CooMatrix, CsrMatrix, Scalar, SparseError};
+use crate::{ColIndex, CooMatrix, CsrMatrix, Scalar, SparseError};
 
 /// Kind of value field in the file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -123,9 +123,22 @@ pub fn read_matrix_market_from<T: Scalar, R: Read>(reader: R) -> Result<CsrMatri
         });
     }
     let (nrows, ncols, declared_nnz) = (dims[0], dims[1], dims[2]);
+    // row and column indices are stored as `ColIndex`; a wider shape would
+    // silently truncate every coordinate past the limit
+    if nrows > ColIndex::MAX as usize || ncols > ColIndex::MAX as usize {
+        return Err(SparseError::Parse {
+            line: lineno,
+            msg: format!(
+                "shape {nrows}x{ncols} exceeds the {} index limit",
+                ColIndex::MAX
+            ),
+        });
+    }
 
     // --- entries ---
-    let mut coo = CooMatrix::with_capacity(nrows, ncols, declared_nnz);
+    // the header is untrusted: reserve a bounded amount and let the vector
+    // grow with the entries actually read
+    let mut coo = CooMatrix::with_capacity(nrows, ncols, declared_nnz.min(1 << 20));
     let mut seen = 0usize;
     for (n, line) in lines {
         let line = line?;
@@ -619,6 +632,27 @@ mod tests {
     fn rejects_entry_count_mismatch() {
         let src = "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n";
         assert!(read_matrix_market_from::<f64, _>(src.as_bytes()).is_err());
+    }
+
+    #[test]
+    fn huge_declared_nnz_is_a_count_mismatch_not_an_abort() {
+        let src = "%%MatrixMarket matrix coordinate real general\n3 3 1000000000000\n1 1 1.0\n";
+        let err = read_matrix_market_from::<f64, _>(src.as_bytes()).unwrap_err();
+        assert!(matches!(err, SparseError::Parse { .. }), "{err:?}");
+    }
+
+    #[test]
+    fn shape_past_the_index_limit_is_rejected() {
+        let too_wide = ColIndex::MAX as usize + 2;
+        let src = format!(
+            "%%MatrixMarket matrix coordinate real general\n2 {too_wide} 1\n1 {too_wide} 7.0\n"
+        );
+        let err = read_matrix_market_from::<f64, _>(src.as_bytes()).unwrap_err();
+        assert!(matches!(err, SparseError::Parse { line: 2, .. }), "{err:?}");
+        let src =
+            format!("%%MatrixMarket matrix coordinate real general\n{too_wide} 2 1\n1 1 7.0\n");
+        let err = read_matrix_market_from::<f64, _>(src.as_bytes()).unwrap_err();
+        assert!(matches!(err, SparseError::Parse { line: 2, .. }), "{err:?}");
     }
 
     #[test]

@@ -30,7 +30,6 @@ pub mod io;
 pub mod ops;
 pub mod reference;
 pub mod scalar;
-pub mod simd;
 pub mod workspace;
 
 pub use accumulator::{RowSizer, SparseAccumulator};
@@ -41,7 +40,6 @@ pub use dense::DenseMatrix;
 pub use error::SparseError;
 pub use histogram::RowHistogram;
 pub use scalar::Scalar;
-pub use simd::SimdLevel;
 pub use workspace::{EngineWorkspace, PooledSizer, PooledWorkspace, StagingBuffer, WorkspacePool};
 
 /// Index type used for column indices. `u32` halves the memory traffic of the

@@ -19,10 +19,8 @@
 //! * times end-to-end `hh_cpu` under the per-claim reference executor vs
 //!   the production batched executor on every Table I clone, failing on
 //!   any bit of output or profile drift (`exec_perf`);
-//! * times the production executor with SIMD dispatch forced to the
-//!   scalar fallback vs auto-detected (`simd_perf`), and the
-//!   register-tiled csrmm sweep vs the naive reference (`csrmm_perf`),
-//!   failing hard on any bit drift between levels;
+//! * times the register-tiled csrmm sweep vs the naive reference
+//!   (`csrmm_perf`), failing hard on any bit drift between the two;
 //! * times the sharded driver — pooled and out-of-core — against the
 //!   monolithic engine, failing unless every sharded product is
 //!   bit-identical (`shard_perf`);
@@ -34,13 +32,11 @@
 
 use std::time::Instant;
 
-use hetero_spmm::core::schedule::{self, ClaimSchedule, ScheduledClaim};
 use hetero_spmm::core::{threshold, SymbolicStructure};
-use hetero_spmm::hetsim::{CpuDevice, DeviceKind, GpuDevice};
+use hetero_spmm::hetsim::{CpuDevice, GpuDevice};
 use hetero_spmm::parallel::ThreadPool;
 use hetero_spmm::prelude::*;
 use hetero_spmm::serve::{replay, MultiplyRequest, ReplayOptions, ServiceConfig, SpmmService};
-use hetero_spmm::sparse::WorkspacePool;
 
 fn run(name: &str, a: &CsrMatrix<f64>, cpu: &mut CpuDevice, gpu: &mut GpuDevice) {
     cpu.reset();
@@ -100,13 +96,12 @@ fn main() {
 
     let phase1 = phase1_perf();
     let exec = exec_perf();
-    let simd = simd_perf();
     let csrmm = csrmm_perf();
     let shard = shard_perf();
     let serve = serve_perf();
 
     let path = std::env::var("BENCH_JSON").unwrap_or_else(|_| "BENCH_pr.json".into());
-    let json = format!("{{\n{phase1},\n{exec},\n{simd},\n{csrmm},\n{shard},\n{serve}\n}}\n");
+    let json = format!("{{\n{phase1},\n{exec},\n{csrmm},\n{shard},\n{serve}\n}}\n");
     std::fs::write(&path, json).expect("write smoke-perf artifact");
     println!("wrote {path}");
 }
@@ -320,107 +315,6 @@ fn exec_perf() -> String {
          \"exec_matrices\": [\n{}\n  ]",
         serial_total / batched_total,
         rows.join(",\n"),
-    )
-}
-
-/// Normalize a catalog name into a flat JSON key fragment.
-fn slug(name: &str) -> String {
-    name.to_lowercase().replace('-', "_")
-}
-
-/// Time the production numeric executor — one whole-matrix claim through
-/// `schedule::execute` under `ExecPolicy::Batched`, the call the
-/// `schedule.execute_ms` benchmark probe times — with SIMD dispatch forced
-/// to the scalar fallback vs the auto-detected level, on every Table I
-/// clone. Hard-fails if the two levels differ by a single output bit.
-/// Returns the JSON fragment (flat per-matrix `simd_speedup_<name>` keys
-/// so floors can pin each clone) for the CI artifact.
-fn simd_perf() -> String {
-    let reps = 3;
-    // one host thread on purpose: the probe measures the kernels' scalar
-    // vs vector dispatch, and thread-scope spawns on a shared CI core add
-    // noise an order of magnitude above the effect being measured
-    let pool = ThreadPool::new(1);
-    let workspaces = WorkspacePool::new();
-
-    simd::set_forced(None);
-    let auto = simd::level();
-    println!(
-        "\nsimd-perf: production executor, scalar fallback vs dispatched ({auto:?}) on every clone (best of {reps}):"
-    );
-    let mut rows = Vec::new();
-    let mut flat = Vec::new();
-    let (mut scalar_total, mut vector_total) = (0.0f64, 0.0f64);
-    for d in Dataset::all() {
-        let name = d.entry().name;
-        let a = d.load::<f64>(32);
-        let all_rows: Vec<usize> = (0..a.nrows()).collect();
-        let whole = ClaimSchedule {
-            claims: vec![ScheduledClaim {
-                device: DeviceKind::Cpu,
-                rows: &all_rows,
-                b_mask: None,
-                sim_ns: 0.0,
-            }],
-        };
-        let product = || {
-            let shape = (a.nrows(), a.ncols());
-            let policy = ExecPolicy::Batched;
-            schedule::execute(&a, &a, &whole, shape, &pool, &workspaces, policy).0
-        };
-
-        // the hard gate: forced-scalar and dispatched runs must agree on
-        // every bit of the product before either is timed
-        simd::set_forced(Some(SimdLevel::Scalar));
-        let want = product();
-        simd::set_forced(None);
-        let got = product();
-        assert_eq!(got, want, "{name}: SIMD dispatch changed the product");
-        assert_eq!(
-            got.content_hash(),
-            want.content_hash(),
-            "{name}: SIMD dispatch changed the product's value bits"
-        );
-
-        let (mut scalar_ms, mut vector_ms) = (f64::INFINITY, f64::INFINITY);
-        for _ in 0..reps {
-            simd::set_forced(Some(SimdLevel::Scalar));
-            let t0 = Instant::now();
-            std::hint::black_box(product());
-            scalar_ms = scalar_ms.min(t0.elapsed().as_secs_f64() * 1e3);
-
-            simd::set_forced(None);
-            let t0 = Instant::now();
-            std::hint::black_box(product());
-            vector_ms = vector_ms.min(t0.elapsed().as_secs_f64() * 1e3);
-        }
-        let speedup = scalar_ms / vector_ms;
-        println!(
-            "  {name:<14} scalar {scalar_ms:>8.2} ms | simd {vector_ms:>8.2} ms | {speedup:.2}x"
-        );
-        scalar_total += scalar_ms;
-        vector_total += vector_ms;
-        rows.push(format!(
-            "    {{\"name\": \"{name}\", \"simd_scalar_ms\": {scalar_ms:.4}, \
-             \"simd_vector_ms\": {vector_ms:.4}, \"simd_speedup\": {speedup:.4}}}",
-        ));
-        flat.push(format!("  \"simd_speedup_{}\": {speedup:.4}", slug(name)));
-    }
-    simd::set_forced(None);
-    println!(
-        "  simd total: scalar {scalar_total:.2} ms | simd {vector_total:.2} ms | {:.2}x",
-        scalar_total / vector_total
-    );
-
-    format!(
-        "  \"simd_level\": \"{auto:?}\",\n  \
-         \"simd_scalar_ms\": {scalar_total:.4},\n  \
-         \"simd_vector_ms\": {vector_total:.4},\n  \
-         \"simd_speedup\": {:.4},\n  \
-         \"simd_matrices\": [\n{}\n  ],\n{}",
-        scalar_total / vector_total,
-        rows.join(",\n"),
-        flat.join(",\n"),
     )
 }
 

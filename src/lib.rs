@@ -71,7 +71,6 @@ pub mod prelude {
         RowSizeDistribution, CATALOG,
     };
     pub use spmm_sparse::{
-        reference, simd, CooMatrix, CscMatrix, CsrMatrix, DenseMatrix, RowHistogram, Scalar,
-        SimdLevel,
+        reference, CooMatrix, CscMatrix, CsrMatrix, DenseMatrix, RowHistogram, Scalar,
     };
 }

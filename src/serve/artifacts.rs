@@ -12,10 +12,10 @@
 //! the device cost models: the same operands on a differently scaled
 //! platform legitimately pick different thresholds.
 //!
-//! The key deliberately does *not* include the executor policy or the
-//! SIMD level: artifacts are pre-numeric (they record thresholds, masks,
-//! and width tables, never engine scratch), and every executor and SIMD
-//! level produces the same bits from them.
+//! The key deliberately does *not* include the executor policy:
+//! artifacts are pre-numeric (they record thresholds, masks, and width
+//! tables, never engine scratch), and every executor produces the same
+//! bits from them.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};

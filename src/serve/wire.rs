@@ -519,6 +519,53 @@ mod tests {
     }
 
     #[test]
+    fn hostile_matrix_market_headers_are_bad_requests() {
+        let dir = std::env::temp_dir().join(format!("spmm-wire-mtx-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let header = "%%MatrixMarket matrix coordinate real general\n";
+        let files = [
+            // a header-sized reservation would abort the process
+            ("huge_nnz.mtx", "3 3 1000000000000\n1 1 1.0\n"),
+            // a column past the u32 index range would be stored at column 0
+            ("wide.mtx", "2 4294967297 1\n1 4294967297 7.0\n"),
+        ];
+        let mut input = Vec::new();
+        for (name, body) in files {
+            let path = dir.join(name);
+            std::fs::write(&path, format!("{header}{body}")).unwrap();
+            let load = Json::obj(vec![
+                ("op", Json::Str("load_path".into())),
+                ("path", Json::Str(path.to_str().unwrap().into())),
+            ]);
+            write_frame(&mut input, &load).unwrap();
+        }
+        for line in [
+            r#"{"op":"gen","alias":"g","nrows":100,"nnz":500,"alpha":2.2}"#,
+            r#"{"op":"multiply","a":"g","b":"g"}"#,
+        ] {
+            write_frame(&mut input, &json::parse(line).unwrap()).unwrap();
+        }
+        let mut output = Vec::new();
+        serve_stream(&service(), &mut Cursor::new(input), &mut output).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+
+        let mut cursor = Cursor::new(output);
+        let mut replies = Vec::new();
+        while let Some(reply) = read_frame(&mut cursor).unwrap() {
+            replies.push(reply);
+        }
+        assert_eq!(replies.len(), 4);
+        for reply in &replies[..2] {
+            assert_eq!(reply.get("ok"), Some(&Json::Bool(false)), "{reply:?}");
+            assert_eq!(reply.str_field("code"), Some("bad_request"), "{reply:?}");
+        }
+        // the session keeps serving after both rejections
+        for reply in &replies[2..] {
+            assert_eq!(reply.get("ok"), Some(&Json::Bool(true)), "{reply:?}");
+        }
+    }
+
+    #[test]
     fn profile_fingerprint_separates_close_profiles() {
         use spmm_core::PhaseBreakdown;
         let a = PhaseBreakdown::default();

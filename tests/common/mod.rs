@@ -11,6 +11,36 @@ pub fn matrix(n: usize, nnz: usize, seed: u64) -> CsrMatrix<f64> {
     scale_free_matrix(&GeneratorConfig::square_power_law(n, nnz, 2.2, seed))
 }
 
+/// A matrix pair built so output rows cover every drain remainder class:
+/// `nnz(C[i,:]) ≡ 0..7 (mod 8)`, rows that are one scaled B row, rows
+/// summed from two B-rows, fully empty rows, and rows fed by empty B rows.
+pub fn remainder_lane_inputs() -> (CsrMatrix<f64>, CsrMatrix<f64>) {
+    let n = 48usize;
+    // B: row j holds j % 17 entries (0..=16 spans every residue mod 8,
+    // including empty rows) starting at column j, values a fixed pattern.
+    let mut b = CooMatrix::new(n, n);
+    for j in 0..n {
+        for k in 0..(j % 17).min(n - j) {
+            let c = j + k;
+            b.push(j, c, ((j * 31 + c) % 23) as f64 * 0.5 - 3.0);
+        }
+    }
+    // A: even rows are single-entry (C row = scaled B row,
+    // every width of B appears verbatim); odd rows sum two adjacent B rows
+    // (overlapping column ranges ⇒ genuine accumulation, union sizes
+    // spread across residues). Row n-1 is left fully empty.
+    let mut a = CooMatrix::new(n, n);
+    for i in 0..n - 1 {
+        if i % 2 == 0 {
+            a.push(i, i, 1.5);
+        } else {
+            a.push(i, i - 1, -0.75);
+            a.push(i, i, 2.0);
+        }
+    }
+    (a.to_csr().unwrap(), b.to_csr().unwrap())
+}
+
 /// Assert two runs of the same algorithm agree on everything an
 /// `SpmmOutput` records, bit for bit.
 pub fn assert_identical(got: &SpmmOutput<f64>, want: &SpmmOutput<f64>, what: &str) {

@@ -14,7 +14,7 @@
 use hetero_spmm::prelude::*;
 
 mod common;
-use common::{check_all_paths, matrix};
+use common::{check_all_paths, matrix, remainder_lane_inputs};
 
 #[test]
 fn batched_executor_is_bit_equal_on_self_product() {
@@ -36,4 +36,26 @@ fn batched_executor_is_bit_equal_on_distinct_inputs() {
 fn batched_executor_is_bit_equal_on_catalog_clone() {
     let a = Dataset::by_name("wiki-Vote").unwrap().load::<f64>(32);
     check_all_paths(&a, &a, "wiki-Vote", &[1, 2, 8]);
+}
+
+#[test]
+fn batched_executor_is_bit_equal_on_remainder_lanes() {
+    let (a, b) = remainder_lane_inputs();
+    // sanity: the construction really covers every residue class mod 8
+    let mut ctx = HeteroContext::scaled(32).with_host_threads(2);
+    let probe = hh_cpu(&mut ctx, &a, &b, &HhCpuConfig::default());
+    let mut residues = [false; 8];
+    let mut empties = 0;
+    for i in 0..probe.c.nrows() {
+        let nnz = probe.c.row_nnz(i);
+        residues[nnz % 8] = true;
+        empties += usize::from(nnz == 0);
+    }
+    assert!(
+        residues.iter().all(|&r| r) && empties > 0,
+        "construction must cover nnz ≡ 0..7 (mod 8) and empty rows: {residues:?}, {empties}"
+    );
+    let expected = reference::spmm_rowrow(&a, &b).unwrap();
+    assert!(probe.c.approx_eq(&expected, 1e-9, 1e-12), "remainder lanes");
+    check_all_paths(&a, &b, "remainder lanes", &[1, 2, 8]);
 }
