@@ -84,7 +84,8 @@ impl SpmmArtifacts {
             let mut sim = threshold::serial_context(ctx);
             sim.pool = ctx.pool.clone();
             let t = (plan.thresholds.t_a, plan.thresholds.t_b);
-            threshold::evaluate(&mut sim, a, b, t, &plan.sym_a, plan.sym_b())
+            let widths = WidthTables::default();
+            threshold::evaluate(&mut sim, a, b, t, &plan.sym_a, plan.sym_b(), widths)
         });
         Self {
             policy,

@@ -15,13 +15,18 @@
 //!   identify the threshold" the paper lists as future work (§VI).
 //! * [`ThresholdPolicy::Empirical`] — the default and the paper's method:
 //!   simulate Phases II and III ([`simulate_phases`]) for every candidate
-//!   of a log-spaced ladder and keep the fastest, whose [`PhasePlan`] the
-//!   run then replays instead of simulating it again.
+//!   of a log-spaced ladder ([`empirical_ladder`]) and keep the fastest,
+//!   whose [`PhasePlan`] the run then replays instead of simulating it
+//!   again. The GPU output-width tables of all candidates come from one
+//!   structural pass ([`spmm_hetsim::gpu::ladder_output_widths`]) before
+//!   the candidates are simulated.
 
 use std::ops::Range;
 use std::sync::OnceLock;
 
-use spmm_hetsim::gpu::{masked_output_widths_for_pooled, masked_output_widths_pooled};
+use spmm_hetsim::gpu::{
+    ladder_output_widths, masked_output_widths_for_pooled, masked_output_widths_pooled,
+};
 use spmm_hetsim::{DeviceKind, PhaseTimes};
 use spmm_parallel::ThreadPool;
 use spmm_sparse::{CsrMatrix, RowHistogram, Scalar};
@@ -42,10 +47,12 @@ pub enum ThresholdPolicy {
     /// the "analytical techniques" the paper lists as future work (§VI).
     Balanced { candidates: usize },
     /// The paper's approach: "we chose to identify t empirically" (§III-A).
-    /// Evaluates the device cost models on the Phase II/III products for
-    /// `candidates` histogram quantiles and keeps the argmin. More accurate
-    /// than `Balanced` and costs one extra cost-model pass per candidate
-    /// (offline preprocessing in the paper; not charged to the run).
+    /// Simulates Phases II and III for about `candidates` thresholds of a
+    /// log-spaced ladder ([`empirical_ladder`]; 0 counts as 1) and keeps
+    /// the argmin. More accurate than `Balanced`: it costs one Phase II/III
+    /// simulation per candidate, plus one structural pass that sizes every
+    /// candidate's GPU output widths at once (offline preprocessing in the
+    /// paper; not charged to the run).
     Empirical { candidates: usize },
 }
 
@@ -362,6 +369,10 @@ fn balanced_threshold(
 /// and width tables come back with its pick, so the run that follows never
 /// simulates it a second time.
 ///
+/// The `B_L` width tables of every candidate come from one
+/// [`ladder_output_widths`] pass, each byte-equal to the table the
+/// candidate's simulation would otherwise build for itself.
+///
 /// The search fans the ladder out over the host pool: every candidate gets
 /// its own freshly cloned devices (no shared mutable state), the candidate
 /// plans come back in ladder order, and the argmin is taken serially with
@@ -375,29 +386,16 @@ fn empirical_threshold<T: Scalar>(
     sym_a: &SymbolicStructure,
     sym_b: &SymbolicStructure,
 ) -> (usize, Option<(PhasePlan, WidthTables)>) {
-    // Log-spaced candidate ladder: the interesting thresholds live in the
-    // distribution's tail, which row-count quantiles never reach. The
-    // single shared `t` classifies *both* matrices, so for A ≠ B products
-    // (the Figure 10 workload) the ladder must span whichever tail is
-    // longer — building it from A alone would leave B's hub rows
-    // unexplored.
-    let max_size = sym_b.max_row_nnz().max(sym_a.max_row_nnz());
-    let mut ladder: Vec<usize> = Vec::new();
-    let mut t = 2usize;
-    while t <= max_size {
-        ladder.push(t);
-        t *= 2;
-    }
-    ladder.push(max_size + 1);
-    if ladder.len() > candidates {
-        // thin evenly, keeping the ends
-        let stride = ladder.len().div_ceil(candidates);
-        let last = *ladder.last().unwrap();
-        ladder = ladder.into_iter().step_by(stride).collect();
-        if *ladder.last().unwrap() != last {
-            ladder.push(last);
-        }
-    }
+    let ladder = empirical_ladder(sym_a, sym_b, candidates);
+    // Every candidate's B_L width table from one pass over the product's
+    // structure; each candidate's simulation starts from its own copy, and
+    // all but the winner's are dropped when the search ends.
+    let n = a.nrows();
+    let table = ladder_output_widths(a, b, &ladder, &ctx.pool, &ctx.workspaces);
+    let seeded = |k: usize| WidthTables {
+        low: OnceLock::from(table[k * n..(k + 1) * n].to_vec()),
+        high: OnceLock::new(),
+    };
 
     let mut best = (f64::INFINITY, 1usize, None);
     let mut consider = |t: usize, candidate: (PhasePlan, WidthTables)| {
@@ -415,19 +413,57 @@ fn empirical_threshold<T: Scalar>(
         // candidate still costs against cold devices and the picks are
         // bit-identical to the fan-out; `phase1_determinism` pins this.
         let mut sim = serial_context(ctx);
-        for &t in &ladder {
-            consider(t, evaluate(&mut sim, a, b, (t, t), sym_a, sym_b));
+        for (k, &t) in ladder.iter().enumerate() {
+            consider(t, evaluate(&mut sim, a, b, (t, t), sym_a, sym_b, seeded(k)));
         }
     } else {
         let evaluated = ctx.pool.par_map(ladder.len(), |k| {
             let t = ladder[k];
-            evaluate(&mut serial_context(ctx), a, b, (t, t), sym_a, sym_b)
+            let mut sim = serial_context(ctx);
+            evaluate(&mut sim, a, b, (t, t), sym_a, sym_b, seeded(k))
         });
         for (&t, candidate) in ladder.iter().zip(evaluated) {
             consider(t, candidate);
         }
     }
     (best.1, best.2)
+}
+
+/// The thresholds [`ThresholdPolicy::Empirical`] weighs: a log-spaced
+/// ladder `2, 4, 8, …` up to the longer row of either operand, plus the
+/// all-GPU end `max + 1`, thinned evenly to about `candidates` entries
+/// while keeping both ends (`candidates = 0` is treated as 1). Strictly
+/// ascending.
+///
+/// The interesting thresholds live in the distribution's tail, which
+/// row-count quantiles never reach. The single shared `t` classifies
+/// *both* matrices, so for A ≠ B products (the Figure 10 workload) the
+/// ladder spans whichever tail is longer — building it from A alone would
+/// leave B's hub rows unexplored.
+pub fn empirical_ladder(
+    sym_a: &SymbolicStructure,
+    sym_b: &SymbolicStructure,
+    candidates: usize,
+) -> Vec<usize> {
+    let max_size = sym_b.max_row_nnz().max(sym_a.max_row_nnz());
+    let mut ladder: Vec<usize> = Vec::new();
+    let mut t = 2usize;
+    while t <= max_size {
+        ladder.push(t);
+        t *= 2;
+    }
+    ladder.push(max_size + 1);
+    let candidates = candidates.max(1);
+    if ladder.len() > candidates {
+        // thin evenly, keeping the ends
+        let stride = ladder.len().div_ceil(candidates);
+        let last = *ladder.last().unwrap();
+        ladder = ladder.into_iter().step_by(stride).collect();
+        if *ladder.last().unwrap() != last {
+            ladder.push(last);
+        }
+    }
+    ladder
 }
 
 /// A context with fresh devices of `ctx`'s platform and a one-thread pool:
@@ -437,7 +473,8 @@ pub(crate) fn serial_context(ctx: &HeteroContext) -> HeteroContext {
 }
 
 /// One threshold pair's simulated Phase II/III plan under the default
-/// (adaptive) work units, with the width tables it built on the way.
+/// (adaptive) work units, with `widths` — as seeded, plus the tables it
+/// built on the way.
 pub(crate) fn evaluate<T: Scalar>(
     sim: &mut HeteroContext,
     a: &CsrMatrix<T>,
@@ -445,8 +482,8 @@ pub(crate) fn evaluate<T: Scalar>(
     (t_a, t_b): (usize, usize),
     sym_a: &SymbolicStructure,
     sym_b: &SymbolicStructure,
+    widths: WidthTables,
 ) -> (PhasePlan, WidthTables) {
-    let widths = WidthTables::default();
     let units = adaptive_units(sym_a, t_a);
     let plan = simulate_phases(sim, a, b, (t_a, t_b), sym_a, sym_b, units, &widths);
     (plan, widths)
@@ -495,7 +532,8 @@ pub fn estimate_phases_with<T: Scalar>(
     sym_a: &SymbolicStructure,
     sym_b: &SymbolicStructure,
 ) -> (f64, f64) {
-    let (plan, _) = evaluate(&mut serial_context(ctx), a, b, (t, t), sym_a, sym_b);
+    let widths = WidthTables::default();
+    let (plan, _) = evaluate(&mut serial_context(ctx), a, b, (t, t), sym_a, sym_b, widths);
     (plan.phase2.wall(), plan.phase3.wall())
 }
 
@@ -793,6 +831,15 @@ mod tests {
             emp.t_a,
             bal.t_a
         );
+    }
+
+    #[test]
+    fn zero_empirical_candidates_count_as_one() {
+        let ctx = HeteroContext::scaled(32);
+        let a = scale_free(3_000, 15_000, 2.2);
+        let zero = identify(&ctx, &a, &a, ThresholdPolicy::Empirical { candidates: 0 });
+        let one = identify(&ctx, &a, &a, ThresholdPolicy::Empirical { candidates: 1 });
+        assert_eq!(zero, one);
     }
 
     #[test]

@@ -472,6 +472,89 @@ fn widths_impl<T: Scalar>(
     widths
 }
 
+/// The `B_L` output-width table of every threshold of an ascending
+/// `ladder`, in one pass over the product's structure. Candidate `j`'s
+/// `B_L` mask keeps the B rows with `|B(k,:)| < ladder[j].max(1)` (the
+/// complement of Phase I's `B_H` classification), and its widths land in
+/// `table[j * a.nrows()..(j + 1) * a.nrows()]` — byte-equal to
+/// [`masked_output_widths`] under that mask, for any thread count.
+///
+/// The masks nest: a B row in candidate `j`'s `B_L` stays in it for every
+/// later candidate. So each B row carries a bucket, the first candidate
+/// whose mask keeps it, and an output column's width contribution starts
+/// at the smallest bucket among the sources that produce it. Per A row
+/// the sources are visited in ascending bucket order through a stamp, so a
+/// column's first touch is in its minimum bucket; the fresh-column counts
+/// per bucket, prefix-summed, are every candidate's width at once. A row
+/// with a single live source needs no stamp: its width is that B row's
+/// size from the source's bucket on.
+pub fn ladder_output_widths<T: Scalar>(
+    a: &CsrMatrix<T>,
+    b: &CsrMatrix<T>,
+    ladder: &[usize],
+    pool: &ThreadPool,
+    workspaces: &WorkspacePool,
+) -> Vec<u32> {
+    assert!(
+        ladder.windows(2).all(|w| w[0] <= w[1]),
+        "threshold ladder must ascend"
+    );
+    let (n, m) = (a.nrows(), ladder.len());
+    let mut table = vec![0u32; m * n];
+    // bucket of B row k: the number of candidates that classify it high
+    let bucket: Vec<u32> = (0..b.nrows())
+        .map(|k| ladder.partition_point(|&t| t.max(1) <= b.row_nnz(k)) as u32)
+        .collect();
+    let out = DisjointSlice::new(&mut table);
+    pool.for_each_guided_with(
+        n,
+        64,
+        || {
+            let sources = Vec::<(u32, u32)>::new();
+            (workspaces.acquire_sizer(b.ncols()), sources, vec![0u32; m])
+        },
+        |(sizer, sources, fresh), range| {
+            for i in range {
+                // live sources: nonempty B rows some candidate keeps in B_L
+                sources.clear();
+                for &k in a.row(i).0 {
+                    let bk = bucket[k as usize];
+                    if (bk as usize) < m && b.row_nnz(k as usize) > 0 {
+                        sources.push((bk, k));
+                    }
+                }
+                if sources.is_empty() {
+                    continue;
+                }
+                fresh.fill(0);
+                if let [(bk, k)] = sources[..] {
+                    fresh[bk as usize] = b.row_nnz(k as usize) as u32;
+                } else {
+                    sources.sort_unstable_by_key(|&(bk, _)| bk);
+                    for &(bk, k) in sources.iter() {
+                        let mut count = 0u32;
+                        for &c in b.row(k as usize).0 {
+                            count += u32::from(sizer.mark(c));
+                        }
+                        fresh[bk as usize] += count;
+                    }
+                    sizer.finish_row();
+                }
+                let first = sources[0].0 as usize;
+                let mut width = 0u32;
+                for (j, &f) in fresh.iter().enumerate().skip(first) {
+                    width += f;
+                    // SAFETY: j < m and i < n, so the slot is in the
+                    // table; slot (j, i) is written only by the worker
+                    // that claimed row i, and every row is claimed once.
+                    unsafe { out.write(j * n + i, width) };
+                }
+            }
+        },
+    );
+    table
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -34,8 +34,8 @@ pub mod profile;
 
 pub use cpu::CpuDevice;
 pub use gpu::{
-    masked_output_widths, masked_output_widths_for, masked_output_widths_for_pooled,
-    masked_output_widths_pooled, GpuDevice,
+    ladder_output_widths, masked_output_widths, masked_output_widths_for,
+    masked_output_widths_for_pooled, masked_output_widths_pooled, GpuDevice,
 };
 pub use link::{PciLink, ShardLink, ShardLinkCost};
 pub use platform::{CpuSpec, GpuSpec, LinkSpec, Platform};

@@ -15,7 +15,9 @@
 //! * times the Phase-I empirical threshold search serial vs
 //!   candidate-parallel and runs a Figure-8-style threshold sweep on three
 //!   probe matrices, failing if any picked threshold drifts from the
-//!   committed goldens (`tests/golden/thresholds.txt`);
+//!   committed goldens (`tests/golden/thresholds.txt`) or if the search's
+//!   one-pass width ladder differs from the per-candidate width tables
+//!   (its wall time is `phase1_widths_ms`);
 //! * times end-to-end `hh_cpu` under the per-claim reference executor vs
 //!   the production batched executor on every Table I clone, failing on
 //!   any bit of output or profile drift (`exec_perf`);
@@ -33,6 +35,7 @@
 use std::time::Instant;
 
 use hetero_spmm::core::{threshold, SymbolicStructure};
+use hetero_spmm::hetsim::gpu::{ladder_output_widths, masked_output_widths_pooled};
 use hetero_spmm::hetsim::{CpuDevice, GpuDevice};
 use hetero_spmm::parallel::ThreadPool;
 use hetero_spmm::prelude::*;
@@ -122,7 +125,9 @@ fn ladder(max_row: usize) -> Vec<usize> {
 /// Time the Phase-I empirical threshold search serial (one host thread) vs
 /// candidate-parallel (host pool) on three probe matrices, run a
 /// Figure-8-style sweep on each, and verify every pick against the
-/// committed goldens. Returns the JSON fragment for the CI artifact.
+/// committed goldens and the search's one-pass width ladder against the
+/// per-candidate width tables. Returns the JSON fragment for the CI
+/// artifact.
 fn phase1_perf() -> String {
     let golden: Vec<(&str, usize)> = include_str!("../tests/golden/thresholds.txt")
         .lines()
@@ -158,13 +163,14 @@ fn phase1_perf() -> String {
         cases.push((name, d.load(32), d.effective_scale(32)));
     }
 
-    let policy = ThresholdPolicy::Empirical { candidates: 10 };
+    let candidates = 10;
+    let policy = ThresholdPolicy::Empirical { candidates };
     let host_threads = ThreadPool::host().num_threads();
     let reps = 3;
     println!("\nphase-I search (host pool = {host_threads} threads, best of {reps}):");
 
     let mut rows = Vec::new();
-    let (mut serial_total, mut parallel_total) = (0.0f64, 0.0f64);
+    let (mut serial_total, mut parallel_total, mut widths_total) = (0.0f64, 0.0f64, 0.0f64);
     for (name, a, eff) in &cases {
         let serial_ctx = HeteroContext::scaled(*eff).with_host_threads(1);
         let parallel_ctx = HeteroContext::scaled(*eff);
@@ -210,18 +216,37 @@ fn phase1_perf() -> String {
             "{name}: sweep produced a non-finite estimate"
         );
 
+        // the second hard gate: the one-pass width ladder the search reads
+        // must equal the per-candidate B_L width tables, slot for slot
+        let search_ladder = threshold::empirical_ladder(&sym, &sym, candidates);
+        let (pool, workspaces) = (&parallel_ctx.pool, &parallel_ctx.workspaces);
+        let t0 = Instant::now();
+        let table = ladder_output_widths(a, a, &search_ladder, pool, workspaces);
+        let widths_ms = t0.elapsed().as_secs_f64() * 1e3;
+        for (k, &t) in search_ladder.iter().enumerate() {
+            let b_low: Vec<bool> = sym.classify(t).into_iter().map(|h| !h).collect();
+            let want = masked_output_widths_pooled(a, a, Some(&b_low), pool, workspaces);
+            assert!(
+                table[k * a.nrows()..(k + 1) * a.nrows()] == want[..],
+                "{name}: one-pass width table drifted from the per-candidate table at t = {t}"
+            );
+        }
+
         println!(
             "  {name:<14} t={pick_serial:<5} serial {serial_ms:>8.2} ms | parallel {parallel_ms:>8.2} ms | \
-             {:.2}x | sweep ({} pts) {sweep_ms:.2} ms",
+             {:.2}x | widths ({} candidates) {widths_ms:.2} ms | sweep ({} pts) {sweep_ms:.2} ms",
             serial_ms / parallel_ms,
+            search_ladder.len(),
             totals.len(),
         );
         serial_total += serial_ms;
         parallel_total += parallel_ms;
+        widths_total += widths_ms;
         rows.push(format!(
             "    {{\"name\": \"{name}\", \"threshold\": {pick_serial}, \
              \"serial_ms\": {serial_ms:.4}, \"parallel_ms\": {parallel_ms:.4}, \
-             \"speedup\": {:.4}, \"sweep_points\": {}, \"sweep_ms\": {sweep_ms:.4}}}",
+             \"speedup\": {:.4}, \"widths_ms\": {widths_ms:.4}, \
+             \"sweep_points\": {}, \"sweep_ms\": {sweep_ms:.4}}}",
             serial_ms / parallel_ms,
             totals.len(),
         ));
@@ -237,6 +262,7 @@ fn phase1_perf() -> String {
          \"phase1_serial_ms\": {serial_total:.4},\n  \
          \"phase1_parallel_ms\": {parallel_total:.4},\n  \
          \"phase1_speedup\": {:.4},\n  \
+         \"phase1_widths_ms\": {widths_total:.4},\n  \
          \"phase1_matrices\": [\n{}\n  ]",
         serial_total / parallel_total,
         rows.join(",\n"),
