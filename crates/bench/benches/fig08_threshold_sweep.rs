@@ -28,20 +28,21 @@ fn figure() {
         "Figure 8",
         "total / Phase II / Phase III time vs threshold t (per matrix)",
     );
-    // The sweep itself uses the cost-model dry run (`estimate_phases_with`)
+    // The sweep itself uses the cost-model dry run (`estimate_ladder_with`)
     // so all 12 matrices x ~12 thresholds finish in minutes; the phase
     // walls it reports are identical to a full run's (the numerics only add
     // the real arithmetic, which does not affect simulated time). Matrices
     // sweep concurrently, and each builds its symbolic structure (sorted
     // row sizes + nnz prefix sums) once — the per-threshold classification
-    // aggregates are then O(log n) lookups instead of CSR rescans.
+    // aggregates are then O(log n) lookups instead of CSR rescans — and
+    // prices the whole ladder from one width pass and one Phase II walk.
     let computed = par_over_datasets(|_, a, ctx| {
         let sym = SymbolicStructure::from_matrix(a);
-        let mut points = Vec::new();
-        for t in ladder(a.max_row_nnz()) {
-            let (p2, p3) = threshold::estimate_phases_with(ctx, a, a, t.max(1), &sym, &sym);
-            points.push((t, p2, p3));
-        }
+        let ts = ladder(a.max_row_nnz());
+        let sweep: Vec<usize> = ts.iter().map(|&t| t.max(1)).collect();
+        let walls = threshold::estimate_ladder_with(ctx, a, a, &sweep, &sym, &sym);
+        let points: Vec<(usize, f64, f64)> =
+            ts.into_iter().zip(walls).map(|(t, (p2, p3))| (t, p2, p3)).collect();
         let mkl = mkl_like(ctx, a, a);
         (a.max_row_nnz(), points, mkl)
     });

@@ -9,10 +9,14 @@
 //! that: an LRU set-associative [`Cache`] and a three-level
 //! [`MemoryHierarchy`] with per-level hit latencies, mirroring the paper's
 //! i7-980 description (32 KB L1d, 256 KB L2 per core, 12 MB shared L3 —
-//! §II-B).
+//! §II-B). A [`CacheBank`] probes several same-geometry caches in lockstep
+//! through the same set routine, for simulations that replay nested
+//! sub-streams of one access stream.
 
+pub mod bank;
 pub mod cache;
 pub mod hierarchy;
 
+pub use bank::CacheBank;
 pub use cache::{AccessResult, Cache, CacheConfig, CacheStats};
 pub use hierarchy::{HierarchyConfig, HierarchyStats, MemoryHierarchy};

@@ -35,7 +35,7 @@ pub mod profile;
 pub use cpu::CpuDevice;
 pub use gpu::{
     ladder_output_widths, masked_output_widths, masked_output_widths_for,
-    masked_output_widths_for_pooled, masked_output_widths_pooled, GpuDevice,
+    masked_output_widths_for_pooled, masked_output_widths_pooled, GpuDevice, Phase2Price,
 };
 pub use link::{PciLink, ShardLink, ShardLinkCost};
 pub use platform::{CpuSpec, GpuSpec, LinkSpec, Platform};
