@@ -41,7 +41,7 @@ use std::time::Instant;
 
 use spmm_hetsim::{PhaseBreakdown, PhaseTimes, ShardLink, ShardLinkCost};
 use spmm_parallel::{OrderedCommitter, ThreadPool};
-use spmm_sparse::io::{read_csr_chunk_header, split_csr_chunk, write_csr_chunk};
+use spmm_sparse::io::{split_csr_chunk, write_csr_chunk};
 use spmm_sparse::{CsrMatrix, Scalar, SparseError};
 
 use crate::context::HeteroContext;
@@ -300,7 +300,7 @@ pub fn hh_cpu_sharded_with_artifacts<T: Scalar>(
                     ThreadPool::new(1),
                     ctx.workspaces.clone(),
                 );
-                let band_artifacts = artifacts.for_row_band(plan.band(i), &bands[i]);
+                let band_artifacts = artifacts.row_band_artifacts(plan.band(i), &bands[i]);
                 hh_cpu_with_artifacts(&mut band_ctx, &bands[i], b, config, &band_artifacts)
             });
             (outs, None)
@@ -502,7 +502,7 @@ fn run_out_of_core_pipelined<T: Scalar>(
                             ThreadPool::new(1),
                             ctx.workspaces.clone(),
                         );
-                        let band_artifacts = artifacts.for_row_band(plan.band(i), &band);
+                        let band_artifacts = artifacts.row_band_artifacts(plan.band(i), &band);
                         let mut out =
                             hh_cpu_with_artifacts(&mut band_ctx, &band, b, config, &band_artifacts);
                         let c = std::mem::replace(&mut out.c, CsrMatrix::zeros(0, 0));
@@ -704,6 +704,9 @@ struct Slot<T: Scalar> {
     shard: usize,
     band: Option<CsrMatrix<T>>,
     staged: bool,
+    /// The band's `(nrows, nnz)`, kept so the stitch sizes spilled bands
+    /// without reopening their chunks.
+    shape: (usize, usize),
 }
 
 impl<T: Scalar> SpillStore<T> {
@@ -753,6 +756,7 @@ impl<T: Scalar> SpillStore<T> {
         self.resident_bytes += c.byte_size();
         self.slots.push(Slot {
             shard,
+            shape: (c.nrows(), c.nnz()),
             band: Some(c),
             staged: false,
         });
@@ -817,10 +821,9 @@ impl<T: Scalar> SpillStore<T> {
     }
 
     /// Stitch every band (index order) into one matrix without ever
-    /// holding all bands resident: a sizing pass reads the 40-byte header
-    /// of each spilled chunk (resident bands are sized directly) to
-    /// allocate the final arrays once, then bands append one at a time —
-    /// with a prefetch thread decoding the *next* spilled chunk
+    /// holding all bands resident: the band shapes recorded at push size
+    /// the final arrays once, then bands append one at a time — with a
+    /// prefetch thread reading (and unlinking) the *next* spilled chunk
     /// (double-buffered `sync_channel(1)`) while the current band's
     /// indptr fix-up memcpy runs. Consumes the store; the spill directory
     /// is removed on the way out.
@@ -828,24 +831,10 @@ impl<T: Scalar> SpillStore<T> {
         let mut slots = std::mem::take(&mut self.slots);
         slots.sort_by_key(|s| s.shard);
 
-        // Sizing pass: per-band headers, no band bodies.
-        let mut nrows = 0usize;
-        let mut nnz = 0usize;
-        for slot in &slots {
-            match &slot.band {
-                Some(m) => {
-                    nrows += m.nrows();
-                    nnz += m.nnz();
-                }
-                None => {
-                    let dir = self.dir.as_ref().expect("spilled shard without a dir");
-                    let mut file = std::fs::File::open(Self::chunk_path(dir, slot.shard))?;
-                    let header = read_csr_chunk_header(&mut file)?;
-                    nrows += header.nrows;
-                    nnz += header.nnz;
-                }
-            }
-        }
+        // Sizing pass: every band's shape was recorded at push, so no
+        // chunk is reopened for its header.
+        let nrows: usize = slots.iter().map(|s| s.shape.0).sum();
+        let nnz: usize = slots.iter().map(|s| s.shape.1).sum();
 
         let mut indptr = Vec::with_capacity(nrows + 1);
         let mut indices = Vec::with_capacity(nnz);
@@ -895,8 +884,12 @@ impl<T: Scalar> SpillStore<T> {
                 let (tx, rx) = mpsc::sync_channel::<Result<Vec<u8>, SparseError>>(1);
                 s.spawn(move || {
                     for idx in spilled_idx {
-                        let chunk =
-                            std::fs::read(Self::chunk_path(&dir, idx)).map_err(SparseError::from);
+                        let path = Self::chunk_path(&dir, idx);
+                        let chunk = std::fs::read(&path).map_err(SparseError::from);
+                        // unlink here, off the stitch's critical path, so
+                        // the final directory removal finds it empty; a
+                        // failed unlink is left to that removal
+                        let _ = std::fs::remove_file(&path);
                         let failed = chunk.is_err();
                         // A closed receiver (consumer error/panic) or a
                         // read failure both end the prefetch.
@@ -1066,6 +1059,37 @@ mod tests {
         assert_eq!(pooled.per_shard, ooc.per_shard);
         assert_eq!(pooled.output.profile, sum_profiles(&pooled.per_shard));
         assert_eq!(pooled.output.c, ooc.output.c);
+    }
+
+    #[test]
+    fn band_plans_are_kept_on_the_global_artifacts() {
+        // a second sharded run against the same artifacts replays every
+        // band's kept plan: same bits, and the same band artifacts
+        let a = matrix(7);
+        let b = matrix(8);
+        let mut ctx = HeteroContext::paper().with_host_threads(2);
+        let config = HhCpuConfig::default();
+        let artifacts = SpmmArtifacts::build(&ctx, &a, &b, config.policy);
+        let bare = artifacts.byte_size();
+        let run = |ctx: &mut HeteroContext, shard: &ShardConfig| {
+            hh_cpu_sharded_with_artifacts(ctx, &a, &b, &config, shard, &artifacts)
+        };
+        let first = run(&mut ctx, &ShardConfig::pooled(3));
+        assert!(artifacts.byte_size() > bare, "band artifacts are accounted");
+        let again = run(&mut ctx, &ShardConfig::out_of_core(3, 0));
+        assert_eq!(again.output.c, first.output.c);
+        assert_eq!(again.per_shard, first.per_shard);
+        let plan = ShardPlan::nnz_balanced(&a, 3);
+        let band = a.row_band(plan.band(1));
+        let kept = artifacts.row_band_artifacts(plan.band(1), &band);
+        assert!(
+            kept.phases.get().is_some(),
+            "the band's first run planned it"
+        );
+        let shared = artifacts.row_band_artifacts(plan.band(1), &band);
+        assert!(std::sync::Arc::ptr_eq(&kept, &shared));
+        let cold = hh_cpu_sharded(&mut ctx, &a, &b, &config, &ShardConfig::pooled(3));
+        assert_eq!(cold.per_shard, first.per_shard);
     }
 
     #[test]
