@@ -1,6 +1,5 @@
 //! Sharded out-of-core SpGEMM: row-band partitioning over the HH-CPU
-//! engine, with a memory-capped pipelined spill mode and a simulated 1.5D
-//! communication sweep.
+//! engine, with a memory-capped pipelined spill mode.
 //!
 //! A shard is "a claim schedule with a row offset": the [`ShardPlan`]
 //! cuts A into contiguous nnz-balanced row bands, each band × full B runs
@@ -30,16 +29,11 @@
 //!   summed profile bit-identical to the monolithic run (DESIGN.md §3.9).
 //!   A one-thread host pool degenerates to one worker: bands run in plan
 //!   order, one at a time, with the spill writes still behind them.
-//!
-//! The [`ShardLink`] model prices the communication a real 1.5D
-//! decomposition would pay (B replication factor `c` trades resident
-//! memory against B-shift traffic) so the tradeoff is measurable before
-//! any real multi-process work.
 
 use std::sync::{mpsc, Condvar, Mutex};
 use std::time::Instant;
 
-use spmm_hetsim::{PhaseBreakdown, PhaseTimes, ShardLink, ShardLinkCost};
+use spmm_hetsim::{PhaseBreakdown, PhaseTimes};
 use spmm_parallel::{OrderedCommitter, ThreadPool};
 use spmm_sparse::io::{split_csr_chunk, write_csr_chunk};
 use spmm_sparse::{CsrMatrix, Scalar, SparseError};
@@ -120,19 +114,14 @@ pub struct ShardConfig {
     pub shards: usize,
     /// Execution mode.
     pub mode: ShardMode,
-    /// B replication factor for the simulated 1.5D link sweep (clamped to
-    /// `[1, shards]` by the model). Purely an accounting input: it never
-    /// changes C or the per-shard profiles.
-    pub replication: usize,
 }
 
 impl ShardConfig {
-    /// Pooled execution over `shards` bands, replication 1.
+    /// Pooled execution over `shards` bands.
     pub fn pooled(shards: usize) -> Self {
         Self {
             shards,
             mode: ShardMode::Pooled,
-            replication: 1,
         }
     }
 
@@ -141,14 +130,7 @@ impl ShardConfig {
         Self {
             shards,
             mode: ShardMode::OutOfCore { byte_cap },
-            replication: 1,
         }
-    }
-
-    /// Same config at a different replication factor.
-    pub fn with_replication(mut self, c: usize) -> Self {
-        self.replication = c;
-        self
     }
 }
 
@@ -191,8 +173,6 @@ pub struct ShardedOutput<T: Scalar> {
     pub plan: ShardPlan,
     /// How many shard outputs took the disk round-trip (0 in pooled mode).
     pub spilled_shards: usize,
-    /// Simulated 1.5D communication bill at `config.replication`.
-    pub link: ShardLinkCost,
     /// Pipeline diagnostics — `Some` for out-of-core runs, `None` for
     /// pooled.
     pub pipe: Option<PipelineStats>,
@@ -273,19 +253,13 @@ pub fn hh_cpu_sharded_with_artifacts<T: Scalar>(
     let plan = ShardPlan::nnz_balanced(a, shard.shards);
     let p = plan.shards();
 
-    // Band input bytes come straight from A's row pointers — the
-    // pipelined path must price a band for admission *before* deciding to
-    // materialize it, and the link model wants the same numbers.
-    let band_a_bytes: Vec<usize> = (0..p).map(|i| a.row_band_byte_size(plan.band(i))).collect();
-
     let mut spilled_shards = 0usize;
     let mut pipe = None;
     // Each branch yields the band outputs in plan order; the out-of-core
-    // branch also yields the already-stitched C plus per-band C bytes
-    // (its outputs carry empty placeholder matrices — the real bands
-    // streamed through the spill store).
-    type BandRun<T> = (Vec<SpmmOutput<T>>, Option<(CsrMatrix<T>, Vec<usize>)>);
-    let (outputs, prestitched): BandRun<T> = match shard.mode {
+    // branch also yields the already-stitched C (its outputs carry empty
+    // placeholder matrices — the real bands streamed through the spill
+    // store).
+    let (outputs, prestitched): (Vec<SpmmOutput<T>>, Option<CsrMatrix<T>>) = match shard.mode {
         ShardMode::Pooled => {
             // Bands and their sliced artifacts are cheap to build (one
             // memcpy of the band arrays + one symbolic scan); the
@@ -309,20 +283,16 @@ pub fn hh_cpu_sharded_with_artifacts<T: Scalar>(
             let run = run_out_of_core_pipelined(ctx, a, b, config, artifacts, &plan, byte_cap);
             spilled_shards = run.spilled;
             pipe = Some(run.stats);
-            (run.outputs, Some((run.c, run.band_c_bytes)))
+            (run.outputs, Some(run.c))
         }
     };
 
     let per_shard: Vec<PhaseBreakdown> = outputs.iter().map(|o| o.profile).collect();
     let tuples_merged: usize = outputs.iter().map(|o| o.tuples_merged).sum();
-    let (c, band_c_bytes) = match prestitched {
-        Some(stitched) => stitched,
-        None => {
-            let band_cs: Vec<CsrMatrix<T>> = outputs.into_iter().map(|o| o.c).collect();
-            let bytes: Vec<usize> = band_cs.iter().map(CsrMatrix::byte_size).collect();
-            (concat_row_bands(&band_cs, b.ncols()), bytes)
-        }
-    };
+    let c = prestitched.unwrap_or_else(|| {
+        let band_cs: Vec<CsrMatrix<T>> = outputs.into_iter().map(|o| o.c).collect();
+        concat_row_bands(&band_cs, b.ncols())
+    });
 
     let profile = sum_profiles(&per_shard);
     let th = &artifacts.plan.thresholds;
@@ -336,19 +306,11 @@ pub fn hh_cpu_sharded_with_artifacts<T: Scalar>(
         tuples_merged,
     };
 
-    let link = ShardLink::from_pci(ctx.link).cost(
-        shard.replication,
-        &band_a_bytes,
-        b.byte_size(),
-        &band_c_bytes,
-    );
-
     ShardedOutput {
         output,
         per_shard,
         plan,
         spilled_shards,
-        link,
         pipe,
     }
 }
@@ -359,8 +321,6 @@ struct PipelinedRun<T: Scalar> {
     outputs: Vec<SpmmOutput<T>>,
     /// The stitched C.
     c: CsrMatrix<T>,
-    /// Per-band C bytes (link-model input), in plan order.
-    band_c_bytes: Vec<usize>,
     /// Bands that took the disk round-trip.
     spilled: usize,
     stats: PipelineStats,
@@ -406,7 +366,6 @@ fn run_out_of_core_pipelined<T: Scalar>(
     let band_a_bytes: Vec<usize> = (0..p).map(|i| a.row_band_byte_size(plan.band(i))).collect();
     let budget = ResidentBudget::new(byte_cap);
     let outs: Mutex<Vec<Option<SpmmOutput<T>>>> = Mutex::new((0..p).map(|_| None).collect());
-    let band_c_bytes: Mutex<Vec<usize>> = Mutex::new(vec![0; p]);
 
     let (c, spilled, spill_wait_ns) = std::thread::scope(|s| {
         // The channel and committer live inside this scope so a worker
@@ -473,11 +432,9 @@ fn run_out_of_core_pipelined<T: Scalar>(
 
         // The commit closure owns `tx` (so dropping it after `finish`
         // disconnects the writer) and borrows the rest.
-        let (outs_ref, bytes_ref, budget_ref, inputs_ref) =
-            (&outs, &band_c_bytes, &budget, &band_a_bytes);
+        let (outs_ref, budget_ref, inputs_ref) = (&outs, &budget, &band_a_bytes);
         let committer =
             OrderedCommitter::new(move |i: usize, (out, c): (SpmmOutput<T>, CsrMatrix<T>)| {
-                bytes_ref.lock().unwrap()[i] = c.byte_size();
                 outs_ref.lock().unwrap()[i] = Some(out);
                 // The band input dies here (the worker dropped it before
                 // submitting); its C is now the writer's responsibility.
@@ -539,7 +496,6 @@ fn run_out_of_core_pipelined<T: Scalar>(
     PipelinedRun {
         outputs,
         c,
-        band_c_bytes: band_c_bytes.into_inner().unwrap(),
         spilled,
         stats: PipelineStats {
             byte_cap,
@@ -1027,11 +983,7 @@ mod tests {
         let config = HhCpuConfig::default();
         let mono = hh_cpu(&mut ctx, &a, &a, &config);
         for mode in [ShardMode::Pooled, ShardMode::OutOfCore { byte_cap: 0 }] {
-            let shard = ShardConfig {
-                shards: 3,
-                mode,
-                replication: 1,
-            };
+            let shard = ShardConfig { shards: 3, mode };
             let out = hh_cpu_sharded(&mut ctx, &a, &a, &config, &shard);
             assert_eq!(out.output.c.content_hash(), mono.c.content_hash());
             assert_eq!(out.output.c, mono.c);
@@ -1106,30 +1058,6 @@ mod tests {
         assert_eq!(out.output.c, mono.c);
         assert_eq!(out.output.profile, mono.profile);
         assert_eq!(out.output.tuples_merged, mono.tuples_merged);
-    }
-
-    #[test]
-    fn replication_sweep_is_monotone() {
-        let a = matrix(13);
-        let mut ctx = HeteroContext::paper();
-        let config = HhCpuConfig::default();
-        let sweep: Vec<ShardLinkCost> = [1usize, 2, 4]
-            .iter()
-            .map(|&c| {
-                hh_cpu_sharded(
-                    &mut ctx,
-                    &a,
-                    &a,
-                    &config,
-                    &ShardConfig::pooled(8).with_replication(c),
-                )
-                .link
-            })
-            .collect();
-        for pair in sweep.windows(2) {
-            assert!(pair[1].b_shift_bytes < pair[0].b_shift_bytes);
-            assert!(pair[1].resident_bytes > pair[0].resident_bytes);
-        }
     }
 
     /// Largest per-band working set (input + C bytes) for a plan — the

@@ -500,13 +500,8 @@ pub fn empirical_ladder(
     candidates: usize,
 ) -> Vec<usize> {
     let max_size = sym_b.max_row_nnz().max(sym_a.max_row_nnz());
-    let mut ladder: Vec<usize> = Vec::new();
-    let mut t = 2usize;
-    while t <= max_size {
-        ladder.push(t);
-        t *= 2;
-    }
-    ladder.push(max_size + 1);
+    // the sweep without its all-CPU end
+    let mut ladder = sweep_ladder(max_size).split_off(1);
     let candidates = candidates.max(1);
     if ladder.len() > candidates {
         // thin evenly, keeping the ends
@@ -517,6 +512,20 @@ pub fn empirical_ladder(
             ladder.push(last);
         }
     }
+    ladder
+}
+
+/// The Figure 8 sweep over a matrix whose longest row holds `max_row`
+/// nonzeros: the all-CPU end `0`, the log-spaced `2, 4, 8, …` up to
+/// `max_row`, and the all-GPU end `max_row + 1`. Strictly ascending.
+pub fn sweep_ladder(max_row: usize) -> Vec<usize> {
+    let mut ladder = vec![0];
+    let mut t = 2usize;
+    while t <= max_row {
+        ladder.push(t);
+        t *= 2;
+    }
+    ladder.push(max_row + 1);
     ladder
 }
 
@@ -546,58 +555,14 @@ pub(crate) fn evaluate<T: Scalar>(
     (plan, widths)
 }
 
-/// Cost-model-only dry run of Phases II and III for threshold `t` (fresh
-/// cloned devices, no numeric work). Returns the estimated total (`phase
-/// II wall + phase III wall`).
-pub fn estimate_run<T: Scalar>(
-    ctx: &HeteroContext,
-    a: &CsrMatrix<T>,
-    b: &CsrMatrix<T>,
-    t: usize,
-) -> f64 {
-    let (p2, p3) = estimate_phases(ctx, a, b, t);
-    p2 + p3
-}
-
-/// Like [`estimate_run`] but returns the two phase walls separately — the
-/// series the Figure 8 sweep plots. Builds the symbolic structure on the
-/// fly; sweeps evaluating many thresholds on one matrix should build a
-/// [`SymbolicStructure`] once and call [`estimate_ladder_with`].
-pub fn estimate_phases<T: Scalar>(
-    ctx: &HeteroContext,
-    a: &CsrMatrix<T>,
-    b: &CsrMatrix<T>,
-    t: usize,
-) -> (f64, f64) {
-    let sym_a = SymbolicStructure::from_matrix(a);
-    let sym_b = if std::ptr::eq(a, b) {
-        None
-    } else {
-        Some(SymbolicStructure::from_matrix(b))
-    };
-    estimate_phases_with(ctx, a, b, t, &sym_a, sym_b.as_ref().unwrap_or(&sym_a))
-}
-
-/// [`estimate_phases`] against precomputed symbolic structures (pass the
-/// same structure twice for the self-product): the walls of the
-/// [`simulate_phases`] plan that an empirical Phase I would weigh for `t`.
-/// The one-threshold case of [`estimate_ladder_with`].
-pub fn estimate_phases_with<T: Scalar>(
-    ctx: &HeteroContext,
-    a: &CsrMatrix<T>,
-    b: &CsrMatrix<T>,
-    t: usize,
-    sym_a: &SymbolicStructure,
-    sym_b: &SymbolicStructure,
-) -> (f64, f64) {
-    estimate_ladder_with(ctx, a, b, &[t], sym_a, sym_b)[0]
-}
-
-/// [`estimate_phases_with`] for every threshold of an ascending `ladder`
-/// (repeats allowed), in order: the Figure 8 sweep. The thresholds share
-/// one width pass and one Phase II walk per candidate group, exactly as the
-/// empirical search's candidates do, and each pair is bit-identical to the
-/// one-threshold call.
+/// The Phase II and Phase III walls of the [`simulate_phases`] plan that
+/// an empirical Phase I would weigh for each threshold of an ascending
+/// `ladder` (repeats allowed), in order: the Figure 8 sweep. Cost model
+/// only, on fresh devices, with no numeric work; pass the same structure
+/// twice for the self-product. The thresholds share one width pass and one
+/// Phase II walk per candidate group, exactly as the empirical search's
+/// candidates do, and each pair is bit-identical to the one-threshold
+/// ladder `&[t]`.
 pub fn estimate_ladder_with<T: Scalar>(
     ctx: &HeteroContext,
     a: &CsrMatrix<T>,
@@ -928,8 +893,12 @@ mod tests {
         let a = scale_free(8_000, 64_000, 2.2);
         let emp = identify(&ctx, &a, &a, ThresholdPolicy::default());
         let bal = identify(&ctx, &a, &a, ThresholdPolicy::Balanced { candidates: 16 });
-        let emp_cost = estimate_run(&ctx, &a, &a, emp.t_a);
-        let bal_cost = estimate_run(&ctx, &a, &a, bal.t_a);
+        let sym = SymbolicStructure::from_matrix(&a);
+        let cost = |t| {
+            let (p2, p3) = estimate_ladder_with(&ctx, &a, &a, &[t], &sym, &sym)[0];
+            p2 + p3
+        };
+        let (emp_cost, bal_cost) = (cost(emp.t_a), cost(bal.t_a));
         assert!(
             emp_cost <= bal_cost * 1.05,
             "empirical pick t={} ({emp_cost}) worse than balanced t={} ({bal_cost})",

@@ -22,9 +22,9 @@
 //!   reports ("around 25–30 milliseconds to transfer a matrix with around 5
 //!   Million nonzero entries", §IV-A).
 //!
-//! All model parameters live in [`platform::Platform`] so ablation benches
-//! can perturb them; the defaults are calibrated to the paper's hardware
-//! description, not to its absolute timings.
+//! All model parameters live in [`platform::Platform`]; the defaults are
+//! calibrated to the paper's hardware description, not to its absolute
+//! timings.
 
 pub mod cpu;
 pub mod gpu;
@@ -37,7 +37,7 @@ pub use gpu::{
     ladder_output_widths, masked_output_widths, masked_output_widths_for,
     masked_output_widths_for_pooled, masked_output_widths_pooled, GpuDevice, Phase2Price,
 };
-pub use link::{PciLink, ShardLink, ShardLinkCost};
+pub use link::PciLink;
 pub use platform::{CpuSpec, GpuSpec, LinkSpec, Platform};
 pub use profile::{DeviceKind, PhaseBreakdown, PhaseTimes};
 

@@ -28,137 +28,6 @@ impl PciLink {
     }
 }
 
-/// Byte and simulated-ns accounting for one sharded multiply at one
-/// replication factor, produced by [`ShardLink::cost`].
-///
-/// The fields mirror the 1.5D algorithm's communication phases
-/// (Buluç–Gilbert / PASSIONLab `15D_sparse.cpp`): scatter the A bands,
-/// shift B panels among `p / c` shard groups, reduce the `c` partial-C
-/// replicas, gather the C bands. Everything is deterministic integer
-/// arithmetic over CSR byte sizes — no wall clock anywhere — so sweeps
-/// are reproducible to the bit.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct ShardLinkCost {
-    /// Replication factor `c` the cost was evaluated at.
-    pub replication: usize,
-    /// Σ band A bytes: each band's rows of A ship once to its executor.
-    pub a_scatter_bytes: usize,
-    /// `⌈p / c⌉ × bytes(B)`: with `c` replicas of B resident, each serves
-    /// its group of `p / c` shards, so B crosses the link once per group
-    /// instead of once per shard. This is the term replication shrinks.
-    pub b_shift_bytes: usize,
-    /// `Σ band C bytes × (c − 1) / c`: partial C contributions combined
-    /// across the `c` replicas. This is the term replication grows.
-    pub c_reduce_bytes: usize,
-    /// Σ band C bytes: the finished bands stream back for the concat.
-    pub c_gather_bytes: usize,
-    /// Memory high-water mark: `c` resident B replicas plus the largest
-    /// band's A and C. Monotone increasing in `c` — the memory half of
-    /// the memory-vs-communication tradeoff.
-    pub resident_bytes: usize,
-    /// Simulated ns for all messages above at PCIe latency + bandwidth.
-    pub transfer_ns: SimNs,
-}
-
-impl ShardLinkCost {
-    /// All bytes moved over the link (scatter + shift + reduce + gather).
-    pub fn total_bytes(&self) -> usize {
-        self.a_scatter_bytes + self.b_shift_bytes + self.c_reduce_bytes + self.c_gather_bytes
-    }
-}
-
-/// Simulated 1.5D communication model for the sharded driver.
-///
-/// Wraps the same [`PciLink`] the monolithic engine charges, but prices a
-/// *sharded* multiply: `p` row bands of A against a full B, with B
-/// replicated `c` ways. Replication trades memory for communication —
-/// larger `c` means fewer B shifts but more partial-C reduction and more
-/// resident bytes. The model exists so that tradeoff is measurable before
-/// any real multi-process work.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ShardLink {
-    link: PciLink,
-}
-
-impl ShardLink {
-    pub fn new(spec: LinkSpec) -> Self {
-        Self {
-            link: PciLink::new(spec),
-        }
-    }
-
-    pub fn from_pci(link: PciLink) -> Self {
-        Self { link }
-    }
-
-    /// Price one sharded multiply: `band_a_bytes[i]` / `band_c_bytes[i]`
-    /// are the CSR byte sizes of shard `i`'s A band and C output,
-    /// `b_bytes` the full B. `replication` is clamped to `[1, p]`.
-    pub fn cost(
-        &self,
-        replication: usize,
-        band_a_bytes: &[usize],
-        b_bytes: usize,
-        band_c_bytes: &[usize],
-    ) -> ShardLinkCost {
-        assert_eq!(
-            band_a_bytes.len(),
-            band_c_bytes.len(),
-            "one C band per A band"
-        );
-        let p = band_a_bytes.len().max(1);
-        let c = replication.clamp(1, p);
-
-        let a_scatter_bytes: usize = band_a_bytes.iter().sum();
-        let b_messages = p.div_ceil(c);
-        let b_shift_bytes = b_messages * b_bytes;
-        let c_gather_bytes: usize = band_c_bytes.iter().sum();
-        let c_reduce_bytes = c_gather_bytes * (c - 1) / c;
-
-        let max_band_a = band_a_bytes.iter().copied().max().unwrap_or(0);
-        let max_band_c = band_c_bytes.iter().copied().max().unwrap_or(0);
-        let resident_bytes = c * b_bytes + max_band_a + max_band_c;
-
-        // One message per band for scatter/reduce/gather, one per shard
-        // group for the B shift — latency is charged per message, exactly
-        // like the monolithic engine's per-transfer accounting.
-        let mut transfer_ns = 0.0;
-        for &a in band_a_bytes {
-            transfer_ns += self.link.transfer_ns(a);
-        }
-        for _ in 0..b_messages {
-            transfer_ns += self.link.transfer_ns(b_bytes);
-        }
-        for &cb in band_c_bytes {
-            transfer_ns += self.link.transfer_ns(cb * (c - 1) / c);
-            transfer_ns += self.link.transfer_ns(cb);
-        }
-
-        ShardLinkCost {
-            replication: c,
-            a_scatter_bytes,
-            b_shift_bytes,
-            c_reduce_bytes,
-            c_gather_bytes,
-            resident_bytes,
-            transfer_ns,
-        }
-    }
-
-    /// Evaluate [`ShardLink::cost`] at each replication factor in `cs`.
-    pub fn sweep(
-        &self,
-        cs: &[usize],
-        band_a_bytes: &[usize],
-        b_bytes: usize,
-        band_c_bytes: &[usize],
-    ) -> Vec<ShardLinkCost> {
-        cs.iter()
-            .map(|&c| self.cost(c, band_a_bytes, b_bytes, band_c_bytes))
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -186,63 +55,5 @@ mod tests {
     fn monotone_in_size() {
         let l = link();
         assert!(l.transfer_ns(100) < l.transfer_ns(1000));
-    }
-
-    fn shard_link() -> ShardLink {
-        ShardLink::from_pci(link())
-    }
-
-    #[test]
-    fn shard_cost_c1_has_no_reduce() {
-        // c = 1: every shard fetches full B, no partial-C reduction
-        let bands_a = [100, 200, 300, 400];
-        let bands_c = [50, 60, 70, 80];
-        let cost = shard_link().cost(1, &bands_a, 10_000, &bands_c);
-        assert_eq!(cost.replication, 1);
-        assert_eq!(cost.a_scatter_bytes, 1000);
-        assert_eq!(cost.b_shift_bytes, 4 * 10_000);
-        assert_eq!(cost.c_reduce_bytes, 0);
-        assert_eq!(cost.c_gather_bytes, 260);
-        assert_eq!(cost.resident_bytes, 10_000 + 400 + 80);
-        assert_eq!(cost.total_bytes(), 1000 + 40_000 + 260);
-        assert!(cost.transfer_ns > 0.0);
-    }
-
-    #[test]
-    fn shard_sweep_trades_memory_for_communication() {
-        // B large relative to C: the paper-relevant regime where
-        // replication pays. Bytes must fall and resident memory must rise
-        // monotonically across c = 1, 2, 4.
-        let bands_a = [4_000; 8];
-        let bands_c = [2_000; 8];
-        let sweep = shard_link().sweep(&[1, 2, 4], &bands_a, 1 << 20, &bands_c);
-        assert_eq!(sweep.len(), 3);
-        for pair in sweep.windows(2) {
-            assert!(pair[1].total_bytes() < pair[0].total_bytes());
-            assert!(pair[1].transfer_ns < pair[0].transfer_ns);
-            assert!(pair[1].resident_bytes > pair[0].resident_bytes);
-            assert!(pair[1].b_shift_bytes < pair[0].b_shift_bytes);
-            assert!(pair[1].c_reduce_bytes >= pair[0].c_reduce_bytes);
-        }
-    }
-
-    #[test]
-    fn shard_cost_clamps_replication() {
-        let bands_a = [10, 20];
-        let bands_c = [5, 5];
-        let over = shard_link().cost(16, &bands_a, 1000, &bands_c);
-        assert_eq!(over.replication, 2);
-        let zero = shard_link().cost(0, &bands_a, 1000, &bands_c);
-        assert_eq!(zero.replication, 1);
-    }
-
-    #[test]
-    fn shard_cost_is_deterministic() {
-        let bands_a = [123, 456, 789];
-        let bands_c = [11, 22, 33];
-        let a = shard_link().cost(2, &bands_a, 5_000, &bands_c);
-        let b = shard_link().cost(2, &bands_a, 5_000, &bands_c);
-        assert_eq!(a, b);
-        assert_eq!(a.transfer_ns.to_bits(), b.transfer_ns.to_bits());
     }
 }

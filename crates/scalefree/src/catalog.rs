@@ -11,9 +11,10 @@
 //! (§V-B c: "the relative difference in the NNZ between high dense and low
 //! dense rows is small").
 //!
-//! Set `SPMM_DATA_DIR=/path/to/mtx` to load the real `.mtx` files instead,
-//! and `SPMM_SCALE=k` (default 32) to shrink clones by `k×` so the full
-//! figure suite runs quickly on modest machines.
+//! Set `SPMM_DATA_DIR=/path/to/mtx` to load the real `.mtx` files instead.
+//! [`Dataset::load`] shrinks a clone by a requested scale factor;
+//! `spmm figures [scale]` regenerates the paper's exhibits at `1/scale`
+//! (default 32) so the full suite runs quickly on modest machines.
 
 use std::path::PathBuf;
 
@@ -115,6 +116,15 @@ pub const CATALOG: [CatalogEntry; 12] = [
 /// with near-uniform row sizes.
 const NON_SCALE_FREE_ALPHA: f64 = 10.0;
 
+impl CatalogEntry {
+    /// Whether the published α marks a scale-free matrix: all but the
+    /// three near-uniform outliers (cop20kA, p2p-Gnutella31, roadNet-CA),
+    /// which Figures 8 and 9 set apart.
+    pub fn is_scale_free(&self) -> bool {
+        self.alpha <= NON_SCALE_FREE_ALPHA
+    }
+}
+
 /// Handle for loading a Table I matrix (clone or real file).
 #[derive(Debug, Clone, Copy)]
 pub struct Dataset {
@@ -173,7 +183,7 @@ impl Dataset {
         // keep the mean row size of the original, so nnz scales with rows
         let mean = self.entry.nnz as f64 / self.entry.rows as f64;
         let nnz = ((rows as f64 * mean) as usize).clamp(rows, rows * rows);
-        let distribution = if self.entry.alpha > NON_SCALE_FREE_ALPHA {
+        let distribution = if !self.entry.is_scale_free() {
             let spread = (mean / 4.0).round().max(1.0) as usize;
             RowSizeDistribution::NearUniform { spread }
         } else {
@@ -213,15 +223,6 @@ fn seed_for(name: &str) -> u64 {
     h
 }
 
-/// Read the scale knob from `SPMM_SCALE` (default 32).
-pub fn scale_from_env() -> usize {
-    std::env::var("SPMM_SCALE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&s| s >= 1)
-        .unwrap_or(32)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,6 +236,12 @@ mod tests {
         assert_eq!(web.nnz, 3_105_536);
         assert!((web.alpha - 2.1).abs() < 1e-9);
         assert!(Dataset::by_name("no-such-matrix").is_none());
+        let outliers: Vec<&str> = CATALOG
+            .iter()
+            .filter(|e| !e.is_scale_free())
+            .map(|e| e.name)
+            .collect();
+        assert_eq!(outliers, ["cop20kA", "p2p-Gnutella31", "roadNet-CA"]);
     }
 
     #[test]

@@ -111,19 +111,6 @@ fn main() {
     println!("wrote {path}");
 }
 
-/// Log-spaced threshold ladder between the degenerate ends (the Figure 8
-/// sweep shape).
-fn ladder(max_row: usize) -> Vec<usize> {
-    let mut out = vec![0];
-    let mut t = 2usize;
-    while t <= max_row {
-        out.push(t);
-        t *= 2;
-    }
-    out.push(max_row + 1);
-    out
-}
-
 /// Time the Phase-I empirical threshold search serial (one host thread) vs
 /// candidate-parallel (host pool) on three probe matrices, run a
 /// Figure-8-style sweep on each, and verify every pick against the
@@ -155,7 +142,7 @@ fn phase1_perf() -> String {
     };
 
     // the smoke matrix plus two Table I clones, each with its matched
-    // platform scale (small catalog matrices shrink less than SPMM_SCALE)
+    // platform scale (small catalog matrices shrink less than the requested scale)
     let mut cases: Vec<(&str, CsrMatrix<f64>, usize)> = vec![(
         "smoke",
         scale_free_matrix::<f64>(&GeneratorConfig::square_power_law(4_000, 40_000, 2.1, 7)),
@@ -202,11 +189,11 @@ fn phase1_perf() -> String {
             "{name}: Phase-I threshold drifted from tests/golden/thresholds.txt"
         );
 
-        // fig08-style sweep: symbolic structure built once, every ladder
+        // Figure 8 sweep: symbolic structure built once, every ladder
         // threshold estimated from one width pass and one Phase II walk
         let t0 = Instant::now();
         let sym = SymbolicStructure::from_matrix(a);
-        let sweep: Vec<usize> = ladder(a.max_row_nnz())
+        let sweep: Vec<usize> = threshold::sweep_ladder(a.max_row_nnz())
             .into_iter()
             .map(|t| t.max(1))
             .collect();
@@ -428,16 +415,10 @@ fn csrmm_perf() -> String {
 /// Time the sharded row-band driver on the scircuit clone: the monolithic
 /// engine vs an 8-way pooled shard fan-out vs out-of-core shards under a
 /// byte cap that forces disk spills through the pipelined overlap driver.
-/// Hard-fails unless every sharded product — both modes and every
-/// replication factor — is bit-identical to the monolithic run *before*
-/// anything is timed, and unless the pipelined run's peak resident bytes
-/// stay under
-/// `byte_cap` + one band working set (DESIGN.md §3.9). Then
-/// sweeps the simulated 1.5D replication factor c ∈ {1, 2, 4} and fails
-/// unless total simulated link bytes fall monotonically as resident B
-/// replicas absorb the broadcast traffic (the paper-style
-/// communication/memory trade). Returns the JSON fragment for the CI
-/// artifact.
+/// Hard-fails unless both sharded modes are bit-identical to the
+/// monolithic run *before* anything is timed, and unless the pipelined
+/// run's peak resident bytes stay under `byte_cap` + one band working set
+/// (DESIGN.md §3.9). Returns the JSON fragment for the CI artifact.
 fn shard_perf() -> String {
     // min-of-7: the mono-vs-pipelined ratio gates a 0.95 floor, so the
     // estimate needs more samples than the other probes to shake off
@@ -504,38 +485,6 @@ fn shard_perf() -> String {
         std::hint::black_box(run);
     }
 
-    // replication sweep over the simulated 1.5D link: same plan and C,
-    // only the communication schedule changes. c replicas of B cut the
-    // broadcast term ⌈p/c⌉·bytes(B) while growing the reduce term and the
-    // resident footprint — on this product bytes(C) ≪ p·bytes(B), so
-    // total link bytes must fall monotonically in c.
-    let cs = [1usize, 2, 4];
-    let sweep: Vec<_> = cs
-        .iter()
-        .map(|&c| {
-            let out = hh_cpu_sharded(&mut ctx, &a, &a, &config, &pooled_cfg.with_replication(c));
-            assert_eq!(out.output.c, mono.c, "replication c={c} changed C");
-            out.link
-        })
-        .collect();
-    for (lo, hi) in sweep.iter().zip(&sweep[1..]) {
-        let (a_c, b_c) = (lo.replication, hi.replication);
-        assert!(
-            hi.total_bytes() < lo.total_bytes(),
-            "link bytes not monotone: c={b_c} moves {} >= c={a_c}'s {}",
-            hi.total_bytes(),
-            lo.total_bytes()
-        );
-        assert!(
-            hi.b_shift_bytes < lo.b_shift_bytes,
-            "replication c={b_c} did not shrink the B broadcast"
-        );
-        assert!(
-            hi.resident_bytes > lo.resident_bytes,
-            "replication c={b_c} did not grow the resident footprint"
-        );
-    }
-
     println!(
         "\nshard-perf (scircuit/32, {shards} nnz-balanced bands, best of {reps}):\n\
          monolithic {mono_ms:.2} ms | pooled {pooled_ms:.2} ms ({:.2}x) | \
@@ -550,35 +499,6 @@ fn shard_perf() -> String {
         cap as f64 / 1e6,
         band_working_set as f64 / 1e6,
     );
-    for cost in &sweep {
-        println!(
-            "  c={} link: {:>7.2} MB total | B-shift {:>7.2} MB | reduce {:>6.2} MB | \
-             resident {:>7.2} MB | {:>9.0} sim-us",
-            cost.replication,
-            cost.total_bytes() as f64 / 1e6,
-            cost.b_shift_bytes as f64 / 1e6,
-            cost.c_reduce_bytes as f64 / 1e6,
-            cost.resident_bytes as f64 / 1e6,
-            cost.transfer_ns / 1e3,
-        );
-    }
-
-    let link_keys: Vec<String> = sweep
-        .iter()
-        .map(|cost| {
-            format!(
-                "  \"shard_link_total_mb_c{}\": {:.4},\n  \
-                 \"shard_link_resident_mb_c{}\": {:.4},\n  \
-                 \"shard_link_sim_us_c{}\": {:.4}",
-                cost.replication,
-                cost.total_bytes() as f64 / 1e6,
-                cost.replication,
-                cost.resident_bytes as f64 / 1e6,
-                cost.replication,
-                cost.transfer_ns / 1e3,
-            )
-        })
-        .collect();
     format!(
         "  \"shard_shards\": {shards},\n  \
          \"shard_spilled\": {spilled},\n  \
@@ -589,13 +509,11 @@ fn shard_perf() -> String {
          \"shard_ooc_speedup\": {:.4},\n  \
          \"shard_pipe_spill_wait_ms\": {:.4},\n  \
          \"shard_pipe_peak_resident_mb\": {:.4},\n  \
-         \"shard_pipe_budget_ok\": 1,\n  \
-         \"shard_link_monotone\": 1,\n{}",
+         \"shard_pipe_budget_ok\": 1",
         ooc_ms / pooled_ms,
         mono_ms / ooc_ms,
         best_pipe.spill_wait_ns as f64 / 1e6,
         best_pipe.peak_resident_bytes as f64 / 1e6,
-        link_keys.join(",\n"),
     )
 }
 

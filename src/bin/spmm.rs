@@ -6,14 +6,23 @@
 //! spmm run <algo> <dataset> [scale]  run one algorithm, print the profile
 //! spmm compare <dataset> [scale]     run every algorithm, print speedups
 //! spmm sweep <dataset> [scale]       Figure 8 threshold sweep
+//! spmm figures [scale]               Table I and Figures 1, 5–10
 //! spmm convert <in.mtx> <out.mtx>    parse, validate, and rewrite a matrix
 //! ```
 //!
 //! `<algo>` ∈ hh-cpu | hipc2012 | mkl | cusparse | unsorted-wq | sorted-wq.
-//! `[scale]` shrinks catalog clones (default 16; ignored for `.mtx` files).
+//! `[scale]` shrinks catalog clones (default 16, 32 for `figures`; ignored
+//! for `.mtx` files). A catalog clone runs on the platform matched to its
+//! own shrink factor (`Dataset::effective_scale`), as in the figures.
+//!
+//! `spmm figures` writes one JSON line per exhibit row to stdout and the
+//! paper-style tables to stderr; `tests/golden/figures.jsonl` is
+//! `spmm figures 128`.
 
+use std::io::Write as _;
 use std::process::ExitCode;
 
+use hetero_spmm::figures::{self, run_algorithm, ALGORITHMS};
 use hetero_spmm::prelude::*;
 use hetero_spmm::sparse::io;
 
@@ -23,11 +32,16 @@ fn main() -> ExitCode {
         Some("datasets") => cmd_datasets(),
         Some("info") => with_arg(&args, 1, "dataset or .mtx path", cmd_info),
         Some("run") => cmd_run(&args),
-        Some("compare") => with_arg(&args, 1, "dataset", |d| cmd_compare(d, scale_arg(&args, 2))),
-        Some("sweep") => with_arg(&args, 1, "dataset", |d| cmd_sweep(d, scale_arg(&args, 2))),
+        Some("compare") => with_arg(&args, 1, "dataset", |d| {
+            cmd_compare(d, scale_arg(&args, 2, 16)?)
+        }),
+        Some("sweep") => with_arg(&args, 1, "dataset", |d| {
+            cmd_sweep(d, scale_arg(&args, 2, 16)?)
+        }),
+        Some("figures") => scale_arg(&args, 1, 32).and_then(cmd_figures),
         Some("convert") => cmd_convert(&args),
         _ => {
-            eprintln!("usage: spmm <datasets|info|run|compare|sweep|convert> …");
+            eprintln!("usage: spmm <datasets|info|run|compare|sweep|figures|convert> …");
             eprintln!("see the module docs (`spmm --help` output) in src/bin/spmm.rs");
             return ExitCode::FAILURE;
         }
@@ -53,18 +67,31 @@ fn with_arg(
     }
 }
 
-fn scale_arg(args: &[String], idx: usize) -> usize {
-    args.get(idx).and_then(|s| s.parse().ok()).unwrap_or(16)
+/// The `[scale]` argument at `idx`, `default` when absent.
+fn scale_arg(args: &[String], idx: usize, default: usize) -> Result<usize, String> {
+    match args.get(idx) {
+        None => Ok(default),
+        Some(s) => s
+            .parse()
+            .ok()
+            .filter(|&scale| scale >= 1)
+            .ok_or_else(|| format!("scale must be a positive integer, got {s:?}")),
+    }
 }
 
-/// Load by catalog name or Matrix Market path.
-fn load(name: &str, scale: usize) -> Result<CsrMatrix<f64>, String> {
+/// Load by catalog name or Matrix Market path, with a context on the
+/// platform matched to the matrix's shrink factor.
+fn load(name: &str, scale: usize) -> Result<(CsrMatrix<f64>, HeteroContext), String> {
     if name.ends_with(".mtx") {
-        io::read_matrix_market(name).map_err(|e| e.to_string())
+        let m = io::read_matrix_market(name).map_err(|e| e.to_string())?;
+        Ok((m, HeteroContext::scaled(scale)))
     } else {
-        Dataset::by_name(name)
-            .map(|d| d.load(scale))
-            .ok_or_else(|| format!("unknown dataset {name:?}; try `spmm datasets`"))
+        let d = Dataset::by_name(name)
+            .ok_or_else(|| format!("unknown dataset {name:?}; try `spmm datasets`"))?;
+        Ok((
+            d.load(scale),
+            HeteroContext::scaled(d.effective_scale(scale)),
+        ))
     }
 }
 
@@ -81,7 +108,7 @@ fn cmd_datasets() -> Result<(), String> {
 }
 
 fn cmd_info(name: &str) -> Result<(), String> {
-    let m = load(name, 16)?;
+    let (m, _) = load(name, 16)?;
     println!(
         "{name}: {} x {}, {} nonzeros",
         m.nrows(),
@@ -109,30 +136,12 @@ fn cmd_info(name: &str) -> Result<(), String> {
     Ok(())
 }
 
-fn run_algo(
-    algo: &str,
-    ctx: &mut HeteroContext,
-    a: &CsrMatrix<f64>,
-) -> Result<SpmmOutput<f64>, String> {
-    let units = WorkUnitConfig::auto(a.nrows());
-    Ok(match algo {
-        "hh-cpu" => hh_cpu(ctx, a, a, &HhCpuConfig::default()),
-        "hipc2012" => hipc2012(ctx, a, a),
-        "mkl" => mkl_like(ctx, a, a),
-        "cusparse" => cusparse_like(ctx, a, a),
-        "unsorted-wq" => unsorted_workqueue(ctx, a, a, units),
-        "sorted-wq" => sorted_workqueue(ctx, a, a, units),
-        other => return Err(format!("unknown algorithm {other:?}")),
-    })
-}
-
 fn cmd_run(args: &[String]) -> Result<(), String> {
     let algo = args.get(1).ok_or("missing algorithm")?;
     let name = args.get(2).ok_or("missing dataset")?;
-    let scale = scale_arg(args, 3);
-    let a = load(name, scale)?;
-    let mut ctx = HeteroContext::scaled(scale);
-    let out = run_algo(algo, &mut ctx, &a)?;
+    let scale = scale_arg(args, 3, 16)?;
+    let (a, mut ctx) = load(name, scale)?;
+    let out = run_algorithm(algo, &mut ctx, &a)?;
     println!("{algo} on {name} (1/{scale} scale):");
     println!(
         "  C = A x A: {} nonzeros from {} tuples",
@@ -165,24 +174,15 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_compare(name: &str, scale: usize) -> Result<(), String> {
-    let a = load(name, scale)?;
-    let mut ctx = HeteroContext::scaled(scale);
+    let (a, mut ctx) = load(name, scale)?;
     println!(
         "{name} (1/{scale} scale, {} rows, {} nnz):\n",
         a.nrows(),
         a.nnz()
     );
-    let algos = [
-        "hh-cpu",
-        "hipc2012",
-        "mkl",
-        "cusparse",
-        "unsorted-wq",
-        "sorted-wq",
-    ];
     let mut results = Vec::new();
-    for algo in algos {
-        let out = run_algo(algo, &mut ctx, &a)?;
+    for algo in ALGORITHMS {
+        let out = run_algorithm(algo, &mut ctx, &a)?;
         results.push((algo, out));
     }
     let hh_total = results[0].1.total_ns();
@@ -202,20 +202,13 @@ fn cmd_compare(name: &str, scale: usize) -> Result<(), String> {
 }
 
 fn cmd_sweep(name: &str, scale: usize) -> Result<(), String> {
-    let a = load(name, scale)?;
-    let mut ctx = HeteroContext::scaled(scale);
+    let (a, mut ctx) = load(name, scale)?;
     println!(
         "{:>8} {:>12} {:>12} {:>12} {:>9}",
         "t", "total ms", "II ms", "III ms", "HD rows"
     );
-    let mut t = 2usize;
-    let mut ladder = vec![0usize];
-    while t <= a.max_row_nnz() {
-        ladder.push(t);
-        t *= 2;
-    }
-    ladder.push(a.max_row_nnz() + 1);
-    for t in ladder {
+    let mut best = (f64::INFINITY, 0);
+    for t in hetero_spmm::core::threshold::sweep_ladder(a.max_row_nnz()) {
         let out = hh_cpu(&mut ctx, &a, &a, &HhCpuConfig::with_threshold(t));
         let p = out.profile;
         println!(
@@ -226,8 +219,30 @@ fn cmd_sweep(name: &str, scale: usize) -> Result<(), String> {
             p.phase3.wall() / 1e6,
             out.hd_rows_a
         );
+        if p.total() < best.0 {
+            best = (p.total(), t);
+        }
     }
+    let auto = hh_cpu(&mut ctx, &a, &a, &HhCpuConfig::default());
+    println!(
+        "\nsweep best: t = {} at {:.3} ms; the empirical Phase I search picks \
+         t = {} at {:.3} ms ({:+.1}%)",
+        best.1,
+        best.0 / 1e6,
+        auto.threshold_a,
+        auto.total_ns() / 1e6,
+        (auto.total_ns() / best.0 - 1.0) * 100.0
+    );
     Ok(())
+}
+
+fn cmd_figures(scale: usize) -> Result<(), String> {
+    let rows = figures::figures(scale);
+    std::io::stdout()
+        .lock()
+        .write_all(figures::json_lines(&rows).as_bytes())
+        .and_then(|()| figures::print_tables(&rows, scale, &mut std::io::stderr().lock()))
+        .map_err(|e| e.to_string())
 }
 
 fn cmd_convert(args: &[String]) -> Result<(), String> {

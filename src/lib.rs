@@ -47,6 +47,7 @@
 //! | [`hetsim`] | `spmm-hetsim` | CPU/GPU/PCIe device models, phase profiles |
 //! | [`core`] | `spmm-core` | Algorithm HH-CPU + every baseline of the evaluation |
 
+pub mod figures;
 pub mod serve;
 
 pub use spmm_cache as cache;

@@ -1,7 +1,8 @@
-//! Minimal JSON value, parser, and writer for the serve wire protocol.
+//! Minimal JSON value, parser, and writer for the serve wire protocol and
+//! the figure series (`crate::figures`).
 //!
-//! The build is fully offline (no serde), so the service carries its own
-//! ~300-line JSON layer. Scope is exactly what the protocol needs: the six
+//! The build is fully offline (no external crates), so the service carries
+//! its own ~300-line JSON layer. Scope is exactly what the protocol needs: the six
 //! JSON types, string escapes (including `\uXXXX` with surrogate pairs),
 //! and deterministic output (objects keep insertion order). Numbers are
 //! `f64` — integral protocol fields stay exact below 2^53, and 64-bit

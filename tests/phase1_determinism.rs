@@ -1,13 +1,24 @@
 //! The candidate-parallel Phase-I search is a wall-clock optimisation
 //! only: the picked thresholds, the Boolean classifications, and the raw
-//! `estimate_run` floats must be bit-identical for every host thread
-//! count, across seeds, and for the A ≠ B case.
+//! `estimate_ladder_with` floats must be bit-identical for every host
+//! thread count, across seeds, and for the A ≠ B case.
 
-use hetero_spmm::core::threshold::{estimate_run, identify};
+use hetero_spmm::core::threshold::{estimate_ladder_with, identify};
+use hetero_spmm::core::SymbolicStructure;
 use hetero_spmm::prelude::*;
 
 fn matrix(n: usize, nnz: usize, seed: u64) -> CsrMatrix<f64> {
     scale_free_matrix(&GeneratorConfig::square_power_law(n, nnz, 2.2, seed))
+}
+
+/// Phase II + Phase III walls of the dry run at threshold `t`.
+fn estimate(ctx: &HeteroContext, a: &CsrMatrix<f64>, b: &CsrMatrix<f64>, t: usize) -> f64 {
+    let (sym_a, sym_b) = (
+        SymbolicStructure::from_matrix(a),
+        SymbolicStructure::from_matrix(b),
+    );
+    let (p2, p3) = estimate_ladder_with(ctx, a, b, &[t], &sym_a, &sym_b)[0];
+    p2 + p3
 }
 
 fn assert_same_pick(a: &CsrMatrix<f64>, b: &CsrMatrix<f64>, scale: usize) {
@@ -25,9 +36,9 @@ fn assert_same_pick(a: &CsrMatrix<f64>, b: &CsrMatrix<f64>, scale: usize) {
         // scheduling can never leak into the simulated nanoseconds
         let est1 = {
             let c1 = HeteroContext::scaled(scale).with_host_threads(1);
-            estimate_run(&c1, a, b, baseline.t_a)
+            estimate(&c1, a, b, baseline.t_a)
         };
-        let est = estimate_run(&ctx, a, b, got.t_a);
+        let est = estimate(&ctx, a, b, got.t_a);
         assert_eq!(est1.to_bits(), est.to_bits(), "estimate drifted");
     }
 }

@@ -82,11 +82,7 @@ fn exercise_clone(name: &str) {
                 for mode in [ShardMode::Pooled, ShardMode::OutOfCore { byte_cap: cap }] {
                     let what = format!("{name} {label} shards={shards} threads={threads} {mode:?}");
                     let mut ctx = HeteroContext::paper().with_host_threads(threads);
-                    let shard_config = ShardConfig {
-                        shards,
-                        mode,
-                        replication: 1,
-                    };
+                    let shard_config = ShardConfig { shards, mode };
                     let out = hh_cpu_sharded_with_artifacts(
                         &mut ctx,
                         &a,
@@ -267,14 +263,14 @@ fn serve_byte_cap_matches_monolithic() {
     }
 }
 
-/// Full-size (`SPMM_SCALE=1`) generator specs, runnable only under the
+/// Full-size (scale 1) generator specs, runnable only under the
 /// out-of-core driver with a memory cap. Ignored in default tier-1 — the
 /// webbase-1M clone alone is ~1M rows / ~3.1M nnz and the product is far
 /// bigger. Run explicitly:
 /// `cargo test --release --test shard_equivalence -- --ignored`
 fn full_scale_out_of_core(name: &str, shards: usize) {
     let dataset = Dataset::by_name(name).expect("catalog name");
-    let a = dataset.generate::<f64>(1); // SPMM_SCALE=1: published size
+    let a = dataset.generate::<f64>(1); // scale 1: published size
     assert_eq!(a.nrows(), dataset.entry().rows, "not the full-size clone");
     let config = HhCpuConfig::default();
     let mut ctx = HeteroContext::paper();
