@@ -219,11 +219,6 @@ impl Cache {
         self.stats
     }
 
-    /// Reset counters (contents are kept).
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
-    }
-
     /// Drop all cached lines and counters.
     pub fn flush(&mut self) {
         self.ways.fill(u64::EMPTY);

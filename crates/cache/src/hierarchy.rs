@@ -130,10 +130,6 @@ impl MemoryHierarchy {
         self.stats
     }
 
-    pub fn reset_stats(&mut self) {
-        self.stats = HierarchyStats::default();
-    }
-
     /// Forget all cached lines and counters.
     pub fn flush(&mut self) {
         self.l1.flush();

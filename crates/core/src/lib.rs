@@ -13,8 +13,11 @@
 //!   overlapped with `A_L × B_L` on the GPU (warp-per-row).
 //! * **Phase III** — `A_L × B_H` and `A_H × B_L` balanced through the
 //!   double-ended work queue (`spmm-workqueue`).
-//! * **Phase IV** ([`merge`]) — merge all `⟨r, c, v⟩` tuples into the
-//!   output CSR (sort → mark → scan → segmented add).
+//! * **Phase IV** ([`schedule`]) — sum each output row's partial products
+//!   into the output CSR. The simulated devices charge the paper's recipe
+//!   over `⟨r, c, v⟩` tuples (sort → mark → scan → segmented add); the host
+//!   engine sums each row in place, pinned bit for bit against the serial
+//!   oracle `spmm_sparse::reference::spmm_claims`.
 //!
 //! Baselines: [`hipc2012`] (the static-partition heterogeneous algorithm of
 //! the paper's reference [13]), [`wq_baselines`] (Algorithm
@@ -32,7 +35,6 @@ pub mod csrmm;
 pub mod hhcpu;
 pub mod hipc2012;
 pub mod kernels;
-pub mod merge;
 pub mod result;
 pub mod schedule;
 pub mod shard;

@@ -18,33 +18,30 @@
 //!   ([`SparseAccumulator::fold_into`](spmm_sparse::SparseAccumulator::fold_into))
 //!   and stages that. One scan over the staged sizes and one compaction
 //!   memcpy build C.
-//! * [`ExecPolicy::PerClaim`] — the reference: one plain dense-SPA
-//!   [`row_products`](crate::kernels::row_products) per claim, then
-//!   [`concat_row_blocks`](crate::merge::concat_row_blocks). The
-//!   equivalence suite pins the batched path against it bit for bit.
+//! * [`ExecPolicy::PerClaim`] — the oracle: the serial
+//!   [`reference::spmm_claims`], which shares no code with the batched
+//!   path (no SPA type, no thread pool, no workspaces). The equivalence
+//!   suite pins the batched path against it bit for bit.
 //!
 //! Bit-identity of the batched output holds by construction: each output
-//! row's claims are visited in claim index order, which equals the
-//! reference's block order; every claim's run is
-//! [`scatter_row`](crate::kernels::scatter_row)'s accumulation, the
-//! reference's own; and the fold stores `T::ZERO + v` on a column's first
-//! claim and `+= v` on each later one — the very operations, in the very
-//! order, of the `sum = 0; sum += v_k` per-row merge in
-//! `concat_row_blocks`. A one-claim row is a single source there and is
-//! copied verbatim, as it is staged here.
+//! row's claims are visited in claim index order, the oracle's order;
+//! every claim's run is [`scatter_row`](crate::kernels::scatter_row)'s
+//! accumulation, which is the oracle's (first touch stores `a·b`, later
+//! touches `+=`, in A-row visit order); and the fold stores `T::ZERO + v`
+//! on a column's first claim and `+= v` on each later one — the very
+//! operations, in the very order, of the oracle's per-row sum. A
+//! one-claim row is kept verbatim by both.
 
 use std::sync::{Mutex, PoisonError};
 
 use spmm_hetsim::DeviceKind;
 use spmm_parallel::{DisjointSlice, ThreadPool};
 use spmm_sparse::{
-    ColIndex, CsrMatrix, EngineWorkspace, PooledWorkspace, Scalar, StagingBuffer, WorkspacePool,
+    reference, ColIndex, CsrMatrix, EngineWorkspace, PooledWorkspace, Scalar, StagingBuffer,
+    WorkspacePool,
 };
 
-use crate::kernels::{
-    compact_staged, offsets_from_sizes, row_products_pooled, scatter_row, RowBlock, GUIDED_CHUNK,
-};
-use crate::merge::concat_row_blocks;
+use crate::kernels::{compact_staged, offsets_from_sizes, scatter_row, GUIDED_CHUNK};
 
 /// Which executor runs the scheduled numeric work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -52,7 +49,7 @@ pub enum ExecPolicy {
     /// The batched one-pass executor over all claims (default).
     #[default]
     Batched,
-    /// Per-claim dense-SPA `row_products` + `concat_row_blocks` reference.
+    /// The serial oracle [`reference::spmm_claims`].
     PerClaim,
 }
 
@@ -133,29 +130,19 @@ pub fn execute<T: Scalar>(
     exec: ExecPolicy,
 ) -> (CsrMatrix<T>, ExecCounts) {
     match exec {
-        ExecPolicy::PerClaim => execute_per_claim(a, b, schedule, shape, pool, workspaces),
+        ExecPolicy::PerClaim => {
+            assert_eq!(shape, (a.nrows(), b.ncols()), "shape of A × B");
+            let claims: Vec<(&[usize], Option<&[bool]>)> = schedule
+                .claims
+                .iter()
+                .map(|claim| (claim.rows, claim.b_mask))
+                .collect();
+            let (c, per_claim) =
+                reference::spmm_claims(a, b, &claims).expect("incompatible shapes for product");
+            (c, ExecCounts::from_per_claim(schedule, per_claim))
+        }
         ExecPolicy::Batched => execute_batched(a, b, schedule, shape, pool, workspaces),
     }
-}
-
-/// The reference: one `row_products` per claim, blocks combined by
-/// `concat_row_blocks` in schedule (block) order.
-fn execute_per_claim<T: Scalar>(
-    a: &CsrMatrix<T>,
-    b: &CsrMatrix<T>,
-    schedule: &ClaimSchedule<'_>,
-    shape: (usize, usize),
-    pool: &ThreadPool,
-    workspaces: &WorkspacePool,
-) -> (CsrMatrix<T>, ExecCounts) {
-    let blocks: Vec<RowBlock<T>> = schedule
-        .claims
-        .iter()
-        .map(|claim| row_products_pooled(a, b, claim.rows, claim.b_mask, pool, workspaces))
-        .collect();
-    let per_claim: Vec<usize> = blocks.iter().map(RowBlock::nnz).collect();
-    let c = concat_row_blocks(&blocks, shape, pool);
-    (c, ExecCounts::from_per_claim(schedule, per_claim))
 }
 
 /// The production executor: one guided pass over the rows that have
@@ -166,7 +153,7 @@ fn execute_per_claim<T: Scalar>(
 /// compaction memcpy stitches the staged rows into the final CSR.
 ///
 /// Per-claim entry counts are each claim's SPA nnz before its fold — the
-/// reference's per-block row nnz — so `ExecCounts` (and every simulated
+/// oracle's run lengths — so `ExecCounts` (and every simulated
 /// Phase-IV cost downstream) is the same under either policy.
 fn execute_batched<T: Scalar>(
     a: &CsrMatrix<T>,
@@ -179,8 +166,8 @@ fn execute_batched<T: Scalar>(
     let (nrows, ncols) = shape;
     let claims = &schedule.claims;
     // Counting sort of (claim, row) by output row. Within one output row
-    // the sources stay in claim order — the reference's block order,
-    // which fixes the floating-point fold order below.
+    // the sources stay in claim order — the oracle's order, which fixes
+    // the floating-point fold order below.
     let mut src_off = vec![0usize; nrows + 1];
     for claim in claims {
         for &r in claim.rows {
@@ -316,7 +303,6 @@ impl<T: Scalar> Drop for Worker<'_, T> {
 mod tests {
     use super::*;
     use spmm_scalefree::{scale_free_matrix, GeneratorConfig};
-    use spmm_sparse::reference;
 
     fn scale_free(n: usize, nnz: usize, seed: u64) -> CsrMatrix<f64> {
         scale_free_matrix(&GeneratorConfig::square_power_law(n, nnz, 2.3, seed))

@@ -42,20 +42,8 @@ impl CpuDevice {
         Self::new(CpuSpec::i7_980())
     }
 
-    /// CPU with an explicitly scaled cache hierarchy (for reduced-scale
-    /// experiments; see `Platform::scaled`).
-    pub fn with_hierarchy(spec: CpuSpec, hierarchy: MemoryHierarchy) -> Self {
-        Self { spec, hierarchy }
-    }
-
     pub fn spec(&self) -> &CpuSpec {
         &self.spec
-    }
-
-    /// Observable cache statistics (the paper's [6] explains CPU placement
-    /// of high-degree work via last-level-cache hit ratio).
-    pub fn cache_stats(&self) -> spmm_cache::HierarchyStats {
-        self.hierarchy.stats()
     }
 
     /// Forget all cached state (between independent experiments).

@@ -84,16 +84,6 @@ impl GpuDevice {
         Self::new(GpuSpec::k20c())
     }
 
-    /// GPU with an explicitly scaled L2 (for reduced-scale experiments).
-    pub fn with_l2(spec: GpuSpec, l2: Cache) -> Self {
-        Self {
-            spec,
-            l2,
-            stamp: Vec::new(),
-            stamp_gen: 0,
-        }
-    }
-
     pub fn spec(&self) -> &GpuSpec {
         &self.spec
     }

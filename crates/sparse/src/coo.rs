@@ -66,13 +66,6 @@ impl<T: Scalar> CooMatrix<T> {
         self.entries.push(Triplet::new(row, col, val));
     }
 
-    /// Append a pre-built triplet.
-    #[inline]
-    pub fn push_triplet(&mut self, t: Triplet<T>) {
-        debug_assert!((t.row as usize) < self.nrows && (t.col as usize) < self.ncols);
-        self.entries.push(t);
-    }
-
     /// Append all triplets from another collection (shapes must match).
     pub fn append(&mut self, other: &CooMatrix<T>) {
         assert_eq!(
@@ -113,17 +106,6 @@ impl<T: Scalar> CooMatrix<T> {
     #[inline]
     pub fn entries(&self) -> &[Triplet<T>] {
         &self.entries
-    }
-
-    /// Mutable access for in-place sorting (Phase IV).
-    #[inline]
-    pub fn entries_mut(&mut self) -> &mut [Triplet<T>] {
-        &mut self.entries
-    }
-
-    /// Consume into the raw triplet vector.
-    pub fn into_entries(self) -> Vec<Triplet<T>> {
-        self.entries
     }
 
     /// Convert to CSR, summing duplicate coordinates. Sorting is a stable

@@ -333,8 +333,8 @@ impl<T: Scalar> CsrMatrix<T> {
     /// `self`. The sharded SpGEMM driver multiplies each band × full B and
     /// stitches outputs back with the inverse offset fix-up.
     ///
-    /// Edge cases (the `RowBlock::default` class of bug): an empty range
-    /// yields `indptr = [0]`, never `[]`, and a band of all-empty rows
+    /// Edge cases: an empty range yields `indptr = [0]`, never `[]` (the
+    /// bug a derived `Default` on a CSR-like type invites), and a band of all-empty rows
     /// yields `indptr = [0, 0, ...]` with empty `indices`/`values` — both
     /// are valid CSR and pass [`CsrMatrix::try_new`].
     pub fn row_band(&self, rows: std::ops::Range<usize>) -> CsrMatrix<T> {

@@ -7,17 +7,16 @@
 //!   rows of `B`).
 //! * [`CooMatrix`] — coordinate triplets `⟨r, c, v⟩`, the intermediate the
 //!   paper's Phase IV merges (§III-D).
-//! * [`CscMatrix`] — compressed sparse column, used for transposes and for
-//!   the row-column formulation the paper argues *against* (kept as a
-//!   comparison baseline).
+//! * [`CscMatrix`] — compressed sparse column, used for transposes.
 //! * [`DenseMatrix`] — dense reference used by tests and by the `csrmm`
 //!   (sparse × dense) extension sketched in the paper's conclusion.
 //!
 //! plus Matrix Market I/O ([`io`]), row-size histograms ([`histogram`] — the
 //! raw material of the paper's Figures 1 and 5), serial reference kernels
-//! ([`reference`]) every parallel/heterogeneous algorithm is tested
-//! against, and the Gustavson sparse accumulator ([`accumulator`]) behind
-//! the host-side numeric engine.
+//! ([`reference`]: the Gustavson product every parallel/heterogeneous
+//! algorithm is tested against, and the claims oracle the host engine's
+//! executor is pinned against bit for bit), and the Gustavson sparse
+//! accumulator ([`accumulator`]) behind the host-side numeric engine.
 
 pub mod accumulator;
 pub mod coo;
@@ -27,7 +26,6 @@ pub mod dense;
 pub mod error;
 pub mod histogram;
 pub mod io;
-pub mod ops;
 pub mod reference;
 pub mod scalar;
 pub mod workspace;

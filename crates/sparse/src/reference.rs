@@ -2,12 +2,14 @@
 //!
 //! Every heterogeneous algorithm in the workspace is tested against
 //! [`spmm_rowrow`], the classic Gustavson row-row formulation (§II-A of the
-//! paper; Gustavson 1978 is the paper's reference [7]). Also provided:
-//! the row-column formulation the paper dismisses, spmv, sparse × dense,
-//! and the work-volume measure (`flops`) that the device cost models and
+//! paper; Gustavson 1978 is the paper's reference [7]). [`spmm_claims`]
+//! runs the same product claim by claim and sums the partial products per
+//! output row, the serial oracle the host engine's executor is pinned
+//! against bit for bit. Also provided: spmv, sparse × dense, and the
+//! work-volume measure (`flops`) that the device cost models and
 //! load-balancing analyses are built on.
 
-use crate::{ColIndex, CooMatrix, CsrMatrix, DenseMatrix, Scalar, SparseError};
+use crate::{ColIndex, CsrMatrix, DenseMatrix, Scalar, SparseError};
 
 /// Check multiplication compatibility.
 fn check_shapes<T: Scalar>(a: &CsrMatrix<T>, b: &CsrMatrix<T>) -> Result<(), SparseError> {
@@ -74,68 +76,93 @@ pub fn spmm_rowrow<T: Scalar>(
     ))
 }
 
-/// Row-row spmm emitting raw `⟨r, c, v⟩` tuples *without* per-row
-/// accumulation — the exact intermediate the paper's Phase II/III kernels
-/// hand to Phase IV. Duplicate `(r, c)` pairs are expected.
-pub fn spmm_rowrow_tuples<T: Scalar>(
+/// Serial oracle for a claim schedule: the product assembled from
+/// partial products over row subsets of `A` and masked halves of `B`, as
+/// the paper's Phases II–IV produce it.
+///
+/// Each claim `(rows, b_mask)` multiplies its rows of `a` against the rows
+/// of `b` its mask keeps (`None` ⇒ all), with [`spmm_rowrow`]'s own
+/// accumulation: first touch stores `a·b`, later touches `+=`, columns
+/// sorted. Phase IV then combines the runs per output row: a row with one
+/// run keeps it verbatim; a row with several sums each column from
+/// `T::ZERO` in claim order (so a lone `-0.0` becomes `+0.0`). Rows no
+/// claim lists stay empty. Returns C and each claim's stored-entry count
+/// (the tuples the paper's kernels hand to Phase IV).
+pub fn spmm_claims<T: Scalar>(
     a: &CsrMatrix<T>,
     b: &CsrMatrix<T>,
-) -> Result<CooMatrix<T>, SparseError> {
+    claims: &[(&[usize], Option<&[bool]>)],
+) -> Result<(CsrMatrix<T>, Vec<usize>), SparseError> {
     check_shapes(a, b)?;
-    let mut coo = CooMatrix::new(a.nrows(), b.ncols());
-    for i in 0..a.nrows() {
-        let (acols, avals) = a.row(i);
-        for (&j, &aij) in acols.iter().zip(avals) {
-            let (bcols, bvals) = b.row(j as usize);
-            for (&c, &bjc) in bcols.iter().zip(bvals) {
-                coo.push(i, c as usize, aij * bjc);
-            }
-        }
-    }
-    Ok(coo)
-}
+    let n = b.ncols();
+    let mut acc = vec![T::ZERO; n];
+    let mut stamp = vec![usize::MAX; n];
+    let mut touched: Vec<ColIndex> = Vec::new();
+    let mut run_id = 0;
 
-/// The Row-Column formulation the paper argues against (§II-A): computes
-/// every `C[i,j]` as a sparse dot product of `A(i,:)` with `B(:,j)` via a
-/// merge walk over sorted index lists. Provided as a comparison baseline;
-/// `O(Σ_ij (nnz(A(i,:)) + nnz(B(:,j))))` — far more index traffic than
-/// row-row on sparse inputs.
-pub fn spmm_rowcol<T: Scalar>(
-    a: &CsrMatrix<T>,
-    b: &CsrMatrix<T>,
-) -> Result<CsrMatrix<T>, SparseError> {
-    check_shapes(a, b)?;
-    let bcsc = b.to_csc();
-    let mut coo = CooMatrix::new(a.nrows(), b.ncols());
-    for i in 0..a.nrows() {
-        let (acols, avals) = a.row(i);
-        if acols.is_empty() {
-            continue;
-        }
-        for j in 0..b.ncols() {
-            let (brows, bvals) = bcsc.col(j);
-            let mut ai = 0;
-            let mut bi = 0;
-            let mut sum = T::ZERO;
-            let mut any = false;
-            while ai < acols.len() && bi < brows.len() {
-                match acols[ai].cmp(&brows[bi]) {
-                    std::cmp::Ordering::Less => ai += 1,
-                    std::cmp::Ordering::Greater => bi += 1,
-                    std::cmp::Ordering::Equal => {
-                        sum += avals[ai] * bvals[bi];
-                        any = true;
-                        ai += 1;
-                        bi += 1;
+    // Every output row's runs, in claim order.
+    let mut runs: Vec<Vec<(Vec<ColIndex>, Vec<T>)>> = vec![Vec::new(); a.nrows()];
+    let mut counts = Vec::with_capacity(claims.len());
+    for &(rows, b_mask) in claims {
+        let mut count = 0;
+        for &i in rows {
+            touched.clear();
+            let (acols, avals) = a.row(i);
+            for (&j, &aij) in acols.iter().zip(avals) {
+                if b_mask.is_some_and(|m| !m[j as usize]) {
+                    continue;
+                }
+                let (bcols, bvals) = b.row(j as usize);
+                for (&c, &bjc) in bcols.iter().zip(bvals) {
+                    let cu = c as usize;
+                    if stamp[cu] != run_id {
+                        stamp[cu] = run_id;
+                        acc[cu] = aij * bjc;
+                        touched.push(c);
+                    } else {
+                        acc[cu] += aij * bjc;
                     }
                 }
             }
-            if any {
-                coo.push(i, j, sum);
-            }
+            run_id += 1;
+            touched.sort_unstable();
+            count += touched.len();
+            let vals = touched.iter().map(|&c| acc[c as usize]).collect();
+            runs[i].push((touched.clone(), vals));
         }
+        counts.push(count);
     }
-    coo.to_csr()
+
+    let mut indptr = Vec::with_capacity(a.nrows() + 1);
+    let mut indices: Vec<ColIndex> = Vec::new();
+    let mut values: Vec<T> = Vec::new();
+    indptr.push(0);
+    for row_runs in &runs {
+        if let [(cols, vals)] = row_runs.as_slice() {
+            indices.extend_from_slice(cols);
+            values.extend_from_slice(vals);
+        } else {
+            touched.clear();
+            for (cols, vals) in row_runs {
+                for (&c, &v) in cols.iter().zip(vals) {
+                    let cu = c as usize;
+                    if stamp[cu] != run_id {
+                        stamp[cu] = run_id;
+                        acc[cu] = T::ZERO;
+                        touched.push(c);
+                    }
+                    acc[cu] += v;
+                }
+            }
+            run_id += 1;
+            touched.sort_unstable();
+            indices.extend_from_slice(&touched);
+            values.extend(touched.iter().map(|&c| acc[c as usize]));
+        }
+        indptr.push(indices.len());
+    }
+    let c = CsrMatrix::from_parts_unchecked(a.nrows(), b.ncols(), indptr, indices, values);
+    Ok((c, counts))
 }
 
 /// Sparse matrix × dense vector.
@@ -214,6 +241,7 @@ pub fn row_flops<T: Scalar>(a: &CsrMatrix<T>, b: &CsrMatrix<T>) -> Vec<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CooMatrix;
 
     /// The paper's Figure 2 example.
     fn fig2() -> (CsrMatrix<f64>, CsrMatrix<f64>) {
@@ -261,23 +289,6 @@ mod tests {
     }
 
     #[test]
-    fn rowcol_agrees_with_rowrow() {
-        let (a, b) = fig2();
-        let c1 = spmm_rowrow(&a, &b).unwrap();
-        let c2 = spmm_rowcol(&a, &b).unwrap();
-        assert!(c1.approx_eq(&c2, 1e-12, 1e-12));
-    }
-
-    #[test]
-    fn tuples_reduce_to_same_matrix() {
-        let (a, b) = fig2();
-        let coo = spmm_rowrow_tuples(&a, &b).unwrap();
-        let c = coo.to_csr().unwrap();
-        let reference = spmm_rowrow(&a, &b).unwrap();
-        assert!(c.approx_eq(&reference, 1e-12, 1e-12));
-    }
-
-    #[test]
     fn shape_mismatch_detected() {
         let (a, b) = fig2();
         assert!(spmm_rowrow(&b, &a).is_err()); // 4x3 * 4x4
@@ -314,9 +325,105 @@ mod tests {
         let per_row = row_flops(&a, &b);
         assert_eq!(per_row, vec![2, 2, 4, 4]);
         assert_eq!(flops(&a, &b), 12);
-        // the tuple stream has exactly `flops` entries
-        let coo = spmm_rowrow_tuples(&a, &b).unwrap();
-        assert_eq!(coo.len() as u64, flops(&a, &b));
+    }
+
+    /// Run claims whose claim `k` yields exactly the tuples `blocks[k]`
+    /// through [`spmm_claims`]: B stacks one `ncols × ncols` identity per
+    /// claim and claim `k` keeps only its own, so `A(r, k·ncols + c) = v`
+    /// puts `v` at `(r, c)` in claim `k`'s run.
+    fn run_claims(
+        blocks: &[&[(usize, usize, f64)]],
+        (nrows, ncols): (usize, usize),
+    ) -> (CsrMatrix<f64>, Vec<usize>) {
+        let stacked = blocks.len() * ncols;
+        let mut a = CooMatrix::new(nrows, stacked);
+        let mut b = CooMatrix::new(stacked, ncols);
+        for j in 0..stacked {
+            b.push(j, j % ncols, 1.0);
+        }
+        let mut rows: Vec<Vec<usize>> = Vec::new();
+        let mut masks: Vec<Vec<bool>> = Vec::new();
+        for (k, block) in blocks.iter().enumerate() {
+            let mut claim_rows: Vec<usize> = block.iter().map(|&(r, _, _)| r).collect();
+            claim_rows.dedup();
+            for &(r, c, v) in *block {
+                a.push(r, k * ncols + c, v);
+            }
+            rows.push(claim_rows);
+            masks.push((0..stacked).map(|j| j / ncols == k).collect());
+        }
+        let claims: Vec<(&[usize], Option<&[bool]>)> = rows
+            .iter()
+            .zip(&masks)
+            .map(|(r, m)| (r.as_slice(), Some(m.as_slice())))
+            .collect();
+        spmm_claims(&a.to_csr().unwrap(), &b.to_csr().unwrap(), &claims).unwrap()
+    }
+
+    #[test]
+    fn claims_sum_like_tuples_as_in_paper_figure4() {
+        // Figure 4's like-tuples: (0,1) three times, (2,0) twice, (1,1)
+        // once, each contribution in its own claim's run
+        let (c, counts) = run_claims(
+            &[
+                &[(0, 1, 1.0), (2, 0, 5.0)],
+                &[(0, 1, 2.0), (1, 1, -1.0), (2, 0, 5.0)],
+                &[(0, 1, 4.0)],
+            ],
+            (3, 3),
+        );
+        assert_eq!(c.nnz(), 3);
+        assert_eq!(c.get(0, 1), 7.0);
+        assert_eq!(c.get(1, 1), -1.0);
+        assert_eq!(c.get(2, 0), 10.0);
+        assert_eq!(counts, vec![2, 3, 1]);
+    }
+
+    #[test]
+    fn claims_sum_columns_shared_between_claims() {
+        // row 1 appears in both claims; column 2 is shared and must sum
+        let (c, counts) = run_claims(
+            &[
+                &[(1, 0, 1.0), (1, 2, 2.0)],
+                &[(1, 2, 5.0), (1, 3, 7.0), (2, 1, 9.0)],
+            ],
+            (3, 4),
+        );
+        assert_eq!(c.nnz(), 4);
+        assert_eq!(c.row(1).0, &[0, 2, 3]);
+        assert_eq!(c.get(1, 0), 1.0);
+        assert_eq!(c.get(1, 2), 7.0);
+        assert_eq!(c.get(1, 3), 7.0);
+        assert_eq!(c.get(2, 1), 9.0);
+        assert_eq!(counts, vec![2, 3]);
+    }
+
+    #[test]
+    fn no_claims_give_the_zero_matrix() {
+        let (a, b) = fig2();
+        let (c, counts) = spmm_claims(&a, &b, &[]).unwrap();
+        assert_eq!(c.shape(), (4, 3));
+        assert_eq!(c.nnz(), 0);
+        assert!(counts.is_empty());
+        assert!(spmm_claims(&b, &a, &[]).is_err());
+    }
+
+    #[test]
+    fn one_claim_row_keeps_negative_zero_and_two_claims_sum_from_zero() {
+        let (c, _) = run_claims(&[&[(0, 0, -0.0), (1, 0, -0.0)], &[(1, 0, -0.0)]], (2, 1));
+        assert_eq!(c.nnz(), 2);
+        assert_eq!(c.get(0, 0).to_bits(), (-0.0f64).to_bits());
+        assert_eq!(c.get(1, 0).to_bits(), 0.0f64.to_bits());
+    }
+
+    #[test]
+    fn one_unmasked_claim_is_the_rowrow_product_bit_for_bit() {
+        let (a, b) = fig2();
+        let all: Vec<usize> = (0..a.nrows()).collect();
+        let (c, counts) = spmm_claims(&a, &b, &[(&all, None)]).unwrap();
+        let expected = spmm_rowrow(&a, &b).unwrap();
+        assert!(c.bit_eq(&expected));
+        assert_eq!(counts, vec![expected.nnz()]);
     }
 
     #[test]

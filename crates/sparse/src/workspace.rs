@@ -1,8 +1,9 @@
 //! Pooled per-thread engine workspaces.
 //!
 //! Every numeric pass needs O(ncols) dense state: the SPAs' stamp/value
-//! arrays, or the sizer's stamp array for a symbolic pass. Before pooling, each `row_products` call — four masked products per multiply,
-//! one width table per Phase-I ladder candidate — allocated and zeroed
+//! arrays, or the sizer's stamp array for a symbolic pass (the GPU model's
+//! output-width tables). Without pooling, every executed schedule and
+//! every width table of a Phase-I ladder candidate would allocate and zero
 //! that state from scratch on every worker thread. The pool makes the
 //! allocation once per thread slot and generation-reuses it forever.
 //!

@@ -20,9 +20,10 @@
 //!   (its wall time is `phase1_widths_ms`), or if its one-walk Phase II
 //!   GPU prices differ from per-candidate `spmm_cost_planned` calls (its
 //!   wall time is `phase1_gpu2_ms`);
-//! * times end-to-end `hh_cpu` under the per-claim reference executor vs
-//!   the production batched executor on every Table I clone, failing on
-//!   any bit of output or profile drift (`exec_perf`);
+//! * times end-to-end `hh_cpu` under the serial claims oracle
+//!   (`ExecPolicy::PerClaim`) vs the production batched executor on every
+//!   Table I clone, failing on any bit of output or profile drift
+//!   (`exec_perf`);
 //! * times the register-tiled csrmm sweep vs the naive reference
 //!   (`csrmm_perf`), failing hard on any bit drift between the two;
 //! * times the sharded driver — pooled and out-of-core — against the
@@ -285,7 +286,7 @@ fn phase1_perf() -> String {
 }
 
 /// Time end-to-end `hh_cpu` — Phase I through the merge — with the
-/// per-claim reference executor vs the batched plan/execute path on every
+/// serial claims oracle vs the batched plan/execute path on every
 /// Table I clone, and fail hard if the batched product or its simulated
 /// profile deviates by a single bit. Returns the JSON fragment for the CI
 /// artifact.
@@ -298,7 +299,7 @@ fn exec_perf() -> String {
     };
     let batched_cfg = HhCpuConfig::default();
 
-    println!("\nexec-perf: hh_cpu end to end, per-claim vs batched executor ({threads} host threads, best of {reps}):");
+    println!("\nexec-perf: hh_cpu end to end, serial oracle vs batched executor ({threads} host threads, best of {reps}):");
     let mut rows = Vec::new();
     let (mut serial_total, mut batched_total) = (0.0f64, 0.0f64);
     for d in Dataset::all() {
@@ -307,7 +308,7 @@ fn exec_perf() -> String {
         let mut ctx = HeteroContext::scaled(d.effective_scale(32)).with_host_threads(threads);
 
         // correctness gate before timing: the batched executor must
-        // reproduce the per-claim run exactly
+        // reproduce the oracle's run exactly
         let want = hh_cpu(&mut ctx, &a, &a, &serial_cfg);
         let got = hh_cpu(&mut ctx, &a, &a, &batched_cfg);
         assert_eq!(got.c, want.c, "{name}: batched executor changed C");

@@ -5,12 +5,12 @@
 //! executors: `ExecPolicy::Batched`, the production engine (one pass over
 //! every row with a claim: each claim's run scatters through a dense SPA,
 //! a multi-claim row folds its runs into a second SPA, one scan and one
-//! compaction build C), or `ExecPolicy::PerClaim`, the reference (a plain
-//! dense-SPA two-pass `row_products` per claim, then `concat_row_blocks`).
-//! Every run of the production engine is produced in the reference's
-//! scatter order (first touch sets, later touches `+=`), a one-claim row is
-//! kept verbatim and a multi-claim row sums its runs from `T::ZERO` in
-//! claim order, so the floating-point bits must be *identical* — not
+//! compaction build C), or `ExecPolicy::PerClaim`, the reference (the
+//! serial oracle `reference::spmm_claims`, which shares no code with the
+//! engine). Every run of the production engine is produced in the
+//! reference's scatter order (first touch sets, later touches `+=`), a
+//! one-claim row is kept verbatim and a multi-claim row sums its runs from
+//! `T::ZERO` in claim order, so the floating-point bits must be *identical* — not
 //! approximately equal, identical.
 //!
 //! These tests pin that contract for all four algorithm paths at several
@@ -184,10 +184,7 @@ fn check_small_product(a: &CsrMatrix<f64>, b: &CsrMatrix<f64>, what: &str) {
     };
     let c = execute_both(a, b, &whole, &[1, 8], &format!("{what}, one claim"));
     let expected = reference::spmm_rowrow(a, b).unwrap();
-    assert!(
-        c.approx_eq(&expected, 1e-12, 1e-12),
-        "{what}: wrong product"
-    );
+    assert!(c.bit_eq(&expected), "{what}: wrong product");
 
     let t = b.mean_row_nnz().ceil().max(1.0) as usize;
     let b_high: Vec<bool> = (0..b.nrows()).map(|i| b.row_nnz(i) >= t).collect();

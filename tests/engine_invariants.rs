@@ -1,16 +1,21 @@
-//! Property coverage for the reference engine: `row_products` +
-//! `concat_row_blocks` against the serial `reference::spmm_rowrow` oracle
-//! on the shapes the masked four-way split actually produces — rectangular
-//! operands, all-empty rows, a single fully-dense row, and masks that
-//! select no rows at all.
+//! Property coverage for the production executor
+//! (`schedule::execute(.., ExecPolicy::Batched)`) against the serial
+//! `reference::spmm_rowrow` product on the shapes the masked four-way
+//! split actually produces — rectangular operands, all-empty rows, a
+//! single fully-dense row, and masks that select no rows at all. Every
+//! case runs as one unmasked claim, which must be bit-equal to
+//! `spmm_rowrow` (both scatter in A-row visit order and drain columns
+//! ascending), and as the four masked quadrant claims of a row split.
 //!
 //! Seeded in-repo RNG (no `proptest`) so the suite runs offline; every
 //! case is deterministic per seed and the failing seed is printed.
 
-use hetero_spmm::core::kernels::{row_products, rows_where, RowBlock};
-use hetero_spmm::core::merge::concat_row_blocks;
+use hetero_spmm::core::kernels::rows_where;
+use hetero_spmm::core::schedule::{self, ClaimSchedule, ExecCounts, ScheduledClaim};
+use hetero_spmm::hetsim::DeviceKind;
 use hetero_spmm::parallel::ThreadPool;
 use hetero_spmm::prelude::*;
+use hetero_spmm::sparse::WorkspacePool;
 use spmm_rng::{Rng, StdRng};
 
 /// A random rectangular CSR matrix with up to `max_nnz` entries pushed
@@ -28,12 +33,85 @@ fn random_csr(rng: &mut StdRng, nrows: usize, ncols: usize, max_nnz: usize) -> C
     coo.to_csr().unwrap()
 }
 
-/// Multiply all rows of `a` by `b` through the two-pass engine and
-/// assemble the result from the single block.
-fn engine_product(a: &CsrMatrix<f64>, b: &CsrMatrix<f64>, pool: &ThreadPool) -> CsrMatrix<f64> {
-    let rows: Vec<usize> = (0..a.nrows()).collect();
-    let block = row_products(a, b, &rows, None, pool);
-    concat_row_blocks(&[block], (a.nrows(), b.ncols()), pool)
+fn random_mask(rng: &mut StdRng, n: usize) -> Vec<bool> {
+    (0..n).map(|_| rng.gen_range(0usize..2) == 1).collect()
+}
+
+/// Run `claims` (devices alternating CPU/GPU) through the production
+/// executor.
+fn batched(
+    a: &CsrMatrix<f64>,
+    b: &CsrMatrix<f64>,
+    claims: &[(&[usize], Option<&[bool]>)],
+    pool: &ThreadPool,
+) -> (CsrMatrix<f64>, ExecCounts) {
+    let schedule = ClaimSchedule {
+        claims: claims
+            .iter()
+            .enumerate()
+            .map(|(k, &(rows, b_mask))| ScheduledClaim {
+                device: if k % 2 == 0 {
+                    DeviceKind::Cpu
+                } else {
+                    DeviceKind::Gpu
+                },
+                rows,
+                b_mask,
+                sim_ns: 1.0,
+            })
+            .collect(),
+    };
+    let shape = (a.nrows(), b.ncols());
+    let ws = WorkspacePool::new();
+    schedule::execute(a, b, &schedule, shape, pool, &ws, ExecPolicy::Batched)
+}
+
+/// `a × b` as one unmasked claim over every row: bit-equal to the serial
+/// product, with one stored entry per output nonzero.
+fn one_claim(
+    a: &CsrMatrix<f64>,
+    b: &CsrMatrix<f64>,
+    pool: &ThreadPool,
+    what: &str,
+) -> CsrMatrix<f64> {
+    let all: Vec<usize> = (0..a.nrows()).collect();
+    let (c, counts) = batched(a, b, &[(&all, None)], pool);
+    let expected = reference::spmm_rowrow(a, b).unwrap();
+    assert!(c.bit_eq(&expected), "{what}: one claim is not spmm_rowrow");
+    assert_eq!(counts.per_claim, vec![expected.nnz()], "{what}: counts");
+    c
+}
+
+/// `a × b` as the four quadrant claims of a row split: the `a_high` and
+/// low rows of A, each against the `b_high` and low rows of B.
+fn four_claims(
+    a: &CsrMatrix<f64>,
+    b: &CsrMatrix<f64>,
+    a_high: &[bool],
+    b_high: &[bool],
+    pool: &ThreadPool,
+    what: &str,
+) -> CsrMatrix<f64> {
+    let high = rows_where(a_high, true);
+    let low = rows_where(a_high, false);
+    let b_low: Vec<bool> = b_high.iter().map(|&h| !h).collect();
+    let (c, _) = batched(
+        a,
+        b,
+        &[
+            (&high, Some(b_high)),
+            (&high, Some(&b_low)),
+            (&low, Some(b_high)),
+            (&low, Some(&b_low)),
+        ],
+        pool,
+    );
+    let expected = reference::spmm_rowrow(a, b).unwrap();
+    assert!(
+        c.approx_eq(&expected, 1e-9, 1e-12),
+        "{what}: four-way reassembly diverged"
+    );
+    c
 }
 
 #[test]
@@ -46,12 +124,10 @@ fn engine_matches_reference_on_rectangular_products() {
         let n = rng.gen_range(1usize..70);
         let a = random_csr(&mut rng, m, k, 600);
         let b = random_csr(&mut rng, k, n, 600);
-        let c = engine_product(&a, &b, &pool);
-        let expected = reference::spmm_rowrow(&a, &b).unwrap();
-        assert!(
-            c.approx_eq(&expected, 1e-9, 1e-12),
-            "seed {seed}: rectangular {m}x{k} * {k}x{n} diverged"
-        );
+        let what = format!("seed {seed}: rectangular {m}x{k} * {k}x{n}");
+        one_claim(&a, &b, &pool, &what);
+        let (a_high, b_high) = (random_mask(&mut rng, m), random_mask(&mut rng, k));
+        four_claims(&a, &b, &a_high, &b_high, &pool, &what);
     }
 }
 
@@ -63,11 +139,17 @@ fn engine_handles_all_empty_rows() {
         let n = rng.gen_range(1usize..50);
         let empty = CsrMatrix::<f64>::zeros(n, n);
         let b = random_csr(&mut rng, n, n, 300);
+        let mask = random_mask(&mut rng, n);
         // empty × B and B × empty are both all-zero
         for (lhs, rhs) in [(&empty, &b), (&b, &empty), (&empty, &empty)] {
-            let c = engine_product(lhs, rhs, &pool);
-            assert_eq!(c.shape(), (n, n), "seed {seed}");
-            assert_eq!(c.nnz(), 0, "seed {seed}: product of empties must be empty");
+            let what = format!("seed {seed}");
+            for c in [
+                one_claim(lhs, rhs, &pool, &what),
+                four_claims(lhs, rhs, &mask, &mask, &pool, &what),
+            ] {
+                assert_eq!(c.shape(), (n, n), "{what}");
+                assert_eq!(c.nnz(), 0, "{what}: product of empties must be empty");
+            }
         }
     }
 }
@@ -93,16 +175,16 @@ fn engine_handles_a_single_fully_dense_row() {
         }
         let a = coo.to_csr().unwrap();
         let b = random_csr(&mut rng, n, n, 4 * n);
-        let c = engine_product(&a, &b, &pool);
+        let what = format!("seed {seed}: dense-hub product");
+        let c = one_claim(&a, &b, &pool, &what);
+        // the hub row is the one high row of A
+        let a_high: Vec<bool> = (0..n).map(|i| i == hub).collect();
+        let b_high: Vec<bool> = (0..n).map(|j| b.row_nnz(j) >= 2).collect();
+        let split = four_claims(&a, &b, &a_high, &b_high, &pool, &what);
+        // the hub row of C covers every column B touches, however split
         let expected = reference::spmm_rowrow(&a, &b).unwrap();
-        assert!(
-            c.approx_eq(&expected, 1e-9, 1e-12),
-            "seed {seed}: dense-hub product diverged"
-        );
-        // the hub row of C covers every column B touches
-        let (hub_cols, _) = c.row(hub);
-        let (exp_cols, _) = expected.row(hub);
-        assert_eq!(hub_cols, exp_cols, "seed {seed}");
+        assert_eq!(c.row(hub).0, expected.row(hub).0, "{what}");
+        assert_eq!(split.row(hub).0, expected.row(hub).0, "{what}: split");
     }
 }
 
@@ -113,21 +195,23 @@ fn engine_handles_masks_selecting_zero_rows() {
         let mut rng = StdRng::seed_from_u64(4_000 + seed);
         let n = rng.gen_range(1usize..50);
         let a = random_csr(&mut rng, n, n, 400);
+        let what = format!("seed {seed}");
         // row set empty: nothing requested, nothing produced
-        let block = row_products(&a, &a, &[], None, &pool);
-        assert_eq!(block.num_rows(), 0, "seed {seed}");
-        assert_eq!(block.nnz(), 0, "seed {seed}");
-        let c = concat_row_blocks(&[block], (n, n), &pool);
-        assert_eq!(c.nnz(), 0, "seed {seed}");
+        let (c, counts) = batched(&a, &a, &[(&[], None)], &pool);
+        assert_eq!(c.shape(), (n, n), "{what}");
+        assert_eq!(c.nnz(), 0, "{what}");
+        assert_eq!(counts.per_claim, vec![0], "{what}");
         // B-mask all false: every requested row exists but is empty
         let no_b = vec![false; n];
         let rows: Vec<usize> = (0..n).collect();
-        let block = row_products(&a, &a, &rows, Some(&no_b), &pool);
-        assert_eq!(block.num_rows(), n, "seed {seed}");
-        assert_eq!(block.nnz(), 0, "seed {seed}");
-        let c = concat_row_blocks(&[block], (n, n), &pool);
-        assert_eq!(c.shape(), (n, n), "seed {seed}");
-        assert_eq!(c.nnz(), 0, "seed {seed}");
+        let (c, counts) = batched(&a, &a, &[(&rows, Some(&no_b))], &pool);
+        assert_eq!(c.shape(), (n, n), "{what}");
+        assert_eq!(c.nnz(), 0, "{what}");
+        assert_eq!(counts.per_claim, vec![0], "{what}");
+        // four claims, two of them over no rows and two under an empty mask
+        let all_high = vec![true; n];
+        four_claims(&a, &a, &all_high, &no_b, &pool, &what);
+        four_claims(&a, &a, &no_b, &all_high, &pool, &what);
     }
 }
 
@@ -140,25 +224,11 @@ fn masked_four_way_split_reassembles_the_full_product() {
         let a = random_csr(&mut rng, n, n, 900);
         // arbitrary row classification, including degenerate all/none splits
         let mask: Vec<bool> = match seed % 4 {
-            0 => (0..n).map(|_| rng.gen_range(0usize..2) == 1).collect(),
+            0 => random_mask(&mut rng, n),
             1 => vec![true; n],
             2 => vec![false; n],
             _ => (0..n).map(|i| a.row_nnz(i) >= 2).collect(),
         };
-        let inv: Vec<bool> = mask.iter().map(|&m| !m).collect();
-        let high = rows_where(&mask, true);
-        let low = rows_where(&mask, false);
-        let blocks: Vec<RowBlock<f64>> = vec![
-            row_products(&a, &a, &high, Some(&mask), &pool),
-            row_products(&a, &a, &high, Some(&inv), &pool),
-            row_products(&a, &a, &low, Some(&mask), &pool),
-            row_products(&a, &a, &low, Some(&inv), &pool),
-        ];
-        let c = concat_row_blocks(&blocks, (n, n), &pool);
-        let expected = reference::spmm_rowrow(&a, &a).unwrap();
-        assert!(
-            c.approx_eq(&expected, 1e-9, 1e-12),
-            "seed {seed}: four-way reassembly diverged"
-        );
+        four_claims(&a, &a, &mask, &mask, &pool, &format!("seed {seed}"));
     }
 }

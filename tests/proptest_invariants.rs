@@ -4,8 +4,6 @@
 //! in offline environments; every case is deterministic per seed and the
 //! failing seed is printed in the assertion message.
 
-use hetero_spmm::core::kernels::RowBlock;
-use hetero_spmm::core::merge::concat_row_blocks;
 use hetero_spmm::prelude::*;
 use spmm_rng::{Rng, StdRng};
 
@@ -95,34 +93,48 @@ fn transpose_reverses_products() {
 
 #[test]
 fn merge_agrees_with_serial_conversion() {
-    // Phase IV over random partial products: every block holds each of its
-    // rows once (columns ascending, as the engine emits them), rows repeat
-    // across blocks, and shared columns must sum like COO duplicates.
-    let pool = hetero_spmm::parallel::ThreadPool::new(3);
+    // Phase IV over random overlapping claims: each claim multiplies a
+    // random row subset of A (rows may repeat across claims) against a
+    // random B-row mask (masks may overlap), and the oracle's per-row sums
+    // must equal every partial product pushed as raw COO tuples and summed
+    // by the serial conversion.
     for seed in 0..24 {
         let mut rng = StdRng::seed_from_u64(500 + seed);
-        let mut coo = CooMatrix::new(50, 50);
-        let blocks: Vec<RowBlock<f64>> = (0..rng.gen_range(0usize..6))
+        let a = random_csr_n(&mut rng, 50, 400);
+        let b = random_csr_n(&mut rng, 50, 400);
+        let nclaims = rng.gen_range(0usize..6);
+        let rows: Vec<Vec<usize>> = (0..nclaims)
+            .map(|_| (0..50).filter(|_| rng.gen_range(0..3u32) == 0).collect())
+            .collect();
+        let masks: Vec<Option<Vec<bool>>> = (0..nclaims)
             .map(|_| {
-                let mut block = RowBlock::empty();
-                for r in 0..50u32 {
-                    if rng.gen_range(0..3u32) != 0 {
-                        continue;
-                    }
-                    let cols: Vec<u32> = (0..50).filter(|_| rng.gen_range(0..4u32) == 0).collect();
-                    for &c in &cols {
-                        let v: f64 = rng.gen_range(-2.0..2.0);
-                        coo.push(r as usize, c as usize, v);
-                        block.values.push(v);
-                    }
-                    block.rows.push(r);
-                    block.indices.extend_from_slice(&cols);
-                    block.indptr.push(block.indices.len());
-                }
-                block
+                (rng.gen_range(0..4u32) != 0)
+                    .then(|| (0..50).map(|_| rng.gen_range(0..2u32) == 0).collect())
             })
             .collect();
-        let merged = concat_row_blocks(&blocks, (50, 50), &pool);
+        let claims: Vec<(&[usize], Option<&[bool]>)> = rows
+            .iter()
+            .zip(&masks)
+            .map(|(r, m)| (r.as_slice(), m.as_deref()))
+            .collect();
+
+        let mut coo = CooMatrix::new(50, 50);
+        for &(claim_rows, mask) in &claims {
+            for &i in claim_rows {
+                let (acols, avals) = a.row(i);
+                for (&j, &aij) in acols.iter().zip(avals) {
+                    if mask.is_some_and(|m| !m[j as usize]) {
+                        continue;
+                    }
+                    let (bcols, bvals) = b.row(j as usize);
+                    for (&c, &bjc) in bcols.iter().zip(bvals) {
+                        coo.push(i, c as usize, aij * bjc);
+                    }
+                }
+            }
+        }
+        let (merged, counts) = reference::spmm_claims(&a, &b, &claims).unwrap();
+        assert_eq!(counts.len(), nclaims, "seed {seed}");
         assert!(
             merged.approx_eq(&coo.to_csr().unwrap(), 1e-9, 1e-12),
             "seed {seed} diverged"
