@@ -50,7 +50,7 @@ pub use result::SpmmOutput;
 pub use schedule::{ClaimSchedule, ExecCounts, ExecPolicy, ScheduledClaim};
 pub use shard::{
     concat_row_bands, hh_cpu_sharded, hh_cpu_sharded_with_artifacts, sum_profiles, PipelineStats,
-    ShardConfig, ShardMode, ShardPlan, ShardedOutput, SpillStore,
+    ShardConfig, ShardPlan, ShardedOutput,
 };
 pub use threshold::{identify_plan, Phase1Plan, SymbolicStructure, ThresholdPolicy, Thresholds};
 pub use units::WorkUnitConfig;

@@ -75,17 +75,6 @@ pub struct ClaimSchedule<'a> {
     pub claims: Vec<ScheduledClaim<'a>>,
 }
 
-impl<'a> ClaimSchedule<'a> {
-    /// Total simulated ns charged to `device` across the schedule.
-    pub fn device_ns(&self, device: DeviceKind) -> f64 {
-        self.claims
-            .iter()
-            .filter(|c| c.device == device)
-            .map(|c| c.sim_ns)
-            .sum()
-    }
-}
-
 /// Stored-entry counts of the executed schedule: one entry per accumulator
 /// insertion, exactly the per-block nnz sums the pre-split code derived —
 /// these feed the Phase IV merge cost and the device→host transfer bytes.
@@ -438,34 +427,5 @@ mod tests {
             assert_eq!(c.shape(), (50, 50));
             assert!(counts.per_claim.is_empty());
         }
-    }
-
-    #[test]
-    fn device_ns_sums_by_device() {
-        let rows = [0usize, 1];
-        let schedule = ClaimSchedule {
-            claims: vec![
-                ScheduledClaim {
-                    device: DeviceKind::Cpu,
-                    rows: &rows,
-                    b_mask: None,
-                    sim_ns: 2.5,
-                },
-                ScheduledClaim {
-                    device: DeviceKind::Gpu,
-                    rows: &rows,
-                    b_mask: None,
-                    sim_ns: 4.0,
-                },
-                ScheduledClaim {
-                    device: DeviceKind::Cpu,
-                    rows: &rows,
-                    b_mask: None,
-                    sim_ns: 1.5,
-                },
-            ],
-        };
-        assert_eq!(schedule.device_ns(DeviceKind::Cpu), 4.0);
-        assert_eq!(schedule.device_ns(DeviceKind::Gpu), 4.0);
     }
 }

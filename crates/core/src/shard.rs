@@ -1,5 +1,5 @@
 //! Sharded out-of-core SpGEMM: row-band partitioning over the HH-CPU
-//! engine, with a memory-capped pipelined spill mode.
+//! engine, pipelined under a resident-byte budget that spills to disk.
 //!
 //! A shard is "a claim schedule with a row offset": the [`ShardPlan`]
 //! cuts A into contiguous nnz-balanced row bands, each band × full B runs
@@ -9,26 +9,25 @@
 //! pure indptr offset fix-up — no re-sort, no re-merge. Bit-identity of
 //! the stitched C to the monolithic run is a theorem of the engine's
 //! structure (see DESIGN.md §3.7), and `tests/shard_equivalence.rs`
-//! enforces it across every shard count × mode × thread count × clone.
+//! enforces it across every shard count × byte cap × thread count × clone.
 //!
-//! Two execution modes ([`ShardMode`]):
-//!
-//! * **Pooled** — shards fan out across the host [`ThreadPool`], each on
-//!   a serial inner engine sharing the `Arc<WorkspacePool>` (the same
-//!   outer-parallel/inner-serial shape as the serve layer's micro-batch).
-//! * **Out-of-core** — band work fans across the host pool like `Pooled`,
-//!   but admission into the pipeline is gated by a resident-byte budget
-//!   ([`ResidentBudget`]: in-flight band inputs + finished C bands,
-//!   byte-accurate against `byte_cap`), finished bands hand off to a
-//!   dedicated write-behind spill thread that owns the [`SpillStore`], and
-//!   the final stitch streams spilled chunks back through a prefetching
-//!   reader thread ([`SpillStore::into_stitched`]) — compute never blocks
-//!   on `write_csr_chunk`, and the stitch never holds all bands resident.
-//!   Band results commit in plan order regardless of completion order
-//!   ([`OrderedCommitter`]), which is what keeps the stitched C *and* the
-//!   summed profile bit-identical to the monolithic run (DESIGN.md §3.9).
-//!   A one-thread host pool degenerates to one worker: bands run in plan
-//!   order, one at a time, with the spill writes still behind them.
+//! Every sharded multiply runs one pipelined driver. Band work fans across
+//! the host pool, each band on a serial inner engine sharing the
+//! `Arc<WorkspacePool>`; admission is gated by a resident-byte budget
+//! ([`ResidentBudget`]: in-flight band inputs + finished C bands,
+//! byte-accurate against `byte_cap`); finished bands hand off to a
+//! dedicated write-behind spill thread that owns the spill store; and
+//! the final stitch streams spilled chunks back through a prefetching
+//! reader thread that validates every chunk it reads back — compute
+//! never blocks on `write_csr_chunk`, and the stitch never holds all
+//! bands resident.
+//! Band results commit in plan order regardless of completion order
+//! ([`OrderedCommitter`]), which is what keeps the stitched C *and* the
+//! summed profile bit-identical to the monolithic run (DESIGN.md §3.9).
+//! A one-thread host pool degenerates to one worker: bands run in plan
+//! order, one at a time, with the spill writes still behind them. An
+//! uncapped run ([`ShardConfig::pooled`]) is the same pipeline under a
+//! budget it never exceeds: nothing spills and no spill directory exists.
 
 use std::sync::{mpsc, Condvar, Mutex};
 use std::time::Instant;
@@ -96,47 +95,31 @@ impl ShardPlan {
     }
 }
 
-/// How the planned shards execute.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardMode {
-    /// Shards fan out across the host pool, serial inner engines.
-    Pooled,
-    /// Band work fans across the host pool under a resident-byte budget of
-    /// `byte_cap`; finished outputs spill to disk via a write-behind
-    /// thread.
-    OutOfCore { byte_cap: usize },
-}
-
 /// Configuration of one sharded multiply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardConfig {
     /// Requested band count (clamped to A's row count by the planner).
     pub shards: usize,
-    /// Execution mode.
-    pub mode: ShardMode,
+    /// Resident-byte budget of the pipeline; `usize::MAX` never spills.
+    pub byte_cap: usize,
 }
 
 impl ShardConfig {
-    /// Pooled execution over `shards` bands.
+    /// Uncapped execution over `shards` bands: the same pipeline under a
+    /// budget it can never exceed, so no band spills.
     pub fn pooled(shards: usize) -> Self {
-        Self {
-            shards,
-            mode: ShardMode::Pooled,
-        }
+        Self::out_of_core(shards, usize::MAX)
     }
 
     /// Out-of-core execution under `byte_cap` resident bytes.
     pub fn out_of_core(shards: usize, byte_cap: usize) -> Self {
-        Self {
-            shards,
-            mode: ShardMode::OutOfCore { byte_cap },
-        }
+        Self { shards, byte_cap }
     }
 }
 
-/// Diagnostics of one pipelined out-of-core run — how the byte budget and
-/// the write-behind thread actually behaved. Purely observational: none
-/// of these values feed back into the computation.
+/// Diagnostics of one pipelined run — how the byte budget and the
+/// write-behind thread actually behaved. Purely observational: none of
+/// these values feed back into the computation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PipelineStats {
     /// The configured resident-byte budget.
@@ -167,14 +150,13 @@ pub struct ShardedOutput<T: Scalar> {
     /// profile).
     pub output: SpmmOutput<T>,
     /// One simulated [`PhaseBreakdown`] per band, in band order.
-    /// Mode- and thread-count-invariant for a fixed plan.
+    /// Cap- and thread-count-invariant for a fixed plan.
     pub per_shard: Vec<PhaseBreakdown>,
     /// The band partition that was executed.
     pub plan: ShardPlan,
-    /// How many shard outputs took the disk round-trip (0 in pooled mode).
+    /// How many shard outputs took the disk round-trip (0 when uncapped).
     pub spilled_shards: usize,
-    /// Pipeline diagnostics — `Some` for out-of-core runs, `None` for
-    /// pooled.
+    /// Pipeline diagnostics; every run reports them.
     pub pipe: Option<PipelineStats>,
 }
 
@@ -197,31 +179,63 @@ pub fn sum_profiles(profiles: &[PhaseBreakdown]) -> PhaseBreakdown {
     total
 }
 
+/// The one append path of both stitches, [`concat_row_bands`] and
+/// [`SpillStore::into_stitched`] (see there for the fix-up).
+struct BandStitch<T: Scalar> {
+    ncols: usize,
+    indptr: Vec<usize>,
+    indices: Vec<u32>,
+    values: Vec<T>,
+}
+
+impl<T: Scalar> BandStitch<T> {
+    fn with_capacity(nrows: usize, nnz: usize, ncols: usize) -> Self {
+        let mut indptr = Vec::with_capacity(nrows + 1);
+        indptr.push(0);
+        Self {
+            ncols,
+            indptr,
+            indices: Vec::with_capacity(nnz),
+            values: Vec::with_capacity(nnz),
+        }
+    }
+
+    fn append(&mut self, band: &CsrMatrix<T>) {
+        debug_assert_eq!(
+            band.ncols(),
+            self.ncols,
+            "bands must share the output width"
+        );
+        let base = self.indices.len();
+        self.indptr
+            .extend(band.indptr()[1..].iter().map(|&p| p + base));
+        self.indices.extend_from_slice(band.indices());
+        self.values.extend_from_slice(band.values());
+    }
+
+    fn finish(self) -> CsrMatrix<T> {
+        let nrows = self.indptr.len() - 1;
+        CsrMatrix::from_parts_unchecked(nrows, self.ncols, self.indptr, self.indices, self.values)
+    }
+}
+
 /// Stitch per-band CSR outputs (in band order) into one matrix by indptr
 /// offset fix-up: each band's row pointers are rebased by the running nnz
 /// total and the index/value arrays are concatenated verbatim. Rows are
 /// never re-sorted or re-merged, so the stitched matrix is bit-identical
 /// to the bands laid end to end.
 pub fn concat_row_bands<T: Scalar>(bands: &[CsrMatrix<T>], ncols: usize) -> CsrMatrix<T> {
-    let nrows: usize = bands.iter().map(CsrMatrix::nrows).sum();
-    let nnz: usize = bands.iter().map(CsrMatrix::nnz).sum();
-    let mut indptr = Vec::with_capacity(nrows + 1);
-    let mut indices = Vec::with_capacity(nnz);
-    let mut values = Vec::with_capacity(nnz);
-    indptr.push(0);
-    let mut base = 0usize;
+    let nrows = bands.iter().map(CsrMatrix::nrows).sum();
+    let nnz = bands.iter().map(CsrMatrix::nnz).sum();
+    let mut out = BandStitch::with_capacity(nrows, nnz, ncols);
     for band in bands {
-        debug_assert_eq!(band.ncols(), ncols, "bands must share the output width");
-        indptr.extend(band.indptr()[1..].iter().map(|&p| p + base));
-        indices.extend_from_slice(band.indices());
-        values.extend_from_slice(band.values());
-        base += band.nnz();
+        out.append(band);
     }
-    CsrMatrix::from_parts_unchecked(nrows, ncols, indptr, indices, values)
+    out.finish()
 }
 
 /// Run `C = A × B` sharded: global Phase I once, then each row band of A
-/// × full B through the engine under `shard.mode`, stitched by offset
+/// × full B through the engine under `shard.byte_cap`, stitched by offset
 /// fix-up. See the module docs for the contract.
 pub fn hh_cpu_sharded<T: Scalar>(
     ctx: &mut HeteroContext,
@@ -237,6 +251,22 @@ pub fn hh_cpu_sharded<T: Scalar>(
 /// [`hh_cpu_sharded`] against precomputed *global* artifacts (the serve
 /// layer's warm path — the same artifacts serve monolithic and sharded
 /// multiplies of the operands, because the plan is shard-invariant).
+///
+/// The pipelined driver (see DESIGN.md §3.9). Three stages, all bounded
+/// by one resident-byte budget:
+///
+/// 1. **Compute** — `min(pool, p)` workers claim bands *in plan order*;
+///    admission waits until the band's input bytes fit under the cap.
+///    Each worker runs the band through a serial inner engine.
+/// 2. **Commit + write-behind** — finished bands enter an
+///    [`OrderedCommitter`], which releases them in plan order to an
+///    unbounded channel feeding the spill thread. The spill thread owns
+///    the spill store and evicts to disk oldest-first while the budget
+///    is over cap, so compute never blocks on `write_csr_chunk`.
+/// 3. **Streaming stitch** — after the last commit the store sizes the
+///    final matrix from the band shapes recorded at push and appends bands
+///    one at a time, prefetching and validating the next spilled chunk on
+///    a reader thread while the current band's indptr fix-up memcpy runs.
 pub fn hh_cpu_sharded_with_artifacts<T: Scalar>(
     ctx: &mut HeteroContext,
     a: &CsrMatrix<T>,
@@ -250,108 +280,8 @@ pub fn hh_cpu_sharded_with_artifacts<T: Scalar>(
         b.nrows(),
         "A and B incompatible for multiplication"
     );
+    let byte_cap = shard.byte_cap;
     let plan = ShardPlan::nnz_balanced(a, shard.shards);
-    let p = plan.shards();
-
-    let mut spilled_shards = 0usize;
-    let mut pipe = None;
-    // Each branch yields the band outputs in plan order; the out-of-core
-    // branch also yields the already-stitched C (its outputs carry empty
-    // placeholder matrices — the real bands streamed through the spill
-    // store).
-    let (outputs, prestitched): (Vec<SpmmOutput<T>>, Option<CsrMatrix<T>>) = match shard.mode {
-        ShardMode::Pooled => {
-            // Bands and their sliced artifacts are cheap to build (one
-            // memcpy of the band arrays + one symbolic scan); the
-            // engine runs dominate.
-            let bands: Vec<CsrMatrix<T>> = (0..p).map(|i| a.row_band(plan.band(i))).collect();
-            // Outer-parallel, inner-serial: the same shape as the serve
-            // layer's micro-batch. Device models are per-band (cheap);
-            // the workspace pool is the shared, thread-keyed resource.
-            let outs = ctx.pool.par_map(p, |i| {
-                let mut band_ctx = HeteroContext::with_shared(
-                    ctx.platform,
-                    ThreadPool::new(1),
-                    ctx.workspaces.clone(),
-                );
-                let band_artifacts = artifacts.row_band_artifacts(plan.band(i), &bands[i]);
-                hh_cpu_with_artifacts(&mut band_ctx, &bands[i], b, config, &band_artifacts)
-            });
-            (outs, None)
-        }
-        ShardMode::OutOfCore { byte_cap } => {
-            let run = run_out_of_core_pipelined(ctx, a, b, config, artifacts, &plan, byte_cap);
-            spilled_shards = run.spilled;
-            pipe = Some(run.stats);
-            (run.outputs, Some(run.c))
-        }
-    };
-
-    let per_shard: Vec<PhaseBreakdown> = outputs.iter().map(|o| o.profile).collect();
-    let tuples_merged: usize = outputs.iter().map(|o| o.tuples_merged).sum();
-    let c = prestitched.unwrap_or_else(|| {
-        let band_cs: Vec<CsrMatrix<T>> = outputs.into_iter().map(|o| o.c).collect();
-        concat_row_bands(&band_cs, b.ncols())
-    });
-
-    let profile = sum_profiles(&per_shard);
-    let th = &artifacts.plan.thresholds;
-    let output = SpmmOutput {
-        c,
-        profile,
-        threshold_a: th.t_a,
-        threshold_b: th.t_b,
-        hd_rows_a: th.hd_rows_a(),
-        hd_rows_b: th.hd_rows_b(),
-        tuples_merged,
-    };
-
-    ShardedOutput {
-        output,
-        per_shard,
-        plan,
-        spilled_shards,
-        pipe,
-    }
-}
-
-/// Everything the pipelined out-of-core run hands back to the driver.
-struct PipelinedRun<T: Scalar> {
-    /// Band outputs in plan order; `c` fields are empty placeholders.
-    outputs: Vec<SpmmOutput<T>>,
-    /// The stitched C.
-    c: CsrMatrix<T>,
-    /// Bands that took the disk round-trip.
-    spilled: usize,
-    stats: PipelineStats,
-}
-
-/// The pipelined out-of-core executor (see DESIGN.md §3.9).
-///
-/// Three stages, all bounded by one [`ResidentBudget`]:
-///
-/// 1. **Compute** — `min(pool, p)` workers claim bands *in plan order*;
-///    admission waits until the band's input bytes fit under the cap.
-///    Each worker runs the band through a serial inner engine (the same
-///    shape as `Pooled`, so per-band outputs are bit-identical to it).
-/// 2. **Commit + write-behind** — finished bands enter an
-///    [`OrderedCommitter`], which releases them in plan order to an
-///    unbounded channel feeding the spill thread. The spill thread owns
-///    the [`SpillStore`] and evicts to disk oldest-first, so compute
-///    never blocks on `write_csr_chunk`.
-/// 3. **Streaming stitch** — after the last commit the store sizes the
-///    final matrix from per-band chunk headers and appends bands one at a
-///    time, prefetching the next spilled chunk on a reader thread while
-///    the current band's indptr fix-up memcpy runs.
-fn run_out_of_core_pipelined<T: Scalar>(
-    ctx: &HeteroContext,
-    a: &CsrMatrix<T>,
-    b: &CsrMatrix<T>,
-    config: &HhCpuConfig,
-    artifacts: &SpmmArtifacts,
-    plan: &ShardPlan,
-    byte_cap: usize,
-) -> PipelinedRun<T> {
     let p = plan.shards();
     // Cap workers at the hardware's parallelism even when the host pool
     // asks for more: band compute is CPU-bound, so oversubscribed workers
@@ -365,52 +295,45 @@ fn run_out_of_core_pipelined<T: Scalar>(
     let workers = ctx.pool.num_threads().min(p).min(hw).max(1);
     let band_a_bytes: Vec<usize> = (0..p).map(|i| a.row_band_byte_size(plan.band(i))).collect();
     let budget = ResidentBudget::new(byte_cap);
-    let outs: Mutex<Vec<Option<SpmmOutput<T>>>> = Mutex::new((0..p).map(|_| None).collect());
+    let mut per_shard: Vec<PhaseBreakdown> = Vec::with_capacity(p);
+    let mut tuples_merged = 0usize;
+    let (ctx, bands) = (&*ctx, &plan);
 
-    let (c, spilled, spill_wait_ns) = std::thread::scope(|s| {
+    let (c, spilled_shards, spill_wait_ns) = std::thread::scope(|s| {
         // The channel and committer live inside this scope so a worker
         // panic unwinds them (disconnecting the writer) before the scope
         // joins the writer thread — no deadlock on the way out.
-        let (tx, rx) = mpsc::channel::<(usize, CsrMatrix<T>)>();
+        let (tx, rx) = mpsc::channel::<CsrMatrix<T>>();
         let writer = s.spawn({
             let budget = &budget;
             move || -> Result<(SpillStore<T>, u64), SparseError> {
-                let mut store = SpillStore::new(byte_cap);
+                let mut store = SpillStore::new();
                 let mut wait_ns = 0u64;
                 loop {
                     let idle = Instant::now();
                     let msg = rx.recv();
                     wait_ns += idle.elapsed().as_nanos() as u64;
-                    let Ok((i, c)) = msg else { break };
-                    let c_bytes = c.byte_size();
-                    let before = store.resident_bytes();
-                    let pushed = store.push(i, c).and_then(|()| {
-                        // The store's own cap only sees C bands; the
-                        // budget also carries in-flight band inputs.
-                        // Keep evicting while the *global* residency
-                        // (net of what this push already freed) is over
-                        // cap, so over-cap excess never outlives the
-                        // band that caused it.
-                        loop {
-                            let to_disk = before + c_bytes - store.resident_bytes();
-                            if budget.resident().saturating_sub(to_disk) <= byte_cap
-                                || !store.evict_one()?
-                            {
-                                return Ok(());
+                    let Ok(c) = msg else { break };
+                    store.push(c);
+                    // The budget carries every resident byte — in-flight
+                    // band inputs and every unspilled C, the store's
+                    // included. Evict oldest-first while it (net of what
+                    // this round already moved to disk) is over cap, so
+                    // over-cap excess never outlives the band that caused
+                    // it.
+                    let mut to_disk = 0usize;
+                    let mut written = Ok(());
+                    while budget.resident().saturating_sub(to_disk) > byte_cap {
+                        match store.evict_oldest() {
+                            Ok(Some(bytes)) => to_disk += bytes,
+                            Ok(None) => break,
+                            Err(e) => {
+                                written = Err(e);
+                                break;
                             }
                         }
-                    });
-                    // Whatever the store evicted to disk (possibly this
-                    // band, possibly older ones) leaves the budget.
-                    let to_disk = before + c_bytes - store.resident_bytes();
-                    budget.spill_done(to_disk);
-                    if let Err(e) = pushed {
-                        // Wake every admission waiter so workers drain
-                        // instead of deadlocking on a budget that will
-                        // never shrink; the join below surfaces the error.
-                        budget.poison();
-                        return Err(e);
                     }
+                    budget.spill_done(to_disk);
                     // Write-behind: once the budget has demonstrated
                     // pressure (something already spilled), pre-stage the
                     // next eviction victim — the budget is already
@@ -419,11 +342,15 @@ fn run_out_of_core_pipelined<T: Scalar>(
                     // on the admission path. Under a cap nothing ever
                     // hits, staging would be pure overhead, so it stays
                     // off.
-                    if store.spilled() > 0 {
-                        if let Err(e) = store.stage_oldest() {
-                            budget.poison();
-                            return Err(e);
-                        }
+                    if written.is_ok() && store.spilled() > 0 {
+                        written = store.stage_oldest();
+                    }
+                    if let Err(e) = written {
+                        // Wake every admission waiter so workers drain
+                        // instead of deadlocking on a budget that will
+                        // never shrink; the join below surfaces the error.
+                        budget.poison();
+                        return Err(e);
                     }
                 }
                 Ok((store, wait_ns))
@@ -432,19 +359,22 @@ fn run_out_of_core_pipelined<T: Scalar>(
 
         // The commit closure owns `tx` (so dropping it after `finish`
         // disconnects the writer) and borrows the rest.
-        let (outs_ref, budget_ref, inputs_ref) = (&outs, &budget, &band_a_bytes);
-        let committer =
-            OrderedCommitter::new(move |i: usize, (out, c): (SpmmOutput<T>, CsrMatrix<T>)| {
-                outs_ref.lock().unwrap()[i] = Some(out);
+        let (per_shard, tuples_merged) = (&mut per_shard, &mut tuples_merged);
+        let (budget_ref, inputs_ref) = (&budget, &band_a_bytes);
+        let committer = OrderedCommitter::new(
+            move |i: usize, (profile, tuples, c): (PhaseBreakdown, usize, CsrMatrix<T>)| {
+                per_shard.push(profile);
+                *tuples_merged += tuples;
                 // The band input dies here (the worker dropped it before
                 // submitting); its C is now the writer's responsibility.
                 budget_ref.commit(inputs_ref[i]);
-                if tx.send((i, c)).is_err() {
+                if tx.send(c).is_err() {
                     // Writer already failed: it poisoned the budget, but
                     // the pending-spill count must not dangle.
                     budget_ref.spill_done(0);
                 }
-            });
+            },
+        );
 
         std::thread::scope(|ws| {
             for _ in 0..workers {
@@ -453,20 +383,19 @@ fn run_out_of_core_pipelined<T: Scalar>(
                 let band_a_bytes = &band_a_bytes;
                 ws.spawn(move || {
                     while let Some(i) = budget.claim_next(band_a_bytes) {
-                        let band = a.row_band(plan.band(i));
+                        let band = a.row_band(bands.band(i));
                         let mut band_ctx = HeteroContext::with_shared(
                             ctx.platform,
                             ThreadPool::new(1),
                             ctx.workspaces.clone(),
                         );
-                        let band_artifacts = artifacts.row_band_artifacts(plan.band(i), &band);
-                        let mut out =
+                        let band_artifacts = artifacts.row_band_artifacts(bands.band(i), &band);
+                        let out =
                             hh_cpu_with_artifacts(&mut band_ctx, &band, b, config, &band_artifacts);
-                        let c = std::mem::replace(&mut out.c, CsrMatrix::zeros(0, 0));
                         // C enters the budget the moment it exists; the
                         // band input leaves at commit time.
-                        budget.charge_c(i, c.byte_size());
-                        committer.submit(i, (out, c));
+                        budget.charge_c(i, out.c.byte_size());
+                        committer.submit(i, (out.profile, out.tuples_merged, out.c));
                     }
                 });
             }
@@ -486,28 +415,33 @@ fn run_out_of_core_pipelined<T: Scalar>(
         (c, spilled, wait_ns)
     });
 
-    let outputs: Vec<SpmmOutput<T>> = outs
-        .into_inner()
-        .unwrap()
-        .into_iter()
-        .map(|o| o.expect("band output missing after commit"))
-        .collect();
     let (peak_resident_bytes, admit_wait_ns) = budget.stats();
-    PipelinedRun {
-        outputs,
+    let th = &artifacts.plan.thresholds;
+    let output = SpmmOutput {
         c,
-        spilled,
-        stats: PipelineStats {
+        profile: sum_profiles(&per_shard),
+        threshold_a: th.t_a,
+        threshold_b: th.t_b,
+        hd_rows_a: th.hd_rows_a(),
+        hd_rows_b: th.hd_rows_b(),
+        tuples_merged,
+    };
+    ShardedOutput {
+        output,
+        per_shard,
+        plan,
+        spilled_shards,
+        pipe: Some(PipelineStats {
             byte_cap,
             peak_resident_bytes,
             workers,
             spill_wait_ns,
             admit_wait_ns,
-        },
+        }),
     }
 }
 
-/// Byte-accurate admission gate of the pipelined out-of-core run.
+/// Byte-accurate admission gate of the sharded pipeline.
 ///
 /// `resident` counts in-flight band inputs, finished C bands awaiting
 /// commit or spill, and whatever the spill store still holds in memory.
@@ -637,17 +571,15 @@ impl ResidentBudget {
     }
 }
 
-/// Oldest-first spill store for out-of-core shard outputs: keeps finished
-/// C bands in memory up to `byte_cap` CSR bytes, writing the overflow to
-/// binary chunk files in a per-run temp directory. The out-of-core
-/// driver's write-behind thread owns the store. The directory is removed
-/// by [`SpillStore::into_stitched`] on success and by `Drop` on every
-/// other path (early error, panic unwind, writer shutdown), so no spill
-/// files outlive the run.
-pub struct SpillStore<T: Scalar> {
-    byte_cap: usize,
-    resident_bytes: usize,
-    /// Oldest first.
+/// Oldest-first spill store for finished C bands, pushed in band order:
+/// bands stay in memory until the pipeline's writer evicts them, which
+/// writes them to binary chunk files in a per-run temp directory. The
+/// directory is created at the first write, removed by
+/// [`SpillStore::into_stitched`] on success and by `Drop` on every other
+/// path (early error, panic unwind, writer shutdown), so no spill files
+/// outlive the run.
+struct SpillStore<T: Scalar> {
+    /// One slot per band, in band order.
     slots: Vec<Slot<T>>,
     dir: Option<std::path::PathBuf>,
     spilled: usize,
@@ -657,20 +589,17 @@ pub struct SpillStore<T: Scalar> {
 /// or both — `staged` marks a resident band whose chunk file is already
 /// on disk (write-behind), so evicting it frees memory with no I/O.
 struct Slot<T: Scalar> {
-    shard: usize,
     band: Option<CsrMatrix<T>>,
     staged: bool,
-    /// The band's `(nrows, nnz)`, kept so the stitch sizes spilled bands
-    /// without reopening their chunks.
-    shape: (usize, usize),
+    /// The band's `(nrows, ncols, nnz)`, kept so the stitch sizes spilled
+    /// bands without reopening their chunks and can check what it reads
+    /// back.
+    shape: (usize, usize, usize),
 }
 
 impl<T: Scalar> SpillStore<T> {
-    /// An empty store holding at most `byte_cap` resident CSR bytes.
-    pub fn new(byte_cap: usize) -> Self {
+    fn new() -> Self {
         Self {
-            byte_cap,
-            resident_bytes: 0,
             slots: Vec::new(),
             dir: None,
             spilled: 0,
@@ -678,215 +607,141 @@ impl<T: Scalar> SpillStore<T> {
     }
 
     /// How many bands have been written to disk so far.
-    pub fn spilled(&self) -> usize {
+    fn spilled(&self) -> usize {
         self.spilled
     }
 
-    /// CSR bytes currently held in memory.
-    pub fn resident_bytes(&self) -> usize {
-        self.resident_bytes
-    }
-
-    /// The spill directory, if any band has been evicted yet.
-    pub fn dir_path(&self) -> Option<&std::path::Path> {
+    /// The spill directory, if any band has been written yet.
+    #[cfg(test)]
+    fn dir_path(&self) -> Option<&std::path::Path> {
         self.dir.as_deref()
     }
 
-    fn chunk_path(dir: &std::path::Path, shard: usize) -> std::path::PathBuf {
-        dir.join(format!("shard-{shard}.csr"))
+    fn chunk_path(dir: &std::path::Path, band: usize) -> std::path::PathBuf {
+        dir.join(format!("shard-{band}.csr"))
     }
 
-    fn ensure_dir(&mut self) -> Result<std::path::PathBuf, SparseError> {
-        match &self.dir {
-            Some(d) => Ok(d.clone()),
-            None => {
-                let d = spill_dir()?;
-                self.dir = Some(d.clone());
-                Ok(d)
-            }
-        }
-    }
-
-    /// Add band `shard`, evicting oldest-first while over the byte cap.
-    pub fn push(&mut self, shard: usize, c: CsrMatrix<T>) -> Result<(), SparseError> {
-        self.resident_bytes += c.byte_size();
+    /// Add the next band, resident.
+    fn push(&mut self, c: CsrMatrix<T>) {
         self.slots.push(Slot {
-            shard,
-            shape: (c.nrows(), c.nnz()),
+            shape: (c.nrows(), c.ncols(), c.nnz()),
             band: Some(c),
             staged: false,
         });
-        while self.resident_bytes > self.byte_cap && self.evict_one()? {}
-        Ok(())
+    }
+
+    /// Write the chunk file of the resident band in slot `pos`.
+    fn write_chunk(&mut self, pos: usize) -> Result<(), SparseError> {
+        if self.dir.is_none() {
+            self.dir = Some(spill_dir()?);
+        }
+        let dir = self.dir.as_deref().expect("created above");
+        let band = self.slots[pos].band.as_ref().expect("resident slot");
+        let mut file = std::fs::File::create(Self::chunk_path(dir, pos))?;
+        write_csr_chunk(band, &mut file)
     }
 
     /// Write the chunk file of the *oldest* unstaged resident band — the
     /// next eviction victim — while keeping the band resident
-    /// (write-behind staging). A later [`Self::evict_one`] of a staged
+    /// (write-behind staging). A later [`Self::evict_oldest`] of a staged
     /// band frees its memory without any I/O, so the admission critical
     /// path never waits on a disk write. Staging exactly the next victim
     /// (rather than every band) wastes at most one chunk write on a band
-    /// that ends up never evicted. Returns `false` when every resident
-    /// band is already staged.
-    pub fn stage_oldest(&mut self) -> Result<bool, SparseError> {
+    /// that ends up never evicted.
+    fn stage_oldest(&mut self) -> Result<(), SparseError> {
         let Some(pos) = self
             .slots
             .iter()
             .position(|s| s.band.is_some() && !s.staged)
         else {
-            return Ok(false);
+            return Ok(());
         };
-        let dir = self.ensure_dir()?;
-        let slot = &self.slots[pos];
-        let m = slot
-            .band
-            .as_ref()
-            .expect("position() found a resident slot");
-        let mut file = std::fs::File::create(Self::chunk_path(&dir, slot.shard))?;
-        write_csr_chunk(m, &mut file)?;
+        self.write_chunk(pos)?;
         self.slots[pos].staged = true;
-        Ok(true)
+        Ok(())
     }
 
-    /// Spill the oldest resident band to disk regardless of the cap;
-    /// `false` when nothing is left to evict. The pipelined writer uses
-    /// this to shrink the store when the *global* budget — which also
-    /// carries in-flight band inputs — is over cap even though the store
-    /// alone is not. Bands already [`Self::stage`]d drop instantly.
-    pub fn evict_one(&mut self) -> Result<bool, SparseError> {
+    /// Spill the oldest resident band to disk, returning the CSR bytes
+    /// freed; `None` when nothing is left to evict. Bands already staged
+    /// drop instantly.
+    fn evict_oldest(&mut self) -> Result<Option<usize>, SparseError> {
         let Some(pos) = self.slots.iter().position(|s| s.band.is_some()) else {
-            return Ok(false);
+            return Ok(None);
         };
         if !self.slots[pos].staged {
-            let dir = self.ensure_dir()?;
-            let slot = &self.slots[pos];
-            let m = slot
-                .band
-                .as_ref()
-                .expect("position() found a resident slot");
-            let mut file = std::fs::File::create(Self::chunk_path(&dir, slot.shard))?;
-            write_csr_chunk(m, &mut file)?;
+            self.write_chunk(pos)?;
         }
-        let m = self.slots[pos]
-            .band
-            .take()
-            .expect("position() found a resident slot");
-        self.resident_bytes -= m.byte_size();
+        let band = self.slots[pos].band.take().expect("resident slot");
         self.spilled += 1;
-        Ok(true)
+        Ok(Some(band.byte_size()))
     }
 
-    /// Stitch every band (index order) into one matrix without ever
+    /// Stitch every band (band order) into one matrix without ever
     /// holding all bands resident: the band shapes recorded at push size
     /// the final arrays once, then bands append one at a time — with a
-    /// prefetch thread reading (and unlinking) the *next* spilled chunk
-    /// (double-buffered `sync_channel(1)`) while the current band's
-    /// indptr fix-up memcpy runs. Consumes the store; the spill directory
-    /// is removed on the way out.
-    pub fn into_stitched(mut self, ncols: usize) -> Result<CsrMatrix<T>, SparseError> {
-        let mut slots = std::mem::take(&mut self.slots);
-        slots.sort_by_key(|s| s.shard);
-
-        // Sizing pass: every band's shape was recorded at push, so no
-        // chunk is reopened for its header.
-        let nrows: usize = slots.iter().map(|s| s.shape.0).sum();
-        let nnz: usize = slots.iter().map(|s| s.shape.1).sum();
-
-        let mut indptr = Vec::with_capacity(nrows + 1);
-        let mut indices = Vec::with_capacity(nnz);
-        let mut values = Vec::with_capacity(nnz);
-        indptr.push(0);
-        let mut base = 0usize;
-
-        fn append_band<T: Scalar>(
-            band: &CsrMatrix<T>,
-            ncols: usize,
-            indptr: &mut Vec<usize>,
-            indices: &mut Vec<u32>,
-            values: &mut Vec<T>,
-            base: &mut usize,
-        ) {
-            debug_assert_eq!(band.ncols(), ncols, "bands must share the output width");
-            indptr.extend(band.indptr()[1..].iter().map(|&p| p + *base));
-            indices.extend_from_slice(band.indices());
-            values.extend_from_slice(band.values());
-            *base += band.nnz();
-        }
-
-        let spilled_idx: Vec<usize> = slots
-            .iter()
-            .filter(|s| s.band.is_none())
-            .map(|s| s.shard)
+    /// prefetch thread reading, decoding and unlinking the *next* spilled
+    /// chunk (double-buffered `sync_channel(1)`) while the current band's
+    /// indptr fix-up memcpy runs. A spilled chunk is decoded through
+    /// [`split_csr_chunk`] into a `try_new`-validated matrix and must read
+    /// back with the shape recorded at push, so a truncated, corrupt or
+    /// swapped chunk is an error, never a malformed C. Consumes the store;
+    /// the spill directory is removed on the way out.
+    fn into_stitched(mut self, ncols: usize) -> Result<CsrMatrix<T>, SparseError> {
+        let slots = std::mem::take(&mut self.slots);
+        let nrows = slots.iter().map(|s| s.shape.0).sum();
+        let nnz = slots.iter().map(|s| s.shape.2).sum();
+        let mut out = BandStitch::with_capacity(nrows, nnz, ncols);
+        let spilled: Vec<usize> = (0..slots.len())
+            .filter(|&i| slots[i].band.is_none())
             .collect();
-        if spilled_idx.is_empty() {
-            for slot in slots {
-                let band = slot.band.expect("resident slot");
-                append_band(
-                    &band,
-                    ncols,
-                    &mut indptr,
-                    &mut indices,
-                    &mut values,
-                    &mut base,
-                );
-            }
-        } else {
-            let dir = self.dir.clone().expect("spilled shard without a dir");
-            std::thread::scope(|s| -> Result<(), SparseError> {
-                // The prefetch thread ships raw chunk bytes (one
-                // `fs::read` per file); the consumer splits and appends
-                // them straight into the final arrays — no per-chunk
-                // matrix materialization or double copy.
-                let (tx, rx) = mpsc::sync_channel::<Result<Vec<u8>, SparseError>>(1);
-                s.spawn(move || {
-                    for idx in spilled_idx {
-                        let path = Self::chunk_path(&dir, idx);
-                        let chunk = std::fs::read(&path).map_err(SparseError::from);
-                        // unlink here, off the stitch's critical path, so
-                        // the final directory removal finds it empty; a
-                        // failed unlink is left to that removal
-                        let _ = std::fs::remove_file(&path);
-                        let failed = chunk.is_err();
-                        // A closed receiver (consumer error/panic) or a
-                        // read failure both end the prefetch.
-                        if tx.send(chunk).is_err() || failed {
-                            break;
-                        }
-                    }
-                });
-                for slot in slots {
-                    match slot.band {
-                        Some(band) => append_band(
-                            &band,
-                            ncols,
-                            &mut indptr,
-                            &mut indices,
-                            &mut values,
-                            &mut base,
-                        ),
-                        None => {
-                            let bytes = rx.recv().map_err(|_| {
-                                SparseError::Io("spill prefetch thread exited early".into())
-                            })??;
-                            let regions = split_csr_chunk::<T>(&bytes)?;
-                            debug_assert_eq!(
-                                regions.header.ncols, ncols,
-                                "bands must share the output width"
-                            );
-                            indptr.extend(regions.indptr_iter().skip(1).map(|p| p + base));
-                            regions.extend_indices(&mut indices);
-                            regions.extend_values(&mut values);
-                            base += regions.header.nnz;
-                        }
+        let dir = self.dir.clone();
+        std::thread::scope(|s| -> Result<(), SparseError> {
+            let (tx, rx) = mpsc::sync_channel::<Result<CsrMatrix<T>, SparseError>>(1);
+            s.spawn(move || {
+                for i in spilled {
+                    let dir = dir.as_deref().expect("spilled band without a dir");
+                    let path = Self::chunk_path(dir, i);
+                    let band = std::fs::read(&path)
+                        .map_err(SparseError::from)
+                        .and_then(|bytes| split_csr_chunk::<T>(&bytes)?.to_matrix());
+                    // unlink here, off the stitch's critical path, so
+                    // the final directory removal finds it empty; a
+                    // failed unlink is left to that removal
+                    let _ = std::fs::remove_file(&path);
+                    let failed = band.is_err();
+                    // A closed receiver (consumer error/panic) or a
+                    // failed read both end the prefetch.
+                    if tx.send(band).is_err() || failed {
+                        break;
                     }
                 }
-                Ok(())
-            })?;
-        }
+            });
+            for (i, slot) in slots.into_iter().enumerate() {
+                let band = match slot.band {
+                    Some(band) => band,
+                    None => {
+                        let band = rx.recv().map_err(|_| {
+                            SparseError::Io("spill prefetch thread exited early".into())
+                        })??;
+                        let shape = (band.nrows(), band.ncols(), band.nnz());
+                        if shape != slot.shape {
+                            return Err(SparseError::Parse {
+                                line: 0,
+                                msg: format!(
+                                    "spilled band {i} read back as {shape:?}, pushed as {:?}",
+                                    slot.shape
+                                ),
+                            });
+                        }
+                        band
+                    }
+                };
+                out.append(&band);
+            }
+            Ok(())
+        })?;
         // `self` drops here, removing the spill directory.
-        Ok(CsrMatrix::from_parts_unchecked(
-            nrows, ncols, indptr, indices, values,
-        ))
+        Ok(out.finish())
     }
 }
 
@@ -982,8 +837,8 @@ mod tests {
         let mut ctx = HeteroContext::paper().with_host_threads(2);
         let config = HhCpuConfig::default();
         let mono = hh_cpu(&mut ctx, &a, &a, &config);
-        for mode in [ShardMode::Pooled, ShardMode::OutOfCore { byte_cap: 0 }] {
-            let shard = ShardConfig { shards: 3, mode };
+        for byte_cap in [usize::MAX, 0] {
+            let shard = ShardConfig::out_of_core(3, byte_cap);
             let out = hh_cpu_sharded(&mut ctx, &a, &a, &config, &shard);
             assert_eq!(out.output.c.content_hash(), mono.c.content_hash());
             assert_eq!(out.output.c, mono.c);
@@ -991,11 +846,10 @@ mod tests {
             assert_eq!(out.output.threshold_a, mono.threshold_a);
             assert_eq!(out.output.hd_rows_a, mono.hd_rows_a);
             assert_eq!(out.per_shard.len(), 3);
-            if let ShardMode::OutOfCore { .. } = mode {
+            if byte_cap == 0 {
                 assert_eq!(out.spilled_shards, 3, "byte_cap 0 must spill every shard");
             } else {
-                assert_eq!(out.spilled_shards, 0);
-                assert_eq!(out.pipe, None, "pooled mode has no pipeline");
+                assert_eq!(out.spilled_shards, 0, "an uncapped run never spills");
             }
         }
     }
@@ -1120,40 +974,85 @@ mod tests {
         }
     }
 
+    /// A store holding `bands` in order with the first `spill` of them
+    /// evicted to disk.
+    fn spilled_store(bands: &[CsrMatrix<f64>], spill: usize) -> SpillStore<f64> {
+        let mut store = SpillStore::new();
+        for band in bands {
+            store.push(band.clone());
+        }
+        for _ in 0..spill {
+            store.evict_oldest().unwrap().expect("a resident band");
+        }
+        store
+    }
+
     #[test]
     fn spill_store_removes_dir_on_stitch() {
         let bands: Vec<CsrMatrix<f64>> = (0..4).map(|i| matrix(30 + i).row_band(0..50)).collect();
         let ncols = bands[0].ncols();
-        // every band spilled (cap 0), then mixed resident/spilled slots: a
-        // cap of one max-size band keeps the newest band resident
-        let mixed_cap = bands.iter().map(CsrMatrix::byte_size).max().unwrap() + 1;
-        for cap in [0, mixed_cap] {
-            let mut store = SpillStore::new(cap);
-            for (i, band) in bands.iter().enumerate() {
-                store.push(i, band.clone()).unwrap();
-            }
-            if cap == 0 {
-                assert_eq!(store.spilled(), bands.len());
-            } else {
-                assert!(store.spilled() > 0 && store.spilled() < bands.len());
-            }
+        // every band spilled, then mixed resident/spilled slots (one of
+        // them staged), then nothing spilled
+        for spill in [bands.len(), 2, 0] {
+            let mut store = spilled_store(&bands, spill);
+            store.stage_oldest().unwrap();
+            assert_eq!(store.spilled(), spill);
             let dir = store
                 .dir_path()
-                .expect("store must have spilled")
+                .expect("store must have written a chunk")
                 .to_path_buf();
             assert!(dir.exists());
             let stitched = store.into_stitched(ncols).unwrap();
             assert_eq!(stitched, concat_row_bands(&bands, ncols));
             assert!(!dir.exists(), "into_stitched must remove the spill dir");
         }
+        let store = spilled_store(&bands, 0);
+        assert!(store.dir_path().is_none(), "nothing written, no dir");
+        assert_eq!(
+            store.into_stitched(ncols).unwrap(),
+            concat_row_bands(&bands, ncols)
+        );
+    }
+
+    #[test]
+    fn stitch_rejects_swapped_and_truncated_chunks() {
+        let a = matrix(12);
+        let plan = ShardPlan::nnz_balanced(&a, 2);
+        let bands: Vec<CsrMatrix<f64>> = (0..2).map(|i| a.row_band(plan.band(i))).collect();
+        assert_ne!(
+            (bands[0].nrows(), bands[0].nnz()),
+            (bands[1].nrows(), bands[1].nnz()),
+            "the swap must change the recorded shape"
+        );
+        let chunk = |dir: &std::path::Path, i: usize| SpillStore::<f64>::chunk_path(dir, i);
+        // band 1's chunk copied over band 0's: a valid chunk of the wrong
+        // band
+        let swap = |dir: &std::path::Path| {
+            std::fs::copy(chunk(dir, 1), chunk(dir, 0)).unwrap();
+        };
+        // band 0's chunk cut short mid-array
+        let truncate = |dir: &std::path::Path| {
+            let bytes = std::fs::read(chunk(dir, 0)).unwrap();
+            std::fs::write(chunk(dir, 0), &bytes[..bytes.len() / 2]).unwrap();
+        };
+        for corrupt in [&swap as &dyn Fn(&std::path::Path), &truncate] {
+            let store = spilled_store(&bands, 2);
+            let dir = store.dir_path().unwrap().to_path_buf();
+            corrupt(&dir);
+            assert!(
+                store.into_stitched(a.ncols()).is_err(),
+                "a corrupt spill chunk must fail the stitch"
+            );
+            assert!(!dir.exists(), "a failed stitch must remove the spill dir");
+        }
     }
 
     #[test]
     fn spill_store_removes_dir_on_early_drop_and_unwind() {
         let band: CsrMatrix<f64> = matrix(40).row_band(10..60);
+        let bands = [band];
         // early error / abandoned store: drop without stitching
-        let mut store = SpillStore::new(0);
-        store.push(0, band.clone()).unwrap();
+        let store = spilled_store(&bands, 1);
         let dir = store.dir_path().unwrap().to_path_buf();
         assert!(dir.exists());
         drop(store);
@@ -1161,8 +1060,7 @@ mod tests {
         // panic unwind: the store dies mid-use inside a panicking scope
         let dir_cell = Mutex::new(None);
         let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut store = SpillStore::new(0);
-            store.push(0, band.clone()).unwrap();
+            let store = spilled_store(&bands, 1);
             *dir_cell.lock().unwrap() = Some(store.dir_path().unwrap().to_path_buf());
             panic!("simulated band failure");
         }));
@@ -1173,15 +1071,14 @@ mod tests {
 
     #[test]
     fn writer_thread_shutdown_leaves_no_spill_files() {
-        // The pipelined mode's spill thread owns the store; whatever way
-        // the thread ends — clean return or panic unwind — the store's
-        // Drop must take the spill directory with it.
-        let band: CsrMatrix<f64> = matrix(41).row_band(0..40);
+        // The pipeline's spill thread owns the store; whatever way the
+        // thread ends — clean return or panic unwind — the store's Drop
+        // must take the spill directory with it.
+        let bands = [matrix(41).row_band(0..40)];
         let clean = std::thread::spawn({
-            let band = band.clone();
+            let bands = bands.clone();
             move || {
-                let mut store = SpillStore::new(0);
-                store.push(0, band).unwrap();
+                let store = spilled_store(&bands, 1);
                 store.dir_path().unwrap().to_path_buf()
                 // store dropped as the thread returns
             }
@@ -1194,8 +1091,7 @@ mod tests {
         let panicked = std::thread::spawn({
             let dir_cell = dir_cell.clone();
             move || {
-                let mut store = SpillStore::new(0);
-                store.push(0, band).unwrap();
+                let store = spilled_store(&bands, 1);
                 *dir_cell.lock().unwrap() = Some(store.dir_path().unwrap().to_path_buf());
                 panic!("simulated spill-thread failure");
             }

@@ -501,20 +501,6 @@ pub fn masked_output_widths<T: Scalar>(
     widths_impl(a, b, b_mask, None, pool, &WorkspacePool::new())
 }
 
-/// [`masked_output_widths`] restricted to the listed A rows — the returned
-/// table still has one slot per A row (unlisted rows stay 0), so lookups
-/// stay indexed by row. Use when only a known subset of rows can ever be
-/// costed under this mask (e.g. the `A_L × B_H` quadrant).
-pub fn masked_output_widths_for<T: Scalar>(
-    a: &CsrMatrix<T>,
-    b: &CsrMatrix<T>,
-    b_mask: Option<&[bool]>,
-    rows: &[usize],
-    pool: &ThreadPool,
-) -> Vec<u32> {
-    widths_impl(a, b, b_mask, Some(rows), pool, &WorkspacePool::new())
-}
-
 /// [`masked_output_widths`] drawing the per-thread O(ncols) stamp scratch
 /// from a [`WorkspacePool`] instead of allocating it per call — this is
 /// what lets the Phase-I ladder cost dozens of candidates without dozens
@@ -530,7 +516,10 @@ pub fn masked_output_widths_pooled<T: Scalar>(
     widths_impl(a, b, b_mask, None, pool, workspaces)
 }
 
-/// [`masked_output_widths_for`] with pooled stamp scratch.
+/// [`masked_output_widths_pooled`] restricted to the listed A rows — the
+/// returned table still has one slot per A row (unlisted rows stay 0), so
+/// lookups stay indexed by row. Use when only a known subset of rows can
+/// ever be costed under this mask (e.g. the `A_L × B_H` quadrant).
 pub fn masked_output_widths_for_pooled<T: Scalar>(
     a: &CsrMatrix<T>,
     b: &CsrMatrix<T>,

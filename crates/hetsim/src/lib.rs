@@ -34,8 +34,8 @@ pub mod profile;
 
 pub use cpu::CpuDevice;
 pub use gpu::{
-    ladder_output_widths, masked_output_widths, masked_output_widths_for,
-    masked_output_widths_for_pooled, masked_output_widths_pooled, GpuDevice, Phase2Price,
+    ladder_output_widths, masked_output_widths, masked_output_widths_for_pooled,
+    masked_output_widths_pooled, GpuDevice, Phase2Price,
 };
 pub use link::PciLink;
 pub use platform::{CpuSpec, GpuSpec, LinkSpec, Platform};

@@ -103,12 +103,17 @@ mod tests {
         {
             let out = DisjointSlice::new(&mut data);
             let pool = ThreadPool::new(4);
-            pool.for_each_guided(10_000, 64, |range| {
-                for i in range {
-                    // each index written exactly once → disjoint
-                    unsafe { out.write(i, (i * 3) as u64) };
-                }
-            });
+            pool.for_each_guided_with(
+                10_000,
+                64,
+                || (),
+                |_, range| {
+                    for i in range {
+                        // each index written exactly once → disjoint
+                        unsafe { out.write(i, (i * 3) as u64) };
+                    }
+                },
+            );
         }
         assert!(data.iter().enumerate().all(|(i, &v)| v == (i * 3) as u64));
     }
@@ -119,12 +124,17 @@ mod tests {
         {
             let out = DisjointSlice::new(&mut data);
             let pool = ThreadPool::new(3);
-            pool.for_each_guided(10, 1, |range| {
-                for block in range {
-                    let src: Vec<u32> = (0..100).map(|j| (block * 100 + j) as u32).collect();
-                    unsafe { out.write_slice(block * 100, &src) };
-                }
-            });
+            pool.for_each_guided_with(
+                10,
+                1,
+                || (),
+                |_, range| {
+                    for block in range {
+                        let src: Vec<u32> = (0..100).map(|j| (block * 100 + j) as u32).collect();
+                        unsafe { out.write_slice(block * 100, &src) };
+                    }
+                },
+            );
         }
         assert!(data.iter().enumerate().all(|(i, &v)| v == i as u32));
     }
@@ -135,14 +145,19 @@ mod tests {
         {
             let out = DisjointSlice::new(&mut data);
             let pool = ThreadPool::new(3);
-            pool.for_each_guided(6, 1, |range| {
-                for block in range {
-                    let view = unsafe { out.slice_mut(block * 100, 100) };
-                    for (j, v) in view.iter_mut().enumerate() {
-                        *v = (block * 100 + j) as u32;
+            pool.for_each_guided_with(
+                6,
+                1,
+                || (),
+                |_, range| {
+                    for block in range {
+                        let view = unsafe { out.slice_mut(block * 100, 100) };
+                        for (j, v) in view.iter_mut().enumerate() {
+                            *v = (block * 100 + j) as u32;
+                        }
                     }
-                }
-            });
+                },
+            );
         }
         assert!(data.iter().enumerate().all(|(i, &v)| v == i as u32));
     }

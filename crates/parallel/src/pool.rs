@@ -31,76 +31,15 @@ impl ThreadPool {
         self.num_threads
     }
 
-    /// Statically split `0..len` into one contiguous range per thread and
-    /// run `f(thread_idx, range)` on each. Good when per-element work is
-    /// uniform.
-    pub fn for_each_static<F>(&self, len: usize, f: F)
-    where
-        F: Fn(usize, std::ops::Range<usize>) + Sync,
-    {
-        if len == 0 {
-            return;
-        }
-        let t = self.num_threads.min(len);
-        if t == 1 {
-            f(0, 0..len);
-            return;
-        }
-        let chunk = len.div_ceil(t);
-        std::thread::scope(|s| {
-            for i in 0..t {
-                let lo = i * chunk;
-                let hi = ((i + 1) * chunk).min(len);
-                let f = &f;
-                s.spawn(move || f(i, lo..hi));
-            }
-        });
-    }
-
-    /// Guided self-scheduling loop: threads repeatedly grab the next chunk
-    /// of `chunk` indices from a shared counter until `0..len` is drained.
-    /// This is the CPU-side scheduling the paper needs for spmm, where
-    /// per-row work varies by orders of magnitude on scale-free inputs.
-    pub fn for_each_guided<F>(&self, len: usize, chunk: usize, f: F)
-    where
-        F: Fn(std::ops::Range<usize>) + Sync,
-    {
-        assert!(chunk >= 1, "chunk must be >= 1");
-        if len == 0 {
-            return;
-        }
-        let t = self.num_threads.min(len.div_ceil(chunk));
-        if t == 1 {
-            let mut lo = 0;
-            while lo < len {
-                let hi = (lo + chunk).min(len);
-                f(lo..hi);
-                lo = hi;
-            }
-            return;
-        }
-        let cursor = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..t {
-                let cursor = &cursor;
-                let f = &f;
-                s.spawn(move || loop {
-                    let lo = cursor.fetch_add(chunk, Ordering::Relaxed);
-                    if lo >= len {
-                        break;
-                    }
-                    let hi = (lo + chunk).min(len);
-                    f(lo..hi);
-                });
-            }
-        });
-    }
-
-    /// [`ThreadPool::for_each_guided`] with per-thread scratch state: each
-    /// worker builds one `S` with `init` and hands `&mut S` to every chunk
-    /// it claims. The two-pass Gustavson engine needs this shape — a sparse
-    /// accumulator sized to `ncols` is far too expensive to build per row,
-    /// and cannot be shared across threads.
+    /// Guided self-scheduling loop with per-thread scratch state: threads
+    /// repeatedly grab the next chunk of `chunk` indices from a shared
+    /// counter until `0..len` is drained, each worker building one `S` with
+    /// `init` and handing `&mut S` to every chunk it claims. This is the
+    /// CPU-side scheduling the paper needs for spmm, where per-row work
+    /// varies by orders of magnitude on scale-free inputs; the Gustavson
+    /// engine needs the scratch — a sparse accumulator sized to `ncols` is
+    /// far too expensive to build per row, and cannot be shared across
+    /// threads.
     pub fn for_each_guided_with<S, I, F>(&self, len: usize, chunk: usize, init: I, f: F)
     where
         I: Fn() -> S + Sync,
@@ -234,39 +173,6 @@ impl ThreadPool {
             .map(|v| v.expect("every claimed index was written"))
             .collect()
     }
-
-    /// Fold each static chunk with `fold`, then combine the per-thread
-    /// accumulators with `reduce`.
-    pub fn fold_reduce<A, F, R>(&self, len: usize, init: A, fold: F, reduce: R) -> A
-    where
-        A: Send + Clone,
-        F: Fn(A, usize) -> A + Sync,
-        R: Fn(A, A) -> A,
-    {
-        if len == 0 {
-            return init;
-        }
-        let t = self.num_threads.min(len);
-        let chunk = len.div_ceil(t);
-        let mut partials: Vec<A> = Vec::with_capacity(t);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..t)
-                .map(|i| {
-                    let lo = i * chunk;
-                    let hi = ((i + 1) * chunk).min(len);
-                    let fold = &fold;
-                    let init = init.clone();
-                    s.spawn(move || (lo..hi).fold(init, fold))
-                })
-                .collect();
-            for h in handles {
-                partials.push(h.join().expect("worker panicked"));
-            }
-        });
-        let mut it = partials.into_iter();
-        let first = it.next().expect("at least one partial");
-        it.fold(first, reduce)
-    }
 }
 
 impl Default for ThreadPool {
@@ -281,26 +187,19 @@ mod tests {
     use std::sync::atomic::AtomicU64;
 
     #[test]
-    fn static_loop_covers_all_indices_once() {
-        let pool = ThreadPool::new(4);
-        let hits: Vec<AtomicU64> = (0..1000).map(|_| AtomicU64::new(0)).collect();
-        pool.for_each_static(1000, |_, range| {
-            for i in range {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            }
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
     fn guided_loop_covers_all_indices_once() {
         let pool = ThreadPool::new(4);
         let hits: Vec<AtomicU64> = (0..997).map(|_| AtomicU64::new(0)).collect();
-        pool.for_each_guided(997, 13, |range| {
-            for i in range {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            }
-        });
+        pool.for_each_guided_with(
+            997,
+            13,
+            || (),
+            |_, range| {
+                for i in range {
+                    hits[i].fetch_add(1, Ordering::Relaxed);
+                }
+            },
+        );
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
     }
 
@@ -361,19 +260,10 @@ mod tests {
     }
 
     #[test]
-    fn fold_reduce_sums() {
-        let pool = ThreadPool::new(4);
-        let total = pool.fold_reduce(1001, 0u64, |acc, i| acc + i as u64, |a, b| a + b);
-        assert_eq!(total, 1000 * 1001 / 2);
-    }
-
-    #[test]
     fn empty_inputs_are_noops() {
         let pool = ThreadPool::new(2);
-        pool.for_each_static(0, |_, _| panic!("must not run"));
-        pool.for_each_guided(0, 8, |_| panic!("must not run"));
+        pool.for_each_guided_with(0, 8, || (), |_, _| panic!("must not run"));
         assert!(pool.map(0, |_| 0u8).is_empty());
-        assert_eq!(pool.fold_reduce(0, 7, |a, _| a, |a, _| a), 7);
     }
 
     #[test]
@@ -381,8 +271,6 @@ mod tests {
         let pool = ThreadPool::new(1);
         let out = pool.map(10, |i| i + 1);
         assert_eq!(out[9], 10);
-        let sum = pool.fold_reduce(10, 0usize, |a, i| a + i, |a, b| a + b);
-        assert_eq!(sum, 45);
     }
 
     #[test]

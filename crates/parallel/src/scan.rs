@@ -67,23 +67,6 @@ pub fn exclusive_scan(data: &mut [u64], pool: &ThreadPool) -> u64 {
     total
 }
 
-/// In-place inclusive prefix sum; returns the grand total.
-///
-/// `[3, 1, 4] → [3, 4, 8]`, returns 8.
-pub fn inclusive_scan(data: &mut [u64], pool: &ThreadPool) -> u64 {
-    let total = exclusive_scan(data, pool);
-    // convert exclusive → inclusive by shifting left and appending total
-    let n = data.len();
-    if n == 0 {
-        return 0;
-    }
-    for i in 0..n - 1 {
-        data[i] = data[i + 1];
-    }
-    data[n - 1] = total;
-    total
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -94,15 +77,6 @@ mod tests {
         let mut v = vec![3, 1, 4];
         let total = exclusive_scan(&mut v, &pool);
         assert_eq!(v, vec![0, 3, 4]);
-        assert_eq!(total, 8);
-    }
-
-    #[test]
-    fn inclusive_small() {
-        let pool = ThreadPool::new(2);
-        let mut v = vec![3, 1, 4];
-        let total = inclusive_scan(&mut v, &pool);
-        assert_eq!(v, vec![3, 4, 8]);
         assert_eq!(total, 8);
     }
 
@@ -126,15 +100,5 @@ mod tests {
         let ts = exclusive_scan(&mut ser, &ThreadPool::new(1));
         assert_eq!(tp, ts);
         assert_eq!(par, ser);
-    }
-
-    #[test]
-    fn marks_to_segment_ids() {
-        // Phase IV usage: head marks → segment index per element
-        let pool = ThreadPool::new(2);
-        let mut marks = vec![1, 0, 0, 1, 1, 0];
-        let segments = inclusive_scan(&mut marks, &pool);
-        assert_eq!(segments, 3);
-        assert_eq!(marks, vec![1, 1, 1, 2, 3, 3]);
     }
 }

@@ -305,27 +305,6 @@ impl<T: Scalar> CsrMatrix<T> {
         CsrMatrix::from_parts_unchecked(self.nrows, self.ncols, indptr, indices, values)
     }
 
-    /// Restrict to the rows selected by `mask` (true ⇒ keep); unselected
-    /// rows become empty. This is exactly how the paper forms `A_H`/`A_L`:
-    /// "we don't split the matrices physically" (§IV-A) — the Boolean array
-    /// classifies rows in place.
-    pub fn mask_rows(&self, mask: &[bool]) -> CsrMatrix<T> {
-        assert_eq!(mask.len(), self.nrows, "mask length must equal nrows");
-        let mut indptr = Vec::with_capacity(self.nrows + 1);
-        let mut indices = Vec::new();
-        let mut values = Vec::new();
-        indptr.push(0);
-        for (r, &keep) in mask.iter().enumerate() {
-            if keep {
-                let (cols, vals) = self.row(r);
-                indices.extend_from_slice(cols);
-                values.extend_from_slice(vals);
-            }
-            indptr.push(indices.len());
-        }
-        CsrMatrix::from_parts_unchecked(self.nrows, self.ncols, indptr, indices, values)
-    }
-
     /// Materialize a contiguous row band `rows` as its own CSR matrix of
     /// shape `(rows.len(), ncols)`. Column indices and value bit patterns
     /// are copied verbatim and row pointers are rebased to the band start,
@@ -664,21 +643,6 @@ mod tests {
                 assert_eq!(d.get(r, c), a.get(r, c));
             }
         }
-    }
-
-    #[test]
-    fn mask_rows_splits_high_low() {
-        let a = example();
-        let mask = vec![true, false, true, false];
-        let high = a.mask_rows(&mask);
-        assert_eq!(high.nrows(), 4);
-        assert_eq!(high.row_nnz(0), 2);
-        assert_eq!(high.row_nnz(1), 0);
-        assert_eq!(high.row_nnz(2), 2);
-        assert_eq!(high.row_nnz(3), 0);
-        // complement mask reconstitutes the matrix
-        let low = a.mask_rows(&[false, true, false, true]);
-        assert_eq!(high.nnz() + low.nnz(), a.nnz());
     }
 
     #[test]

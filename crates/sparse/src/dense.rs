@@ -101,11 +101,6 @@ impl<T: Scalar> DenseMatrix<T> {
                 .zip(&other.data)
                 .all(|(a, b)| a.approx_eq(*b, rtol, atol))
     }
-
-    /// Count of nonzero entries.
-    pub fn count_nonzeros(&self) -> usize {
-        self.data.iter().filter(|&&v| v != T::ZERO).count()
-    }
 }
 
 #[cfg(test)]
@@ -119,7 +114,6 @@ mod tests {
         *d.get_mut(1, 2) = 5.0;
         assert_eq!(d.get(1, 2), 5.0);
         assert_eq!(d.row(1), &[0.0, 0.0, 5.0]);
-        assert_eq!(d.count_nonzeros(), 1);
     }
 
     #[test]

@@ -229,13 +229,13 @@ fn extend_pod_from_le_bytes<E: Copy>(dst: &mut Vec<E>, bytes: &[u8]) {
     let old = dst.len();
     // SAFETY: `E` is a plain numeric type for which every bit pattern is
     // a valid value; `reserve` guaranteed capacity for `n` more elements,
-    // and the copy fills exactly those `n * size` bytes before `set_len`
-    // exposes them.
+    // and the copy fills exactly those `n * size` bytes (never a trailing
+    // partial element) before `set_len` exposes them.
     unsafe {
         std::ptr::copy_nonoverlapping(
             bytes.as_ptr(),
             dst.as_mut_ptr().add(old).cast::<u8>(),
-            bytes.len(),
+            n * size,
         );
         dst.set_len(old + n);
     }
@@ -356,9 +356,7 @@ pub fn write_csr_chunk<T: Scalar, W: Write>(
 }
 
 /// Fixed-size header of a CSR spill chunk: everything a reader needs to
-/// size the arrays before decoding them. The streaming shard stitch reads
-/// just this (40 bytes) from every spilled chunk to pre-allocate the final
-/// matrix, then decodes chunk bodies one band at a time.
+/// size the arrays before decoding them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CsrChunkHeader {
     /// `size_of::<T>()` of the stored value type (4 = f32, 8 = f64).
@@ -370,6 +368,9 @@ pub struct CsrChunkHeader {
     /// Number of stored entries.
     pub nnz: usize,
 }
+
+/// Bytes of the magic plus the four `u64` header words.
+const CSR_CHUNK_HEADER_LEN: usize = 8 + 4 * 8;
 
 impl CsrChunkHeader {
     /// Byte lengths of the `indptr`, `indices` and `values` regions the
@@ -397,140 +398,102 @@ impl CsrChunkHeader {
     }
 }
 
-/// Read exactly `len` bytes. The buffer grows with the bytes that actually
-/// arrive rather than being allocated up front from a header-derived
-/// length, so a hostile header cannot force a huge allocation: memory is
-/// bounded by the input, and a short stream fails as an unexpected EOF.
-fn read_region<R: Read>(reader: &mut R, len: usize) -> Result<Vec<u8>, SparseError> {
-    // a modest head start keeps honest chunks from re-growing from zero
-    let mut bytes = Vec::with_capacity(len.min(1 << 20));
-    reader.take(len as u64).read_to_end(&mut bytes)?;
-    if bytes.len() != len {
-        return Err(std::io::Error::from(std::io::ErrorKind::UnexpectedEof).into());
-    }
-    Ok(bytes)
+/// Borrowed view of one chunk's array regions inside a fully-read chunk
+/// byte buffer. Only [`split_csr_chunk`] builds one, so every region holds
+/// exactly the bytes its header promises.
+#[derive(Debug, Clone, Copy)]
+pub struct CsrChunkRegions<'a> {
+    header: CsrChunkHeader,
+    /// `(nrows + 1) × u64` little-endian row offsets.
+    indptr: &'a [u8],
+    /// `nnz × u32` little-endian column indices.
+    indices: &'a [u8],
+    /// `nnz × dtype` little-endian IEEE bit patterns.
+    values: &'a [u8],
 }
 
-/// Read and validate the magic + header of a CSR spill chunk, leaving the
-/// reader positioned at the start of the `indptr` array.
-pub fn read_csr_chunk_header<R: Read>(reader: &mut R) -> Result<CsrChunkHeader, SparseError> {
-    let mut magic = [0u8; 8];
-    reader.read_exact(&mut magic)?;
-    if &magic != CSR_CHUNK_MAGIC {
+impl CsrChunkRegions<'_> {
+    /// The decoded fixed-size header.
+    pub fn header(&self) -> CsrChunkHeader {
+        self.header
+    }
+
+    /// Decode the regions into a matrix, validating the dtype against `T`
+    /// and the structural invariants via [`CsrMatrix::try_new`], so a
+    /// corrupt chunk fails loudly instead of producing a malformed matrix.
+    pub fn to_matrix<T: Scalar>(&self) -> Result<CsrMatrix<T>, SparseError> {
+        check_dtype::<T>(self.header.dtype_bytes)?;
+        let mut indptr = Vec::new();
+        extend_indptr_from_le(&mut indptr, self.indptr);
+        let mut indices = Vec::new();
+        extend_indices_from_le(&mut indices, self.indices);
+        let mut values = Vec::new();
+        extend_values_from_le(&mut values, self.values, self.header.dtype_bytes);
+        let h = &self.header;
+        CsrMatrix::try_new(h.nrows, h.ncols, indptr, indices, values)
+    }
+}
+
+fn check_dtype<T: Scalar>(dtype: usize) -> Result<(), SparseError> {
+    if dtype == std::mem::size_of::<T>() {
+        return Ok(());
+    }
+    Err(SparseError::Parse {
+        line: 0,
+        msg: format!(
+            "CSR chunk dtype is {dtype} bytes, expected {} for {}",
+            std::mem::size_of::<T>(),
+            std::any::type_name::<T>()
+        ),
+    })
+}
+
+/// Split a fully-read chunk byte buffer (as produced by
+/// [`write_csr_chunk`]) into its header and borrowed array regions — the
+/// one chunk decoder. Validates the magic, the dtype against `T`, and that
+/// the buffer holds exactly the bytes the header promises; a short or
+/// overlong buffer is a parse error. [`CsrChunkRegions::to_matrix`] then
+/// checks the CSR structural invariants.
+pub fn split_csr_chunk<T: Scalar>(bytes: &[u8]) -> Result<CsrChunkRegions<'_>, SparseError> {
+    if bytes.len() < CSR_CHUNK_HEADER_LEN {
+        return Err(SparseError::Parse {
+            line: 0,
+            msg: format!(
+                "CSR chunk is {} bytes, shorter than its {CSR_CHUNK_HEADER_LEN}-byte header",
+                bytes.len()
+            ),
+        });
+    }
+    let (head, body) = bytes.split_at(CSR_CHUNK_HEADER_LEN);
+    let (magic, words) = head.split_at(CSR_CHUNK_MAGIC.len());
+    if magic != CSR_CHUNK_MAGIC {
         return Err(SparseError::Parse {
             line: 0,
             msg: format!("bad CSR chunk magic {magic:?}"),
         });
     }
-    let mut word = [0u8; 8];
-    let mut read_u64 = |reader: &mut R| -> Result<u64, SparseError> {
-        reader.read_exact(&mut word)?;
-        Ok(u64::from_le_bytes(word))
+    let word = |i: usize| {
+        u64::from_le_bytes(words[8 * i..8 * i + 8].try_into().expect("8-byte word")) as usize
     };
-    Ok(CsrChunkHeader {
-        dtype_bytes: read_u64(reader)? as usize,
-        nrows: read_u64(reader)? as usize,
-        ncols: read_u64(reader)? as usize,
-        nnz: read_u64(reader)? as usize,
-    })
-}
-
-/// Decode the array body of a CSR spill chunk whose header was already
-/// consumed by [`read_csr_chunk_header`]. Validates the header's dtype
-/// against `T` and the structural invariants via [`CsrMatrix::try_new`].
-pub fn read_csr_chunk_body<T: Scalar, R: Read>(
-    header: &CsrChunkHeader,
-    reader: &mut R,
-) -> Result<CsrMatrix<T>, SparseError> {
-    let dtype = header.dtype_bytes;
-    if dtype != std::mem::size_of::<T>() {
-        return Err(SparseError::Parse {
-            line: 0,
-            msg: format!(
-                "CSR chunk dtype is {dtype} bytes, expected {} for {}",
-                std::mem::size_of::<T>(),
-                std::any::type_name::<T>()
-            ),
-        });
-    }
+    let header = CsrChunkHeader {
+        dtype_bytes: word(0),
+        nrows: word(1),
+        ncols: word(2),
+        nnz: word(3),
+    };
+    check_dtype::<T>(header.dtype_bytes)?;
     let [indptr_len, indices_len, values_len] = header.region_lens()?;
-    // Bulk decode: one read per array, then a tight in-memory conversion
-    // loop — no per-element I/O calls.
-    let mut indptr: Vec<usize> = Vec::new();
-    extend_indptr_from_le(&mut indptr, &read_region(reader, indptr_len)?);
-    let mut indices: Vec<u32> = Vec::new();
-    extend_indices_from_le(&mut indices, &read_region(reader, indices_len)?);
-    let mut values: Vec<T> = Vec::new();
-    extend_values_from_le(&mut values, &read_region(reader, values_len)?, dtype);
-    CsrMatrix::try_new(header.nrows, header.ncols, indptr, indices, values)
-}
-
-/// Borrowed view of one chunk's array regions inside a fully-read chunk
-/// byte buffer: a zero-copy split plus size validation, for consumers
-/// that append the arrays straight into a larger allocation (the shard
-/// stitch) instead of materializing a matrix per chunk.
-#[derive(Debug, Clone, Copy)]
-pub struct CsrChunkRegions<'a> {
-    /// The decoded fixed-size header.
-    pub header: CsrChunkHeader,
-    /// `(nrows + 1) × u64` little-endian row offsets.
-    pub indptr: &'a [u8],
-    /// `nnz × u32` little-endian column indices.
-    pub indices: &'a [u8],
-    /// `nnz × dtype` little-endian IEEE bit patterns.
-    pub values: &'a [u8],
-}
-
-impl CsrChunkRegions<'_> {
-    /// The row offsets, decoded one at a time.
-    pub fn indptr_iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.indptr
-            .chunks_exact(8)
-            .map(|w| u64::from_le_bytes(w.try_into().expect("8-byte chunk")) as usize)
-    }
-
-    /// Append every column index to `dst`.
-    pub fn extend_indices(&self, dst: &mut Vec<u32>) {
-        extend_indices_from_le(dst, self.indices);
-    }
-
-    /// Append every value to `dst`, preserving bit patterns.
-    pub fn extend_values<T: Scalar>(&self, dst: &mut Vec<T>) {
-        extend_values_from_le(dst, self.values, self.header.dtype_bytes);
-    }
-}
-
-/// Split a fully-read chunk byte buffer (as produced by
-/// [`write_csr_chunk`]) into its header and borrowed array regions.
-/// Validates the magic, the dtype against `T`, and that the buffer holds
-/// exactly the bytes the header promises — but not the CSR structural
-/// invariants, which the borrowing consumer checks (or trusts) itself.
-pub fn split_csr_chunk<T: Scalar>(bytes: &[u8]) -> Result<CsrChunkRegions<'_>, SparseError> {
-    let mut cursor = bytes;
-    let header = read_csr_chunk_header(&mut cursor)?;
-    if header.dtype_bytes != std::mem::size_of::<T>() {
-        return Err(SparseError::Parse {
-            line: 0,
-            msg: format!(
-                "CSR chunk dtype is {} bytes, expected {} for {}",
-                header.dtype_bytes,
-                std::mem::size_of::<T>(),
-                std::any::type_name::<T>()
-            ),
-        });
-    }
-    let [indptr_len, indices_len, values_len] = header.region_lens()?;
-    if cursor.len() != indptr_len + indices_len + values_len {
+    if body.len() != indptr_len + indices_len + values_len {
         return Err(SparseError::Parse {
             line: 0,
             msg: format!(
                 "CSR chunk body is {} bytes, header promises {}",
-                cursor.len(),
+                body.len(),
                 indptr_len + indices_len + values_len
             ),
         });
     }
-    let (indptr, rest) = cursor.split_at(indptr_len);
+    let (indptr, rest) = body.split_at(indptr_len);
     let (indices, values) = rest.split_at(indices_len);
     Ok(CsrChunkRegions {
         header,
@@ -540,19 +503,15 @@ pub fn split_csr_chunk<T: Scalar>(bytes: &[u8]) -> Result<CsrChunkRegions<'_>, S
     })
 }
 
-/// Read a binary CSR spill chunk written by [`write_csr_chunk`].
-///
-/// Validates the magic, the dtype tag against `T`, and (via
-/// [`CsrMatrix::try_new`]) the structural invariants of the arrays, so a
-/// truncated or cross-typed chunk fails loudly instead of producing a
-/// corrupt matrix. The reader is wrapped in a [`BufReader`] internally
-/// (the header reads are small; the bulk array reads pass through it) —
-/// note this may read ahead past the chunk's last byte, which is fine for
-/// the chunk-per-file spill layout this format serves.
+/// Read a binary CSR spill chunk written by [`write_csr_chunk`]: the
+/// reader is read to its end (one chunk per file) and decoded by
+/// [`split_csr_chunk`] and [`CsrChunkRegions::to_matrix`], so a truncated,
+/// overlong or cross-typed chunk fails loudly instead of producing a
+/// corrupt matrix. Memory is bounded by the input, never by a header.
 pub fn read_csr_chunk<T: Scalar, R: Read>(reader: &mut R) -> Result<CsrMatrix<T>, SparseError> {
-    let mut reader = BufReader::new(reader);
-    let header = read_csr_chunk_header(&mut reader)?;
-    read_csr_chunk_body(&header, &mut reader)
+    let mut bytes = Vec::new();
+    reader.read_to_end(&mut bytes)?;
+    split_csr_chunk::<T>(&bytes)?.to_matrix()
 }
 
 /// Write a CSR matrix as `matrix coordinate real general`.
@@ -768,35 +727,6 @@ mod tests {
     }
 
     #[test]
-    fn chunk_header_then_body_matches_full_read() {
-        let m = CsrMatrix::try_new(
-            5,
-            3,
-            vec![0, 0, 2, 2, 3, 3],
-            vec![0, 2, 1],
-            vec![1.5f64, -2.5, 0.25],
-        )
-        .unwrap();
-        let mut buf = Vec::new();
-        write_csr_chunk(&m, &mut buf).unwrap();
-        let mut cursor = &buf[..];
-        let header = read_csr_chunk_header(&mut cursor).unwrap();
-        assert_eq!(
-            header,
-            CsrChunkHeader {
-                dtype_bytes: 8,
-                nrows: 5,
-                ncols: 3,
-                nnz: 3
-            }
-        );
-        let body: CsrMatrix<f64> = read_csr_chunk_body(&header, &mut cursor).unwrap();
-        assert_eq!(body, m);
-        assert!(cursor.is_empty(), "body must consume the chunk exactly");
-        assert_eq!(chunk_roundtrip(&m), body);
-    }
-
-    #[test]
     fn chunk_split_regions_reassemble_the_matrix() {
         let m = CsrMatrix::try_new(
             5,
@@ -809,16 +739,24 @@ mod tests {
         let mut buf = Vec::new();
         write_csr_chunk(&m, &mut buf).unwrap();
         let regions = split_csr_chunk::<f64>(&buf).unwrap();
-        assert_eq!(regions.header.nrows, 5);
-        assert_eq!(regions.header.nnz, 3);
-        let indptr: Vec<usize> = regions.indptr_iter().collect();
-        assert_eq!(indptr, vec![0, 0, 2, 2, 3, 3]);
-        let mut indices = Vec::new();
-        regions.extend_indices(&mut indices);
-        assert_eq!(indices, vec![0, 2, 1]);
-        let mut values = Vec::new();
-        regions.extend_values::<f64>(&mut values);
-        assert_eq!(values, vec![1.5, -2.5, 0.25]);
+        assert_eq!(
+            regions.header(),
+            CsrChunkHeader {
+                dtype_bytes: 8,
+                nrows: 5,
+                ncols: 3,
+                nnz: 3
+            }
+        );
+        let back: CsrMatrix<f64> = regions.to_matrix().unwrap();
+        assert_eq!(back.indptr(), &[0, 0, 2, 2, 3, 3]);
+        assert_eq!(back.indices(), &[0, 2, 1]);
+        assert_eq!(back.values(), &[1.5, -2.5, 0.25]);
+        assert_eq!(back, m);
+        // an overlong buffer fails the same exact-size check
+        let mut long = buf.clone();
+        long.push(0);
+        assert!(split_csr_chunk::<f64>(&long).is_err());
         // a truncated body fails the exact-size check
         let short = &buf[..buf.len() - 1];
         assert!(matches!(
@@ -827,18 +765,6 @@ mod tests {
         ));
         // and the wrong dtype is rejected before any region math
         assert!(split_csr_chunk::<f32>(&buf).is_err());
-    }
-
-    #[test]
-    fn chunk_header_rejects_truncation() {
-        let m = CsrMatrix::try_new(1, 1, vec![0, 1], vec![0], vec![1.0f64]).unwrap();
-        let mut buf = Vec::new();
-        write_csr_chunk(&m, &mut buf).unwrap();
-        let short = &buf[..20];
-        assert!(matches!(
-            read_csr_chunk_header(&mut &short[..]).unwrap_err(),
-            SparseError::Io(_)
-        ));
     }
 
     #[test]
@@ -879,9 +805,6 @@ mod tests {
                 read_csr_chunk::<f64, _>(&mut &buf[..]).is_err(),
                 "reader accepted nrows {nrows} nnz {nnz}"
             );
-            let mut cursor = &buf[..];
-            let header = read_csr_chunk_header(&mut cursor).unwrap();
-            assert!(read_csr_chunk_body::<f64, _>(&header, &mut cursor).is_err());
         }
         // the overflowing sizes are rejected as malformed input
         let buf = hostile_chunk(u64::MAX, 1 << 60);
@@ -903,10 +826,17 @@ mod tests {
         let mut bad = buf.clone();
         bad[0] ^= 0xff;
         assert!(read_csr_chunk::<f64, _>(&mut &bad[..]).is_err());
-        let truncated = &buf[..buf.len() - 3];
-        assert!(matches!(
-            read_csr_chunk::<f64, _>(&mut &truncated[..]).unwrap_err(),
-            SparseError::Io(_)
-        ));
+        // a short body and a short header are both malformed chunks
+        for len in [buf.len() - 3, 20] {
+            let truncated = &buf[..len];
+            assert!(matches!(
+                read_csr_chunk::<f64, _>(&mut &truncated[..]).unwrap_err(),
+                SparseError::Parse { .. }
+            ));
+            assert!(matches!(
+                split_csr_chunk::<f64>(truncated).unwrap_err(),
+                SparseError::Parse { .. }
+            ));
+        }
     }
 }

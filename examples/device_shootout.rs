@@ -26,8 +26,8 @@
 //!   (`exec_perf`);
 //! * times the register-tiled csrmm sweep vs the naive reference
 //!   (`csrmm_perf`), failing hard on any bit drift between the two;
-//! * times the sharded driver — pooled and out-of-core — against the
-//!   monolithic engine, failing unless every sharded product is
+//! * times the sharded driver — uncapped and under a spilling byte cap —
+//!   against the monolithic engine, failing unless every sharded product is
 //!   bit-identical (`shard_perf`);
 //! * replays the serve-layer request trace cold vs warm through
 //!   `SpmmService`, failing on any warm-vs-cold bit drift;
@@ -414,9 +414,9 @@ fn csrmm_perf() -> String {
 }
 
 /// Time the sharded row-band driver on the scircuit clone: the monolithic
-/// engine vs an 8-way pooled shard fan-out vs out-of-core shards under a
-/// byte cap that forces disk spills through the pipelined overlap driver.
-/// Hard-fails unless both sharded modes are bit-identical to the
+/// engine vs the 8-band pipelined driver uncapped (`ShardConfig::pooled`,
+/// nothing spills) vs the same driver under a byte cap that forces disk
+/// spills. Hard-fails unless both sharded runs are bit-identical to the
 /// monolithic run *before* anything is timed, and unless the pipelined
 /// run's peak resident bytes stay under `byte_cap` + one band working set
 /// (DESIGN.md §3.9). Returns the JSON fragment for the CI artifact.
@@ -437,7 +437,7 @@ fn shard_perf() -> String {
     let pooled_cfg = ShardConfig::pooled(shards);
     let ooc_cfg = ShardConfig::out_of_core(shards, cap);
 
-    // the hard gate: both execution modes must reproduce the monolithic
+    // the hard gate: both byte caps must reproduce the monolithic
     // product to the bit, and the byte cap must actually spill
     let pooled = hh_cpu_sharded(&mut ctx, &a, &a, &config, &pooled_cfg);
     assert_eq!(pooled.output.c, mono.c, "pooled shards changed C");

@@ -64,7 +64,7 @@ pub mod prelude {
         csrmm::{cpu_csrmm, csrmm_compute, gpu_csrmm, hh_csrmm},
         cusparse_like, hh_cpu, hh_cpu_sharded, hipc2012, hipc2012_with, mkl_like, sorted_workqueue,
         sorted_workqueue_with, unsorted_workqueue, unsorted_workqueue_with, ExecPolicy,
-        HeteroContext, HhCpuConfig, PhaseBreakdown, Platform, ShardConfig, ShardMode, ShardPlan,
+        HeteroContext, HhCpuConfig, PhaseBreakdown, Platform, ShardConfig, ShardPlan,
         ShardedOutput, SpmmOutput, ThresholdPolicy, WorkUnitConfig,
     };
     pub use spmm_scalefree::{

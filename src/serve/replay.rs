@@ -175,16 +175,12 @@ fn verify_against_cold(service: &SpmmService, replayed: &ReplayedMultiply) -> Re
     // sum-of-shards aggregate, so the apples-to-apples cold reference is
     // the same driver.
     let shards = replayed.request.shards.unwrap_or(1).max(1);
-    let cold = match replayed.request.byte_cap {
-        Some(byte_cap) => {
-            let shard_config = ShardConfig::out_of_core(shards, byte_cap);
-            spmm_core::hh_cpu_sharded(&mut ctx, &a, &b, &config, &shard_config).output
-        }
-        None if shards > 1 => {
-            spmm_core::hh_cpu_sharded(&mut ctx, &a, &b, &config, &ShardConfig::pooled(shards))
-                .output
-        }
-        None => hh_cpu(&mut ctx, &a, &b, &config),
+    let cold = if shards > 1 || replayed.request.byte_cap.is_some() {
+        let byte_cap = replayed.request.byte_cap.unwrap_or(usize::MAX);
+        let shard_config = ShardConfig::out_of_core(shards, byte_cap);
+        spmm_core::hh_cpu_sharded(&mut ctx, &a, &b, &config, &shard_config).output
+    } else {
+        hh_cpu(&mut ctx, &a, &b, &config)
     };
     diff_outputs(&reply.output, &cold)
 }

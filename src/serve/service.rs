@@ -122,15 +122,16 @@ pub struct MultiplyRequest {
     /// Platform scale; `None` ⇒ the scale `A` was registered with.
     pub scale: Option<usize>,
     /// Row-band shard count; `None` or `Some(1)` ⇒ monolithic. Sharded
-    /// requests run the pooled shard driver against the same cached
-    /// artifacts (the plan is shard-invariant) and reply with a `C`
-    /// bit-identical to the monolithic multiply.
+    /// requests run the shard driver against the same cached artifacts
+    /// (the plan is shard-invariant) and reply with a `C` bit-identical to
+    /// the monolithic multiply.
     pub shards: Option<usize>,
-    /// Resident-byte budget; `Some` routes the request through
-    /// [`spmm_core::ShardMode::OutOfCore`] (pipelined band compute +
-    /// write-behind spill under the cap) instead of the pooled driver. An
-    /// execution-mode knob: C stays bit-identical and the artifact cache
-    /// key is unchanged (artifacts are mode-invariant).
+    /// Resident-byte budget of the shard driver
+    /// ([`spmm_core::ShardConfig::byte_cap`]); `Some` routes the request
+    /// through it (as one band unless `shards` says otherwise) and spills
+    /// finished bands past the cap, `None` runs it uncapped. An execution
+    /// knob: C stays bit-identical and the artifact cache key is unchanged
+    /// (artifacts are cap-invariant).
     pub byte_cap: Option<usize>,
 }
 
@@ -574,13 +575,10 @@ impl SpmmService {
             ..HhCpuConfig::default()
         };
         let output = if shards > 1 || request.byte_cap.is_some() {
-            // byte_cap selects the out-of-core mode on the same sharded
-            // driver (and same artifacts) the pooled path uses; a capped
-            // request without an explicit shard count runs as one band.
-            let shard_config = match request.byte_cap {
-                Some(byte_cap) => ShardConfig::out_of_core(shards, byte_cap),
-                None => ShardConfig::pooled(shards),
-            };
+            // a capped request without an explicit shard count runs as
+            // one band; an uncapped one never spills
+            let byte_cap = request.byte_cap.unwrap_or(usize::MAX);
+            let shard_config = ShardConfig::out_of_core(shards, byte_cap);
             hh_cpu_sharded_with_artifacts(&mut ctx, &a, &b, &config, &shard_config, &artifacts)
                 .output
         } else {

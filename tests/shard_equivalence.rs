@@ -6,24 +6,22 @@
 //! contract (DESIGN.md §3.7):
 //!
 //! * **C is bit-identical to the monolithic run** — same matrix, same
-//!   content hash — for every shard count × execution mode × host thread
-//!   count, on the self-product and the cross product, for all 12 Table-I
+//!   content hash — for every shard count × byte cap × host thread count, on the self-product and the cross product, for all 12 Table-I
 //!   clones.
 //! * `tuples_merged` equals the monolithic count (per-row accumulator
 //!   insertions depend only on the row and the global masks).
 //! * The aggregate profile is the field-wise **sum of the per-shard
-//!   profiles**, and the per-shard profiles are mode- and
+//!   profiles**, and the per-shard profiles are cap- and
 //!   thread-count-invariant for a fixed plan (the simulation is
 //!   deterministic and host-pool-independent).
 //! * With one shard and `A ≠ B`, the band run *is* the monolithic run, so
 //!   even the simulated profile matches to the bit.
 //!
-//! `SPMM_SHARD_BYTE_CAP` (bytes) pins the out-of-core spill cap; the CI
-//! shard-smoke job sets it to `1` so every shard takes the disk
-//! round-trip. Unset, the cap defaults to half the product's CSR bytes,
-//! which still forces spills on every clone. The out-of-core legs run the
-//! pipelined overlap driver (one worker at one host thread) and
-//! additionally assert the resident-byte ceiling
+//! Every leg runs the one pipelined driver (one worker at one host
+//! thread) under three byte caps: uncapped (`usize::MAX`, nothing
+//! spills), half the product's CSR bytes (some bands spill on every
+//! clone) and 1 byte (every band takes the disk round-trip). Each leg
+//! asserts the resident-byte ceiling
 //! (`peak ≤ byte_cap + one band working set`, DESIGN.md §3.9).
 
 use hetero_spmm::core::{
@@ -34,18 +32,6 @@ use hetero_spmm::serve::{MultiplyRequest, ServiceConfig, SpmmService};
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 3, 8];
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
-
-/// Spill cap for the out-of-core legs: the env override (CI smoke sets 1)
-/// or half the finished product's bytes, so some shards spill either way.
-fn byte_cap(c: &CsrMatrix<f64>) -> usize {
-    match std::env::var("SPMM_SHARD_BYTE_CAP") {
-        Ok(v) => v
-            .trim()
-            .parse()
-            .expect("SPMM_SHARD_BYTE_CAP must be a byte count"),
-        Err(_) => c.byte_size() / 2,
-    }
-}
 
 /// Deterministic A≠B partner: same shape and nnz budget as the clone,
 /// different tail exponent and seed.
@@ -59,11 +45,12 @@ fn partner(a: &CsrMatrix<f64>, seed: u64) -> CsrMatrix<f64> {
 }
 
 /// Run the full acceptance matrix for one Table-I clone: shard counts
-/// {1,2,3,8} × pooled/out-of-core × host threads {1,2,8} × A=B / A≠B.
+/// {1,2,3,8} × byte caps {uncapped, C/2, 1} × host threads {1,2,8} ×
+/// A=B / A≠B.
 fn exercise_clone(name: &str) {
     let dataset = Dataset::by_name(name).expect("catalog name");
     // ~1024-row clone: the bit-identity contract is scale-free, and this
-    // suite runs 96 sharded multiplies per clone in debug tier-1
+    // suite runs 144 sharded multiplies per clone in debug tier-1
     let a = dataset.generate::<f64>((dataset.entry().rows / 1024).max(1));
     let b = partner(&a, a.nrows() as u64);
     let config = HhCpuConfig::default();
@@ -72,17 +59,18 @@ fn exercise_clone(name: &str) {
         let mut ctx = HeteroContext::paper().with_host_threads(2);
         let mono = hh_cpu(&mut ctx, &a, rhs, &config);
         let artifacts = SpmmArtifacts::build(&ctx, &a, rhs, ThresholdPolicy::default());
-        let cap = byte_cap(&mono.c);
+        let caps = [usize::MAX, mono.c.byte_size() / 2, 1];
 
         for shards in SHARD_COUNTS {
-            // per-shard profiles must agree across every mode × thread
+            // per-shard profiles must agree across every cap × thread
             // combination of this shard count
             let mut shard_profiles: Option<Vec<PhaseBreakdown>> = None;
             for threads in THREAD_COUNTS {
-                for mode in [ShardMode::Pooled, ShardMode::OutOfCore { byte_cap: cap }] {
-                    let what = format!("{name} {label} shards={shards} threads={threads} {mode:?}");
+                for cap in caps {
+                    let what =
+                        format!("{name} {label} shards={shards} threads={threads} cap={cap}");
                     let mut ctx = HeteroContext::paper().with_host_threads(threads);
-                    let shard_config = ShardConfig { shards, mode };
+                    let shard_config = ShardConfig::out_of_core(shards, cap);
                     let out = hh_cpu_sharded_with_artifacts(
                         &mut ctx,
                         &a,
@@ -121,39 +109,41 @@ fn exercise_clone(name: &str) {
                         None => shard_profiles = Some(out.per_shard.clone()),
                         Some(want) => assert_eq!(
                             &out.per_shard, want,
-                            "{what}: per-shard profiles not mode/thread invariant"
+                            "{what}: per-shard profiles not cap/thread invariant"
                         ),
                     }
-                    if let ShardMode::OutOfCore { .. } = mode {
-                        if cap < mono.c.byte_size() {
-                            assert!(out.spilled_shards >= 1, "{what}: cap never spilled");
-                        }
-                        let pipe = out
-                            .pipe
-                            .as_ref()
-                            .expect("out-of-core runs report pipe stats");
-                        // one band's A slice + C band may exceed the cap
-                        // while in flight, never more (DESIGN.md §3.9)
-                        let working_set = (0..out.plan.shards())
-                            .map(|i| {
-                                a.row_band_byte_size(out.plan.band(i))
-                                    + mono.c.row_band_byte_size(out.plan.band(i))
-                            })
-                            .max()
-                            .unwrap();
-                        assert!(
-                            pipe.peak_resident_bytes <= cap.saturating_add(working_set),
-                            "{what}: peak resident {} exceeds cap {cap} + band {working_set}",
-                            pipe.peak_resident_bytes
-                        );
-                        assert_eq!(pipe.byte_cap, cap, "{what}: stats cap drifted");
-                    } else {
-                        assert_eq!(out.spilled_shards, 0, "{what}: pooled mode spilled");
-                        assert!(
-                            out.pipe.is_none(),
-                            "{what}: pooled mode reported pipe stats"
+                    if cap < mono.c.byte_size() {
+                        assert!(out.spilled_shards >= 1, "{what}: cap never spilled");
+                    }
+                    if cap == usize::MAX {
+                        assert_eq!(out.spilled_shards, 0, "{what}: uncapped run spilled");
+                    }
+                    if cap == 1 {
+                        assert_eq!(
+                            out.spilled_shards,
+                            out.plan.shards(),
+                            "{what}: a 1-byte cap must spill every band"
                         );
                     }
+                    let pipe = out
+                        .pipe
+                        .as_ref()
+                        .expect("every sharded run reports pipe stats");
+                    // one band's A slice + C band may exceed the cap
+                    // while in flight, never more (DESIGN.md §3.9)
+                    let working_set = (0..out.plan.shards())
+                        .map(|i| {
+                            a.row_band_byte_size(out.plan.band(i))
+                                + mono.c.row_band_byte_size(out.plan.band(i))
+                        })
+                        .max()
+                        .unwrap();
+                    assert!(
+                        pipe.peak_resident_bytes <= cap.saturating_add(working_set),
+                        "{what}: peak resident {} exceeds cap {cap} + band {working_set}",
+                        pipe.peak_resident_bytes
+                    );
+                    assert_eq!(pipe.byte_cap, cap, "{what}: stats cap drifted");
                     // one band over A ≠ B is exactly the monolithic run
                     if shards == 1 && label == "cross" {
                         assert_eq!(
@@ -230,8 +220,8 @@ fn serve_sharded_matches_monolithic() {
 
 /// The wire-exposed out-of-core mode: `byte_cap` on a multiply request
 /// routes through the spill driver but changes no observable bit of `C`,
-/// and the request aliases the same mode-invariant artifacts as the
-/// pooled/monolithic runs (warm, no Phase I rerun).
+/// and the request aliases the same cap-invariant artifacts as the
+/// uncapped/monolithic runs (warm, no Phase I rerun).
 #[test]
 fn serve_byte_cap_matches_monolithic() {
     let service = SpmmService::new(ServiceConfig {
