@@ -14,7 +14,7 @@ const SEGMENT_BYTES: f64 = 128.0;
 /// Everything an algorithm run needs: the two simulated devices (stateful —
 /// they carry cache contents), the PCIe link, a host thread pool for the
 /// *real* numeric work, and a pool of per-thread engine workspaces so the
-/// O(ncols) accumulator state is allocated once and generation-reused
+/// O(ncols) accumulator state is allocated once and reused
 /// across all four masked products, every Phase-I ladder candidate, and
 /// repeated multiplies.
 #[derive(Debug)]
@@ -80,9 +80,9 @@ impl HeteroContext {
 
     /// Flush both devices' cache state so the next run starts cold — call
     /// between independent measurements. The workspace pool is deliberately
-    /// *not* cleared: its arrays are generation-stamped (contents never leak
-    /// between rows or runs), and keeping them warm across runs is the
-    /// pool's entire point.
+    /// *not* cleared: its SPA bitmaps are clear between rows and its sizers
+    /// generation-stamped (contents never leak between rows or runs), and
+    /// keeping them warm across runs is the pool's entire point.
     pub fn reset(&mut self) {
         self.cpu.reset();
         self.gpu.reset();

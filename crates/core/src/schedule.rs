@@ -9,15 +9,21 @@
 //!
 //! Two executors implement the same contract:
 //!
-//! * [`ExecPolicy::Batched`] (default) — the production engine: one guided
-//!   pass over every output row that has a claim, whatever its claim count.
-//!   Each claim of the row scatters through the worker's dense SPA
-//!   ([`SparseAccumulator`](spmm_sparse::SparseAccumulator), Gustavson's
-//!   accumulator) in claim order. A one-claim row is staged straight from
-//!   that SPA; a multi-claim row folds each claim's run into a second SPA
-//!   ([`SparseAccumulator::fold_into`](spmm_sparse::SparseAccumulator::fold_into))
-//!   and stages that. One scan over the staged sizes and one compaction
-//!   memcpy build C.
+//! * [`ExecPolicy::Batched`] (default) — the production engine, one path
+//!   for every thread count. The rows are cut into contiguous segments of
+//!   about equal flops — one segment on a one-thread pool or for a small
+//!   product — and each segment's worker drains its rows in order straight
+//!   into the segment's own CSR arrays, reserved once from a flop bound on
+//!   their nnz. Each claim of a row scatters through the worker's dense
+//!   SPA ([`SparseAccumulator`](spmm_sparse::SparseAccumulator),
+//!   Gustavson's accumulator) in claim order. A one-claim row drains
+//!   straight from that SPA; a multi-claim row scatters its first claim
+//!   into the second (`outer`) SPA, starts the fold there
+//!   ([`start_fold`](spmm_sparse::SparseAccumulator::start_fold)), folds
+//!   every later claim's run into it
+//!   ([`fold_into`](spmm_sparse::SparseAccumulator::fold_into)) and drains
+//!   that. One segment is C; several are stitched by
+//!   [`concat_row_bands`](crate::shard::concat_row_bands).
 //! * [`ExecPolicy::PerClaim`] — the oracle: the serial
 //!   [`reference::spmm_claims`], which shares no code with the batched
 //!   path (no SPA type, no thread pool, no workspaces). The equivalence
@@ -27,21 +33,29 @@
 //! row's claims are visited in claim index order, the oracle's order;
 //! every claim's run is [`scatter_row`](crate::kernels::scatter_row)'s
 //! accumulation, which is the oracle's (first touch stores `a·b`, later
-//! touches `+=`, in A-row visit order); and the fold stores `T::ZERO + v`
-//! on a column's first claim and `+= v` on each later one — the very
-//! operations, in the very order, of the oracle's per-row sum. A
-//! one-claim row is kept verbatim by both.
+//! touches `+=`, in A-row visit order); and a multi-claim row's column
+//! holds `T::ZERO + v` after its first claim and `+= v` after each later
+//! one — the very operations, in the very order, of the oracle's per-row
+//! sum. A one-claim row is kept verbatim by both. Segment cuts only decide
+//! which worker drains a row, never how.
 
-use std::sync::{Mutex, PoisonError};
+use std::ops::Range;
 
 use spmm_hetsim::DeviceKind;
-use spmm_parallel::{DisjointSlice, ThreadPool};
-use spmm_sparse::{
-    reference, ColIndex, CsrMatrix, EngineWorkspace, PooledWorkspace, Scalar, StagingBuffer,
-    WorkspacePool,
-};
+use spmm_parallel::ThreadPool;
+use spmm_sparse::{reference, CsrMatrix, EngineWorkspace, Scalar, WorkspacePool};
 
-use crate::kernels::{compact_staged, offsets_from_sizes, scatter_row, GUIDED_CHUNK};
+use crate::kernels::scatter_row;
+use crate::shard::concat_row_bands;
+
+/// Flops under which a product runs as one segment, and the least share of
+/// a segment when several split it: below this, a worker's dispatch and
+/// workspace checkout outweigh its rows.
+const SEGMENT_MIN_FLOPS: u64 = 1 << 15;
+
+/// Segments per pool thread for a large product, so a worker that drew
+/// light rows claims more.
+const SEGMENTS_PER_THREAD: usize = 4;
 
 /// Which executor runs the scheduled numeric work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -134,12 +148,10 @@ pub fn execute<T: Scalar>(
     }
 }
 
-/// The production executor: one guided pass over the rows that have
-/// claims. Each claim of a row scatters through the worker's dense SPA in
-/// claim order; a one-claim row is staged straight from it, a multi-claim
-/// row folds every claim's run into the second (`outer`) SPA and stages
-/// that. One scan over the staged sizes fixes the offsets, and one
-/// compaction memcpy stitches the staged rows into the final CSR.
+/// The production executor: row segments of about equal flops, each
+/// drained in row order straight into its own CSR arrays by one worker
+/// (see the module docs). One segment is returned as C; several are
+/// stitched in row order.
 ///
 /// Per-claim entry counts are each claim's SPA nnz before its fold — the
 /// oracle's run lengths — so `ExecCounts` (and every simulated
@@ -176,116 +188,108 @@ fn execute_batched<T: Scalar>(
             }
         }
     }
-    let (src, src_off) = (&src[..], &src_off[..]);
-    let rows: Vec<u32> = (0..nrows)
-        .filter(|&r| src_off[r + 1] > src_off[r])
-        .map(|r| r as u32)
+    // Σ|B(j,:)| over a claimed row's A entries: the row's work, and a
+    // bound on its nnz, since each of its columns comes from one of those
+    // B rows whatever the claims' masks.
+    let flops: Vec<u64> = (0..nrows)
+        .map(|r| {
+            if src_off[r + 1] == src_off[r] {
+                return 0;
+            }
+            let row_b_nnz = |&j: &u32| b.row_nnz(j as usize) as u64;
+            a.row(r).0.iter().map(row_b_nnz).sum()
+        })
         .collect();
 
-    let sink = Mutex::new(Sink {
-        staged: Vec::new(),
-        per_claim: vec![0; claims.len()],
-    });
-    pool.for_each_guided_items(
-        &rows,
-        GUIDED_CHUNK,
-        || Worker::new(workspaces, ncols, claims.len(), &sink),
-        |w, rs| {
-            let EngineWorkspace { spa, outer } = &mut *w.ws;
-            for &r in rs {
-                let sources = &src[src_off[r as usize]..src_off[r as usize + 1]];
-                if let [ci] = *sources {
-                    scatter_row(a, b, r as usize, claims[ci as usize].b_mask, spa);
-                    w.counts[ci as usize] += w.buf.stage(r, spa);
-                } else {
-                    for &ci in sources {
-                        scatter_row(a, b, r as usize, claims[ci as usize].b_mask, spa);
-                        w.counts[ci as usize] += spa.nnz();
+    // Drain `rows` in order into one band of C, with the band's per-claim
+    // entry counts. The band's arrays are reserved once for
+    // Σ min(row flops, ncols) entries; a bound too large to reserve falls
+    // back to ordinary growth.
+    let segment = |rows: Range<usize>| {
+        let bound: u64 = flops[rows.clone()]
+            .iter()
+            .map(|&f| f.min(ncols as u64))
+            .sum();
+        let (mut indices, mut values) = (Vec::new(), Vec::new());
+        if let Ok(bound) = usize::try_from(bound) {
+            let _ = indices
+                .try_reserve_exact(bound)
+                .and_then(|()| values.try_reserve_exact(bound));
+        }
+        let mut indptr = Vec::with_capacity(rows.len() + 1);
+        indptr.push(0);
+        let mut counts = vec![0; claims.len()];
+        let mut ws = workspaces.acquire::<T>(ncols);
+        let EngineWorkspace { spa, outer } = &mut *ws;
+        for r in rows.clone() {
+            match src[src_off[r]..src_off[r + 1]] {
+                [] => {}
+                [ci] => {
+                    let ci = ci as usize;
+                    scatter_row(a, b, r, claims[ci].b_mask, spa);
+                    counts[ci] += spa.drain_into(&mut indices, &mut values);
+                }
+                [first, ref rest @ ..] => {
+                    let first = first as usize;
+                    scatter_row(a, b, r, claims[first].b_mask, outer);
+                    counts[first] += outer.nnz();
+                    outer.start_fold();
+                    for &ci in rest {
+                        let ci = ci as usize;
+                        scatter_row(a, b, r, claims[ci].b_mask, spa);
+                        counts[ci] += spa.nnz();
                         spa.fold_into(outer);
                     }
-                    w.buf.stage(r, outer);
+                    outer.drain_into(&mut indices, &mut values);
                 }
             }
-        },
-    );
-    let Sink { staged, per_claim } = sink.into_inner().expect("no worker panicked");
-
-    // A staged run ends where the arena's next one starts.
-    let mut sizes = vec![0u64; nrows];
-    for arena in &staged {
-        let ends = arena.rows.iter().skip(1).map(|&(_, start)| start);
-        for (&(r, start), end) in arena.rows.iter().zip(ends.chain([arena.cols.len()])) {
-            sizes[r as usize] = (end - start) as u64;
+            indptr.push(indices.len());
         }
-    }
-    let (indptr, total) = offsets_from_sizes(sizes, pool);
-    let mut indices = vec![0 as ColIndex; total];
-    let mut values = vec![T::ZERO; total];
-    compact_staged(
-        pool,
-        staged,
-        workspaces,
-        &indptr,
-        &DisjointSlice::new(&mut indices),
-        &DisjointSlice::new(&mut values),
-    );
+        let band = CsrMatrix::from_parts_unchecked(rows.len(), ncols, indptr, indices, values);
+        (band, counts)
+    };
 
-    let c = CsrMatrix::from_parts_unchecked(nrows, ncols, indptr, indices, values);
+    let bounds = segment_bounds(&flops, pool.num_threads());
+    let (c, per_claim) = if let [lo, hi] = bounds[..] {
+        segment(lo..hi)
+    } else {
+        let parts = pool.par_map(bounds.len() - 1, |s| segment(bounds[s]..bounds[s + 1]));
+        let mut per_claim = vec![0; claims.len()];
+        for (_, counts) in &parts {
+            for (total, &n) in per_claim.iter_mut().zip(counts) {
+                *total += n;
+            }
+        }
+        let bands: Vec<CsrMatrix<T>> = parts.into_iter().map(|(band, _)| band).collect();
+        (concat_row_bands(&bands, ncols), per_claim)
+    };
     (c, ExecCounts::from_per_claim(schedule, per_claim))
 }
 
-/// What the batched pass's workers leave behind: their filled staging
-/// arenas and their per-claim entry counts, summed.
-struct Sink<T> {
-    staged: Vec<StagingBuffer<T>>,
-    per_claim: Vec<usize>,
-}
-
-/// One worker's state for the batched pass: a pooled workspace (the
-/// claim SPA and the fold SPA), an owned staging arena and per-claim entry
-/// tallies. On drop the tallies are added into the sink, and the arena is
-/// handed to the compaction stage (staged data must outlive the worker
-/// that produced it) or, when empty, returned to the pool.
-struct Worker<'p, T: Scalar> {
-    ws: PooledWorkspace<'p, T>,
-    buf: StagingBuffer<T>,
-    counts: Vec<usize>,
-    pool: &'p WorkspacePool,
-    sink: &'p Mutex<Sink<T>>,
-}
-
-impl<'p, T: Scalar> Worker<'p, T> {
-    fn new(
-        pool: &'p WorkspacePool,
-        ncols: usize,
-        nclaims: usize,
-        sink: &'p Mutex<Sink<T>>,
-    ) -> Self {
-        Self {
-            ws: pool.acquire::<T>(ncols),
-            buf: pool.take_staging(),
-            counts: vec![0; nclaims],
-            pool,
-            sink,
+/// Row bounds of the segments, `bounds[s]..bounds[s + 1]` each. One
+/// segment on a one-thread pool or for a product under two floors of
+/// flops; otherwise up to [`SEGMENTS_PER_THREAD`] per thread, each about
+/// [`SEGMENT_MIN_FLOPS`] or more, cut where the running flop total crosses
+/// the next equal share. A row heavier than a share ends its segment and
+/// skips the shares it spans, so no segment is empty.
+fn segment_bounds(flops: &[u64], threads: usize) -> Vec<usize> {
+    let total: u64 = flops.iter().sum();
+    let nseg = if threads == 1 {
+        1
+    } else {
+        (total / SEGMENT_MIN_FLOPS).clamp(1, (SEGMENTS_PER_THREAD * threads) as u64)
+    };
+    let mut bounds = vec![0];
+    let (mut acc, mut next) = (0u64, 1u64);
+    for (r, &f) in flops.iter().enumerate() {
+        acc += f;
+        if next < nseg && acc * nseg >= next * total && r + 1 < flops.len() {
+            bounds.push(r + 1);
+            next = acc * nseg / total + 1;
         }
     }
-}
-
-impl<T: Scalar> Drop for Worker<'_, T> {
-    fn drop(&mut self) {
-        // a poisoned sink means another worker panicked and the product
-        // is abandoned; drop must not panic on top of that
-        let mut sink = self.sink.lock().unwrap_or_else(PoisonError::into_inner);
-        for (total, &n) in sink.per_claim.iter_mut().zip(&self.counts) {
-            *total += n;
-        }
-        let buf = std::mem::replace(&mut self.buf, StagingBuffer::new());
-        if buf.is_empty() {
-            self.pool.release_staging(buf);
-        } else {
-            sink.staged.push(buf);
-        }
-    }
+    bounds.push(flops.len());
+    bounds
 }
 
 #[cfg(test)]
@@ -376,6 +380,71 @@ mod tests {
                 execute(&a, &a, &schedule, shape, &pool, &ws, ExecPolicy::PerClaim);
             let (c_bat, n_bat) = execute(&a, &a, &schedule, shape, &pool, &ws, ExecPolicy::Batched);
             assert_eq!(c_ref, c_bat, "output diverged at {threads} threads");
+            assert_eq!(n_ref, n_bat, "counts diverged at {threads} threads");
+        }
+    }
+
+    #[test]
+    fn segment_bounds_cut_equal_flop_shares() {
+        let f = SEGMENT_MIN_FLOPS;
+        // one thread, a product under two floors, or no rows: one segment
+        assert_eq!(segment_bounds(&[f * 100; 8], 1), vec![0, 8]);
+        assert_eq!(segment_bounds(&[f / 8; 8], 8), vec![0, 8]);
+        assert_eq!(segment_bounds(&[], 8), vec![0, 0]);
+        // at most four segments a thread, and no segment under the floor
+        assert_eq!(segment_bounds(&[f; 8], 2), (0..=8).collect::<Vec<_>>());
+        assert_eq!(segment_bounds(&[f / 2; 8], 8), vec![0, 2, 4, 6, 8]);
+        assert_eq!(segment_bounds(&[f * 100; 12], 2).len(), 9);
+        // a hub row spanning several shares ends its segment, skips the
+        // shares it covers, and leaves no segment empty
+        let bounds = segment_bounds(&[f, 6 * f, f, 0, 0, f / 2, f / 2], 2);
+        assert_eq!(bounds, vec![0, 2, 3, 7]);
+    }
+
+    /// Σ|B(j,:)| over every A entry of each row: the executor's per-row
+    /// flops for a schedule that claims every row.
+    fn row_flops(a: &CsrMatrix<f64>, b: &CsrMatrix<f64>) -> Vec<u64> {
+        (0..a.nrows())
+            .map(|r| {
+                a.row(r)
+                    .0
+                    .iter()
+                    .map(|&j| b.row_nnz(j as usize) as u64)
+                    .sum()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn multi_segment_stitch_matches_per_claim() {
+        // large enough that two and eight host threads cut several
+        // segments, so the product is stitched by `concat_row_bands`
+        let a = scale_free(4_000, 40_000, 13);
+        let t = a.mean_row_nnz().ceil() as usize;
+        let b_high: Vec<bool> = (0..a.nrows()).map(|i| a.row_nnz(i) >= t).collect();
+        let b_low: Vec<bool> = b_high.iter().map(|&h| !h).collect();
+        let rows_h = crate::kernels::rows_where(&b_high, true);
+        let rows_l = crate::kernels::rows_where(&b_high, false);
+        let third = rows_l.len() / 3;
+        let pieces = [0..third, third..rows_l.len()];
+        let schedule = hh_like_schedule(&rows_h, &rows_l, &b_high, &b_low, &pieces);
+        let shape = (a.nrows(), a.ncols());
+        let ws = WorkspacePool::new();
+        let (c_ref, n_ref) = execute(
+            &a,
+            &a,
+            &schedule,
+            shape,
+            &ThreadPool::new(1),
+            &ws,
+            ExecPolicy::PerClaim,
+        );
+        for threads in [2, 8] {
+            let segments = segment_bounds(&row_flops(&a, &a), threads).len() - 1;
+            assert!(segments >= 2, "{segments} segment(s) at {threads} threads");
+            let pool = ThreadPool::new(threads);
+            let (c_bat, n_bat) = execute(&a, &a, &schedule, shape, &pool, &ws, ExecPolicy::Batched);
+            assert!(c_bat.bit_eq(&c_ref), "output diverged at {threads} threads");
             assert_eq!(n_ref, n_bat, "counts diverged at {threads} threads");
         }
     }

@@ -3,8 +3,8 @@
 //! The paper's CPU side runs the row-row kernel on 6 cores / 12 SMT threads
 //! (§II-B) and Phase IV needs a parallel sort + scan (§III-D). This crate
 //! provides the needed primitives without pulling in rayon: guided
-//! (self-scheduling) loops, ordered parallel maps, an exclusive prefix
-//! scan, an in-order committer, and a disjoint-write slice. Everything is safe
+//! (self-scheduling) loops, ordered parallel maps, an in-order committer,
+//! and a disjoint-write slice. Everything is safe
 //! code over `std::thread::scope` except [`DisjointSlice`], which carries
 //! its disjointness obligation as an explicit `unsafe` contract.
 //!
@@ -16,9 +16,7 @@
 pub mod disjoint;
 pub mod ordered;
 pub mod pool;
-pub mod scan;
 
 pub use disjoint::DisjointSlice;
 pub use ordered::OrderedCommitter;
 pub use pool::ThreadPool;
-pub use scan::exclusive_scan;

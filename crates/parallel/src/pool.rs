@@ -81,23 +81,6 @@ impl ThreadPool {
         });
     }
 
-    /// [`ThreadPool::for_each_guided_with`] over an explicit item slice:
-    /// workers claim `chunk` items at a time and receive the item subslice
-    /// directly. This is the shape the adaptive engine's bin loops need —
-    /// each bin is a list of row indices with its own bin-aware chunk
-    /// size, and handing workers `&[It]` avoids re-indexing at every call
-    /// site.
-    pub fn for_each_guided_items<It, S, I, F>(&self, items: &[It], chunk: usize, init: I, f: F)
-    where
-        It: Sync,
-        I: Fn() -> S + Sync,
-        F: Fn(&mut S, &[It]) + Sync,
-    {
-        self.for_each_guided_with(items.len(), chunk, init, |scratch, range| {
-            f(scratch, &items[range])
-        });
-    }
-
     /// Parallel map preserving order: `out[i] = f(i)`. Each thread produces
     /// the output for one contiguous range; the ranges are concatenated in
     /// order, so no shared mutable state is needed.
@@ -201,27 +184,6 @@ mod tests {
             },
         );
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn guided_items_covers_every_item_with_scratch() {
-        let items: Vec<u32> = (0..997).collect();
-        let hits: Vec<AtomicU64> = (0..997).map(|_| AtomicU64::new(0)).collect();
-        let pool = ThreadPool::new(4);
-        pool.for_each_guided_items(
-            &items,
-            13,
-            || 0usize,
-            |claims, slice| {
-                *claims += 1;
-                for &it in slice {
-                    hits[it as usize].fetch_add(1, Ordering::Relaxed);
-                }
-            },
-        );
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-        // empty slice is a no-op
-        pool.for_each_guided_items(&[] as &[u32], 8, || (), |_, _| panic!("must not run"));
     }
 
     #[test]

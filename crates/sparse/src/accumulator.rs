@@ -2,19 +2,22 @@
 //!
 //! The row-row formulation (§II-A) computes one output row as a sum of
 //! scaled B rows. The classic way to do that without materialising and
-//! sorting intermediate tuples is Gustavson's SPA: a dense value array
-//! indexed by column, a generation stamp per column marking which output
-//! row last touched it, and a list of touched columns. Clearing between
-//! rows is O(touched), not O(ncols), so one accumulator amortises across
-//! every row a thread processes.
+//! sorting intermediate tuples is Gustavson's SPA (Gilbert–Moler–Schreiber):
+//! a dense value array indexed by column, an occupancy bitmap marking the
+//! columns the current row has touched, and a list of touched columns.
+//! Every drain clears the bits it emits, so the bitmap is all zeros between
+//! rows and one accumulator amortises across every row a thread processes.
 //!
 //! [`SparseAccumulator`] is that SPA, and the engine's only numeric
 //! accumulator: the first touch of a column sets its value, every later
-//! touch `+=`s in visit order, and the drain emits ascending by column.
-//! It is the reference's own accumulator too, so every engine path that
-//! scatters through it reproduces the reference's bits, and
-//! [`SparseAccumulator::fold_into`] sums several such rows into a second
-//! accumulator with the reference's per-row merge arithmetic.
+//! touch `+=`s in visit order, and [`SparseAccumulator::drain_into`]
+//! appends the row to C's arrays ascending by column, picking per row the
+//! cheaper of a word scan of the bitmap and a sort of the touched list (the
+//! per-row method choice Liu–Vinter make by row size). Both orders are the
+//! same, so the choice never moves a bit. [`SparseAccumulator::fold_into`]
+//! sums several such rows into a second accumulator with the claims
+//! oracle's per-row merge arithmetic; the oracle itself
+//! (`reference::spmm_claims`) shares no code with this module.
 //!
 //! [`RowSizer`] is the symbolic-pass companion: it only needs
 //! distinct-column counts and therefore skips the value array entirely.
@@ -27,8 +30,11 @@ use crate::{ColIndex, Scalar};
 #[derive(Debug, Clone)]
 pub struct SparseAccumulator<T> {
     values: Vec<T>,
-    stamp: Vec<u32>,
-    generation: u32,
+    /// One bit per column, set while the current row has touched it.
+    occupied: Vec<u64>,
+    /// Bitmap words the current product's columns span: the word scan's
+    /// reach, which can be shorter than `occupied` in a pooled accumulator.
+    words: usize,
     touched: Vec<ColIndex>,
 }
 
@@ -37,25 +43,28 @@ impl<T: Scalar> SparseAccumulator<T> {
     pub fn new(ncols: usize) -> Self {
         Self {
             values: vec![T::ZERO; ncols],
-            stamp: vec![0; ncols],
-            generation: 1,
+            occupied: vec![0; ncols.div_ceil(64)],
+            words: ncols.div_ceil(64),
             touched: Vec::new(),
         }
     }
 
-    /// Number of columns this accumulator covers.
+    /// Number of columns this accumulator can hold.
     pub fn ncols(&self) -> usize {
-        self.stamp.len()
+        self.values.len()
     }
 
-    /// Grow to cover at least `ncols` columns. New stamps start at 0,
-    /// which never equals the live generation (it starts at 1 and resets
-    /// to 1 on wrap), so grown slots read as untouched — pooled
-    /// workspaces reuse one accumulator across matrices of any width.
+    /// Fit a product `ncols` wide: grow the dense arrays if they are
+    /// narrower, and bound the word scan to that product's columns. Every
+    /// bit is clear between rows and grown words start clear, so grown
+    /// slots read as untouched — pooled workspaces reuse one accumulator
+    /// across matrices of any width, and a narrow product never scans the
+    /// bitmap a wider one left behind.
     pub fn ensure_ncols(&mut self, ncols: usize) {
-        if self.stamp.len() < ncols {
-            self.stamp.resize(ncols, 0);
+        self.words = ncols.div_ceil(64);
+        if self.values.len() < ncols {
             self.values.resize(ncols, T::ZERO);
+            self.occupied.resize(self.words, 0);
         }
     }
 
@@ -64,12 +73,14 @@ impl<T: Scalar> SparseAccumulator<T> {
     #[inline]
     pub fn scatter(&mut self, col: ColIndex, val: T) -> bool {
         let c = col as usize;
-        if self.stamp[c] == self.generation {
+        debug_assert!(c < self.words * 64, "column past the fitted width");
+        let (word, bit) = (c / 64, 1u64 << (c % 64));
+        if self.occupied[word] & bit != 0 {
             self.values[c] += val;
             false
         } else {
-            self.stamp[c] = self.generation;
             self.values[c] = val;
+            self.occupied[word] |= bit;
             self.touched.push(col);
             true
         }
@@ -80,30 +91,60 @@ impl<T: Scalar> SparseAccumulator<T> {
         self.touched.len()
     }
 
-    /// Drain the current row in ascending column order, invoking
-    /// `f(col, value)` per entry, and reset for the next row.
-    pub fn drain_sorted<F: FnMut(ColIndex, T)>(&mut self, mut f: F) {
-        self.touched.sort_unstable();
-        for &col in &self.touched {
-            f(col, self.values[col as usize]);
-        }
-        self.touched.clear();
-        self.advance_generation();
+    /// Append the current row to `cols`/`vals` in ascending column order,
+    /// reset for the next row and return the row's nnz. A row of `k`
+    /// entries drains by a word scan of the bitmap when that reads no more
+    /// words than a sort makes comparisons (`words ≤ k·bitlen(k)`), and by
+    /// sorting the touched list otherwise.
+    pub fn drain_into(&mut self, cols: &mut Vec<ColIndex>, vals: &mut Vec<T>) -> usize {
+        let k = self.touched.len();
+        let scan = self.words <= k * (usize::BITS - k.leading_zeros()) as usize;
+        self.drain_by(scan, cols, vals)
     }
 
-    /// Drain the current row into pre-sized column/value slices (both
-    /// exactly [`nnz`](Self::nnz) long), ascending by column, and reset for
-    /// the next row. The SoA bulk form of [`drain_sorted`](Self::drain_sorted):
-    /// sort the touched list once, memcpy it as the column array, and
-    /// gather the values with a 4-way unrolled loop — no per-element
-    /// closure dispatch. Same values, same order, bit-identical.
-    pub fn drain_sorted_into(&mut self, out_cols: &mut [ColIndex], out_vals: &mut [T]) {
-        self.touched.sort_unstable();
-        assert_eq!(self.touched.len(), out_vals.len(), "drain: vals length");
-        out_cols.copy_from_slice(&self.touched);
-        gather(&self.touched, &self.values, out_vals);
+    /// Both drains: the word scan reads every set bit word by word and
+    /// clears each word it reads; the sort drain sorts the touched list and
+    /// clears its words through it. Either way the same columns come out in
+    /// the same order, the values are gathered behind them, and every bit
+    /// is left clear.
+    fn drain_by(&mut self, scan: bool, cols: &mut Vec<ColIndex>, vals: &mut Vec<T>) -> usize {
+        let k = self.touched.len();
+        let start = cols.len();
+        if scan {
+            cols.reserve(k);
+            for (w, word) in self.occupied[..self.words].iter_mut().enumerate() {
+                if *word == 0 {
+                    continue;
+                }
+                let base = (w * 64) as ColIndex;
+                let mut bits = std::mem::take(word);
+                while bits != 0 {
+                    cols.push(base + bits.trailing_zeros());
+                    bits &= bits - 1;
+                }
+            }
+        } else {
+            self.touched.sort_unstable();
+            for &c in &self.touched {
+                self.occupied[c as usize / 64] = 0;
+            }
+            cols.extend_from_slice(&self.touched);
+        }
+        vals.extend(cols[start..].iter().map(|&c| self.values[c as usize]));
         self.touched.clear();
-        self.advance_generation();
+        k
+    }
+
+    /// Make the current row the start of a fold: every touched value
+    /// becomes `T::ZERO + v`, exactly what [`fold_into`](Self::fold_into)
+    /// stores into an accumulator that has not yet seen the column. A row
+    /// scattered straight into the fold target and then started this way
+    /// holds the same bits as one folded into it from an empty start.
+    pub fn start_fold(&mut self) {
+        for &c in &self.touched {
+            let v = &mut self.values[c as usize];
+            *v = T::ZERO + *v;
+        }
     }
 
     /// Fold the current row into `outer` and reset for the next row: a
@@ -115,60 +156,26 @@ impl<T: Scalar> SparseAccumulator<T> {
     /// column is folded at most once per call.
     pub fn fold_into(&mut self, outer: &mut Self) {
         for &col in &self.touched {
-            let (c, v) = (col as usize, self.values[col as usize]);
-            if outer.stamp[c] == outer.generation {
+            let c = col as usize;
+            let v = self.values[c];
+            self.occupied[c / 64] = 0;
+            let (word, bit) = (c / 64, 1u64 << (c % 64));
+            if outer.occupied[word] & bit != 0 {
                 outer.values[c] += v;
             } else {
-                outer.stamp[c] = outer.generation;
                 outer.values[c] = T::ZERO + v;
+                outer.occupied[word] |= bit;
                 outer.touched.push(col);
             }
         }
         self.touched.clear();
-        self.advance_generation();
-    }
-
-    fn advance_generation(&mut self) {
-        if self.generation == u32::MAX {
-            // wrap: forget every stamp so stale marks can't alias
-            self.stamp.fill(0);
-            self.generation = 1;
-        } else {
-            self.generation += 1;
-        }
-    }
-}
-
-/// Gather values only: `out_vals[i] = table[idx[i]]`.
-#[inline]
-fn gather<T: Scalar>(idx: &[ColIndex], table: &[T], out_vals: &mut [T]) {
-    // Chunked by 4 for ILP; the tail runs per element. The loads are
-    // data-dependent (a true gather) so scalar code can't fuse them, but
-    // splitting the chains lets the core overlap the four cache misses.
-    let n = idx.len();
-    let whole = n & !3;
-    let mut i = 0;
-    while i < whole {
-        let v0 = table[idx[i] as usize];
-        let v1 = table[idx[i + 1] as usize];
-        let v2 = table[idx[i + 2] as usize];
-        let v3 = table[idx[i + 3] as usize];
-        out_vals[i] = v0;
-        out_vals[i + 1] = v1;
-        out_vals[i + 2] = v2;
-        out_vals[i + 3] = v3;
-        i += 4;
-    }
-    while i < n {
-        out_vals[i] = table[idx[i] as usize];
-        i += 1;
     }
 }
 
 /// Symbolic-pass companion of [`SparseAccumulator`]: counts the distinct
-/// columns of one output row without storing values. This is the first
-/// pass of the two-pass engine — its counts size each CSR row exactly, so
-/// the numeric pass writes into pre-offset storage with no reallocation.
+/// columns of one output row without storing values, with a generation
+/// stamp per column so finishing a row is O(1). The GPU cost model's
+/// output-width tables are built with it.
 #[derive(Debug, Clone)]
 pub struct RowSizer {
     stamp: Vec<u32>,
@@ -191,9 +198,8 @@ impl RowSizer {
         self.stamp.len()
     }
 
-    /// Grow to cover at least `ncols` columns (same soundness argument as
-    /// [`SparseAccumulator::ensure_ncols`]: fresh stamps are 0, the live
-    /// generation is never 0).
+    /// Grow to cover at least `ncols` columns. Fresh stamps are 0 and the
+    /// live generation is never 0, so grown slots read as unmarked.
     pub fn ensure_ncols(&mut self, ncols: usize) {
         if self.stamp.len() < ncols {
             self.stamp.resize(ncols, 0);
@@ -238,6 +244,25 @@ impl RowSizer {
 mod tests {
     use super::*;
 
+    /// Drain the current row as `(col, value bits)` pairs.
+    fn drained(acc: &mut SparseAccumulator<f64>) -> Vec<(ColIndex, u64)> {
+        let (mut cols, mut vals) = (Vec::new(), Vec::new());
+        let n = acc.drain_into(&mut cols, &mut vals);
+        assert_eq!((cols.len(), vals.len()), (n, n), "drain: reported nnz");
+        cols.into_iter()
+            .zip(vals.iter().map(|v| v.to_bits()))
+            .collect()
+    }
+
+    fn bits(entries: &[(ColIndex, f64)]) -> Vec<(ColIndex, u64)> {
+        entries.iter().map(|&(c, v)| (c, v.to_bits())).collect()
+    }
+
+    /// The bitmap holds no set bit.
+    fn clean(acc: &SparseAccumulator<f64>) -> bool {
+        acc.occupied.iter().all(|&w| w == 0) && acc.touched.is_empty()
+    }
+
     #[test]
     fn scatter_accumulates_duplicates() {
         let mut spa = SparseAccumulator::<f64>::new(8);
@@ -245,32 +270,31 @@ mod tests {
         assert!(spa.scatter(5, 2.0));
         assert!(!spa.scatter(3, 4.0));
         assert_eq!(spa.nnz(), 2);
-        let mut out = Vec::new();
-        spa.drain_sorted(|c, v| out.push((c, v)));
-        assert_eq!(out, vec![(3, 5.0), (5, 2.0)]);
+        assert_eq!(drained(&mut spa), bits(&[(3, 5.0), (5, 2.0)]));
     }
 
     #[test]
     fn drain_resets_for_the_next_row() {
         let mut spa = SparseAccumulator::<f64>::new(4);
         spa.scatter(1, 1.0);
-        spa.drain_sorted(|_, _| {});
+        drained(&mut spa);
         // same column again: must be a fresh first-touch with a fresh value
         assert!(spa.scatter(1, 7.0));
-        let mut out = Vec::new();
-        spa.drain_sorted(|c, v| out.push((c, v)));
-        assert_eq!(out, vec![(1, 7.0)]);
+        assert_eq!(drained(&mut spa), bits(&[(1, 7.0)]));
     }
 
     #[test]
     fn drain_emits_sorted_columns() {
-        let mut spa = SparseAccumulator::<f64>::new(100);
-        for &c in &[90u32, 5, 40, 17, 3] {
-            spa.scatter(c, 1.0);
+        // five touches: 100 columns (2 words) drain by the word scan,
+        // 10,000 columns (157 words > 5·3) by the sort
+        for ncols in [100, 10_000] {
+            let mut spa = SparseAccumulator::<f64>::new(ncols);
+            for &c in &[90u32, 5, 40, 17, 3] {
+                spa.scatter(c, 1.0);
+            }
+            let cols: Vec<ColIndex> = drained(&mut spa).iter().map(|&(c, _)| c).collect();
+            assert_eq!(cols, vec![3, 5, 17, 40, 90], "{ncols} columns");
         }
-        let mut cols = Vec::new();
-        spa.drain_sorted(|c, _| cols.push(c));
-        assert_eq!(cols, vec![3, 5, 17, 40, 90]);
     }
 
     #[test]
@@ -288,20 +312,7 @@ mod tests {
 
     #[test]
     fn generation_wrap_is_sound() {
-        let mut spa = SparseAccumulator::<f64>::new(4);
-        spa.generation = u32::MAX - 1;
-        spa.scatter(2, 1.0);
-        spa.drain_sorted(|_, _| {});
-        spa.scatter(2, 2.0);
-        let mut out = Vec::new();
-        spa.drain_sorted(|c, v| out.push((c, v)));
-        assert_eq!(out, vec![(2, 2.0)]);
-        // now past the wrap: stale stamps must not alias
-        assert!(spa.scatter(2, 3.0));
-        let mut out = Vec::new();
-        spa.drain_sorted(|c, v| out.push((c, v)));
-        assert_eq!(out, vec![(2, 3.0)]);
-
+        // the sizer keeps generation stamps (the SPA's bitmap has none)
         let mut sizer = RowSizer::new(4);
         sizer.generation = u32::MAX;
         sizer.mark(0);
@@ -317,20 +328,36 @@ mod tests {
         inner.scatter(5, 1.0);
         inner.fold_into(&mut outer);
         assert_eq!(inner.nnz(), 0, "fold resets the folded row");
+        assert!(clean(&inner), "fold leaves the folded bitmap clean");
         inner.scatter(5, 2.0);
         inner.scatter(7, -0.0);
         inner.fold_into(&mut outer);
-        let mut out = Vec::new();
-        outer.drain_sorted(|c, v| out.push((c, v.to_bits())));
         // first folds store 0 + v, so -0.0 comes out +0.0
-        let want = [(2, 0.0f64), (5, 3.0), (7, 0.0)];
-        assert_eq!(out, want.map(|(c, v)| (c, v.to_bits())));
+        assert_eq!(drained(&mut outer), bits(&[(2, 0.0), (5, 3.0), (7, 0.0)]));
+    }
+
+    #[test]
+    fn start_fold_matches_a_first_fold_bitwise() {
+        let nan = f64::from_bits(0x7ff8_0000_0000_0badu64);
+        let run = [(2u32, -0.0), (9, nan), (4, -1.5), (2, -0.0), (70, 0.0)];
+        let (mut inner, mut folded) = (
+            SparseAccumulator::<f64>::new(80),
+            SparseAccumulator::<f64>::new(80),
+        );
+        let mut started = SparseAccumulator::<f64>::new(80);
+        for &(c, v) in &run {
+            inner.scatter(c, v);
+            started.scatter(c, v);
+        }
+        inner.fold_into(&mut folded);
+        started.start_fold();
+        assert_eq!(drained(&mut started), drained(&mut folded));
     }
 
     #[test]
     fn empty_row_drains_nothing() {
         let mut spa = SparseAccumulator::<f64>::new(4);
-        spa.drain_sorted(|_, _| panic!("no entries expected"));
+        assert!(drained(&mut spa).is_empty());
         assert_eq!(spa.nnz(), 0);
     }
 
@@ -355,57 +382,80 @@ mod tests {
         out
     }
 
-    fn soa_of(
-        acc: &mut SparseAccumulator<f64>,
-        stream: &[(ColIndex, f64)],
-    ) -> Vec<(ColIndex, u64)> {
+    /// Drain the stream's row by the named method, appending after a
+    /// prefix already in the output arrays.
+    fn drain_stream_by(scan: bool, ncols: u32, stream: &[(ColIndex, f64)]) -> Vec<(u32, u64)> {
+        let mut acc = SparseAccumulator::<f64>::new(ncols as usize);
         for &(c, v) in stream {
             acc.scatter(c, v);
         }
-        let n = acc.nnz();
-        let (mut oc, mut ov) = (vec![0u32; n], vec![0f64; n]);
-        acc.drain_sorted_into(&mut oc, &mut ov);
-        oc.into_iter()
-            .zip(ov.into_iter().map(f64::to_bits))
+        let (mut cols, mut vals) = (vec![u32::MAX], vec![f64::NAN]);
+        assert_eq!(acc.drain_by(scan, &mut cols, &mut vals), acc_nnz(stream));
+        assert!(clean(&acc), "drain (scan: {scan}) left bits behind");
+        cols.into_iter()
+            .zip(vals.into_iter().map(f64::to_bits))
+            .skip(1)
             .collect()
     }
 
-    /// drain_sorted_into must equal drain_sorted bit for bit, including
-    /// remainder-lane sizes (nnz ≡ 1..7 mod 8) and the empty row.
-    #[test]
-    fn soa_drain_matches_closure_drain_bitwise() {
-        let sizes = [0usize, 1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 17, 100, 1025];
-        for (i, &len) in sizes.iter().enumerate() {
-            let stream = touch_stream(len, 2048, i as u64 + 77);
-            let mut via_closure = Vec::new();
-            let mut oracle = SparseAccumulator::<f64>::new(2048);
-            for &(c, v) in &stream {
-                oracle.scatter(c, v);
-            }
-            oracle.drain_sorted(|c, v| via_closure.push((c, v.to_bits())));
+    fn acc_nnz(stream: &[(ColIndex, f64)]) -> usize {
+        let mut cols: Vec<ColIndex> = stream.iter().map(|&(c, _)| c).collect();
+        cols.sort_unstable();
+        cols.dedup();
+        cols.len()
+    }
 
-            let mut spa = SparseAccumulator::<f64>::new(2048);
-            assert_eq!(
-                via_closure,
-                soa_of(&mut spa, &stream),
-                "SoA drain diverged at len {len}"
-            );
+    /// The word-scan drain and the sort drain append the same entries, bit
+    /// for bit, at every row length — the empty row, partial words, whole
+    /// words and rows denser than a word — and at widths that are and are
+    /// not a multiple of 64.
+    #[test]
+    fn scan_drain_matches_sort_drain_bitwise() {
+        let sizes = [
+            0usize, 1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 17, 63, 64, 65, 100, 1025,
+        ];
+        for ncols in [1u32, 63, 64, 65, 129, 2048] {
+            for (i, &len) in sizes.iter().enumerate() {
+                let stream = touch_stream(len, ncols, i as u64 + 77);
+                let by_scan = drain_stream_by(true, ncols, &stream);
+                let by_sort = drain_stream_by(false, ncols, &stream);
+                assert_eq!(
+                    by_scan, by_sort,
+                    "drains diverged at len {len}, {ncols} cols"
+                );
+                let cols: Vec<u32> = by_sort.iter().map(|&(c, _)| c).collect();
+                assert!(
+                    cols.windows(2).all(|w| w[0] < w[1]),
+                    "unsorted at len {len}"
+                );
+            }
         }
     }
 
-    /// Every unrolled-chunk remainder (lengths ≡ 0..3 mod 4) gathers
-    /// exactly `table[idx]`, bit for bit.
+    /// Each drain gathers every value with its exact bits — signed zeros
+    /// and NaN payloads included — at lengths around every word size.
     #[test]
     fn gather_reads_table_bits_at_every_length() {
         let table: Vec<f64> = (0..257u64)
-            .map(|i| ((i.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 1) % 2000) as f64 / 7.0 - 140.0)
+            .map(|i| match i % 5 {
+                0 => -0.0,
+                1 => f64::from_bits(0x7ff8_0000_0000_0000 | i),
+                _ => ((i.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 1) % 2000) as f64 / 7.0 - 140.0,
+            })
             .collect();
-        for n in [0usize, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 31, 33, 64] {
+        for n in [0usize, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 31, 33, 64, 65, 129] {
             let idx: Vec<ColIndex> = (0..n).map(|i| ((i * 37 + 11) % 257) as ColIndex).collect();
-            let mut out = vec![f64::NAN; n];
-            gather(&idx, &table, &mut out);
-            for (k, &i) in idx.iter().enumerate() {
-                assert_eq!(out[k].to_bits(), table[i as usize].to_bits(), "len {n}");
+            for scan in [true, false] {
+                let mut acc = SparseAccumulator::<f64>::new(257);
+                for &c in &idx {
+                    acc.scatter(c, table[c as usize]);
+                }
+                let (mut cols, mut vals) = (Vec::new(), Vec::new());
+                assert_eq!(acc.drain_by(scan, &mut cols, &mut vals), n);
+                for (&c, v) in cols.iter().zip(&vals) {
+                    let want = table[c as usize].to_bits();
+                    assert_eq!(v.to_bits(), want, "len {n}, scan: {scan}");
+                }
             }
         }
     }
@@ -415,30 +465,52 @@ mod tests {
         let mut acc = SparseAccumulator::<f64>::new(16);
         acc.scatter(3, 1.0);
         acc.scatter(1, 2.0);
-        let (mut oc, mut ov) = (vec![0u32; 2], vec![0f64; 2]);
-        acc.drain_sorted_into(&mut oc, &mut ov);
+        let (mut oc, mut ov) = (Vec::new(), Vec::new());
+        assert_eq!(acc.drain_into(&mut oc, &mut ov), 2);
         assert_eq!(oc, vec![1, 3]);
         assert_eq!(ov, vec![2.0, 1.0]);
         assert_eq!(acc.nnz(), 0);
-        // next row: same column must be a fresh first touch
+        // next row: same column must be a fresh first touch, appended
+        // behind the first row
         assert!(acc.scatter(3, 7.0));
-        let (mut oc, mut ov) = (vec![0u32; 1], vec![0f64; 1]);
-        acc.drain_sorted_into(&mut oc, &mut ov);
-        assert_eq!((oc[0], ov[0]), (3, 7.0));
+        assert_eq!(acc.drain_into(&mut oc, &mut ov), 1);
+        assert_eq!((oc[2], ov[2]), (3, 7.0));
+    }
+
+    /// Both drains leave every bit clear, so the next row's first touch of
+    /// any column — drained or not — stores afresh.
+    #[test]
+    fn both_drains_leave_a_clean_bitmap() {
+        for scan in [true, false] {
+            let mut acc = SparseAccumulator::<f64>::new(200);
+            for &c in &[0u32, 63, 64, 65, 127, 128, 199, 64] {
+                acc.scatter(c, 1.0);
+            }
+            let (mut cols, mut vals) = (Vec::new(), Vec::new());
+            assert_eq!(acc.drain_by(scan, &mut cols, &mut vals), 7);
+            assert!(clean(&acc), "scan: {scan}");
+            for c in [0u32, 63, 64, 65, 127, 128, 199] {
+                assert!(acc.scatter(c, 2.0), "scan: {scan}: column {c} aliased");
+            }
+            cols.clear();
+            vals.clear();
+            acc.drain_by(!scan, &mut cols, &mut vals);
+            assert!(vals.iter().all(|&v| v == 2.0), "scan: {scan}: stale value");
+            assert!(clean(&acc));
+        }
     }
 
     #[test]
     fn ensure_ncols_grows_without_aliasing() {
         let mut spa = SparseAccumulator::<f64>::new(2);
         spa.scatter(1, 5.0);
-        spa.drain_sorted(|_, _| {});
-        spa.ensure_ncols(10);
-        assert_eq!(spa.ncols(), 10);
-        assert!(spa.scatter(9, 1.0), "grown slot must read untouched");
+        drained(&mut spa);
+        spa.ensure_ncols(130);
+        assert_eq!(spa.ncols(), 130);
+        assert!(spa.scatter(129, 1.0), "grown slot must read untouched");
+        assert!(spa.scatter(64, 3.0), "grown slot must read untouched");
         assert!(spa.scatter(1, 2.0));
-        let mut out = Vec::new();
-        spa.drain_sorted(|c, v| out.push((c, v)));
-        assert_eq!(out, vec![(1, 2.0), (9, 1.0)]);
+        assert_eq!(drained(&mut spa), bits(&[(1, 2.0), (64, 3.0), (129, 1.0)]));
 
         let mut sizer = RowSizer::new(2);
         sizer.mark(0);
@@ -447,5 +519,21 @@ mod tests {
         assert!(sizer.mark(7));
         assert!(sizer.mark(0));
         assert_eq!(sizer.finish_row(), 2);
+    }
+
+    /// A pooled accumulator fitted to a narrower product keeps its wide
+    /// arrays but scans only the narrow product's words.
+    #[test]
+    fn narrower_fit_keeps_storage_and_drains_clean() {
+        let mut spa = SparseAccumulator::<f64>::new(10_000);
+        spa.scatter(9_999, 1.0);
+        drained(&mut spa);
+        spa.ensure_ncols(65);
+        assert_eq!((spa.ncols(), spa.words), (10_000, 2));
+        for c in [64u32, 0, 3] {
+            spa.scatter(c, 1.0);
+        }
+        assert_eq!(drained(&mut spa), bits(&[(0, 1.0), (3, 1.0), (64, 1.0)]));
+        assert!(clean(&spa));
     }
 }

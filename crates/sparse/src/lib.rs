@@ -38,7 +38,7 @@ pub use dense::DenseMatrix;
 pub use error::SparseError;
 pub use histogram::RowHistogram;
 pub use scalar::Scalar;
-pub use workspace::{EngineWorkspace, PooledSizer, PooledWorkspace, StagingBuffer, WorkspacePool};
+pub use workspace::{EngineWorkspace, PooledSizer, PooledWorkspace, WorkspacePool};
 
 /// Index type used for column indices. `u32` halves the memory traffic of the
 /// kernels relative to `usize`; all matrices in the paper's dataset fit

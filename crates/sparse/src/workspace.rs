@@ -1,21 +1,21 @@
 //! Pooled per-thread engine workspaces.
 //!
-//! Every numeric pass needs O(ncols) dense state: the SPAs' stamp/value
-//! arrays, or the sizer's stamp array for a symbolic pass (the GPU model's
-//! output-width tables). Without pooling, every executed schedule and
-//! every width table of a Phase-I ladder candidate would allocate and zero
-//! that state from scratch on every worker thread. The pool makes the
-//! allocation once per thread slot and generation-reuses it forever.
+//! Every numeric pass needs O(ncols) dense state: the SPAs' value arrays
+//! and occupancy bitmaps, or the sizer's stamp array for a symbolic pass
+//! (the GPU model's output-width tables). Without pooling, every executed
+//! schedule and every width table of a Phase-I ladder candidate would
+//! allocate and zero that state from scratch on every worker. The pool
+//! makes the allocation once per concurrent user and reuses it forever.
 //!
 //! Lifetime rules:
 //!
-//! * A workspace is checked out for the duration of one worker's run over
-//!   one guided loop (the `init` closure of `for_each_guided_with`
-//!   acquires; the guard's `Drop` returns it when the worker exits).
-//! * Checked-in workspaces are width-agnostic: `acquire` grows the dense
-//!   arrays to the requested `ncols` on the way out (`ensure_ncols` keeps
-//!   stale generation stamps sound), so one pool serves matrices of any
-//!   shape, and the pool never shrinks.
+//! * A workspace is checked out for one worker's run — one row segment of
+//!   the executor, one guided loop of a width pass — and the guard's
+//!   `Drop` returns it.
+//! * Checked-in workspaces are width-agnostic: `acquire` fits the dense
+//!   arrays to the requested `ncols` on the way out (`ensure_ncols` grows
+//!   clear bits and bounds the SPA's word scan to the product's width), so
+//!   one pool serves matrices of any shape, and the pool never shrinks.
 //! * The pool is `Sync`; checkout is a short mutex pop, never held across
 //!   row work. Distinct scalar types coexist keyed by `TypeId`.
 
@@ -24,77 +24,16 @@ use std::collections::HashMap;
 use std::ops::{Deref, DerefMut};
 use std::sync::Mutex;
 
-use crate::{ColIndex, RowSizer, Scalar, SparseAccumulator};
-
-/// Staging arena for the batched executor: every output row drains here,
-/// into an exact-size carve-out appended to two progressively-growing SoA
-/// vectors. The compaction pass later memcpys each carved run into its
-/// final CSR slot once the exclusive scan has fixed the offsets.
-///
-/// Lifetime: a worker checks a buffer out of the [`WorkspacePool`] for one
-/// pass and stages rows into it; buffers holding staged data are handed
-/// to the compaction stage (not returned to the pool — the data must
-/// outlive the worker), then cleared and released with
-/// [`WorkspacePool::release_staging`].
-#[derive(Debug, Default)]
-pub struct StagingBuffer<T> {
-    /// `(row key, start offset into cols/vals)` per staged row, in staging
-    /// order. A row's run (its exact drained nnz) ends where the next
-    /// staged row starts, or at the end of `cols`, so it is not stored.
-    pub rows: Vec<(u32, usize)>,
-    /// Carved column runs.
-    pub cols: Vec<ColIndex>,
-    /// Carved value runs.
-    pub vals: Vec<T>,
-}
-
-impl<T: Scalar> StagingBuffer<T> {
-    /// Empty arena; the vectors grow to the high-water mark and stay.
-    pub fn new() -> Self {
-        Self {
-            rows: Vec::new(),
-            cols: Vec::new(),
-            vals: Vec::new(),
-        }
-    }
-
-    /// Drain `acc` (sorted ascending) into a fresh exact-size carve-out
-    /// and record it under `key`. Returns the row's exact nnz.
-    pub fn stage(&mut self, key: u32, acc: &mut SparseAccumulator<T>) -> usize {
-        let n = acc.nnz();
-        let start = self.cols.len();
-        self.cols.resize(start + n, 0);
-        self.vals.resize(start + n, T::ZERO);
-        acc.drain_sorted_into(&mut self.cols[start..], &mut self.vals[start..]);
-        self.rows.push((key, start));
-        n
-    }
-
-    /// Rows currently staged.
-    pub fn staged_rows(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True when nothing has been staged since the last clear.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// Forget all staged rows, keeping the allocations.
-    pub fn clear(&mut self) {
-        self.rows.clear();
-        self.cols.clear();
-        self.vals.clear();
-    }
-}
+use crate::{RowSizer, Scalar, SparseAccumulator};
 
 /// Everything one worker thread needs for the numeric pass: the dense SPA
 /// and a second one the batched executor folds multi-claim rows into.
 #[derive(Debug)]
 pub struct EngineWorkspace<T> {
-    /// Dense SPA, the numeric accumulator (O(ncols) values + stamps).
+    /// Dense SPA, the numeric accumulator (O(ncols) values + bitmap).
     pub spa: SparseAccumulator<T>,
-    /// Second dense SPA: the fold target of a row's per-claim runs.
+    /// Second dense SPA: a multi-claim row's first claim scatters here
+    /// and every later claim's run folds into it.
     pub outer: SparseAccumulator<T>,
 }
 
@@ -107,7 +46,7 @@ impl<T: Scalar> EngineWorkspace<T> {
         }
     }
 
-    /// Grow the dense members to cover at least `ncols` columns.
+    /// Fit both SPAs to a product `ncols` wide.
     pub fn ensure_ncols(&mut self, ncols: usize) {
         self.spa.ensure_ncols(ncols);
         self.outer.ensure_ncols(ncols);
@@ -176,49 +115,6 @@ impl WorkspacePool {
             pool: self,
             sizer: Some(sizer),
         }
-    }
-
-    /// Check out a staging arena for one pass. Unlike `acquire`, this
-    /// hands over ownership with no guard: a buffer holding staged rows
-    /// must outlive the worker that filled it (the compaction stage reads
-    /// it), so the batched executor routes filled buffers through a
-    /// capture sink and call [`Self::release_staging`] after compaction;
-    /// buffers that stay empty go straight back.
-    pub fn take_staging<T: Scalar>(&self) -> StagingBuffer<T> {
-        let popped = self
-            .stores
-            .lock()
-            .unwrap()
-            .get_mut(&TypeId::of::<StagingBuffer<T>>())
-            .and_then(Vec::pop);
-        match popped {
-            Some(boxed) => *boxed
-                .downcast::<StagingBuffer<T>>()
-                .expect("pool entry keyed by its own TypeId"),
-            None => StagingBuffer::new(),
-        }
-    }
-
-    /// Return a staging arena, clearing any staged rows but keeping its
-    /// allocations for the next checkout.
-    pub fn release_staging<T: Scalar>(&self, mut buf: StagingBuffer<T>) {
-        buf.clear();
-        self.stores
-            .lock()
-            .unwrap()
-            .entry(TypeId::of::<StagingBuffer<T>>())
-            .or_default()
-            .push(Box::new(buf));
-    }
-
-    /// Idle staging arenas held for scalar type `T` (test/introspection
-    /// hook).
-    pub fn idle_staging<T: Scalar>(&self) -> usize {
-        self.stores
-            .lock()
-            .unwrap()
-            .get(&TypeId::of::<StagingBuffer<T>>())
-            .map_or(0, Vec::len)
     }
 
     /// Idle workspaces held for scalar type `T` (test/introspection hook).
@@ -300,6 +196,13 @@ impl Drop for PooledSizer<'_> {
 mod tests {
     use super::*;
 
+    /// Drain a workspace SPA's current row, returning its columns.
+    fn drain(spa: &mut SparseAccumulator<f64>) -> Vec<u32> {
+        let (mut cols, mut vals) = (Vec::new(), Vec::new());
+        spa.drain_into(&mut cols, &mut vals);
+        cols
+    }
+
     #[test]
     fn workspace_round_trips_through_the_pool() {
         let pool = WorkspacePool::new();
@@ -307,7 +210,7 @@ mod tests {
         {
             let mut ws = pool.acquire::<f64>(16);
             ws.spa.scatter(3, 1.0);
-            ws.spa.drain_sorted(|_, _| {});
+            drain(&mut ws.spa);
         }
         assert_eq!(pool.idle_workspaces::<f64>(), 1);
         // second checkout reuses the same allocation, already wide enough
@@ -322,38 +225,37 @@ mod tests {
         {
             let mut ws = pool.acquire::<f64>(4);
             ws.spa.scatter(2, 9.0);
-            ws.spa.drain_sorted(|_, _| {});
+            drain(&mut ws.spa);
             ws.outer.scatter(1, 9.0);
-            ws.outer.drain_sorted(|_, _| {});
+            drain(&mut ws.outer);
         }
-        // wider checkout: grown slots and stale stamps must read untouched
-        let mut ws = pool.acquire::<f64>(32);
-        assert!(ws.spa.scatter(2, 1.0), "stale SPA stamp aliased");
-        assert!(ws.spa.scatter(30, 1.0), "grown SPA slot not clean");
-        let mut cols = Vec::new();
-        ws.spa.drain_sorted(|c, _| cols.push(c));
-        assert_eq!(cols, vec![2, 30]);
-        assert!(ws.outer.scatter(1, 1.0), "stale fold-SPA stamp aliased");
-        assert!(ws.outer.scatter(31, 1.0), "grown fold-SPA slot not clean");
+        // wider checkout: grown slots and drained bits must read untouched
+        let mut ws = pool.acquire::<f64>(320);
+        assert!(ws.spa.scatter(2, 1.0), "stale SPA bit aliased");
+        assert!(ws.spa.scatter(300, 1.0), "grown SPA slot not clean");
+        assert_eq!(drain(&mut ws.spa), vec![2, 300]);
+        assert!(ws.outer.scatter(1, 1.0), "stale fold-SPA bit aliased");
+        assert!(ws.outer.scatter(319, 1.0), "grown fold-SPA slot not clean");
     }
 
     #[test]
     fn soa_drains_stay_clean_through_the_pool() {
-        // The vectorized bulk drain must leave a pooled workspace exactly
-        // as reusable as the closure drain: generation stamps advanced, no
-        // stale columns on the next checkout.
+        // Both drains (a word scan at 64 columns, a sort at 64k) must leave
+        // a pooled workspace clean: no stale bits on the next checkout,
+        // whatever width it is fitted to.
         let pool = WorkspacePool::new();
-        {
+        for ncols in [64, 65_536] {
+            {
+                let mut ws = pool.acquire::<f64>(ncols);
+                ws.spa.scatter(5, 1.0);
+                ws.spa.scatter(2, 2.0);
+                assert_eq!(drain(&mut ws.spa), vec![2, 5]);
+            }
             let mut ws = pool.acquire::<f64>(64);
-            ws.spa.scatter(5, 1.0);
-            ws.spa.scatter(2, 2.0);
-            let (mut c, mut v) = (vec![0; 2], vec![0.0; 2]);
-            ws.spa.drain_sorted_into(&mut c, &mut v);
-            assert_eq!(c, vec![2, 5]);
+            assert!(ws.spa.scatter(5, 1.0), "stale SPA bit after drain");
+            assert_eq!(ws.spa.nnz(), 1, "SPA not reset by drain");
+            assert_eq!(drain(&mut ws.spa), vec![5]);
         }
-        let mut ws = pool.acquire::<f64>(64);
-        assert!(ws.spa.scatter(5, 1.0), "stale SPA stamp after SoA drain");
-        assert_eq!(ws.spa.nnz(), 1, "SPA not reset by SoA drain");
     }
 
     #[test]
@@ -380,40 +282,6 @@ mod tests {
     }
 
     #[test]
-    fn staging_carves_exact_runs_and_round_trips() {
-        let pool = WorkspacePool::new();
-        let mut buf = pool.take_staging::<f64>();
-        let mut spa = SparseAccumulator::new(64);
-        spa.scatter(7, 1.0);
-        spa.scatter(3, 2.0);
-        spa.scatter(7, 0.5);
-        assert_eq!(buf.stage(11, &mut spa), 2);
-        spa.scatter(9, 4.0);
-        assert_eq!(buf.stage(12, &mut spa), 1);
-        assert_eq!(buf.rows, vec![(11, 0), (12, 2)]);
-        assert_eq!(buf.cols, vec![3, 7, 9]);
-        assert_eq!(buf.vals, vec![2.0, 1.5, 4.0]);
-        assert_eq!(buf.staged_rows(), 2);
-        pool.release_staging(buf);
-        assert_eq!(pool.idle_staging::<f64>(), 1);
-        // the released buffer comes back cleared, allocations intact
-        let buf = pool.take_staging::<f64>();
-        assert!(buf.is_empty());
-        assert!(buf.cols.capacity() >= 3);
-        assert_eq!(pool.idle_staging::<f64>(), 0);
-    }
-
-    #[test]
-    fn staging_pools_independently_of_workspaces() {
-        let pool = WorkspacePool::new();
-        pool.release_staging(pool.take_staging::<f64>());
-        drop(pool.acquire::<f64>(4));
-        assert_eq!(pool.idle_staging::<f64>(), 1);
-        assert_eq!(pool.idle_workspaces::<f64>(), 1);
-        assert_eq!(pool.idle_staging::<f32>(), 0);
-    }
-
-    #[test]
     fn pool_is_shareable_across_threads() {
         let pool = WorkspacePool::new();
         std::thread::scope(|scope| {
@@ -422,7 +290,7 @@ mod tests {
                     for _ in 0..8 {
                         let mut ws = pool.acquire::<f64>(64);
                         ws.spa.scatter(1, 1.0);
-                        ws.spa.drain_sorted(|_, _| {});
+                        drain(&mut ws.spa);
                     }
                 });
             }

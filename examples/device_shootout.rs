@@ -22,8 +22,8 @@
 //!   wall time is `phase1_gpu2_ms`);
 //! * times end-to-end `hh_cpu` under the serial claims oracle
 //!   (`ExecPolicy::PerClaim`) vs the production batched executor on every
-//!   Table I clone, failing on any bit of output or profile drift
-//!   (`exec_perf`);
+//!   Table I clone, at 8 host threads and at one, failing on any bit of
+//!   output or profile drift (`exec_perf`);
 //! * times the register-tiled csrmm sweep vs the naive reference
 //!   (`csrmm_perf`), failing hard on any bit drift between the two;
 //! * times the sharded driver — uncapped and under a spilling byte cap —
@@ -287,66 +287,54 @@ fn phase1_perf() -> String {
 
 /// Time end-to-end `hh_cpu` — Phase I through the merge — with the
 /// serial claims oracle vs the batched plan/execute path on every
-/// Table I clone, and fail hard if the batched product or its simulated
-/// profile deviates by a single bit. Returns the JSON fragment for the CI
-/// artifact.
+/// Table I clone, at 8 host threads (`exec_*` keys) and at one, the
+/// benchmark's and the serve default's engine width (`exec_1t_*` keys),
+/// and fail hard if the batched product or its simulated profile deviates
+/// by a single bit. Returns the JSON fragment for the CI artifact.
 fn exec_perf() -> String {
     let threads = 8;
     let reps = 2;
-    let serial_cfg = HhCpuConfig {
-        exec: ExecPolicy::PerClaim,
-        ..HhCpuConfig::default()
-    };
-    let batched_cfg = HhCpuConfig::default();
-
-    println!("\nexec-perf: hh_cpu end to end, serial oracle vs batched executor ({threads} host threads, best of {reps}):");
+    println!(
+        "\nexec-perf: hh_cpu end to end, serial oracle vs batched executor \
+         ({threads} host threads / 1 host thread, best of {reps}):"
+    );
     let mut rows = Vec::new();
-    let (mut serial_total, mut batched_total) = (0.0f64, 0.0f64);
+    let mut totals = [0.0f64; 4];
     for d in Dataset::all() {
         let name = d.entry().name;
         let a = d.load::<f64>(32);
-        let mut ctx = HeteroContext::scaled(d.effective_scale(32)).with_host_threads(threads);
-
-        // correctness gate before timing: the batched executor must
-        // reproduce the oracle's run exactly
-        let want = hh_cpu(&mut ctx, &a, &a, &serial_cfg);
-        let got = hh_cpu(&mut ctx, &a, &a, &batched_cfg);
-        assert_eq!(got.c, want.c, "{name}: batched executor changed C");
-        assert_eq!(
-            got.profile, want.profile,
-            "{name}: batched executor changed the simulated profile"
-        );
-        assert_eq!(
-            got.tuples_merged, want.tuples_merged,
-            "{name}: batched executor changed tuples_merged"
-        );
-
-        let (mut serial_ms, mut batched_ms) = (f64::INFINITY, f64::INFINITY);
-        for _ in 0..reps {
-            let t0 = Instant::now();
-            std::hint::black_box(hh_cpu(&mut ctx, &a, &a, &serial_cfg));
-            serial_ms = serial_ms.min(t0.elapsed().as_secs_f64() * 1e3);
-
-            let t0 = Instant::now();
-            std::hint::black_box(hh_cpu(&mut ctx, &a, &a, &batched_cfg));
-            batched_ms = batched_ms.min(t0.elapsed().as_secs_f64() * 1e3);
-        }
+        let (serial_ms, batched_ms) = time_exec(&d, &a, threads, reps);
+        let (serial_1t_ms, batched_1t_ms) = time_exec(&d, &a, 1, reps);
         println!(
-            "  {name:<14} serial {serial_ms:>8.2} ms | batched {batched_ms:>8.2} ms | {:.2}x",
-            serial_ms / batched_ms
+            "  {name:<14} serial {serial_ms:>8.2} ms | batched {batched_ms:>8.2} ms | {:.2}x \
+             || 1t: serial {serial_1t_ms:>8.2} ms | batched {batched_1t_ms:>8.2} ms | {:.2}x",
+            serial_ms / batched_ms,
+            serial_1t_ms / batched_1t_ms,
         );
-        serial_total += serial_ms;
-        batched_total += batched_ms;
+        for (total, ms) in
+            totals
+                .iter_mut()
+                .zip([serial_ms, batched_ms, serial_1t_ms, batched_1t_ms])
+        {
+            *total += ms;
+        }
         rows.push(format!(
             "    {{\"name\": \"{name}\", \"exec_serial_ms\": {serial_ms:.4}, \
-             \"exec_batched_ms\": {batched_ms:.4}, \"exec_speedup\": {:.4}}}",
-            serial_ms / batched_ms
+             \"exec_batched_ms\": {batched_ms:.4}, \"exec_speedup\": {:.4}, \
+             \"exec_1t_serial_ms\": {serial_1t_ms:.4}, \
+             \"exec_1t_batched_ms\": {batched_1t_ms:.4}, \"exec_1t_speedup\": {:.4}}}",
+            serial_ms / batched_ms,
+            serial_1t_ms / batched_1t_ms,
         ));
     }
+    let [serial_total, batched_total, serial_1t_total, batched_1t_total] = totals;
     println!(
         "  exec total: serial {serial_total:.2} ms | batched {batched_total:.2} ms | {:.2}x \
-         (speedup needs a multi-core runner)",
-        serial_total / batched_total
+         (speedup needs a multi-core runner)\n  \
+         exec total at 1 host thread: serial {serial_1t_total:.2} ms | \
+         batched {batched_1t_total:.2} ms | {:.2}x",
+        serial_total / batched_total,
+        serial_1t_total / batched_1t_total,
     );
 
     format!(
@@ -354,10 +342,53 @@ fn exec_perf() -> String {
          \"exec_serial_ms\": {serial_total:.4},\n  \
          \"exec_batched_ms\": {batched_total:.4},\n  \
          \"exec_speedup\": {:.4},\n  \
+         \"exec_1t_serial_ms\": {serial_1t_total:.4},\n  \
+         \"exec_1t_batched_ms\": {batched_1t_total:.4},\n  \
+         \"exec_1t_speedup\": {:.4},\n  \
          \"exec_matrices\": [\n{}\n  ]",
         serial_total / batched_total,
+        serial_1t_total / batched_1t_total,
         rows.join(",\n"),
     )
+}
+
+/// Best-of-`reps` wall ms of `hh_cpu` on `a × a` under the serial claims
+/// oracle and under the batched executor at `threads` host threads, after
+/// checking that the batched run reproduces the oracle's exactly.
+fn time_exec(d: &Dataset, a: &CsrMatrix<f64>, threads: usize, reps: usize) -> (f64, f64) {
+    let name = d.entry().name;
+    let serial_cfg = HhCpuConfig {
+        exec: ExecPolicy::PerClaim,
+        ..HhCpuConfig::default()
+    };
+    let batched_cfg = HhCpuConfig::default();
+    let mut ctx = HeteroContext::scaled(d.effective_scale(32)).with_host_threads(threads);
+
+    // correctness gate before timing: the batched executor must
+    // reproduce the oracle's run exactly
+    let want = hh_cpu(&mut ctx, a, a, &serial_cfg);
+    let got = hh_cpu(&mut ctx, a, a, &batched_cfg);
+    assert_eq!(got.c, want.c, "{name}: batched executor changed C");
+    assert_eq!(
+        got.profile, want.profile,
+        "{name}: batched executor changed the simulated profile"
+    );
+    assert_eq!(
+        got.tuples_merged, want.tuples_merged,
+        "{name}: batched executor changed tuples_merged"
+    );
+
+    let (mut serial_ms, mut batched_ms) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..reps {
+        let t0 = Instant::now();
+        std::hint::black_box(hh_cpu(&mut ctx, a, a, &serial_cfg));
+        serial_ms = serial_ms.min(t0.elapsed().as_secs_f64() * 1e3);
+
+        let t0 = Instant::now();
+        std::hint::black_box(hh_cpu(&mut ctx, a, a, &batched_cfg));
+        batched_ms = batched_ms.min(t0.elapsed().as_secs_f64() * 1e3);
+    }
+    (serial_ms, batched_ms)
 }
 
 /// Time the register-tiled csrmm sweep against the naive reference triple

@@ -2,10 +2,9 @@
 //!
 //! Every algorithm path records a `ClaimSchedule` during its event-driven
 //! planning loop and runs the numeric work afterwards through one of two
-//! executors: `ExecPolicy::Batched`, the production engine (one pass over
-//! every row with a claim: each claim's run scatters through a dense SPA,
-//! a multi-claim row folds its runs into a second SPA, one scan and one
-//! compaction build C), or `ExecPolicy::PerClaim`, the reference (the
+//! executors: `ExecPolicy::Batched`, the production engine (row segments
+//! drained in order straight into C: each claim's run scatters through a
+//! dense SPA, a multi-claim row folds its runs into a second SPA), or `ExecPolicy::PerClaim`, the reference (the
 //! serial oracle `reference::spmm_claims`, which shares no code with the
 //! engine). Every run of the production engine is produced in the
 //! reference's scatter order (first touch sets, later touches `+=`), a
@@ -76,7 +75,7 @@ fn batched_matches_per_claim_under_sharding() {
 fn workspace_pool_survives_products_of_different_widths() {
     // One context (one workspace pool) multiplying matrices of different
     // column counts back and forth: pooled workspaces are width-agnostic
-    // (`ensure_ncols` grows, generations invalidate), so results must stay
+    // (`ensure_ncols` grows clear bits, drains clear theirs), so results must stay
     // exactly what a fresh context produces.
     let wide = matrix(1_500, 12_000, 54);
     let narrow = matrix(400, 2_400, 55);
@@ -103,6 +102,38 @@ fn batched_matches_per_claim_on_wide_outputs() {
     };
     let (a, b) = (wide(11), wide(12));
     check_all_paths(&a, &b, "wide A != B", &[1, 8]);
+    // the fixture really drains rows both ways: by a word scan of the
+    // bitmap (`ncols/64 <= k·bitlen(k)`) and by a sort of the touched list
+    let c = reference::spmm_rowrow(&a, &b).unwrap();
+    let words = c.ncols().div_ceil(64);
+    let scanned = (0..c.nrows())
+        .map(|i| c.row_nnz(i))
+        .filter(|&k| k > 0 && words <= k * (usize::BITS - k.leading_zeros()) as usize)
+        .count();
+    let nonempty = (0..c.nrows()).filter(|&i| c.row_nnz(i) > 0).count();
+    assert!(
+        scanned > 0 && scanned < nonempty,
+        "{scanned} of {nonempty} rows drain by the word scan"
+    );
+}
+
+#[test]
+fn small_products_match_reference_at_word_boundary_widths() {
+    // C one bitmap word wide and just under, at and over one and two
+    // words, with rows from one entry to the full width. About 160k flops,
+    // so eight host threads cut the rows into several segments.
+    let a = matrix(2_000, 20_000, 74);
+    for width in [1usize, 63, 64, 65, 129] {
+        let mut b = CooMatrix::new(a.ncols(), width);
+        for j in 0..a.ncols() {
+            for k in 0..j % 17 {
+                let col = (j * 31 + k * k * 7 + k) % width;
+                b.push(j, col, ((j * 13 + k) % 11) as f64 * 0.25 - 1.0);
+            }
+        }
+        let b = b.to_csr().unwrap();
+        check_small_product(&a, &b, &format!("{width} columns"));
+    }
 }
 
 /// Run one recorded schedule through both executors at each host thread
