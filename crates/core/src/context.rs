@@ -80,8 +80,9 @@ impl HeteroContext {
 
     /// Flush both devices' cache state so the next run starts cold — call
     /// between independent measurements. The workspace pool is deliberately
-    /// *not* cleared: its SPA bitmaps are clear between rows and its sizers
-    /// generation-stamped (contents never leak between rows or runs), and
+    /// *not* cleared: its accumulators are −0.0-seeded with clear bitmaps
+    /// between rows and its sizers generation-stamped (contents never leak
+    /// between rows or runs), and
     /// keeping them warm across runs is the pool's entire point.
     pub fn reset(&mut self) {
         self.cpu.reset();

@@ -15,10 +15,10 @@
 //! is pinned bit for bit against the serial oracle
 //! `spmm_sparse::reference::spmm_claims`, which shares none of this code.
 
-use spmm_sparse::{CsrMatrix, Scalar, SparseAccumulator};
+use spmm_sparse::{CsrMatrix, Lane, Scalar};
 
-/// Scatter one output row's partial products into `acc`: every masked
-/// `a[row, j] × B[j, :]` contribution, in A-row visit order. Every
+/// Scatter one output row's partial products into an accumulator lane:
+/// every masked `a[row, j] × B[j, :]` contribution, in A-row visit order. Every
 /// production numeric path funnels through this, so the accumulation
 /// order — and therefore every output bit — is defined in exactly one
 /// place; the oracle `reference::spmm_claims` restates it independently.
@@ -28,7 +28,7 @@ pub(crate) fn scatter_row<T: Scalar>(
     b: &CsrMatrix<T>,
     row: usize,
     b_mask: Option<&[bool]>,
-    acc: &mut SparseAccumulator<T>,
+    mut lane: Lane<'_, T>,
 ) {
     let (acols, avals) = a.row(row);
     for (&j, &aij) in acols.iter().zip(avals) {
@@ -39,7 +39,7 @@ pub(crate) fn scatter_row<T: Scalar>(
         }
         let (bcols, bvals) = b.row(j as usize);
         for (&c, &bjc) in bcols.iter().zip(bvals) {
-            acc.scatter(c, aij * bjc);
+            lane.scatter(c, aij * bjc);
         }
     }
 }

@@ -14,36 +14,30 @@
 //!   about equal flops — one segment on a one-thread pool or for a small
 //!   product — and each segment's worker drains its rows in order straight
 //!   into the segment's own CSR arrays, reserved once from a flop bound on
-//!   their nnz. Each claim of a row scatters through the worker's dense
-//!   SPA ([`SparseAccumulator`](spmm_sparse::SparseAccumulator),
-//!   Gustavson's accumulator) in claim order. A one-claim row drains
-//!   straight from that SPA; a multi-claim row scatters its first claim
-//!   into the second (`outer`) SPA, starts the fold there
-//!   ([`start_fold`](spmm_sparse::SparseAccumulator::start_fold)), folds
-//!   every later claim's run into it
-//!   ([`fold_into`](spmm_sparse::SparseAccumulator::fold_into)) and drains
-//!   that. One segment is C; several are stitched by
+//!   their nnz. Each row's claims run in claim order through the worker's
+//!   [`SparseAccumulator`](spmm_sparse::SparseAccumulator), which drains
+//!   the row in column order. One segment is C; several are stitched by
 //!   [`concat_row_bands`](crate::shard::concat_row_bands).
 //! * [`ExecPolicy::PerClaim`] — the oracle: the serial
 //!   [`reference::spmm_claims`], which shares no code with the batched
-//!   path (no SPA type, no thread pool, no workspaces). The equivalence
-//!   suite pins the batched path against it bit for bit.
+//!   path (no accumulator type, no thread pool, no workspaces). The
+//!   equivalence suite pins the batched path against it bit for bit.
 //!
 //! Bit-identity of the batched output holds by construction: each output
 //! row's claims are visited in claim index order, the oracle's order;
 //! every claim's run is [`scatter_row`](crate::kernels::scatter_row)'s
-//! accumulation, which is the oracle's (first touch stores `a·b`, later
-//! touches `+=`, in A-row visit order); and a multi-claim row's column
-//! holds `T::ZERO + v` after its first claim and `+= v` after each later
-//! one — the very operations, in the very order, of the oracle's per-row
-//! sum. A one-claim row is kept verbatim by both. Segment cuts only decide
-//! which worker drains a row, never how.
+//! accumulation in A-row visit order onto a −0.0 seed, which has the bits
+//! of the oracle's "first touch stores `a·b`, later touches `+=`"; and a
+//! multi-claim row's column sums its runs from zero in claim order, a run
+//! that missed it adding −0.0 — the oracle's per-row sum. A one-claim row
+//! is kept verbatim by both. Segment cuts only decide which worker drains
+//! a row, never how.
 
 use std::ops::Range;
 
 use spmm_hetsim::DeviceKind;
 use spmm_parallel::ThreadPool;
-use spmm_sparse::{reference, CsrMatrix, EngineWorkspace, Scalar, WorkspacePool};
+use spmm_sparse::{reference, CsrMatrix, Scalar, WorkspacePool};
 
 use crate::kernels::scatter_row;
 use crate::shard::concat_row_bands;
@@ -153,8 +147,8 @@ pub fn execute<T: Scalar>(
 /// (see the module docs). One segment is returned as C; several are
 /// stitched in row order.
 ///
-/// Per-claim entry counts are each claim's SPA nnz before its fold — the
-/// oracle's run lengths — so `ExecCounts` (and every simulated
+/// Per-claim entry counts are each claim's distinct columns in its row —
+/// the oracle's run lengths — so `ExecCounts` (and every simulated
 /// Phase-IV cost downstream) is the same under either policy.
 fn execute_batched<T: Scalar>(
     a: &CsrMatrix<T>,
@@ -219,30 +213,17 @@ fn execute_batched<T: Scalar>(
         let mut indptr = Vec::with_capacity(rows.len() + 1);
         indptr.push(0);
         let mut counts = vec![0; claims.len()];
-        let mut ws = workspaces.acquire::<T>(ncols);
-        let EngineWorkspace { spa, outer } = &mut *ws;
+        let mut acc = workspaces.acquire::<T>(ncols);
         for r in rows.clone() {
-            match src[src_off[r]..src_off[r + 1]] {
-                [] => {}
-                [ci] => {
-                    let ci = ci as usize;
-                    scatter_row(a, b, r, claims[ci].b_mask, spa);
-                    counts[ci] += spa.drain_into(&mut indices, &mut values);
-                }
-                [first, ref rest @ ..] => {
-                    let first = first as usize;
-                    scatter_row(a, b, r, claims[first].b_mask, outer);
-                    counts[first] += outer.nnz();
-                    outer.start_fold();
-                    for &ci in rest {
-                        let ci = ci as usize;
-                        scatter_row(a, b, r, claims[ci].b_mask, spa);
-                        counts[ci] += spa.nnz();
-                        spa.fold_into(outer);
-                    }
-                    outer.drain_into(&mut indices, &mut values);
-                }
-            }
+            let row_claims = &src[src_off[r]..src_off[r + 1]];
+            let claim = |k: usize| row_claims[k] as usize;
+            acc.accumulate_row(
+                row_claims.len(),
+                |k, lane| scatter_row(a, b, r, claims[claim(k)].b_mask, lane),
+                |k, n| counts[claim(k)] += n,
+                &mut indices,
+                &mut values,
+            );
             indptr.push(indices.len());
         }
         let band = CsrMatrix::from_parts_unchecked(rows.len(), ncols, indptr, indices, values);

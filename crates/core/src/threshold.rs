@@ -419,10 +419,15 @@ fn empirical_threshold<T: Scalar>(
     (best.1, best.2)
 }
 
-/// Simulate every candidate `t` of an ascending `ladder` (one threshold
-/// for both operands) with the default work units, and fold each one's
-/// ladder index, plan and width tables into a per-group accumulator.
+/// Simulate every distinct candidate `t` of an ascending `ladder` (one
+/// threshold for both operands) with the default work units, and fold each
+/// one's ladder index, plan and width tables into a per-group accumulator.
 /// Returns the group accumulators.
+///
+/// A candidate that classifies every row of A and B as an earlier one does
+/// ([`ladder_classes`]) has that candidate's plan, so it is not simulated
+/// and not folded: the lowest `t` of each class stands for it, which is
+/// the one a tie goes to anyway.
 ///
 /// One [`ladder_output_widths`] pass sizes every candidate's `B_L` widths.
 /// The ladder is then dealt into interleaved groups, one per host thread
@@ -446,8 +451,11 @@ fn fold_ladder<T: Scalar, R: Send>(
     init: impl Fn() -> R + Sync,
     fold: impl Fn(&mut R, usize, (PhasePlan, WidthTables)) + Sync,
 ) -> Vec<R> {
+    let classes = ladder_classes(ladder, sym_a, sym_b);
+    let kept: Vec<usize> = (0..ladder.len()).filter(|&k| classes[k] == k).collect();
+    let ladder: Vec<usize> = kept.iter().map(|&k| ladder[k]).collect();
     let (n, m) = (a.nrows(), ladder.len());
-    let table = ladder_output_widths(a, b, ladder, &ctx.pool, &ctx.workspaces);
+    let table = ladder_output_widths(a, b, &ladder, &ctx.pool, &ctx.workspaces);
     // groups past the hardware's parallelism would only timeslice, each
     // repeating the walk
     let hw = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
@@ -477,10 +485,32 @@ fn fold_ladder<T: Scalar, R: Send>(
             };
             let t = (ladder[k], ladder[k]);
             let candidate = evaluate(&mut sim, a, b, t, sym_a, sym_b, widths, price);
-            fold(&mut acc, k, candidate);
+            fold(&mut acc, kept[k], candidate);
         }
         acc
     })
+}
+
+/// For each threshold of an ascending `ladder`, the index of the first one
+/// that splits A and B into the same high and low rows. Thresholds with no
+/// row size of either operand between them have equal high-row counts —
+/// a higher threshold only moves rows from high to low — and every plan
+/// input is a function of the split, so the two plans are identical.
+fn ladder_classes(
+    ladder: &[usize],
+    sym_a: &SymbolicStructure,
+    sym_b: &SymbolicStructure,
+) -> Vec<usize> {
+    let split = |t| (sym_a.hd_rows(t), sym_b.hd_rows(t));
+    let mut first = 0;
+    (0..ladder.len())
+        .map(|k| {
+            if split(ladder[k]) != split(ladder[first]) {
+                first = k;
+            }
+            first
+        })
+        .collect()
 }
 
 /// The thresholds [`ThresholdPolicy::Empirical`] weighs: a log-spaced
@@ -562,7 +592,8 @@ pub(crate) fn evaluate<T: Scalar>(
 /// twice for the self-product. The thresholds share one width pass and one
 /// Phase II walk per candidate group, exactly as the empirical search's
 /// candidates do, and each pair is bit-identical to the one-threshold
-/// ladder `&[t]`.
+/// ladder `&[t]`. A threshold that splits the rows as a lower one does
+/// copies that one's walls instead of being simulated.
 pub fn estimate_ladder_with<T: Scalar>(
     ctx: &HeteroContext,
     a: &CsrMatrix<T>,
@@ -574,9 +605,12 @@ pub fn estimate_ladder_with<T: Scalar>(
     let walls = |out: &mut Vec<_>, k, (plan, _): (PhasePlan, _)| {
         out.push((k, (plan.phase2.wall(), plan.phase3.wall())));
     };
-    let mut swept = fold_ladder(ctx, a, b, ladder, sym_a, sym_b, Vec::new, walls).concat();
-    swept.sort_unstable_by_key(|&(k, _)| k);
-    swept.into_iter().map(|(_, walls)| walls).collect()
+    let mut swept = vec![(0.0, 0.0); ladder.len()];
+    for (k, walls) in fold_ladder(ctx, a, b, ladder, sym_a, sym_b, Vec::new, walls).concat() {
+        swept[k] = walls;
+    }
+    let classes = ladder_classes(ladder, sym_a, sym_b);
+    (0..ladder.len()).map(|k| swept[classes[k]]).collect()
 }
 
 /// GPU output-width tables of one threshold pair's masks, each built on
@@ -914,6 +948,53 @@ mod tests {
         let zero = identify(&ctx, &a, &a, ThresholdPolicy::Empirical { candidates: 0 });
         let one = identify(&ctx, &a, &a, ThresholdPolicy::Empirical { candidates: 1 });
         assert_eq!(zero, one);
+    }
+
+    /// A square operand whose rows hold 1, 3, 12 or 40 entries, so the
+    /// thresholds 4 and 8, and 16 and 32, split its rows alike.
+    fn gapped(n: usize) -> CsrMatrix<f64> {
+        let mut coo = spmm_sparse::CooMatrix::new(n, n);
+        for i in 0..n {
+            for j in 0..[1, 3, 12, 40][i % 4] {
+                coo.push(i, (i * 7 + j * 131) % n, 1.0 + j as f64 / 8.0);
+            }
+        }
+        coo.to_csr().unwrap()
+    }
+
+    #[test]
+    fn duplicate_ladder_thresholds_match_one_threshold_ladders() {
+        let ctx = HeteroContext::scaled(32);
+        let a = gapped(2_000);
+        let sym = SymbolicStructure::from_matrix(&a);
+        let ladder = [0, 1, 2, 4, 8, 16, 32, 41];
+        assert_eq!(
+            ladder_classes(&ladder, &sym, &sym),
+            [0, 0, 2, 3, 3, 5, 5, 7]
+        );
+        let alone = |t| estimate_ladder_with(&ctx, &a, &a, &[t], &sym, &sym)[0];
+        let swept = estimate_ladder_with(&ctx, &a, &a, &ladder, &sym, &sym);
+        for (&t, &(p2, p3)) in ladder.iter().zip(&swept) {
+            let (want2, want3) = alone(t);
+            assert_eq!(
+                (p2.to_bits(), p3.to_bits()),
+                (want2.to_bits(), want3.to_bits()),
+                "t = {t}"
+            );
+        }
+        // the empirical search weighs both pairs and picks the first
+        // minimum of the one-threshold totals
+        let ladder = empirical_ladder(&sym, &sym, 16);
+        assert!(ladder.windows(2).any(|w| w == [4, 8]) && ladder.windows(2).any(|w| w == [16, 32]));
+        let mut best = (f64::INFINITY, 0);
+        for &t in &ladder {
+            let (p2, p3) = alone(t);
+            if p2 + p3 < best.0 {
+                best = (p2 + p3, t);
+            }
+        }
+        let th = identify(&ctx, &a, &a, ThresholdPolicy::Empirical { candidates: 16 });
+        assert_eq!((th.t_a, th.t_b), (best.1, best.1));
     }
 
     #[test]

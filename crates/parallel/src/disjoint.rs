@@ -6,15 +6,22 @@
 //! cannot see that through a work-stealing loop, so this wrapper carries
 //! the invariant instead: it shares a raw pointer and exposes only a write
 //! entry point marked `unsafe`, with the disjointness obligation on the
-//! caller.
+//! caller. Debug builds check that obligation: every write sets its
+//! index's bit in an atomic bitset, and a second write to one index
+//! panics, so the debug test suite checks every user.
 
 use std::marker::PhantomData;
+#[cfg(debug_assertions)]
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A `&mut [T]` that can be written from many threads at once, provided
 /// every thread writes a disjoint set of indices.
 pub struct DisjointSlice<'a, T> {
     ptr: *mut T,
     len: usize,
+    /// One bit per index, set by its first write (debug builds only).
+    #[cfg(debug_assertions)]
+    written: Box<[AtomicU64]>,
     _borrow: PhantomData<&'a mut [T]>,
 }
 
@@ -32,6 +39,10 @@ impl<'a, T> DisjointSlice<'a, T> {
         Self {
             ptr: data.as_mut_ptr(),
             len: data.len(),
+            #[cfg(debug_assertions)]
+            written: (0..data.len().div_ceil(64))
+                .map(|_| AtomicU64::new(0))
+                .collect(),
             _borrow: PhantomData,
         }
     }
@@ -51,10 +62,19 @@ impl<'a, T> DisjointSlice<'a, T> {
     /// # Safety
     ///
     /// No other thread may read or write index `idx` for the lifetime of
-    /// this wrapper.
+    /// this wrapper. Debug builds panic on a second write to `idx`.
     #[inline]
     pub unsafe fn write(&self, idx: usize, value: T) {
         debug_assert!(idx < self.len);
+        #[cfg(debug_assertions)]
+        {
+            // the bitset publishes no data, and `fetch_or`s on one word are
+            // totally ordered, so two writers of one index cannot both see
+            // its bit clear
+            let bit = 1u64 << (idx % 64);
+            let seen = self.written[idx / 64].fetch_or(bit, Ordering::Relaxed);
+            assert!(seen & bit == 0, "DisjointSlice: index {idx} written twice");
+        }
         unsafe { self.ptr.add(idx).write(value) };
     }
 }
@@ -63,6 +83,13 @@ impl<'a, T> DisjointSlice<'a, T> {
 mod tests {
     use super::*;
     use crate::ThreadPool;
+
+    /// `out.write(i, v)` for the tests, each of which writes every index
+    /// once — except the one that breaks the rule on purpose and is
+    /// stopped by the debug check before the second write lands.
+    fn put(out: &DisjointSlice<'_, u64>, i: usize, v: u64) {
+        unsafe { out.write(i, v) };
+    }
 
     #[test]
     fn parallel_disjoint_writes_land() {
@@ -77,12 +104,23 @@ mod tests {
                 |_, range| {
                     for i in range {
                         // each index written exactly once → disjoint
-                        unsafe { out.write(i, (i * 3) as u64) };
+                        put(&out, i, (i * 3) as u64);
                     }
                 },
             );
         }
         assert!(data.iter().enumerate().all(|(i, &v)| v == (i * 3) as u64));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "index 70 written twice")]
+    fn debug_builds_refuse_a_second_write_to_one_index() {
+        let mut data = vec![0u64; 100];
+        let out = DisjointSlice::new(&mut data);
+        for i in [3, 69, 70, 71, 70] {
+            put(&out, i, 1);
+        }
     }
 
     #[test]

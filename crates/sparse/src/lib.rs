@@ -30,7 +30,7 @@ pub mod reference;
 pub mod scalar;
 pub mod workspace;
 
-pub use accumulator::{RowSizer, SparseAccumulator};
+pub use accumulator::{Lane, RowSizer, SparseAccumulator};
 pub use coo::CooMatrix;
 pub use csc::CscMatrix;
 pub use csr::CsrMatrix;
@@ -38,7 +38,7 @@ pub use dense::DenseMatrix;
 pub use error::SparseError;
 pub use histogram::RowHistogram;
 pub use scalar::Scalar;
-pub use workspace::{EngineWorkspace, PooledSizer, PooledWorkspace, WorkspacePool};
+pub use workspace::{Pooled, PooledSizer, PooledWorkspace, WorkspacePool};
 
 /// Index type used for column indices. `u32` halves the memory traffic of the
 /// kernels relative to `usize`; all matrices in the paper's dataset fit

@@ -1,11 +1,12 @@
 //! Pooled per-thread engine workspaces.
 //!
-//! Every numeric pass needs O(ncols) dense state: the SPAs' value arrays
-//! and occupancy bitmaps, or the sizer's stamp array for a symbolic pass
-//! (the GPU model's output-width tables). Without pooling, every executed
-//! schedule and every width table of a Phase-I ladder candidate would
-//! allocate and zero that state from scratch on every worker. The pool
-//! makes the allocation once per concurrent user and reuses it forever.
+//! Every numeric pass needs O(ncols) dense state: the accumulator's two
+//! −0.0-seeded value arrays and its bitmaps, or the sizer's stamp array
+//! for a symbolic pass (the GPU model's output-width tables). Without
+//! pooling, every executed schedule and every width table of a Phase-I
+//! ladder candidate would allocate and seed that state from scratch on
+//! every worker. The pool makes the allocation once per concurrent user
+//! and reuses it forever.
 //!
 //! Lifetime rules:
 //!
@@ -14,8 +15,10 @@
 //!   `Drop` returns it.
 //! * Checked-in workspaces are width-agnostic: `acquire` fits the dense
 //!   arrays to the requested `ncols` on the way out (`ensure_ncols` grows
-//!   clear bits and bounds the SPA's word scan to the product's width), so
-//!   one pool serves matrices of any shape, and the pool never shrinks.
+//!   −0.0 slots and clear bits and bounds the accumulator to the product's
+//!   width), so one pool serves matrices of any shape, and the pool never
+//!   shrinks. Every drain leaves its slots −0.0 and its bits clear, so a
+//!   returned workspace is as clean as a fresh one.
 //! * The pool is `Sync`; checkout is a short mutex pop, never held across
 //!   row work. Distinct scalar types coexist keyed by `TypeId`.
 
@@ -26,50 +29,22 @@ use std::sync::Mutex;
 
 use crate::{RowSizer, Scalar, SparseAccumulator};
 
-/// Everything one worker thread needs for the numeric pass: the dense SPA
-/// and a second one the batched executor folds multi-claim rows into.
-#[derive(Debug)]
-pub struct EngineWorkspace<T> {
-    /// Dense SPA, the numeric accumulator (O(ncols) values + bitmap).
-    pub spa: SparseAccumulator<T>,
-    /// Second dense SPA: a multi-claim row's first claim scatters here
-    /// and every later claim's run folds into it.
-    pub outer: SparseAccumulator<T>,
-}
-
-impl<T: Scalar> EngineWorkspace<T> {
-    /// Workspace covering outputs with `ncols` columns.
-    pub fn new(ncols: usize) -> Self {
-        Self {
-            spa: SparseAccumulator::new(ncols),
-            outer: SparseAccumulator::new(ncols),
-        }
-    }
-
-    /// Fit both SPAs to a product `ncols` wide.
-    pub fn ensure_ncols(&mut self, ncols: usize) {
-        self.spa.ensure_ncols(ncols);
-        self.outer.ensure_ncols(ncols);
-    }
-}
-
-/// Thread-safe pool of [`EngineWorkspace`]s and bare [`RowSizer`]s.
+/// Thread-safe pool of [`SparseAccumulator`]s, one per worker of the
+/// numeric pass, and bare [`RowSizer`]s, one free list per type.
 /// Checkout pops from a free list (or builds fresh on a dry pool); the
 /// guard's `Drop` pushes back. Lives on `HeteroContext` so state survives
 /// across products, ladder candidates, and repeated multiplies.
 #[derive(Default)]
 pub struct WorkspacePool {
-    sizers: Mutex<Vec<RowSizer>>,
     stores: Mutex<HashMap<TypeId, Vec<Box<dyn Any + Send>>>>,
 }
 
 impl std::fmt::Debug for WorkspacePool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let sizers = self.sizers.lock().map(|s| s.len()).unwrap_or(0);
         let stores = self.stores.lock().map(|s| s.len()).unwrap_or(0);
         f.debug_struct("WorkspacePool")
-            .field("idle_sizers", &sizers)
-            .field("scalar_types", &stores)
+            .field("idle_sizers", &self.idle_sizers())
+            .field("types", &stores)
             .finish()
     }
 }
@@ -80,114 +55,91 @@ impl WorkspacePool {
         Self::default()
     }
 
-    /// Check out a workspace whose dense arrays cover `ncols` columns.
+    /// Check out an accumulator fitted to a product `ncols` wide.
     pub fn acquire<T: Scalar>(&self, ncols: usize) -> PooledWorkspace<'_, T> {
-        let popped = self
-            .stores
-            .lock()
-            .unwrap()
-            .get_mut(&TypeId::of::<EngineWorkspace<T>>())
-            .and_then(Vec::pop);
-        let mut ws = match popped {
-            Some(boxed) => *boxed
-                .downcast::<EngineWorkspace<T>>()
-                .expect("pool entry keyed by its own TypeId"),
-            None => EngineWorkspace::new(ncols),
-        };
+        let mut ws = self.checkout(|| SparseAccumulator::new(ncols));
         ws.ensure_ncols(ncols);
-        PooledWorkspace {
-            pool: self,
-            ws: Some(ws),
-        }
+        ws
     }
 
     /// Check out a bare symbolic sizer covering `ncols` columns (the width
     /// tables need no numeric state).
     pub fn acquire_sizer(&self, ncols: usize) -> PooledSizer<'_> {
-        let mut sizer = self
-            .sizers
+        let mut sizer = self.checkout(|| RowSizer::new(ncols));
+        sizer.ensure_ncols(ncols);
+        sizer
+    }
+
+    /// Pop an idle `W`, or build one on a dry pool.
+    fn checkout<W: Any + Send>(&self, fresh: impl FnOnce() -> W) -> Pooled<'_, W> {
+        let popped = self
+            .stores
             .lock()
             .unwrap()
-            .pop()
-            .unwrap_or_else(|| RowSizer::new(ncols));
-        sizer.ensure_ncols(ncols);
-        PooledSizer {
+            .get_mut(&TypeId::of::<W>())
+            .and_then(Vec::pop);
+        let ws = popped.map_or_else(fresh, |boxed| {
+            *boxed
+                .downcast()
+                .expect("pool entry keyed by its own TypeId")
+        });
+        Pooled {
             pool: self,
-            sizer: Some(sizer),
+            ws: Some(ws),
         }
+    }
+
+    /// Idle `W`s held (test/introspection hook).
+    fn idle<W: Any>(&self) -> usize {
+        let stores = self.stores.lock().unwrap();
+        stores.get(&TypeId::of::<W>()).map_or(0, Vec::len)
     }
 
     /// Idle workspaces held for scalar type `T` (test/introspection hook).
     pub fn idle_workspaces<T: Scalar>(&self) -> usize {
-        self.stores
-            .lock()
-            .unwrap()
-            .get(&TypeId::of::<EngineWorkspace<T>>())
-            .map_or(0, Vec::len)
+        self.idle::<SparseAccumulator<T>>()
     }
 
     /// Idle bare sizers held (test/introspection hook).
     pub fn idle_sizers(&self) -> usize {
-        self.sizers.lock().unwrap().len()
+        self.idle::<RowSizer>()
     }
 }
 
-/// Checkout guard for an [`EngineWorkspace`]; returns it on drop.
-pub struct PooledWorkspace<'p, T: Scalar> {
+/// Checkout guard for a pooled workspace; returns it to its free list on
+/// drop.
+pub struct Pooled<'p, W: Any + Send> {
     pool: &'p WorkspacePool,
-    ws: Option<EngineWorkspace<T>>,
+    ws: Option<W>,
 }
 
-impl<T: Scalar> Deref for PooledWorkspace<'_, T> {
-    type Target = EngineWorkspace<T>;
-    fn deref(&self) -> &Self::Target {
+/// Checkout guard for a pooled [`SparseAccumulator`].
+pub type PooledWorkspace<'p, T> = Pooled<'p, SparseAccumulator<T>>;
+
+/// Checkout guard for a bare [`RowSizer`].
+pub type PooledSizer<'p> = Pooled<'p, RowSizer>;
+
+impl<W: Any + Send> Deref for Pooled<'_, W> {
+    type Target = W;
+    fn deref(&self) -> &W {
         self.ws.as_ref().expect("present until drop")
     }
 }
 
-impl<T: Scalar> DerefMut for PooledWorkspace<'_, T> {
-    fn deref_mut(&mut self) -> &mut Self::Target {
+impl<W: Any + Send> DerefMut for Pooled<'_, W> {
+    fn deref_mut(&mut self) -> &mut W {
         self.ws.as_mut().expect("present until drop")
     }
 }
 
-impl<T: Scalar> Drop for PooledWorkspace<'_, T> {
+impl<W: Any + Send> Drop for Pooled<'_, W> {
     fn drop(&mut self) {
         if let Some(ws) = self.ws.take() {
-            self.pool
-                .stores
-                .lock()
-                .unwrap()
-                .entry(TypeId::of::<EngineWorkspace<T>>())
+            let mut stores = self.pool.stores.lock().unwrap();
+            stores
+                .entry(TypeId::of::<W>())
                 .or_default()
                 .push(Box::new(ws));
-        }
-    }
-}
-
-/// Checkout guard for a bare [`RowSizer`]; returns it on drop.
-pub struct PooledSizer<'p> {
-    pool: &'p WorkspacePool,
-    sizer: Option<RowSizer>,
-}
-
-impl Deref for PooledSizer<'_> {
-    type Target = RowSizer;
-    fn deref(&self) -> &Self::Target {
-        self.sizer.as_ref().expect("present until drop")
-    }
-}
-
-impl DerefMut for PooledSizer<'_> {
-    fn deref_mut(&mut self) -> &mut Self::Target {
-        self.sizer.as_mut().expect("present until drop")
-    }
-}
-
-impl Drop for PooledSizer<'_> {
-    fn drop(&mut self) {
-        if let Some(sizer) = self.sizer.take() {
-            self.pool.sizers.lock().unwrap().push(sizer);
         }
     }
 }
@@ -195,12 +147,20 @@ impl Drop for PooledSizer<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::accumulator::tests::is_clean;
 
-    /// Drain a workspace SPA's current row, returning its columns.
-    fn drain(spa: &mut SparseAccumulator<f64>) -> Vec<u32> {
+    /// Run `runs` as the claims of one row on a checked-out accumulator,
+    /// returning the row's (column, value) entries.
+    fn row(acc: &mut SparseAccumulator<f64>, runs: &[&[(u32, f64)]]) -> Vec<(u32, f64)> {
         let (mut cols, mut vals) = (Vec::new(), Vec::new());
-        spa.drain_into(&mut cols, &mut vals);
-        cols
+        acc.accumulate_row(
+            runs.len(),
+            |k, mut lane| runs[k].iter().for_each(|&(c, v)| lane.scatter(c, v)),
+            |_, _| {},
+            &mut cols,
+            &mut vals,
+        );
+        cols.into_iter().zip(vals).collect()
     }
 
     #[test]
@@ -209,14 +169,13 @@ mod tests {
         assert_eq!(pool.idle_workspaces::<f64>(), 0);
         {
             let mut ws = pool.acquire::<f64>(16);
-            ws.spa.scatter(3, 1.0);
-            drain(&mut ws.spa);
+            row(&mut ws, &[&[(3, 1.0)]]);
         }
         assert_eq!(pool.idle_workspaces::<f64>(), 1);
         // second checkout reuses the same allocation, already wide enough
         let ws = pool.acquire::<f64>(8);
         assert_eq!(pool.idle_workspaces::<f64>(), 0);
-        assert!(ws.spa.ncols() >= 16);
+        assert!(ws.ncols() >= 16);
     }
 
     #[test]
@@ -224,37 +183,62 @@ mod tests {
         let pool = WorkspacePool::new();
         {
             let mut ws = pool.acquire::<f64>(4);
-            ws.spa.scatter(2, 9.0);
-            drain(&mut ws.spa);
-            ws.outer.scatter(1, 9.0);
-            drain(&mut ws.outer);
+            row(&mut ws, &[&[(2, 9.0)]]);
+            row(&mut ws, &[&[(2, 9.0)], &[(1, 9.0)]]);
         }
-        // wider checkout: grown slots and drained bits must read untouched
+        // wider checkout: grown slots and drained slots must read untouched
         let mut ws = pool.acquire::<f64>(320);
-        assert!(ws.spa.scatter(2, 1.0), "stale SPA bit aliased");
-        assert!(ws.spa.scatter(300, 1.0), "grown SPA slot not clean");
-        assert_eq!(drain(&mut ws.spa), vec![2, 300]);
-        assert!(ws.outer.scatter(1, 1.0), "stale fold-SPA bit aliased");
-        assert!(ws.outer.scatter(319, 1.0), "grown fold-SPA slot not clean");
+        let got = row(&mut ws, &[&[(300, 1.0), (2, 1.0)]]);
+        assert_eq!(got, vec![(2, 1.0), (300, 1.0)], "stale or unseeded lane 0");
+        let got = row(&mut ws, &[&[], &[(319, 1.0), (1, 1.0)]]);
+        assert_eq!(got, vec![(1, 1.0), (319, 1.0)], "stale or unseeded lane 1");
     }
 
     #[test]
     fn soa_drains_stay_clean_through_the_pool() {
-        // Both drains (a word scan at 64 columns, a sort at 64k) must leave
-        // a pooled workspace clean: no stale bits on the next checkout,
-        // whatever width it is fitted to.
+        // Both drains (one claim verbatim, two claims folded), at one
+        // summary word and at sixteen, must leave a pooled workspace
+        // clean: no stale slot or bit on the next checkout, whatever width
+        // it is fitted to.
         let pool = WorkspacePool::new();
         for ncols in [64, 65_536] {
             {
                 let mut ws = pool.acquire::<f64>(ncols);
-                ws.spa.scatter(5, 1.0);
-                ws.spa.scatter(2, 2.0);
-                assert_eq!(drain(&mut ws.spa), vec![2, 5]);
+                assert_eq!(row(&mut ws, &[&[(5, 1.0), (2, 2.0)]]), [(2, 2.0), (5, 1.0)]);
+                assert_eq!(
+                    row(&mut ws, &[&[(5, 1.0)], &[(2, 2.0)]]),
+                    [(2, 2.0), (5, 1.0)]
+                );
             }
             let mut ws = pool.acquire::<f64>(64);
-            assert!(ws.spa.scatter(5, 1.0), "stale SPA bit after drain");
-            assert_eq!(ws.spa.nnz(), 1, "SPA not reset by drain");
-            assert_eq!(drain(&mut ws.spa), vec![5]);
+            assert!(is_clean(&ws), "stale slot or bit after the drains");
+            assert_eq!(row(&mut ws, &[&[(5, 1.0)]]), [(5, 1.0)]);
+        }
+    }
+
+    /// A pooled accumulator checked out narrow, then wide, then narrow
+    /// again is clean after every drain: every value slot −0.0 by its bits
+    /// (a slot grown as +0.0 would turn a −0.0 product into +0.0) and every
+    /// bitmap and summary word zero.
+    #[test]
+    fn pooled_accumulator_stays_seeded_narrow_wide_narrow() {
+        let pool = WorkspacePool::new();
+        for ncols in [100usize, 9_000, 100] {
+            let mut ws = pool.acquire::<f64>(ncols);
+            assert!(is_clean(&ws), "{ncols} columns: checked out unclean");
+            let far = ncols as u32 - 1;
+            let runs: [&[(u32, f64)]; 3] = [
+                &[(far, -0.0), (0, 1.0), (far, -0.0)],
+                &[(0, 2.0), (far / 2, -0.0)],
+                &[(far / 2, 3.0), (far, -0.0)],
+            ];
+            for claims in 1..=3 {
+                let got = row(&mut ws, &runs[..claims]);
+                assert!(is_clean(&ws), "{ncols} columns, {claims} claims");
+                let (col, v) = *got.last().expect("the row has entries");
+                let want = if claims == 1 { -0.0f64 } else { 0.0 };
+                assert_eq!((col, v.to_bits()), (far, want.to_bits()));
+            }
         }
     }
 
@@ -289,8 +273,7 @@ mod tests {
                 scope.spawn(|| {
                     for _ in 0..8 {
                         let mut ws = pool.acquire::<f64>(64);
-                        ws.spa.scatter(1, 1.0);
-                        drain(&mut ws.spa);
+                        row(&mut ws, &[&[(1, 1.0)]]);
                     }
                 });
             }

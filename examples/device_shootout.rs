@@ -23,7 +23,8 @@
 //! * times end-to-end `hh_cpu` under the serial claims oracle
 //!   (`ExecPolicy::PerClaim`) vs the production batched executor on every
 //!   Table I clone, at 8 host threads and at one, failing on any bit of
-//!   output or profile drift (`exec_perf`);
+//!   output or profile drift, and sets the one-thread executor against a
+//!   bare dense scatter of the same flops, its roofline (`exec_perf`);
 //! * times the register-tiled csrmm sweep vs the naive reference
 //!   (`csrmm_perf`), failing hard on any bit drift between the two;
 //! * times the sharded driver — uncapped and under a spilling byte cap —
@@ -37,12 +38,14 @@
 
 use std::time::Instant;
 
+use hetero_spmm::core::schedule::{self, ClaimSchedule, ScheduledClaim};
 use hetero_spmm::core::{threshold, SymbolicStructure};
 use hetero_spmm::hetsim::gpu::{ladder_output_widths, masked_output_widths_pooled};
-use hetero_spmm::hetsim::{CpuDevice, GpuDevice};
+use hetero_spmm::hetsim::{CpuDevice, DeviceKind, GpuDevice};
 use hetero_spmm::parallel::ThreadPool;
 use hetero_spmm::prelude::*;
 use hetero_spmm::serve::{replay, MultiplyRequest, ReplayOptions, ServiceConfig, SpmmService};
+use hetero_spmm::sparse::WorkspacePool;
 
 fn run(name: &str, a: &CsrMatrix<f64>, cpu: &mut CpuDevice, gpu: &mut GpuDevice) {
     cpu.reset();
@@ -290,7 +293,11 @@ fn phase1_perf() -> String {
 /// Table I clone, at 8 host threads (`exec_*` keys) and at one, the
 /// benchmark's and the serve default's engine width (`exec_1t_*` keys),
 /// and fail hard if the batched product or its simulated profile deviates
-/// by a single bit. Returns the JSON fragment for the CI artifact.
+/// by a single bit. At one host thread it also times the batched executor
+/// alone against a bare dense scatter of the same flops
+/// (`exec_1t_execute_ms`, `exec_1t_bare_ms`; their ratio is
+/// `exec_1t_roofline_share`). Returns the JSON fragment for the CI
+/// artifact.
 fn exec_perf() -> String {
     let threads = 8;
     let reps = 2;
@@ -299,42 +306,55 @@ fn exec_perf() -> String {
          ({threads} host threads / 1 host thread, best of {reps}):"
     );
     let mut rows = Vec::new();
-    let mut totals = [0.0f64; 4];
+    let mut totals = [0.0f64; 6];
     for d in Dataset::all() {
         let name = d.entry().name;
         let a = d.load::<f64>(32);
         let (serial_ms, batched_ms) = time_exec(&d, &a, threads, reps);
         let (serial_1t_ms, batched_1t_ms) = time_exec(&d, &a, 1, reps);
+        let (execute_1t_ms, bare_1t_ms) = time_roofline(&a, 5);
         println!(
             "  {name:<14} serial {serial_ms:>8.2} ms | batched {batched_ms:>8.2} ms | {:.2}x \
-             || 1t: serial {serial_1t_ms:>8.2} ms | batched {batched_1t_ms:>8.2} ms | {:.2}x",
+             || 1t: serial {serial_1t_ms:>8.2} ms | batched {batched_1t_ms:>8.2} ms | {:.2}x \
+             | execute {execute_1t_ms:>7.2} ms vs bare {bare_1t_ms:>6.2} ms",
             serial_ms / batched_ms,
             serial_1t_ms / batched_1t_ms,
         );
-        for (total, ms) in
-            totals
-                .iter_mut()
-                .zip([serial_ms, batched_ms, serial_1t_ms, batched_1t_ms])
-        {
+        let timed = [
+            serial_ms,
+            batched_ms,
+            serial_1t_ms,
+            batched_1t_ms,
+            execute_1t_ms,
+            bare_1t_ms,
+        ];
+        for (total, ms) in totals.iter_mut().zip(timed) {
             *total += ms;
         }
         rows.push(format!(
             "    {{\"name\": \"{name}\", \"exec_serial_ms\": {serial_ms:.4}, \
              \"exec_batched_ms\": {batched_ms:.4}, \"exec_speedup\": {:.4}, \
              \"exec_1t_serial_ms\": {serial_1t_ms:.4}, \
-             \"exec_1t_batched_ms\": {batched_1t_ms:.4}, \"exec_1t_speedup\": {:.4}}}",
+             \"exec_1t_batched_ms\": {batched_1t_ms:.4}, \"exec_1t_speedup\": {:.4}, \
+             \"exec_1t_execute_ms\": {execute_1t_ms:.4}, \"exec_1t_bare_ms\": {bare_1t_ms:.4}, \
+             \"exec_1t_roofline_share\": {:.4}}}",
             serial_ms / batched_ms,
             serial_1t_ms / batched_1t_ms,
+            bare_1t_ms / execute_1t_ms,
         ));
     }
-    let [serial_total, batched_total, serial_1t_total, batched_1t_total] = totals;
+    let [serial_total, batched_total, serial_1t_total, batched_1t_total, execute_1t_total, bare_1t_total] =
+        totals;
     println!(
         "  exec total: serial {serial_total:.2} ms | batched {batched_total:.2} ms | {:.2}x \
          (speedup needs a multi-core runner)\n  \
          exec total at 1 host thread: serial {serial_1t_total:.2} ms | \
-         batched {batched_1t_total:.2} ms | {:.2}x",
+         batched {batched_1t_total:.2} ms | {:.2}x\n  \
+         roofline at 1 host thread: execute {execute_1t_total:.2} ms | \
+         bare scatter {bare_1t_total:.2} ms | share {:.3}",
         serial_total / batched_total,
         serial_1t_total / batched_1t_total,
+        bare_1t_total / execute_1t_total,
     );
 
     format!(
@@ -345,9 +365,13 @@ fn exec_perf() -> String {
          \"exec_1t_serial_ms\": {serial_1t_total:.4},\n  \
          \"exec_1t_batched_ms\": {batched_1t_total:.4},\n  \
          \"exec_1t_speedup\": {:.4},\n  \
+         \"exec_1t_execute_ms\": {execute_1t_total:.4},\n  \
+         \"exec_1t_bare_ms\": {bare_1t_total:.4},\n  \
+         \"exec_1t_roofline_share\": {:.4},\n  \
          \"exec_matrices\": [\n{}\n  ]",
         serial_total / batched_total,
         serial_1t_total / batched_1t_total,
+        bare_1t_total / execute_1t_total,
         rows.join(",\n"),
     )
 }
@@ -389,6 +413,47 @@ fn time_exec(d: &Dataset, a: &CsrMatrix<f64>, threads: usize, reps: usize) -> (f
         batched_ms = batched_ms.min(t0.elapsed().as_secs_f64() * 1e3);
     }
     (serial_ms, batched_ms)
+}
+
+/// Best-of-`reps` wall ms, at one host thread, of the batched executor
+/// running all of `a × a` as one claim and of a bare dense scatter of the
+/// same flops (`v[c] += a·b` into one dense array: no bitmap, no output),
+/// the executor's roofline.
+fn time_roofline(a: &CsrMatrix<f64>, reps: usize) -> (f64, f64) {
+    let pool = ThreadPool::new(1);
+    let workspaces = WorkspacePool::new();
+    let rows: Vec<usize> = (0..a.nrows()).collect();
+    let whole = ClaimSchedule {
+        claims: vec![ScheduledClaim {
+            device: DeviceKind::Cpu,
+            rows: &rows,
+            b_mask: None,
+            sim_ns: 0.0,
+        }],
+    };
+    let shape = (a.nrows(), a.ncols());
+    let mut dense = vec![0.0f64; a.ncols()];
+    let (mut execute_ms, mut bare_ms) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..reps {
+        let t0 = Instant::now();
+        let run = schedule::execute(a, a, &whole, shape, &pool, &workspaces, ExecPolicy::Batched);
+        std::hint::black_box(run);
+        execute_ms = execute_ms.min(t0.elapsed().as_secs_f64() * 1e3);
+
+        let t0 = Instant::now();
+        for r in 0..a.nrows() {
+            let (acols, avals) = a.row(r);
+            for (&j, &aij) in acols.iter().zip(avals) {
+                let (bcols, bvals) = a.row(j as usize);
+                for (&c, &bjc) in bcols.iter().zip(bvals) {
+                    dense[c as usize] += aij * bjc;
+                }
+            }
+        }
+        std::hint::black_box(&mut dense);
+        bare_ms = bare_ms.min(t0.elapsed().as_secs_f64() * 1e3);
+    }
+    (execute_ms, bare_ms)
 }
 
 /// Time the register-tiled csrmm sweep against the naive reference triple

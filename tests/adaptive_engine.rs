@@ -1,10 +1,11 @@
 //! The production engine's fold of per-claim runs is a perf knob only.
 //!
 //! `ExecPolicy::Batched` treats a row by its claim count: a one-claim row
-//! drains straight from the dense SPA, and a multi-claim row folds each
-//! claim's SPA run, in claim order, into a second SPA. Every run scatters
-//! in the same A-row visit order (first touch sets, later touches `+=`),
-//! the fold sums each column from `T::ZERO` in claim order exactly as the
+//! drains its accumulator lane verbatim, and a multi-claim row drains
+//! `(0 + v0) + v1` over two lanes, folding any middle claim into the
+//! first. Every run scatters in the same A-row visit order onto a −0.0
+//! seed (the bits of "first touch sets, later touches `+=`"), the drain
+//! sums each column from `T::ZERO` in claim order exactly as the
 //! reference's per-row merge does, and drains are ascending by column, so
 //! the floating-point bits of the result must be *identical* to the plain
 //! dense-SPA `ExecPolicy::PerClaim` reference — not approximately equal,

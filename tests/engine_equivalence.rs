@@ -3,11 +3,13 @@
 //! Every algorithm path records a `ClaimSchedule` during its event-driven
 //! planning loop and runs the numeric work afterwards through one of two
 //! executors: `ExecPolicy::Batched`, the production engine (row segments
-//! drained in order straight into C: each claim's run scatters through a
-//! dense SPA, a multi-claim row folds its runs into a second SPA), or `ExecPolicy::PerClaim`, the reference (the
-//! serial oracle `reference::spmm_claims`, which shares no code with the
-//! engine). Every run of the production engine is produced in the
-//! reference's scatter order (first touch sets, later touches `+=`), a
+//! drained in order straight into C: a row's first claim scatters into one
+//! −0.0-seeded lane of a dense accumulator, every later claim into a
+//! second lane that is folded into the first), or `ExecPolicy::PerClaim`,
+//! the reference (the serial oracle `reference::spmm_claims`, which shares
+//! no code with the engine). Every run of the production engine is
+//! produced in the reference's scatter order (first touch sets, later
+//! touches `+=`), a
 //! one-claim row is kept verbatim and a multi-claim row sums its runs from
 //! `T::ZERO` in claim order, so the floating-point bits must be *identical* — not
 //! approximately equal, identical.
@@ -92,9 +94,9 @@ fn workspace_pool_survives_products_of_different_widths() {
 
 #[test]
 fn batched_matches_per_claim_on_wide_outputs() {
-    // More than 2^15 output columns: both SPAs span the whole width, and
-    // most rows touch only a few of its columns. Every row must still
-    // drain the reference's bits.
+    // More than 2^15 output columns: both accumulator lanes span the whole
+    // width, and most rows touch only a few of its columns. Every row must
+    // still drain the reference's bits.
     let wide = |seed| {
         scale_free_matrix::<f64>(&GeneratorConfig::square_power_law(
             33_000, 100_000, 2.1, seed,
@@ -102,8 +104,8 @@ fn batched_matches_per_claim_on_wide_outputs() {
     };
     let (a, b) = (wide(11), wide(12));
     check_all_paths(&a, &b, "wide A != B", &[1, 8]);
-    // the fixture really drains rows both ways: by a word scan of the
-    // bitmap (`ncols/64 <= k·bitlen(k)`) and by a sort of the touched list
+    // the fixture holds rows dense and sparse for C's width: rows of k
+    // entries with `ncols/64 <= k·bitlen(k)` and rows with fewer
     let c = reference::spmm_rowrow(&a, &b).unwrap();
     let words = c.ncols().div_ceil(64);
     let scanned = (0..c.nrows())
@@ -134,6 +136,30 @@ fn small_products_match_reference_at_word_boundary_widths() {
         let b = b.to_csr().unwrap();
         check_small_product(&a, &b, &format!("{width} columns"));
     }
+}
+
+#[test]
+fn three_overlapping_claims_per_row_match_reference_past_one_summary_word() {
+    // C wider than the 4,096 columns one summary word of the accumulator
+    // covers, and every row under three claims whose masks overlap: a
+    // column can come from any subset of the three runs, so the fold of
+    // the middle claim and the two-lane drain meet every case.
+    let a = matrix(9_000, 45_000, 75);
+    let b = matrix(9_000, 36_000, 76);
+    assert!(b.ncols() > 2 * 4_096);
+    let all: Vec<usize> = (0..a.nrows()).collect();
+    let evens: Vec<usize> = (0..a.nrows()).step_by(2).collect();
+    let halves: Vec<bool> = (0..b.nrows()).map(|j| j % 2 == 0).collect();
+    let thirds: Vec<bool> = (0..b.nrows()).map(|j| j % 3 != 1).collect();
+    let schedule = ClaimSchedule {
+        claims: vec![
+            claim(&all, Some(&halves), DeviceKind::Cpu),
+            claim(&evens, None, DeviceKind::Gpu),
+            claim(&all, Some(&thirds), DeviceKind::Cpu),
+        ],
+    };
+    let c = execute_both(&a, &b, &schedule, &[1, 2, 8], "three overlapping claims");
+    assert!(c.ncols() > 2 * 4_096 && c.nnz() > 0);
 }
 
 /// Run one recorded schedule through both executors at each host thread
