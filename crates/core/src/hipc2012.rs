@@ -66,8 +66,8 @@ pub fn hipc2012_with<T: Scalar>(
     let cpu_rows: Vec<usize> = (0..split).collect();
     let gpu_rows: Vec<usize> = (split..a.nrows()).collect();
     let cpu_ns = ctx.cpu.spmm_cost(a, b, cpu_rows.iter().copied(), None);
-    // Width table restricted to the GPU's row suffix — the single planned
-    // cost call replaces the stamp re-walk inside `spmm_cost`.
+    // Width table restricted to the GPU's row suffix, priced by one
+    // planned cost call (what `spmm_cost` would do, on the host pool).
     let w_gpu = masked_output_widths_for_pooled(a, b, None, &gpu_rows, &ctx.pool, &ctx.workspaces);
     let gpu_ns = ctx
         .gpu

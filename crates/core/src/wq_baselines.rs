@@ -104,8 +104,8 @@ fn workqueue_over_order<T: Scalar>(
     let transfer_ns = ctx.link.transfer_ns(upload);
 
     // GPU claims are costed against memoized masked output widths — the
-    // unmasked table covers every row once, instead of re-walking the
-    // stamp array per claim.
+    // unmasked table covers every row once, instead of a width pass per
+    // claim.
     let w_full = masked_output_widths_pooled(a, b, None, &ctx.pool, &ctx.workspaces);
 
     let queue = RangeQueue::new(order.len());

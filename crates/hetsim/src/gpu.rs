@@ -42,10 +42,6 @@ const MIN_L2_SETS: usize = 4;
 pub struct GpuDevice {
     spec: GpuSpec,
     l2: Cache,
-    /// Output-width stamp scratch (one slot per B column), generation
-    /// counted so it never needs clearing between rows.
-    stamp: Vec<u32>,
-    stamp_gen: u32,
 }
 
 impl GpuDevice {
@@ -62,21 +58,10 @@ impl GpuDevice {
             "a GPU L2 of {} bytes has fewer than the {MIN_L2_SETS} sets the model needs",
             spec.l2_bytes
         );
-        let l2 = Cache::new(config);
         Self {
             spec,
-            l2,
-            stamp: Vec::new(),
-            stamp_gen: 0,
+            l2: Cache::new(config),
         }
-    }
-
-    /// Device with the stamp scratch pre-sized for products whose B matrix
-    /// has up to `ncols` columns, so the hot cost call never reallocates.
-    pub fn sized(spec: GpuSpec, ncols: usize) -> Self {
-        let mut dev = Self::new(spec);
-        dev.reserve_columns(ncols);
-        dev
     }
 
     /// The paper's Tesla K20c.
@@ -104,19 +89,8 @@ impl GpuDevice {
         self.l2 = l2;
     }
 
-    /// Grow the stamp scratch to cover `ncols` output columns. Callers that
-    /// know the matrix shape up front use this (or [`GpuDevice::sized`]) to
-    /// keep the allocation out of `spmm_cost`.
-    pub fn reserve_columns(&mut self, ncols: usize) {
-        if self.stamp.len() < ncols {
-            self.stamp.resize(ncols, u32::MAX);
-        }
-    }
-
-    /// Forget all cached state (between independent experiments). The stamp
-    /// scratch needs no rewrite: entries are generation-counted, and a
-    /// stale value can only collide with a future generation after a full
-    /// `u32` wrap, which the per-row bump guard clears first.
+    /// Forget all cached state (between independent experiments): the
+    /// simulated L2 is the device's only state.
     pub fn reset(&mut self) {
         self.l2.flush();
     }
@@ -124,6 +98,9 @@ impl GpuDevice {
     /// Simulated ns for the GPU to multiply the given rows of `a` against
     /// `b` (masked rows of `b` skipped; they cost only the A-row read).
     /// Returns 0 for an empty row set without charging the launch latency.
+    /// Builds the rows' widths with [`masked_output_widths_for_pooled`] on one
+    /// thread, then prices the rows in the caller's order, duplicates
+    /// included (the L2 charge depends on that order).
     pub fn spmm_cost<T: Scalar>(
         &mut self,
         a: &CsrMatrix<T>,
@@ -131,15 +108,20 @@ impl GpuDevice {
         rows: impl Iterator<Item = usize>,
         b_mask: Option<&[bool]>,
     ) -> SimNs {
-        self.spmm_cost_inner(a, b, rows, b_mask, None)
+        let rows: Vec<usize> = rows.collect();
+        let mut listed = rows.clone();
+        listed.sort_unstable();
+        listed.dedup();
+        let (serial, scratch) = (ThreadPool::new(1), WorkspacePool::new());
+        let widths = masked_output_widths_for_pooled(a, b, b_mask, &listed, &serial, &scratch);
+        self.spmm_cost_planned(a, b, rows.into_iter(), b_mask, &widths)
     }
 
     /// [`GpuDevice::spmm_cost`] with the per-row masked output widths
-    /// supplied by a [`masked_output_widths`] table instead of re-derived
-    /// through the stamp scratch. The width only feeds the integer TR_b
-    /// pass count, so every floating-point charge accumulates in the same
-    /// order and the result is bit-identical to the unplanned call — while
-    /// the O(flops) distinct-column walk drops to an O(1) lookup per row.
+    /// supplied by a [`masked_output_widths`] table (indexed by A row). The
+    /// width only feeds the integer TR_b pass count; every floating-point
+    /// charge accumulates in row order, so one table serves every claim of
+    /// a product bit-identically to pricing each claim on its own.
     pub fn spmm_cost_planned<T: Scalar>(
         &mut self,
         a: &CsrMatrix<T>,
@@ -148,43 +130,19 @@ impl GpuDevice {
         b_mask: Option<&[bool]>,
         widths: &[u32],
     ) -> SimNs {
-        self.spmm_cost_inner(a, b, rows, b_mask, Some(widths))
-    }
-
-    fn spmm_cost_inner<T: Scalar>(
-        &mut self,
-        a: &CsrMatrix<T>,
-        b: &CsrMatrix<T>,
-        rows: impl Iterator<Item = usize>,
-        b_mask: Option<&[bool]>,
-        widths: Option<&[u32]>,
-    ) -> SimNs {
         let spec = self.spec;
         let mut clock = KernelClock::default();
         let b_indptr = b.indptr();
-        if widths.is_none() {
-            self.reserve_columns(b.ncols());
-        }
         for i in rows {
             clock.any = true;
             let (acols, _) = a.row(i);
             if acols.is_empty() {
                 continue;
             }
-            if widths.is_none() {
-                self.stamp_gen = self.stamp_gen.wrapping_add(1);
-                if self.stamp_gen == u32::MAX {
-                    self.stamp.iter_mut().for_each(|s| *s = u32::MAX);
-                    self.stamp_gen = 0;
-                }
-            }
             let mut row = RowCharge::new(self.read_cycles(
                 A_BASE + (a.indptr()[i] * ENTRY_BYTES) as u64,
                 acols.len() * ENTRY_BYTES,
             ));
-            // exact nnz of the output row: from the plan table when given,
-            // otherwise counted live through the stamp scratch below
-            let mut width = widths.map_or(0usize, |w| w[i] as usize);
             for &j in acols {
                 let j = j as usize;
                 if let Some(mask) = b_mask {
@@ -196,22 +154,13 @@ impl GpuDevice {
                 if bnnz == 0 {
                     continue;
                 }
-                if widths.is_none() {
-                    for &c in b.row(j).0 {
-                        let slot = &mut self.stamp[c as usize];
-                        if *slot != self.stamp_gen {
-                            *slot = self.stamp_gen;
-                            width += 1;
-                        }
-                    }
-                }
                 let read = self.read_cycles(
                     B_BASE + (b_indptr[j] * ENTRY_BYTES) as u64,
                     bnnz * ENTRY_BYTES,
                 );
                 row.b_row(&spec, read, bnnz);
             }
-            clock.add(&spec, row, width);
+            clock.add(&spec, row, widths[i] as usize);
         }
         clock.ns(&spec)
     }
@@ -487,11 +436,10 @@ fn ladder_buckets<T: Scalar>(m: &CsrMatrix<T>, ladder: &[usize]) -> Vec<u32> {
 }
 
 /// Masked output width (distinct column count) of every row of `a × b`,
-/// with masked-off B rows contributing nothing — exactly the `width`
-/// [`GpuDevice::spmm_cost`] derives per row through its stamp scratch, but
-/// computed once per `(a, b, mask)` and fanned out across the host pool.
-/// Pure integer work, so the table is identical for any thread count, and
-/// [`GpuDevice::spmm_cost_planned`] stays bit-equal to the unplanned call.
+/// with masked-off B rows contributing nothing: the per-row `width` that
+/// [`GpuDevice::spmm_cost_planned`] reads for the TR_b pass count, computed
+/// once per `(a, b, mask)` and fanned out across the host pool. Pure
+/// integer work, so the table is identical for any thread count.
 pub fn masked_output_widths<T: Scalar>(
     a: &CsrMatrix<T>,
     b: &CsrMatrix<T>,
@@ -501,11 +449,11 @@ pub fn masked_output_widths<T: Scalar>(
     widths_impl(a, b, b_mask, None, pool, &WorkspacePool::new())
 }
 
-/// [`masked_output_widths`] drawing the per-thread O(ncols) stamp scratch
-/// from a [`WorkspacePool`] instead of allocating it per call — this is
-/// what lets the Phase-I ladder cost dozens of candidates without dozens
-/// of stamp-array allocations. The count is pure integer work, so the
-/// table is byte-equal to the unpooled call.
+/// [`masked_output_widths`] drawing each worker's O(ncols)
+/// [`RowSizer`](spmm_sparse::RowSizer) from a [`WorkspacePool`] instead of
+/// allocating it per call — this is what lets the Phase-I ladder cost
+/// dozens of candidates without dozens of sizer allocations. The count is
+/// pure integer work, so the table is byte-equal to the unpooled call.
 pub fn masked_output_widths_pooled<T: Scalar>(
     a: &CsrMatrix<T>,
     b: &CsrMatrix<T>,
@@ -519,7 +467,9 @@ pub fn masked_output_widths_pooled<T: Scalar>(
 /// [`masked_output_widths_pooled`] restricted to the listed A rows — the
 /// returned table still has one slot per A row (unlisted rows stay 0), so
 /// lookups stay indexed by row. Use when only a known subset of rows can
-/// ever be costed under this mask (e.g. the `A_L × B_H` quadrant).
+/// ever be costed under this mask (e.g. the `A_L × B_H` quadrant). Panics
+/// unless `rows` is strictly ascending: a repeated row would be two
+/// workers writing one slot.
 pub fn masked_output_widths_for_pooled<T: Scalar>(
     a: &CsrMatrix<T>,
     b: &CsrMatrix<T>,
@@ -528,16 +478,12 @@ pub fn masked_output_widths_for_pooled<T: Scalar>(
     pool: &ThreadPool,
     workspaces: &WorkspacePool,
 ) -> Vec<u32> {
+    assert!(
+        rows.windows(2).all(|w| w[0] < w[1]),
+        "width-table rows must be strictly ascending"
+    );
     widths_impl(a, b, b_mask, Some(rows), pool, workspaces)
 }
-
-/// Rows whose structural upper bound (Σ masked `|B(k,:)|`) is at or under
-/// this count their distinct columns through a sorted-insertion scratch
-/// list instead of the O(ncols) stamp sizer: for a handful of entries the
-/// list stays in one or two cache lines, while every `mark` is a random
-/// probe into a stamp array as wide as the output. Pure routing — both
-/// paths count the same set, so the table is bit-identical either way.
-const TINY_WIDTH_UB: u64 = 32;
 
 fn widths_impl<T: Scalar>(
     a: &CsrMatrix<T>,
@@ -550,73 +496,44 @@ fn widths_impl<T: Scalar>(
     let len = rows.map_or(a.nrows(), <[usize]>::len);
     let mut widths = vec![0u32; a.nrows()];
     let out = DisjointSlice::new(&mut widths);
+    let live = |j: usize| b_mask.is_none_or(|mask| mask[j]);
     pool.for_each_guided_with(
         len,
         64,
-        || (workspaces.acquire_sizer(b.ncols()), Vec::<u32>::new()),
-        |(sizer, tiny), range| {
+        || workspaces.acquire_sizer(b.ncols()),
+        |sizer, range| {
             for k in range {
                 let i = rows.map_or(k, |r| r[k]);
                 let (acols, _) = a.row(i);
-                if acols.is_empty() {
-                    continue;
-                }
-                // Bounds sweep first (Σ |B(k,:)| over the row's masked
-                // sources, keeping the sole source's index): a single masked
-                // source makes the bound *exact* — the width is that B
-                // row's size, no marking at all — and a tiny bound routes
-                // to the scratch list. Only loose-bounded rows pay the
-                // stamp sizer.
-                let mut ub = 0u64;
+                // Count the row's masked sources first, keeping the last:
+                // a single one makes the width that B row's size, with no
+                // marking at all. Only rows of several sources pay the
+                // sizer.
                 let mut nsrc = 0u32;
                 let mut only = 0usize;
                 for &j in acols {
-                    let j = j as usize;
-                    if let Some(mask) = b_mask {
-                        if !mask[j] {
-                            continue;
-                        }
+                    if live(j as usize) {
+                        nsrc += 1;
+                        only = j as usize;
                     }
-                    ub = ub.saturating_add(b.row_nnz(j) as u64);
-                    nsrc += 1;
-                    only = j;
                 }
-                let width = if nsrc == 0 {
-                    continue; // all sources masked off: width stays 0
-                } else if nsrc == 1 {
-                    b.row_nnz(only) as u32
-                } else if ub <= TINY_WIDTH_UB {
-                    tiny.clear();
-                    for &j in acols {
-                        let j = j as usize;
-                        if let Some(mask) = b_mask {
-                            if !mask[j] {
-                                continue;
+                let width = match nsrc {
+                    0 => continue, // no live source: width stays 0
+                    1 => b.row_nnz(only) as u32,
+                    _ => {
+                        for &j in acols {
+                            if live(j as usize) {
+                                for &c in b.row(j as usize).0 {
+                                    sizer.mark(c);
+                                }
                             }
                         }
-                        for &c in b.row(j).0 {
-                            let pos = tiny.partition_point(|&t| t < c);
-                            if tiny.get(pos) != Some(&c) {
-                                tiny.insert(pos, c);
-                            }
-                        }
+                        sizer.finish_row() as u32
                     }
-                    tiny.len() as u32
-                } else {
-                    for &j in acols {
-                        let j = j as usize;
-                        if let Some(mask) = b_mask {
-                            if !mask[j] {
-                                continue;
-                            }
-                        }
-                        for &c in b.row(j).0 {
-                            sizer.mark(c);
-                        }
-                    }
-                    sizer.finish_row() as u32
                 };
-                // each row written by at most one claimant (rows unique)
+                // SAFETY: i < a.nrows() (`a.row(i)` checked it), and row i
+                // is claimed by one worker only: `k` runs over disjoint
+                // ranges, and the listed rows are strictly ascending.
                 unsafe { out.write(i, width) };
             }
         },
@@ -635,10 +552,10 @@ fn widths_impl<T: Scalar>(
 /// later candidate. So each B row carries a bucket, the first candidate
 /// whose mask keeps it, and an output column's width contribution starts
 /// at the smallest bucket among the sources that produce it. Per A row
-/// the sources are visited in ascending bucket order through a stamp, so a
+/// the sources are visited in ascending bucket order through a sizer, so a
 /// column's first touch is in its minimum bucket; the fresh-column counts
 /// per bucket, prefix-summed, are every candidate's width at once. A row
-/// with a single live source needs no stamp: its width is that B row's
+/// with a single live source needs no sizer: its width is that B row's
 /// size from the source's bucket on.
 pub fn ladder_output_widths<T: Scalar>(
     a: &CsrMatrix<T>,

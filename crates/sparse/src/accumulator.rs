@@ -238,8 +238,8 @@ fn set_bits(mut bits: u64, base: usize) -> impl Iterator<Item = usize> {
 
 /// Symbolic-pass companion of [`SparseAccumulator`]: counts the distinct
 /// columns of one output row without storing values, with a generation
-/// stamp per column so finishing a row is O(1). The GPU cost model's
-/// output-width tables are built with it.
+/// stamp per column so finishing a row is O(1). Every output-width table
+/// of the GPU cost model counts with it, and so every GPU spmm price.
 #[derive(Debug, Clone)]
 pub struct RowSizer {
     stamp: Vec<u32>,
@@ -282,11 +282,6 @@ impl RowSizer {
             self.count += 1;
             true
         }
-    }
-
-    /// Distinct columns marked so far in the current row.
-    pub fn nnz(&self) -> usize {
-        self.count
     }
 
     /// Finish the current row: return its distinct-column count and reset
@@ -423,7 +418,6 @@ pub(crate) mod tests {
         for &c in &[1u32, 4, 1, 9, 4, 4] {
             sizer.mark(c);
         }
-        assert_eq!(sizer.nnz(), 3);
         assert_eq!(sizer.finish_row(), 3);
         // next row starts clean
         assert!(sizer.mark(1));

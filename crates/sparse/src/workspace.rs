@@ -1,12 +1,12 @@
 //! Pooled per-thread engine workspaces.
 //!
 //! Every numeric pass needs O(ncols) dense state: the accumulator's two
-//! −0.0-seeded value arrays and its bitmaps, or the sizer's stamp array
-//! for a symbolic pass (the GPU model's output-width tables). Without
-//! pooling, every executed schedule and every width table of a Phase-I
-//! ladder candidate would allocate and seed that state from scratch on
-//! every worker. The pool makes the allocation once per concurrent user
-//! and reuses it forever.
+//! −0.0-seeded value arrays and its bitmaps, or the [`RowSizer`]'s stamp
+//! array for a symbolic pass (every GPU output-width table: the sizer is
+//! the cost model's only distinct-column counter). Without pooling, every
+//! executed schedule and every width table of a Phase-I ladder candidate
+//! would allocate and seed that state from scratch on every worker. The
+//! pool makes the allocation once per concurrent user and reuses it forever.
 //!
 //! Lifetime rules:
 //!

@@ -17,9 +17,9 @@
 //!   probe matrices, failing if any picked threshold drifts from the
 //!   committed goldens (`tests/golden/thresholds.txt`), if the search's
 //!   one-pass width ladder differs from the per-candidate width tables
-//!   (its wall time is `phase1_widths_ms`), or if its one-walk Phase II
-//!   GPU prices differ from per-candidate `spmm_cost_planned` calls (its
-//!   wall time is `phase1_gpu2_ms`);
+//!   (wall times `phase1_widths_ms`, `phase1_masked_widths_ms`), or if its
+//!   one-walk Phase II GPU prices differ from per-candidate
+//!   `spmm_cost_planned` calls (its wall time is `phase1_gpu2_ms`);
 //! * times end-to-end `hh_cpu` under the serial claims oracle
 //!   (`ExecPolicy::PerClaim`) vs the production batched executor on every
 //!   Table I clone, at 8 host threads and at one, failing on any bit of
@@ -165,7 +165,7 @@ fn phase1_perf() -> String {
 
     let mut rows = Vec::new();
     let (mut serial_total, mut parallel_total) = (0.0f64, 0.0f64);
-    let (mut widths_total, mut gpu2_total) = (0.0f64, 0.0f64);
+    let (mut widths_total, mut masked_total, mut gpu2_total) = (0.0f64, 0.0f64, 0.0f64);
     for (name, a, eff) in &cases {
         let serial_ctx = HeteroContext::scaled(*eff).with_host_threads(1);
         let parallel_ctx = HeteroContext::scaled(*eff);
@@ -219,9 +219,12 @@ fn phase1_perf() -> String {
         let t0 = Instant::now();
         let table = ladder_output_widths(a, a, &search_ladder, pool, workspaces);
         let widths_ms = t0.elapsed().as_secs_f64() * 1e3;
+        let mut masked_ms = 0.0f64;
         for (k, &t) in search_ladder.iter().enumerate() {
             let b_low: Vec<bool> = sym.classify(t).into_iter().map(|h| !h).collect();
+            let t0 = Instant::now();
             let want = masked_output_widths_pooled(a, a, Some(&b_low), pool, workspaces);
+            masked_ms += t0.elapsed().as_secs_f64() * 1e3;
             assert!(
                 table[k * a.nrows()..(k + 1) * a.nrows()] == want[..],
                 "{name}: one-pass width table drifted from the per-candidate table at t = {t}"
@@ -250,8 +253,8 @@ fn phase1_perf() -> String {
 
         println!(
             "  {name:<14} t={pick_serial:<5} serial {serial_ms:>8.2} ms | parallel {parallel_ms:>8.2} ms | \
-             {:.2}x | widths ({} candidates) {widths_ms:.2} ms | gpu2 {gpu2_ms:.2} ms | \
-             sweep ({} pts) {sweep_ms:.2} ms",
+             {:.2}x | widths ({} candidates) {widths_ms:.2} ms, masked {masked_ms:.2} ms | \
+             gpu2 {gpu2_ms:.2} ms | sweep ({} pts) {sweep_ms:.2} ms",
             serial_ms / parallel_ms,
             search_ladder.len(),
             totals.len(),
@@ -259,11 +262,13 @@ fn phase1_perf() -> String {
         serial_total += serial_ms;
         parallel_total += parallel_ms;
         widths_total += widths_ms;
+        masked_total += masked_ms;
         gpu2_total += gpu2_ms;
         rows.push(format!(
             "    {{\"name\": \"{name}\", \"threshold\": {pick_serial}, \
              \"serial_ms\": {serial_ms:.4}, \"parallel_ms\": {parallel_ms:.4}, \
-             \"speedup\": {:.4}, \"widths_ms\": {widths_ms:.4}, \"gpu2_ms\": {gpu2_ms:.4}, \
+             \"speedup\": {:.4}, \"widths_ms\": {widths_ms:.4}, \
+             \"masked_widths_ms\": {masked_ms:.4}, \"gpu2_ms\": {gpu2_ms:.4}, \
              \"sweep_points\": {}, \"sweep_ms\": {sweep_ms:.4}}}",
             serial_ms / parallel_ms,
             totals.len(),
@@ -281,6 +286,7 @@ fn phase1_perf() -> String {
          \"phase1_parallel_ms\": {parallel_total:.4},\n  \
          \"phase1_speedup\": {:.4},\n  \
          \"phase1_widths_ms\": {widths_total:.4},\n  \
+         \"phase1_masked_widths_ms\": {masked_total:.4},\n  \
          \"phase1_gpu2_ms\": {gpu2_total:.4},\n  \
          \"phase1_matrices\": [\n{}\n  ]",
         serial_total / parallel_total,
