@@ -6,16 +6,15 @@
 //! Phase IV merge charge. The phase simulation exists once, in
 //! `threshold`; this module only replays its plan.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::borrow::Cow;
 
 use spmm_sparse::{CsrMatrix, Scalar};
 
-use spmm_hetsim::{DeviceKind, PhaseBreakdown, PhaseTimes, Platform};
+use spmm_hetsim::{DeviceKind, PhaseBreakdown, PhaseTimes, Platform, SimNs};
 
 use crate::context::HeteroContext;
 use crate::result::SpmmOutput;
-use crate::schedule::{self, ClaimSchedule, ExecPolicy, ScheduledClaim};
+use crate::schedule::{self, ClaimSchedule, ExecCounts, ExecPolicy, ScheduledClaim};
 use crate::threshold::{self, Phase1Plan, PhasePlan, ThresholdPolicy, WidthTables};
 use crate::units::WorkUnitConfig;
 
@@ -52,7 +51,9 @@ impl HhCpuConfig {
 /// and hands warm requests to [`hh_cpu_with_artifacts`], which then only
 /// runs the numeric multiply and charges the plan's simulated ns. That is
 /// bit-identical to a cold [`hh_cpu`] by construction: the plan is a pure
-/// function of the key, and the run consumes it by value.
+/// function of the key, and the run consumes it by value. A sharded run
+/// ([`crate::shard`]) executes the same plan band by band, so one set of
+/// artifacts serves every shard count.
 #[derive(Debug)]
 pub struct SpmmArtifacts {
     /// The threshold policy the plan was built under (cache-key sanity).
@@ -64,13 +65,8 @@ pub struct SpmmArtifacts {
     pub plan: Phase1Plan,
     /// GPU width tables under the chosen masks.
     pub widths: WidthTables,
-    /// The Phase II/III plan under the default work units — set by
-    /// [`Self::build`], and simulated on first run for a row band.
-    pub phases: OnceLock<PhasePlan>,
-    /// The row-band artifacts the sharded driver has run, keyed by row
-    /// range ([`Self::row_band_artifacts`]), so each band's plan is
-    /// simulated once per set of artifacts rather than once per run.
-    bands: Mutex<HashMap<(usize, usize), Arc<SpmmArtifacts>>>,
+    /// The Phase II/III plan under the default work units.
+    pub phases: PhasePlan,
 }
 
 impl SpmmArtifacts {
@@ -97,85 +93,8 @@ impl SpmmArtifacts {
             platform: ctx.platform,
             plan,
             widths,
-            phases: OnceLock::from(phases),
-            bands: Mutex::default(),
+            phases,
         }
-    }
-
-    /// Derive the artifacts for one contiguous row band of A, given the
-    /// band materialized by [`CsrMatrix::row_band`] over the same range.
-    ///
-    /// This is the sharding contract's load-bearing move: Phase I ran
-    /// *once* on the full operands, and every band inherits the global
-    /// thresholds, the global `B` classification, and its slice of the
-    /// global `A` masks and `B_L` width table. Because every downstream
-    /// decision that touches C's *bits* (which mask covers which row, how
-    /// rows merge) depends only on the row's own content plus these global
-    /// masks, a band run with sliced artifacts produces rows bit-identical
-    /// to the monolithic run — re-running Phase I per band would not
-    /// (per-band thresholds would reclassify rows).
-    ///
-    /// The band's own Phase II/III plan (its queue holds only its rows) and
-    /// its `B_H` width table are simulated on the band's first run and kept;
-    /// [`Self::row_band_artifacts`] keeps the band's artifacts themselves
-    /// for every later run against these.
-    pub fn for_row_band<T: Scalar>(
-        &self,
-        rows: std::ops::Range<usize>,
-        band: &CsrMatrix<T>,
-    ) -> SpmmArtifacts {
-        assert_eq!(
-            band.nrows(),
-            rows.len(),
-            "band matrix must cover exactly the requested rows"
-        );
-        let th = &self.plan.thresholds;
-        assert!(rows.end <= th.a_high.len(), "band range exceeds A");
-        let plan = Phase1Plan {
-            thresholds: threshold::Thresholds {
-                t_a: th.t_a,
-                t_b: th.t_b,
-                a_high: th.a_high[rows.clone()].to_vec(),
-                b_high: th.b_high.clone(),
-            },
-            sym_a: threshold::SymbolicStructure::from_matrix(band),
-            sym_b: Some(self.plan.sym_b().clone()),
-        };
-        let low = self.widths.low.get();
-        let widths = WidthTables {
-            low: low.map_or_else(OnceLock::new, |w| w[rows].to_vec().into()),
-            high: OnceLock::new(),
-        };
-        SpmmArtifacts {
-            policy: self.policy,
-            platform: self.platform,
-            plan,
-            widths,
-            phases: OnceLock::new(),
-            bands: Mutex::default(),
-        }
-    }
-
-    /// [`Self::for_row_band`], kept: the first call for a row range
-    /// derives the band's artifacts, and every later call (from any
-    /// thread) shares them, with the band plan its first run simulated.
-    pub fn row_band_artifacts<T: Scalar>(
-        &self,
-        rows: std::ops::Range<usize>,
-        band: &CsrMatrix<T>,
-    ) -> Arc<SpmmArtifacts> {
-        let key = (rows.start, rows.end);
-        if let Some(hit) = self.bands.lock().unwrap().get(&key) {
-            return hit.clone();
-        }
-        // derive outside the lock so bands of one run build in parallel
-        let built = Arc::new(self.for_row_band(rows, band));
-        self.bands
-            .lock()
-            .unwrap()
-            .entry(key)
-            .or_insert(built)
-            .clone()
     }
 
     /// Approximate heap footprint, for serve-layer cache accounting.
@@ -184,19 +103,11 @@ impl SpmmArtifacts {
         let masks = plan.thresholds.a_high.len() + plan.thresholds.b_high.len();
         let syms = plan.sym_a.byte_size() + plan.sym_b.as_ref().map_or(0, |s| s.byte_size());
         let widths = [&self.widths.low, &self.widths.high].map(|w| w.get().map_or(0, Vec::len));
-        let phases = self.phases.get().map_or(0, |p| {
-            (p.rows_ah.len() + p.rows_al.len()) * std::mem::size_of::<usize>()
-                + p.b_low.len()
-                + p.claims.len() * std::mem::size_of::<threshold::PlannedClaim>()
-        });
-        let bands: usize = self
-            .bands
-            .lock()
-            .unwrap()
-            .values()
-            .map(|b| b.byte_size())
-            .sum();
-        masks + syms + (widths[0] + widths[1]) * 4 + phases + bands + std::mem::size_of::<Self>()
+        let p = &self.phases;
+        let phases = (p.rows_ah.len() + p.rows_al.len()) * std::mem::size_of::<usize>()
+            + p.b_low.len()
+            + p.claims.len() * std::mem::size_of::<threshold::PlannedClaim>();
+        masks + syms + (widths[0] + widths[1]) * 4 + phases + std::mem::size_of::<Self>()
     }
 }
 
@@ -236,102 +147,145 @@ pub fn hh_cpu_with_artifacts<T: Scalar>(
     config: &HhCpuConfig,
     artifacts: &SpmmArtifacts,
 ) -> SpmmOutput<T> {
-    assert_eq!(
-        a.ncols(),
-        b.nrows(),
-        "A and B incompatible for multiplication"
-    );
-    assert_eq!(
-        artifacts.policy, config.policy,
-        "artifacts were built under a different threshold policy"
-    );
-    assert_eq!(
-        artifacts.platform, ctx.platform,
-        "artifacts were planned for a different platform"
-    );
-
-    // ---- Phase I: thresholds + Boolean row classification, from the
-    // (possibly cached) plan. ----
-    let plan = &artifacts.plan;
-    let th = &plan.thresholds;
-    let phase1 = PhaseTimes::new(
-        ctx.cpu.threshold_scan_cost(a.nrows() + b.nrows()),
-        // the Boolean array is computed on the GPU from the row sizes
-        ctx.gpu.boolean_mask_cost(a.nrows() + b.nrows()),
-    );
-    // row sizes up (4 B each), then A and B entirely ("we don't split the
-    // matrices physically", §IV-A), plus the Boolean arrays down (1 B per
-    // row); the self-product A × A ships its matrix *and* its per-row
-    // arrays exactly once
-    let (matrix_bytes, row_meta_bytes) = if std::ptr::eq(a, b) {
-        (a.byte_size(), a.nrows() * 5)
-    } else {
-        (a.byte_size() + b.byte_size(), (a.nrows() + b.nrows()) * 5)
-    };
-    let mut transfer_ns = ctx.link.transfer_ns(row_meta_bytes + matrix_bytes);
-
-    // ---- Phases II and III: the simulated plan (threshold::
-    // simulate_phases), kept on the artifacts for the default work units.
-    // Work-unit grains: the paper's fixed 1000/10000 rows at full scale,
-    // or sized to the actual H/L row lists so the queue always holds
-    // enough units for the endgame to balance. ----
-    let default_units = threshold::adaptive_units(&plan.sym_a, th.t_a);
-    let units = config.units.unwrap_or(default_units);
-    let mut simulate = |units| {
-        let (sym_a, sym_b) = (&plan.sym_a, plan.sym_b());
-        let t = (th.t_a, th.t_b);
-        threshold::simulate_phases(ctx, a, b, t, sym_a, sym_b, units, &artifacts.widths)
-    };
-    let fresh;
-    let phases = if units == default_units {
-        artifacts.phases.get_or_init(|| simulate(units))
-    } else {
-        fresh = simulate(units);
-        &fresh
-    };
-
+    let run = RunPlan::new(ctx, a, b, config, artifacts);
     // ---- Execute: all scheduled numeric work in one batched pass (or the
     // per-claim reference, per `config.exec`). ----
-    let sched = claim_schedule(phases, &th.b_high);
     let (c, counts) = schedule::execute(
         a,
         b,
-        &sched,
+        &run.schedule(),
         (a.nrows(), b.ncols()),
         &ctx.pool,
         &ctx.workspaces,
         config.exec,
     );
+    run.finish(ctx, c, &counts)
+}
 
-    // ---- Phase IV: merge. The GPU pre-merges its own tuples while the CPU
-    // performs the full combine (results are "merged together and stored on
-    // the CPU", §III-D); the GPU's partials come down over the link. The
-    // simulated devices still pay the paper's sort-based recipe per stored
-    // entry (claim nnz == accumulator insertions == tuples), but the host
-    // combined the claims with the per-row merge of the executor. ----
-    let cpu_entries = counts.cpu_entries;
-    let gpu_entries = counts.gpu_entries;
-    transfer_ns += ctx.link.transfer_ns(gpu_entries * 16);
-    let tuples_merged = cpu_entries + gpu_entries;
-    let phase4 = PhaseTimes::new(
-        ctx.cpu.merge_cost(tuples_merged),
-        ctx.gpu.merge_cost(gpu_entries),
-    );
+/// The halves of one HH-CPU run around the numeric pass: [`Self::new`]
+/// charges Phase I and takes the Phase II/III plan, [`Self::schedule`]
+/// lists its claims, and [`Self::finish`] charges Phase IV on the counts of
+/// whatever produced C — one [`schedule::execute`] for the monolithic run,
+/// one per row band for the sharded driver. The profile depends only on
+/// the plan and the summed counts, so both producers reply alike.
+pub(crate) struct RunPlan<'a> {
+    artifacts: &'a SpmmArtifacts,
+    phase1: PhaseTimes,
+    /// Link time of everything shipped before Phase II.
+    transfer_ns: SimNs,
+    phases: Cow<'a, PhasePlan>,
+}
 
-    SpmmOutput {
-        c,
-        profile: PhaseBreakdown {
+impl<'a> RunPlan<'a> {
+    pub(crate) fn new<T: Scalar>(
+        ctx: &mut HeteroContext,
+        a: &CsrMatrix<T>,
+        b: &CsrMatrix<T>,
+        config: &HhCpuConfig,
+        artifacts: &'a SpmmArtifacts,
+    ) -> Self {
+        assert_eq!(
+            a.ncols(),
+            b.nrows(),
+            "A and B incompatible for multiplication"
+        );
+        assert_eq!(
+            artifacts.policy, config.policy,
+            "artifacts were built under a different threshold policy"
+        );
+        assert_eq!(
+            artifacts.platform, ctx.platform,
+            "artifacts were planned for a different platform"
+        );
+
+        // ---- Phase I: thresholds + Boolean row classification, from the
+        // (possibly cached) plan. ----
+        let plan = &artifacts.plan;
+        let th = &plan.thresholds;
+        let phase1 = PhaseTimes::new(
+            ctx.cpu.threshold_scan_cost(a.nrows() + b.nrows()),
+            // the Boolean array is computed on the GPU from the row sizes
+            ctx.gpu.boolean_mask_cost(a.nrows() + b.nrows()),
+        );
+        // row sizes up (4 B each), then A and B entirely ("we don't split
+        // the matrices physically", §IV-A), plus the Boolean arrays down
+        // (1 B per row); the self-product A × A ships its matrix *and* its
+        // per-row arrays exactly once
+        let (matrix_bytes, row_meta_bytes) = if std::ptr::eq(a, b) {
+            (a.byte_size(), a.nrows() * 5)
+        } else {
+            (a.byte_size() + b.byte_size(), (a.nrows() + b.nrows()) * 5)
+        };
+        let transfer_ns = ctx.link.transfer_ns(row_meta_bytes + matrix_bytes);
+
+        // ---- Phases II and III: the simulated plan (threshold::
+        // simulate_phases), kept on the artifacts for the default work
+        // units. Work-unit grains: the paper's fixed 1000/10000 rows at
+        // full scale, or sized to the actual H/L row lists so the queue
+        // always holds enough units for the endgame to balance. ----
+        let default_units = threshold::adaptive_units(&plan.sym_a, th.t_a);
+        let phases = match config.units {
+            Some(units) if units != default_units => {
+                let (sym_a, sym_b) = (&plan.sym_a, plan.sym_b());
+                let t = (th.t_a, th.t_b);
+                let widths = &artifacts.widths;
+                Cow::Owned(threshold::simulate_phases(
+                    ctx, a, b, t, sym_a, sym_b, units, widths,
+                ))
+            }
+            _ => Cow::Borrowed(&artifacts.phases),
+        };
+        Self {
+            artifacts,
             phase1,
-            phase2: phases.phase2,
-            phase3: phases.phase3,
-            phase4,
             transfer_ns,
-        },
-        threshold_a: th.t_a,
-        threshold_b: th.t_b,
-        hd_rows_a: phases.rows_ah.len(),
-        hd_rows_b: plan.sym_b().hd_rows(th.t_b),
-        tuples_merged,
+            phases,
+        }
+    }
+
+    /// The plan's claims in block order ([`claim_schedule`]).
+    pub(crate) fn schedule(&self) -> ClaimSchedule<'_> {
+        claim_schedule(&self.phases, &self.artifacts.plan.thresholds.b_high)
+    }
+
+    /// Charge Phase IV on the executed counts and assemble the output.
+    pub(crate) fn finish<T: Scalar>(
+        &self,
+        ctx: &HeteroContext,
+        c: CsrMatrix<T>,
+        counts: &ExecCounts,
+    ) -> SpmmOutput<T> {
+        // ---- Phase IV: merge. The GPU pre-merges its own tuples while the
+        // CPU performs the full combine (results are "merged together and
+        // stored on the CPU", §III-D); the GPU's partials come down over
+        // the link. The simulated devices still pay the paper's sort-based
+        // recipe per stored entry (claim nnz == accumulator insertions ==
+        // tuples), but the host combined the claims with the per-row merge
+        // of the executor. ----
+        let gpu_entries = counts.gpu_entries;
+        let transfer_ns = self.transfer_ns + ctx.link.transfer_ns(gpu_entries * 16);
+        let tuples_merged = counts.cpu_entries + gpu_entries;
+        let phase4 = PhaseTimes::new(
+            ctx.cpu.merge_cost(tuples_merged),
+            ctx.gpu.merge_cost(gpu_entries),
+        );
+        let plan = &self.artifacts.plan;
+        let th = &plan.thresholds;
+        SpmmOutput {
+            c,
+            profile: PhaseBreakdown {
+                phase1: self.phase1,
+                phase2: self.phases.phase2,
+                phase3: self.phases.phase3,
+                phase4,
+                transfer_ns,
+            },
+            threshold_a: th.t_a,
+            threshold_b: th.t_b,
+            hd_rows_a: self.phases.rows_ah.len(),
+            hd_rows_b: plan.sym_b().hd_rows(th.t_b),
+            tuples_merged,
+        }
     }
 }
 
@@ -494,7 +448,7 @@ mod tests {
         }
         // the LRU accounting counts the kept plan's row lists and B_L mask
         // and the width tables
-        let phases = artifacts.phases.get().expect("build keeps the plan");
+        let phases = &artifacts.phases;
         let w_low = artifacts.widths.low.get().expect("build keeps B_L widths");
         let kept = (phases.rows_ah.len() + phases.rows_al.len()) * 8 + phases.b_low.len();
         let floor = artifacts.plan.sym_a.byte_size() + kept + w_low.len() * 4;

@@ -49,8 +49,8 @@ pub use hipc2012::{hipc2012, hipc2012_with};
 pub use result::SpmmOutput;
 pub use schedule::{ClaimSchedule, ExecCounts, ExecPolicy, ScheduledClaim};
 pub use shard::{
-    concat_row_bands, hh_cpu_sharded, hh_cpu_sharded_with_artifacts, sum_profiles, PipelineStats,
-    ShardConfig, ShardPlan, ShardedOutput,
+    concat_row_bands, hh_cpu_sharded, hh_cpu_sharded_with_artifacts,
+    try_hh_cpu_sharded_with_artifacts, PipelineStats, ShardConfig, ShardPlan, ShardedOutput,
 };
 pub use threshold::{identify_plan, Phase1Plan, SymbolicStructure, ThresholdPolicy, Thresholds};
 pub use units::WorkUnitConfig;

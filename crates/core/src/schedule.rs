@@ -97,7 +97,7 @@ pub struct ExecCounts {
 }
 
 impl ExecCounts {
-    fn from_per_claim(schedule: &ClaimSchedule<'_>, per_claim: Vec<usize>) -> Self {
+    pub(crate) fn from_per_claim(schedule: &ClaimSchedule<'_>, per_claim: Vec<usize>) -> Self {
         let mut cpu_entries = 0;
         let mut gpu_entries = 0;
         for (claim, &n) in schedule.claims.iter().zip(&per_claim) {

@@ -1,18 +1,23 @@
-//! Sharded out-of-core SpGEMM: row-band partitioning over the HH-CPU
-//! engine, pipelined under a resident-byte budget that spills to disk.
+//! Sharded out-of-core SpGEMM: the one global HH-CPU plan executed row
+//! band by row band, pipelined under a resident-byte budget that spills to
+//! disk.
 //!
 //! A shard is "a claim schedule with a row offset": the [`ShardPlan`]
-//! cuts A into contiguous nnz-balanced row bands, each band × full B runs
-//! through the unmodified [`hh_cpu_with_artifacts`] engine against
-//! artifacts *sliced from one global Phase I* ([`SpmmArtifacts::for_row_band`]),
-//! and the per-band CSR outputs are stitched back into monolithic C by
-//! pure indptr offset fix-up — no re-sort, no re-merge. Bit-identity of
-//! the stitched C to the monolithic run is a theorem of the engine's
-//! structure (see DESIGN.md §3.7), and `tests/shard_equivalence.rs`
-//! enforces it across every shard count × byte cap × thread count × clone.
+//! cuts A into contiguous nnz-balanced row bands, and each band × full B
+//! runs its slice of the global claim schedule — every claim's rows cut to
+//! the band and shifted to band-local indices — through the unmodified
+//! [`schedule::execute`]. Phase I and the Phase II/III plan are the
+//! monolithic run's (`RunPlan`); no band is planned on its own. The
+//! per-band CSR outputs are stitched back into monolithic C by pure indptr
+//! offset fix-up — no re-sort, no re-merge. Each row of C meets the same
+//! claims in the same order as in the monolithic run and the per-claim
+//! entry counts add across bands, so C *and* the reply's profile,
+//! thresholds and counters equal the monolithic [`crate::hh_cpu`]'s (see
+//! DESIGN.md §3.7); `tests/shard_equivalence.rs` enforces it across every
+//! shard count × byte cap × thread count × clone.
 //!
 //! Every sharded multiply runs one pipelined driver. Band work fans across
-//! the host pool, each band on a serial inner engine sharing the
+//! the host pool, each band on a serial executor sharing the
 //! `Arc<WorkspacePool>`; admission is gated by a resident-byte budget
 //! ([`ResidentBudget`]: in-flight band inputs + finished C bands,
 //! byte-accurate against `byte_cap`); finished bands hand off to a
@@ -22,24 +27,25 @@
 //! never blocks on `write_csr_chunk`, and the stitch never holds all
 //! bands resident.
 //! Band results commit in plan order regardless of completion order
-//! ([`OrderedCommitter`]), which is what keeps the stitched C *and* the
-//! summed profile bit-identical to the monolithic run (DESIGN.md §3.9).
-//! A one-thread host pool degenerates to one worker: bands run in plan
+//! ([`OrderedCommitter`]), which is what keeps the stitched C
+//! bit-identical to the monolithic run (DESIGN.md §3.9).
+//! A one-thread host pool degenerates to one worker: bands in plan
 //! order, one at a time, with the spill writes still behind them. An
 //! uncapped run ([`ShardConfig::pooled`]) is the same pipeline under a
 //! budget it never exceeds: nothing spills and no spill directory exists.
 
+use std::ops::Range;
 use std::sync::{mpsc, Condvar, Mutex};
 use std::time::Instant;
 
-use spmm_hetsim::{PhaseBreakdown, PhaseTimes};
 use spmm_parallel::{OrderedCommitter, ThreadPool};
 use spmm_sparse::io::{split_csr_chunk, write_csr_chunk};
 use spmm_sparse::{CsrMatrix, Scalar, SparseError};
 
 use crate::context::HeteroContext;
-use crate::hhcpu::{hh_cpu_with_artifacts, HhCpuConfig, SpmmArtifacts};
+use crate::hhcpu::{HhCpuConfig, RunPlan, SpmmArtifacts};
 use crate::result::SpmmOutput;
+use crate::schedule::{self, ClaimSchedule, ExecCounts, ScheduledClaim};
 
 /// Partition of A's rows into contiguous, nnz-balanced bands.
 ///
@@ -140,43 +146,18 @@ pub struct PipelineStats {
 }
 
 /// Result of a sharded multiply: the stitched monolithic-equivalent
-/// output plus the per-shard accounting the monolithic path cannot give.
+/// output plus the band accounting the monolithic path cannot give.
 #[derive(Debug)]
 pub struct ShardedOutput<T: Scalar> {
-    /// Stitched C and aggregate profile. `C` is bit-identical to the
-    /// monolithic [`crate::hh_cpu`] on the same operands; the profile is
-    /// the field-wise sum of `per_shard` (see DESIGN.md §3.7 for why that
-    /// is the defined aggregation, not equality with the monolithic
-    /// profile).
+    /// Stitched C and profile, equal in every field to the monolithic
+    /// [`crate::hh_cpu`] on the same operands (DESIGN.md §3.7).
     pub output: SpmmOutput<T>,
-    /// One simulated [`PhaseBreakdown`] per band, in band order.
-    /// Cap- and thread-count-invariant for a fixed plan.
-    pub per_shard: Vec<PhaseBreakdown>,
     /// The band partition that was executed.
     pub plan: ShardPlan,
     /// How many shard outputs took the disk round-trip (0 when uncapped).
     pub spilled_shards: usize,
     /// Pipeline diagnostics; every run reports them.
     pub pipe: Option<PipelineStats>,
-}
-
-/// Field-wise sum of per-shard simulated profiles — the defined
-/// aggregation for a sharded run (each band is a full engine pass, so
-/// phases accumulate; there is no overlap model across bands).
-pub fn sum_profiles(profiles: &[PhaseBreakdown]) -> PhaseBreakdown {
-    let mut total = PhaseBreakdown::default();
-    for p in profiles {
-        for (t, s) in [
-            (&mut total.phase1, &p.phase1),
-            (&mut total.phase2, &p.phase2),
-            (&mut total.phase3, &p.phase3),
-            (&mut total.phase4, &p.phase4),
-        ] {
-            *t = PhaseTimes::new(t.cpu_ns + s.cpu_ns, t.gpu_ns + s.gpu_ns);
-        }
-        total.transfer_ns += p.transfer_ns;
-    }
-    total
 }
 
 /// The one append path of both stitches, [`concat_row_bands`] and
@@ -235,8 +216,13 @@ pub fn concat_row_bands<T: Scalar>(bands: &[CsrMatrix<T>], ncols: usize) -> CsrM
 }
 
 /// Run `C = A × B` sharded: global Phase I once, then each row band of A
-/// × full B through the engine under `shard.byte_cap`, stitched by offset
-/// fix-up. See the module docs for the contract.
+/// × full B through the executor under `shard.byte_cap`, stitched by
+/// offset fix-up. See the module docs for the contract.
+///
+/// # Panics
+///
+/// If a spill write or read fails; [`try_hh_cpu_sharded_with_artifacts`]
+/// returns that as an error.
 pub fn hh_cpu_sharded<T: Scalar>(
     ctx: &mut HeteroContext,
     a: &CsrMatrix<T>,
@@ -248,16 +234,37 @@ pub fn hh_cpu_sharded<T: Scalar>(
     hh_cpu_sharded_with_artifacts(ctx, a, b, config, shard, &artifacts)
 }
 
+/// [`hh_cpu_sharded`] against precomputed *global* artifacts.
+///
+/// # Panics
+///
+/// If a spill write or read fails; [`try_hh_cpu_sharded_with_artifacts`]
+/// returns that as an error.
+pub fn hh_cpu_sharded_with_artifacts<T: Scalar>(
+    ctx: &mut HeteroContext,
+    a: &CsrMatrix<T>,
+    b: &CsrMatrix<T>,
+    config: &HhCpuConfig,
+    shard: &ShardConfig,
+    artifacts: &SpmmArtifacts,
+) -> ShardedOutput<T> {
+    try_hh_cpu_sharded_with_artifacts(ctx, a, b, config, shard, artifacts)
+        .expect("shard spill failed")
+}
+
 /// [`hh_cpu_sharded`] against precomputed *global* artifacts (the serve
 /// layer's warm path — the same artifacts serve monolithic and sharded
-/// multiplies of the operands, because the plan is shard-invariant).
+/// multiplies of the operands, because a band runs a slice of the one
+/// global plan), answering a failed spill write or read with its error.
+/// The spill directory is removed on either outcome.
 ///
 /// The pipelined driver (see DESIGN.md §3.9). Three stages, all bounded
 /// by one resident-byte budget:
 ///
 /// 1. **Compute** — `min(pool, p)` workers claim bands *in plan order*;
 ///    admission waits until the band's input bytes fit under the cap.
-///    Each worker runs the band through a serial inner engine.
+///    Each worker executes the band's slice of the global schedule
+///    (`band_schedule`) on a one-thread pool.
 /// 2. **Commit + write-behind** — finished bands enter an
 ///    [`OrderedCommitter`], which releases them in plan order to an
 ///    unbounded channel feeding the spill thread. The spill thread owns
@@ -267,19 +274,19 @@ pub fn hh_cpu_sharded<T: Scalar>(
 ///    final matrix from the band shapes recorded at push and appends bands
 ///    one at a time, prefetching and validating the next spilled chunk on
 ///    a reader thread while the current band's indptr fix-up memcpy runs.
-pub fn hh_cpu_sharded_with_artifacts<T: Scalar>(
+///
+/// The bands' per-claim entry counts are summed, and Phase I, Phase IV
+/// and the transfers are charged once, exactly as for the monolithic run.
+pub fn try_hh_cpu_sharded_with_artifacts<T: Scalar>(
     ctx: &mut HeteroContext,
     a: &CsrMatrix<T>,
     b: &CsrMatrix<T>,
     config: &HhCpuConfig,
     shard: &ShardConfig,
     artifacts: &SpmmArtifacts,
-) -> ShardedOutput<T> {
-    assert_eq!(
-        a.ncols(),
-        b.nrows(),
-        "A and B incompatible for multiplication"
-    );
+) -> Result<ShardedOutput<T>, SparseError> {
+    let run = RunPlan::new(ctx, a, b, config, artifacts);
+    let sched = run.schedule();
     let byte_cap = shard.byte_cap;
     let plan = ShardPlan::nnz_balanced(a, shard.shards);
     let p = plan.shards();
@@ -295,11 +302,10 @@ pub fn hh_cpu_sharded_with_artifacts<T: Scalar>(
     let workers = ctx.pool.num_threads().min(p).min(hw).max(1);
     let band_a_bytes: Vec<usize> = (0..p).map(|i| a.row_band_byte_size(plan.band(i))).collect();
     let budget = ResidentBudget::new(byte_cap);
-    let mut per_shard: Vec<PhaseBreakdown> = Vec::with_capacity(p);
-    let mut tuples_merged = 0usize;
-    let (ctx, bands) = (&*ctx, &plan);
+    let mut per_claim = vec![0usize; sched.claims.len()];
+    let (ctx, bands, serial) = (&*ctx, &plan, &ThreadPool::new(1));
 
-    let (c, spilled_shards, spill_wait_ns) = std::thread::scope(|s| {
+    let (c, spilled_shards, spill_wait_ns) = std::thread::scope(|s| -> Result<_, SparseError> {
         // The channel and committer live inside this scope so a worker
         // panic unwinds them (disconnecting the writer) before the scope
         // joins the writer thread — no deadlock on the way out.
@@ -359,12 +365,13 @@ pub fn hh_cpu_sharded_with_artifacts<T: Scalar>(
 
         // The commit closure owns `tx` (so dropping it after `finish`
         // disconnects the writer) and borrows the rest.
-        let (per_shard, tuples_merged) = (&mut per_shard, &mut tuples_merged);
+        let per_claim = &mut per_claim;
         let (budget_ref, inputs_ref) = (&budget, &band_a_bytes);
-        let committer = OrderedCommitter::new(
-            move |i: usize, (profile, tuples, c): (PhaseBreakdown, usize, CsrMatrix<T>)| {
-                per_shard.push(profile);
-                *tuples_merged += tuples;
+        let committer =
+            OrderedCommitter::new(move |i: usize, (counts, c): (ExecCounts, CsrMatrix<T>)| {
+                for (total, n) in per_claim.iter_mut().zip(counts.per_claim) {
+                    *total += n;
+                }
                 // The band input dies here (the worker dropped it before
                 // submitting); its C is now the writer's responsibility.
                 budget_ref.commit(inputs_ref[i]);
@@ -373,29 +380,29 @@ pub fn hh_cpu_sharded_with_artifacts<T: Scalar>(
                     // the pending-spill count must not dangle.
                     budget_ref.spill_done(0);
                 }
-            },
-        );
+            });
 
         std::thread::scope(|ws| {
             for _ in 0..workers {
-                let committer = &committer;
-                let budget = &budget;
+                let (committer, budget, sched) = (&committer, &budget, &sched);
                 let band_a_bytes = &band_a_bytes;
                 ws.spawn(move || {
+                    let mut rows = Vec::new();
                     while let Some(i) = budget.claim_next(band_a_bytes) {
                         let band = a.row_band(bands.band(i));
-                        let mut band_ctx = HeteroContext::with_shared(
-                            ctx.platform,
-                            ThreadPool::new(1),
-                            ctx.workspaces.clone(),
+                        let (c, counts) = schedule::execute(
+                            &band,
+                            b,
+                            &band_schedule(sched, bands.band(i), &mut rows),
+                            (band.nrows(), b.ncols()),
+                            serial,
+                            &ctx.workspaces,
+                            config.exec,
                         );
-                        let band_artifacts = artifacts.row_band_artifacts(bands.band(i), &band);
-                        let out =
-                            hh_cpu_with_artifacts(&mut band_ctx, &band, b, config, &band_artifacts);
                         // C enters the budget the moment it exists; the
                         // band input leaves at commit time.
-                        budget.charge_c(i, out.c.byte_size());
-                        committer.submit(i, (out.profile, out.tuples_merged, out.c));
+                        budget.charge_c(i, c.byte_size());
+                        committer.submit(i, (counts, c));
                     }
                 });
             }
@@ -404,31 +411,16 @@ pub fn hh_cpu_sharded_with_artifacts<T: Scalar>(
         let (committed, commit) = committer.finish();
         assert_eq!(committed, p, "every band must commit");
         drop(commit); // drops tx → the writer's recv disconnects
-        let (store, wait_ns) = writer
-            .join()
-            .expect("spill writer panicked")
-            .expect("shard spill write failed");
+        let (store, wait_ns) = writer.join().expect("spill writer panicked")?;
         let spilled = store.spilled();
-        let c = store
-            .into_stitched(b.ncols())
-            .expect("shard spill read failed");
-        (c, spilled, wait_ns)
-    });
+        let c = store.into_stitched(b.ncols())?;
+        Ok((c, spilled, wait_ns))
+    })?;
 
     let (peak_resident_bytes, admit_wait_ns) = budget.stats();
-    let th = &artifacts.plan.thresholds;
-    let output = SpmmOutput {
-        c,
-        profile: sum_profiles(&per_shard),
-        threshold_a: th.t_a,
-        threshold_b: th.t_b,
-        hd_rows_a: th.hd_rows_a(),
-        hd_rows_b: th.hd_rows_b(),
-        tuples_merged,
-    };
-    ShardedOutput {
-        output,
-        per_shard,
+    let counts = ExecCounts::from_per_claim(&sched, per_claim);
+    Ok(ShardedOutput {
+        output: run.finish(ctx, c, &counts),
         plan,
         spilled_shards,
         pipe: Some(PipelineStats {
@@ -438,7 +430,40 @@ pub fn hh_cpu_sharded_with_artifacts<T: Scalar>(
             spill_wait_ns,
             admit_wait_ns,
         }),
+    })
+}
+
+/// One band's slice of the global schedule: each claim's ascending row
+/// list cut to `band` (two binary searches) and shifted to band-local
+/// indices, stored in the caller's `rows` buffer. Every claim keeps its
+/// slot, empty or not, so the band's per-claim counts line up with the
+/// global schedule's.
+fn band_schedule<'a>(
+    global: &ClaimSchedule<'a>,
+    band: Range<usize>,
+    rows: &'a mut Vec<usize>,
+) -> ClaimSchedule<'a> {
+    rows.clear();
+    let mut ends = Vec::with_capacity(global.claims.len());
+    for claim in &global.claims {
+        let lo = claim.rows.partition_point(|&r| r < band.start);
+        let hi = lo + claim.rows[lo..].partition_point(|&r| r < band.end);
+        rows.extend(claim.rows[lo..hi].iter().map(|&r| r - band.start));
+        ends.push(rows.len());
     }
+    let rows: &'a [usize] = rows;
+    let mut start = 0;
+    let claims = global
+        .claims
+        .iter()
+        .zip(ends)
+        .map(|(claim, end)| {
+            let rows = &rows[start..end];
+            start = end;
+            ScheduledClaim { rows, ..*claim }
+        })
+        .collect();
+    ClaimSchedule { claims }
 }
 
 /// Byte-accurate admission gate of the sharded pipeline.
@@ -842,10 +867,11 @@ mod tests {
             let out = hh_cpu_sharded(&mut ctx, &a, &a, &config, &shard);
             assert_eq!(out.output.c.content_hash(), mono.c.content_hash());
             assert_eq!(out.output.c, mono.c);
+            assert_eq!(out.output.profile, mono.profile);
             assert_eq!(out.output.tuples_merged, mono.tuples_merged);
             assert_eq!(out.output.threshold_a, mono.threshold_a);
             assert_eq!(out.output.hd_rows_a, mono.hd_rows_a);
-            assert_eq!(out.per_shard.len(), 3);
+            assert_eq!(out.plan.shards(), 3);
             if byte_cap == 0 {
                 assert_eq!(out.spilled_shards, 3, "byte_cap 0 must spill every shard");
             } else {
@@ -856,53 +882,28 @@ mod tests {
 
     #[test]
     fn profile_is_sum_of_shards_and_mode_invariant() {
+        // every band runs its slice of the one global plan, so the bands'
+        // summed claim counts give the monolithic profile, pooled and
+        // out-of-core alike
         let a = matrix(5);
         let b = matrix(6);
         let mut ctx = HeteroContext::paper().with_host_threads(2);
         let config = HhCpuConfig::default();
+        let mono = hh_cpu(&mut ctx, &a, &b, &config);
         let pooled = hh_cpu_sharded(&mut ctx, &a, &b, &config, &ShardConfig::pooled(4));
         let ooc = hh_cpu_sharded(&mut ctx, &a, &b, &config, &ShardConfig::out_of_core(4, 0));
-        assert_eq!(pooled.per_shard, ooc.per_shard);
-        assert_eq!(pooled.output.profile, sum_profiles(&pooled.per_shard));
-        assert_eq!(pooled.output.c, ooc.output.c);
-    }
-
-    #[test]
-    fn band_plans_are_kept_on_the_global_artifacts() {
-        // a second sharded run against the same artifacts replays every
-        // band's kept plan: same bits, and the same band artifacts
-        let a = matrix(7);
-        let b = matrix(8);
-        let mut ctx = HeteroContext::paper().with_host_threads(2);
-        let config = HhCpuConfig::default();
-        let artifacts = SpmmArtifacts::build(&ctx, &a, &b, config.policy);
-        let bare = artifacts.byte_size();
-        let run = |ctx: &mut HeteroContext, shard: &ShardConfig| {
-            hh_cpu_sharded_with_artifacts(ctx, &a, &b, &config, shard, &artifacts)
-        };
-        let first = run(&mut ctx, &ShardConfig::pooled(3));
-        assert!(artifacts.byte_size() > bare, "band artifacts are accounted");
-        let again = run(&mut ctx, &ShardConfig::out_of_core(3, 0));
-        assert_eq!(again.output.c, first.output.c);
-        assert_eq!(again.per_shard, first.per_shard);
-        let plan = ShardPlan::nnz_balanced(&a, 3);
-        let band = a.row_band(plan.band(1));
-        let kept = artifacts.row_band_artifacts(plan.band(1), &band);
-        assert!(
-            kept.phases.get().is_some(),
-            "the band's first run planned it"
-        );
-        let shared = artifacts.row_band_artifacts(plan.band(1), &band);
-        assert!(std::sync::Arc::ptr_eq(&kept, &shared));
-        let cold = hh_cpu_sharded(&mut ctx, &a, &b, &config, &ShardConfig::pooled(3));
-        assert_eq!(cold.per_shard, first.per_shard);
+        for out in [&pooled, &ooc] {
+            assert_eq!(out.output.c, mono.c);
+            assert_eq!(out.output.profile, mono.profile);
+            assert_eq!(out.output.hd_rows_b, mono.hd_rows_b);
+            assert_eq!(out.output.tuples_merged, mono.tuples_merged);
+        }
     }
 
     #[test]
     fn single_shard_cross_product_equals_monolithic_profile() {
-        // With one band and A ≠ B the band run is the monolithic run
-        // (same operands, same artifacts values), so even the simulated
-        // profile must agree to the bit.
+        // With one band and A ≠ B the band runs the whole global schedule,
+        // so even the simulated profile must agree to the bit.
         let a = matrix(9);
         let b = matrix(10);
         let mut ctx = HeteroContext::paper();
@@ -912,6 +913,25 @@ mod tests {
         assert_eq!(out.output.c, mono.c);
         assert_eq!(out.output.profile, mono.profile);
         assert_eq!(out.output.tuples_merged, mono.tuples_merged);
+    }
+
+    #[test]
+    fn band_schedules_partition_every_claim() {
+        let rows = [0, 2, 3, 7, 8, 9];
+        let global = ClaimSchedule {
+            claims: [&rows[..], &rows[1..3], &[]]
+                .map(|rows| ScheduledClaim {
+                    device: spmm_hetsim::DeviceKind::Cpu,
+                    rows,
+                    b_mask: None,
+                    sim_ns: 0.0,
+                })
+                .to_vec(),
+        };
+        let mut buf = Vec::new();
+        let band = band_schedule(&global, 3..8, &mut buf);
+        let local: Vec<&[usize]> = band.claims.iter().map(|c| c.rows).collect();
+        assert_eq!(local, [&[0, 4][..], &[0], &[]]);
     }
 
     /// Largest per-band working set (input + C bytes) for a plan — the
@@ -928,13 +948,6 @@ mod tests {
         let a = matrix(21);
         let b = matrix(22);
         let config = HhCpuConfig::default();
-        let pooled = hh_cpu_sharded(
-            &mut HeteroContext::paper(),
-            &a,
-            &b,
-            &config,
-            &ShardConfig::pooled(6),
-        );
         // one worker is the degenerate pipeline: bands in plan order, one
         // at a time, spill writes still behind them
         for threads in [1, 4] {
@@ -949,8 +962,7 @@ mod tests {
                     "out-of-core C drifted (cap {byte_cap}, {threads} threads)"
                 );
                 assert_eq!(piped.output.tuples_merged, mono.tuples_merged);
-                assert_eq!(piped.per_shard, pooled.per_shard);
-                assert_eq!(piped.output.profile, pooled.output.profile);
+                assert_eq!(piped.output.profile, mono.profile);
 
                 let stats = piped.pipe.expect("out-of-core run must report stats");
                 assert_eq!(stats.byte_cap, byte_cap);

@@ -3,7 +3,7 @@
 //! The paper's CPU side runs the row-row kernel on 6 cores / 12 SMT threads
 //! (§II-B) and Phase IV needs a parallel sort + scan (§III-D). This crate
 //! provides the needed primitives without pulling in rayon: guided
-//! (self-scheduling) loops, ordered parallel maps, an in-order committer,
+//! (self-scheduling) loops, an ordered parallel map, an in-order committer,
 //! and a disjoint-write slice. Everything is safe
 //! code over `std::thread::scope` except [`DisjointSlice`], which carries
 //! its disjointness obligation as an explicit `unsafe` contract.

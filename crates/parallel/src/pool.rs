@@ -81,42 +81,12 @@ impl ThreadPool {
         });
     }
 
-    /// Parallel map preserving order: `out[i] = f(i)`. Each thread produces
-    /// the output for one contiguous range; the ranges are concatenated in
-    /// order, so no shared mutable state is needed.
-    pub fn map<T, F>(&self, len: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        if len == 0 {
-            return Vec::new();
-        }
-        let t = self.num_threads.min(len);
-        let chunk = len.div_ceil(t);
-        let mut out = Vec::with_capacity(len);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..t)
-                .map(|i| {
-                    let lo = i * chunk;
-                    let hi = ((i + 1) * chunk).min(len);
-                    let f = &f;
-                    s.spawn(move || (lo..hi).map(f).collect::<Vec<T>>())
-                })
-                .collect();
-            for h in handles {
-                out.extend(h.join().expect("worker panicked"));
-            }
-        });
-        out
-    }
-
     /// Order-preserving parallel map with *dynamic* index assignment:
     /// workers claim one index at a time from a shared counter and write
-    /// `out[i] = f(i)` into its slot. Unlike [`ThreadPool::map`] (static
-    /// contiguous chunks), heavily skewed per-index costs — one Phase-I
-    /// ladder candidate simulating 100× the rows of another — cannot strand
-    /// the tail of the work on a single thread. The output depends only on
+    /// `out[i] = f(i)` into its slot. Unlike static contiguous chunks,
+    /// heavily skewed per-index costs — one Phase-I ladder candidate
+    /// simulating 100× the rows of another — cannot strand the tail of the
+    /// work on a single thread. The output depends only on
     /// `f` and the index, never on the schedule, so the result is identical
     /// for every thread count (the determinism the candidate-parallel
     /// threshold search is built on).
@@ -187,13 +157,6 @@ mod tests {
     }
 
     #[test]
-    fn map_preserves_order() {
-        let pool = ThreadPool::new(3);
-        let out = pool.map(100, |i| i * i);
-        assert_eq!(out, (0..100).map(|i| i * i).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn par_map_is_identical_for_every_thread_count() {
         let expected: Vec<usize> = (0..503).map(|i| i * i + 1).collect();
         for threads in [1, 2, 3, 8] {
@@ -225,13 +188,12 @@ mod tests {
     fn empty_inputs_are_noops() {
         let pool = ThreadPool::new(2);
         pool.for_each_guided_with(0, 8, || (), |_, _| panic!("must not run"));
-        assert!(pool.map(0, |_| 0u8).is_empty());
     }
 
     #[test]
     fn single_thread_pool_works() {
         let pool = ThreadPool::new(1);
-        let out = pool.map(10, |i| i + 1);
+        let out = pool.par_map(10, |i| i + 1);
         assert_eq!(out[9], 10);
     }
 

@@ -35,12 +35,10 @@ pub struct ArtifactKey {
     pub policy: ThresholdPolicy,
     /// Platform scale ([`spmm_core::Platform::scaled`] argument).
     pub scale: usize,
-    /// Shard count the multiply executes under (1 = monolithic). The
-    /// *artifacts* are shard-invariant — the sharded driver slices one
-    /// global plan — so on a sharded miss the service aliases the
-    /// monolithic entry's `Arc` under the sharded key rather than
-    /// rebuilding; the key still carries the count so cache stats and
-    /// purges see the sharded traffic distinctly.
+    /// Shard count of the entry. Artifacts are shard-invariant — a
+    /// sharded multiply executes the one global plan band by band — so
+    /// [`SpmmService`](super::SpmmService) keys every request with 1 and
+    /// a product has one entry whatever its shard count or byte cap.
     pub shards: usize,
 }
 

@@ -9,7 +9,7 @@
 
 use std::time::{Duration, Instant};
 
-use spmm_core::{hh_cpu, HeteroContext, HhCpuConfig, Platform, ShardConfig, SpmmOutput};
+use spmm_core::{hh_cpu, HeteroContext, HhCpuConfig, Platform, SpmmOutput};
 
 use super::json::{self, Json};
 use super::service::{MultiplyReply, MultiplyRequest, SpmmService};
@@ -168,20 +168,10 @@ fn verify_against_cold(service: &SpmmService, replayed: &ReplayedMultiply) -> Re
         policy: replayed.request.policy,
         ..HhCpuConfig::default()
     };
+    // a sharded or capped request replies what the monolithic run does,
+    // so every multiply is held to a cold monolithic hh_cpu
     let mut ctx = HeteroContext::new(Platform::scaled(reply.scale));
-    // A sharded request is cold-verified against a cold *sharded* run:
-    // its C must still match the monolithic product bit-for-bit (the
-    // shard driver's own gate), but its profile is the documented
-    // sum-of-shards aggregate, so the apples-to-apples cold reference is
-    // the same driver.
-    let shards = replayed.request.shards.unwrap_or(1).max(1);
-    let cold = if shards > 1 || replayed.request.byte_cap.is_some() {
-        let byte_cap = replayed.request.byte_cap.unwrap_or(usize::MAX);
-        let shard_config = ShardConfig::out_of_core(shards, byte_cap);
-        spmm_core::hh_cpu_sharded(&mut ctx, &a, &b, &config, &shard_config).output
-    } else {
-        hh_cpu(&mut ctx, &a, &b, &config)
-    };
+    let cold = hh_cpu(&mut ctx, &a, &b, &config);
     diff_outputs(&reply.output, &cold)
 }
 

@@ -26,7 +26,7 @@
 use std::sync::{Arc, Condvar, Mutex};
 
 use spmm_core::{
-    hh_cpu_sharded_with_artifacts, hh_cpu_with_artifacts, HeteroContext, HhCpuConfig, Platform,
+    hh_cpu_with_artifacts, try_hh_cpu_sharded_with_artifacts, HeteroContext, HhCpuConfig, Platform,
     ShardConfig, SpmmArtifacts, SpmmOutput, ThresholdPolicy,
 };
 use spmm_parallel::ThreadPool;
@@ -50,12 +50,6 @@ pub struct ServiceConfig {
     pub registry_cap_bytes: usize,
     /// Byte cap on cached artifacts (LRU eviction).
     pub artifact_cap_bytes: usize,
-    /// Batch requests whose `nnz(A) + nnz(B)` is below this run
-    /// items-parallel across the pool with a serial engine each (one
-    /// guided pass over the whole batch) instead of one-at-a-time with a
-    /// parallel engine — per-product parallelism cannot amortise on
-    /// products this small.
-    pub micro_batch_nnz: usize,
 }
 
 impl Default for ServiceConfig {
@@ -66,7 +60,6 @@ impl Default for ServiceConfig {
             queue_depth: 64,
             registry_cap_bytes: usize::MAX,
             artifact_cap_bytes: usize::MAX,
-            micro_batch_nnz: 40_000,
         }
     }
 }
@@ -88,6 +81,9 @@ pub enum ServeError {
     /// A loaded matrix hashed to the key of a different registered matrix
     /// (the load is refused; nothing was registered).
     HashCollision(MatrixKey),
+    /// An out-of-core multiply could not write or read back a spilled
+    /// band (its spill directory is already removed).
+    Spill(String),
 }
 
 impl std::fmt::Display for ServeError {
@@ -104,6 +100,7 @@ impl std::fmt::Display for ServeError {
                 "content hash {} already names a different matrix",
                 super::json::hex64(*key)
             ),
+            ServeError::Spill(msg) => write!(f, "out-of-core spill failed: {msg}"),
         }
     }
 }
@@ -123,15 +120,15 @@ pub struct MultiplyRequest {
     pub scale: Option<usize>,
     /// Row-band shard count; `None` or `Some(1)` ⇒ monolithic. Sharded
     /// requests run the shard driver against the same cached artifacts
-    /// (the plan is shard-invariant) and reply with a `C` bit-identical to
-    /// the monolithic multiply.
+    /// (each band runs a slice of the one global plan) and reply exactly
+    /// what the monolithic multiply replies.
     pub shards: Option<usize>,
     /// Resident-byte budget of the shard driver
     /// ([`spmm_core::ShardConfig::byte_cap`]); `Some` routes the request
     /// through it (as one band unless `shards` says otherwise) and spills
     /// finished bands past the cap, `None` runs it uncapped. An execution
-    /// knob: C stays bit-identical and the artifact cache key is unchanged
-    /// (artifacts are cap-invariant).
+    /// knob: the reply stays the monolithic one and the artifact cache key
+    /// is unchanged. A spill that fails answers [`ServeError::Spill`].
     pub byte_cap: Option<usize>,
 }
 
@@ -280,7 +277,6 @@ impl Drop for AdmissionPermit<'_> {
 /// every session thread.
 #[derive(Debug)]
 pub struct SpmmService {
-    config: ServiceConfig,
     registry: MatrixRegistry,
     artifacts: ArtifactCache,
     pool: ThreadPool,
@@ -300,7 +296,6 @@ impl SpmmService {
             pool,
             workspaces: Arc::new(WorkspacePool::new()),
             gate: AdmissionGate::new(config.max_inflight, config.queue_depth),
-            config,
         }
     }
 
@@ -457,6 +452,13 @@ impl SpmmService {
             .collect())
     }
 
+    /// Batch requests whose `nnz(A) + nnz(B)` is below this run
+    /// items-parallel across the pool with a serial engine each (one
+    /// guided pass over the whole batch) instead of one-at-a-time with a
+    /// parallel engine — per-product parallelism cannot amortise on
+    /// products this small.
+    const MICRO_BATCH_NNZ: usize = 40_000;
+
     fn is_small(&self, request: &MultiplyRequest) -> bool {
         let nnz = |token: &str| {
             self.registry
@@ -464,7 +466,7 @@ impl SpmmService {
                 .and_then(|k| self.registry.peek_nnz(k))
         };
         match (nnz(&request.a), nnz(&request.b)) {
-            (Some(a), Some(b)) => a + b < self.config.micro_batch_nnz,
+            (Some(a), Some(b)) => a + b < Self::MICRO_BATCH_NNZ,
             // unknown operands error out on the sequential path
             _ => false,
         }
@@ -540,46 +542,34 @@ impl SpmmService {
         let mut ctx =
             HeteroContext::with_shared(Platform::scaled(scale), pool, self.workspaces.clone());
 
-        let shards = request.shards.unwrap_or(1).max(1);
+        // artifacts are shard-invariant: every request keys one band
         let key = ArtifactKey {
             a: a_key,
             b: b_key,
             policy: request.policy,
             scale,
-            shards,
+            shards: 1,
         };
         let (artifacts, warm) = match self.artifacts.get(&key) {
             Some(hit) => (hit, true),
             None => {
-                // Artifacts are shard-invariant (the sharded driver slices
-                // one global plan), so a sharded miss can alias another
-                // shard count's entry instead of re-running Phase I.
-                let alias = (shards != 1)
-                    .then(|| self.artifacts.get(&ArtifactKey { shards: 1, ..key }))
-                    .flatten();
-                match alias {
-                    Some(hit) => {
-                        self.artifacts.insert(key, hit.clone());
-                        (hit, true)
-                    }
-                    None => {
-                        let built = Arc::new(SpmmArtifacts::build(&ctx, &*a, &*b, request.policy));
-                        self.artifacts.insert(key, built.clone());
-                        (built, false)
-                    }
-                }
+                let built = Arc::new(SpmmArtifacts::build(&ctx, &*a, &*b, request.policy));
+                self.artifacts.insert(key, built.clone());
+                (built, false)
             }
         };
         let config = HhCpuConfig {
             policy: request.policy,
             ..HhCpuConfig::default()
         };
+        let shards = request.shards.unwrap_or(1).max(1);
         let output = if shards > 1 || request.byte_cap.is_some() {
             // a capped request without an explicit shard count runs as
             // one band; an uncapped one never spills
             let byte_cap = request.byte_cap.unwrap_or(usize::MAX);
             let shard_config = ShardConfig::out_of_core(shards, byte_cap);
-            hh_cpu_sharded_with_artifacts(&mut ctx, &a, &b, &config, &shard_config, &artifacts)
+            try_hh_cpu_sharded_with_artifacts(&mut ctx, &a, &b, &config, &shard_config, &artifacts)
+                .map_err(|err| ServeError::Spill(err.to_string()))?
                 .output
         } else {
             hh_cpu_with_artifacts(&mut ctx, &a, &b, &config, &artifacts)

@@ -102,6 +102,7 @@ fn error_reply(err: &ServeError) -> Json {
         ServeError::Rejected => "rejected",
         ServeError::BadRequest(_) => "bad_request",
         ServeError::HashCollision(_) => "hash_collision",
+        ServeError::Spill(_) => "spill_failed",
     };
     Json::obj(vec![
         ("ok", Json::Bool(false)),

@@ -12,14 +12,13 @@
 //! - a warm run equals a cold `hh_cpu` in C, `PhaseBreakdown` bits,
 //!   thresholds and `tuples_merged`, also under explicit paper work units
 //!   (which simulate their own plan);
-//! - row-band artifacts simulate their own plan on first run and produce
-//!   the monolithic run's rows.
+//! - a sharded run against the same artifacts, which executes the kept
+//!   plan band by band, replies exactly what the monolithic run does.
 
-use hetero_spmm::core::shard::ShardPlan;
 use hetero_spmm::core::threshold::{self, PhasePlan, WidthTables};
 use hetero_spmm::core::{
-    hh_cpu, hh_cpu_with_artifacts, HeteroContext, HhCpuConfig, SpmmArtifacts, SpmmOutput,
-    ThresholdPolicy, WorkUnitConfig,
+    hh_cpu, hh_cpu_sharded_with_artifacts, hh_cpu_with_artifacts, HeteroContext, HhCpuConfig,
+    ShardConfig, SpmmArtifacts, SpmmOutput, ThresholdPolicy, WorkUnitConfig,
 };
 use hetero_spmm::hetsim::gpu::{masked_output_widths_for_pooled, masked_output_widths_pooled};
 use hetero_spmm::hetsim::PhaseBreakdown;
@@ -162,7 +161,7 @@ fn kept_plan_matches_a_fresh_simulation_and_warm_runs_match_cold_on_every_clone(
                 let what = format!("{name} {policy:?} {pair}");
                 let mut ctx = HeteroContext::scaled(scale);
                 let artifacts = SpmmArtifacts::build(&ctx, &a, rhs, policy);
-                let kept = artifacts.phases.get().expect("build keeps the plan");
+                let kept = &artifacts.phases;
                 assert_same_plan(kept, &fresh_plan(&ctx, &a, rhs, &artifacts), &what);
                 assert_kept_widths(&ctx, &a, rhs, &artifacts, &what);
 
@@ -188,7 +187,7 @@ fn assert_kept_widths(
     what: &str,
 ) {
     let serial = ThreadPool::new(1);
-    let kept = artifacts.phases.get().expect("build keeps the plan");
+    let kept = &artifacts.phases;
     let low = masked_output_widths_pooled(a, b, Some(&kept.b_low), &serial, &ctx.workspaces);
     assert_eq!(artifacts.widths.low.get(), Some(&low), "{what}: B_L widths");
     if let Some(high) = artifacts.widths.high.get() {
@@ -220,22 +219,23 @@ fn explicit_work_units_simulate_their_own_plan() {
                 };
                 let mut ctx = HeteroContext::scaled(scale);
                 let artifacts = SpmmArtifacts::build(&ctx, &a, rhs, policy);
-                let before = artifacts.phases.get().unwrap().clone();
+                let before = artifacts.phases.clone();
                 let cold = hh_cpu(&mut ctx, &a, rhs, &config);
                 let warm = hh_cpu_with_artifacts(&mut ctx, &a, rhs, &config, &artifacts);
                 assert_same_run(&warm, &cold, &what);
-                assert_same_plan(artifacts.phases.get().unwrap(), &before, &what);
+                assert_same_plan(&artifacts.phases, &before, &what);
             }
         }
     }
 }
 
 #[test]
-fn row_band_artifacts_plan_on_first_run_and_match_the_monolithic_rows() {
+fn sharded_runs_match_the_monolithic_run_under_every_policy() {
+    // uncapped and spilling every band, against the artifacts the
+    // monolithic run used
     for (name, scale, a, b) in some_clones() {
         for policy in POLICIES {
             for (pair, rhs) in [("A = A", &a), ("A != B", &b)] {
-                let what = format!("{name} {policy:?} {pair}");
                 let config = HhCpuConfig {
                     policy,
                     ..HhCpuConfig::default()
@@ -243,31 +243,18 @@ fn row_band_artifacts_plan_on_first_run_and_match_the_monolithic_rows() {
                 let mut ctx = HeteroContext::scaled(scale);
                 let artifacts = SpmmArtifacts::build(&ctx, &a, rhs, policy);
                 let mono = hh_cpu_with_artifacts(&mut ctx, &a, rhs, &config, &artifacts);
-                let shards = ShardPlan::nnz_balanced(&a, 3);
-                for i in 0..shards.shards() {
-                    let rows = shards.band(i);
-                    let band = a.row_band(rows.clone());
-                    let band_artifacts = artifacts.for_row_band(rows.clone(), &band);
-                    assert!(
-                        band_artifacts.phases.get().is_none(),
-                        "{what}: band plans lazily"
+                for byte_cap in [usize::MAX, 1] {
+                    let what = format!("{name} {policy:?} {pair} 3 bands, cap {byte_cap}");
+                    let shard = ShardConfig::out_of_core(3, byte_cap);
+                    let out = hh_cpu_sharded_with_artifacts(
+                        &mut ctx, &a, rhs, &config, &shard, &artifacts,
                     );
-                    let first =
-                        hh_cpu_with_artifacts(&mut ctx, &band, rhs, &config, &band_artifacts);
+                    assert_same_run(&out.output, &mono, &what);
                     assert_eq!(
-                        first.c,
-                        mono.c.row_band(rows.clone()),
-                        "{what}: band {i} rows"
+                        (out.output.hd_rows_a, out.output.hd_rows_b),
+                        (mono.hd_rows_a, mono.hd_rows_b),
+                        "{what}: H/L row counts diverged"
                     );
-                    let kept = band_artifacts
-                        .phases
-                        .get()
-                        .expect("first run keeps the plan");
-                    let fresh = fresh_plan(&ctx, &band, rhs, &band_artifacts);
-                    assert_same_plan(kept, &fresh, &format!("{what}: band {i} plan"));
-                    let again =
-                        hh_cpu_with_artifacts(&mut ctx, &band, rhs, &config, &band_artifacts);
-                    assert_same_run(&again, &first, &format!("{what}: band {i} rerun"));
                 }
             }
         }
