@@ -70,7 +70,7 @@ impl HierarchyStats {
         self.l1_hits + self.l2_hits + self.l3_hits + self.mem_accesses
     }
 
-    /// Fraction of accesses served by any cache level (the paper's [6]
+    /// Fraction of accesses served by any cache level (the paper's \[6\]
     /// cites last-level-cache hit ratio as the mechanism behind
     /// high-degree-on-CPU placement; this is the observable for it).
     pub fn cache_hit_rate(&self) -> f64 {

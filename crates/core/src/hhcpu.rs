@@ -4,9 +4,10 @@
 //! simulated Phase II/III plan of [`threshold::simulate_phases`]), then the
 //! numeric multiply of that plan's claims ([`schedule::execute`]) and the
 //! Phase IV merge charge. The phase simulation exists once, in
-//! `threshold`; this module only replays its plan.
-
-use std::borrow::Cow;
+//! `threshold`, with HH-CPU's adaptive work units; this module only
+//! replays its plan. The plan kept on the artifacts is therefore the plan
+//! of every run of those operands, monolithic or sharded ([`crate::shard`]
+//! drains it band by band).
 
 use spmm_sparse::{CsrMatrix, Scalar};
 
@@ -15,18 +16,17 @@ use spmm_hetsim::{DeviceKind, PhaseBreakdown, PhaseTimes, Platform, SimNs};
 use crate::context::HeteroContext;
 use crate::result::SpmmOutput;
 use crate::schedule::{self, ClaimSchedule, ExecCounts, ExecPolicy, ScheduledClaim};
-use crate::threshold::{self, Phase1Plan, PhasePlan, ThresholdPolicy, WidthTables};
-use crate::units::WorkUnitConfig;
+use crate::threshold::{self, Phase1Plan, PhasePlan, ThresholdPolicy};
 
 /// Configuration of one HH-CPU run.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct HhCpuConfig {
     /// Phase I threshold policy.
     pub policy: ThresholdPolicy,
-    /// Phase III work-unit sizes; `None` ⇒ sized to the H/L row lists
-    /// ([`threshold::adaptive_units`]).
-    pub units: Option<WorkUnitConfig>,
-    /// Which executor runs the scheduled numeric work.
+    /// Which executor runs a monolithic run's numeric work. A sharded run
+    /// ([`crate::shard`]) always drains with the production engine; the
+    /// serial oracle [`ExecPolicy::PerClaim`] is for equivalence checks
+    /// and oracle timings.
     pub exec: ExecPolicy,
 }
 
@@ -43,8 +43,8 @@ impl HhCpuConfig {
 /// Everything Phase I computes for one `(A, B, policy, platform)` that is
 /// worth keeping across repeated multiplies of the same operands: the
 /// [`Phase1Plan`] (thresholds, Boolean masks, symbolic row-size
-/// structures), the simulated Phase II/III [`PhasePlan`] of the chosen
-/// thresholds, and the masked GPU width tables. Building this is the whole
+/// structures) and the simulated Phase II/III [`PhasePlan`] of the chosen
+/// thresholds. Building this is the whole
 /// non-numeric cost of a run — the empirical threshold search alone
 /// simulates Phases II and III once per ladder candidate, and the winner's
 /// plan is the one kept — so a serve layer caches it keyed by content hash
@@ -63,16 +63,14 @@ pub struct SpmmArtifacts {
     pub platform: Platform,
     /// Thresholds, Boolean masks, and symbolic structures.
     pub plan: Phase1Plan,
-    /// GPU width tables under the chosen masks.
-    pub widths: WidthTables,
-    /// The Phase II/III plan under the default work units.
+    /// The Phase II/III plan of the chosen thresholds.
     pub phases: PhasePlan,
 }
 
 impl SpmmArtifacts {
-    /// Run Phase I and keep the chosen thresholds' Phase II/III plan and
-    /// width tables — the cold-path work that [`hh_cpu`] performs on every
-    /// call and a serve layer performs once per `(A, B, policy)`.
+    /// Run Phase I and keep the chosen thresholds' Phase II/III plan — the
+    /// cold-path work that [`hh_cpu`] performs on every call and a serve
+    /// layer performs once per `(A, B, policy)`.
     pub fn build<T: Scalar>(
         ctx: &HeteroContext,
         a: &CsrMatrix<T>,
@@ -81,18 +79,16 @@ impl SpmmArtifacts {
     ) -> Self {
         let (plan, winner) = threshold::identify_with_winner(ctx, a, b, policy);
         // Fixed and Balanced ran no search: simulate their pair once, cold
-        let (phases, widths) = winner.unwrap_or_else(|| {
+        let phases = winner.unwrap_or_else(|| {
             let mut sim = threshold::serial_context(ctx);
             sim.pool = ctx.pool.clone();
             let t = (plan.thresholds.t_a, plan.thresholds.t_b);
-            let widths = WidthTables::default();
-            threshold::evaluate(&mut sim, a, b, t, &plan.sym_a, plan.sym_b(), widths, None)
+            threshold::simulate_phases(&mut sim, a, b, t, &plan.sym_a, plan.sym_b())
         });
         Self {
             policy,
             platform: ctx.platform,
             plan,
-            widths,
             phases,
         }
     }
@@ -102,12 +98,11 @@ impl SpmmArtifacts {
         let plan = &self.plan;
         let masks = plan.thresholds.a_high.len() + plan.thresholds.b_high.len();
         let syms = plan.sym_a.byte_size() + plan.sym_b.as_ref().map_or(0, |s| s.byte_size());
-        let widths = [&self.widths.low, &self.widths.high].map(|w| w.get().map_or(0, Vec::len));
         let p = &self.phases;
         let phases = (p.rows_ah.len() + p.rows_al.len()) * std::mem::size_of::<usize>()
             + p.b_low.len()
             + p.claims.len() * std::mem::size_of::<threshold::PlannedClaim>();
-        masks + syms + (widths[0] + widths[1]) * 4 + phases + std::mem::size_of::<Self>()
+        masks + syms + phases + std::mem::size_of::<Self>()
     }
 }
 
@@ -131,10 +126,8 @@ pub fn hh_cpu<T: Scalar>(
 /// operands — same `C`, same [`PhaseBreakdown`] (Phase I's *simulated*
 /// cost is still charged; only the host-side recomputation is skipped),
 /// same thresholds — because Phase I and the Phase II/III simulation are
-/// deterministic in `(A, B, policy, platform, units)` and everything after
-/// them consumes the plan by value. A `config.units` other than the
-/// default adaptive grains simulates its own plan and leaves the kept one
-/// alone.
+/// deterministic in `(A, B, policy, platform)` and everything after them
+/// consumes the plan by value.
 ///
 /// The caller is responsible for passing artifacts built for these exact
 /// operands and `config.policy` (a content-hash-keyed cache makes that
@@ -163,22 +156,21 @@ pub fn hh_cpu_with_artifacts<T: Scalar>(
 }
 
 /// The halves of one HH-CPU run around the numeric pass: [`Self::new`]
-/// charges Phase I and takes the Phase II/III plan, [`Self::schedule`]
+/// charges Phase I against the kept Phase II/III plan, [`Self::schedule`]
 /// lists its claims, and [`Self::finish`] charges Phase IV on the counts of
 /// whatever produced C — one [`schedule::execute`] for the monolithic run,
-/// one per row band for the sharded driver. The profile depends only on
-/// the plan and the summed counts, so both producers reply alike.
+/// one drain per row band for a sharded run. The profile depends only
+/// on the plan and the summed counts, so both producers reply alike.
 pub(crate) struct RunPlan<'a> {
     artifacts: &'a SpmmArtifacts,
     phase1: PhaseTimes,
     /// Link time of everything shipped before Phase II.
     transfer_ns: SimNs,
-    phases: Cow<'a, PhasePlan>,
 }
 
 impl<'a> RunPlan<'a> {
     pub(crate) fn new<T: Scalar>(
-        ctx: &mut HeteroContext,
+        ctx: &HeteroContext,
         a: &CsrMatrix<T>,
         b: &CsrMatrix<T>,
         config: &HhCpuConfig,
@@ -200,8 +192,6 @@ impl<'a> RunPlan<'a> {
 
         // ---- Phase I: thresholds + Boolean row classification, from the
         // (possibly cached) plan. ----
-        let plan = &artifacts.plan;
-        let th = &plan.thresholds;
         let phase1 = PhaseTimes::new(
             ctx.cpu.threshold_scan_cost(a.nrows() + b.nrows()),
             // the Boolean array is computed on the GPU from the row sizes
@@ -217,35 +207,19 @@ impl<'a> RunPlan<'a> {
             (a.byte_size() + b.byte_size(), (a.nrows() + b.nrows()) * 5)
         };
         let transfer_ns = ctx.link.transfer_ns(row_meta_bytes + matrix_bytes);
-
-        // ---- Phases II and III: the simulated plan (threshold::
-        // simulate_phases), kept on the artifacts for the default work
-        // units. Work-unit grains: the paper's fixed 1000/10000 rows at
-        // full scale, or sized to the actual H/L row lists so the queue
-        // always holds enough units for the endgame to balance. ----
-        let default_units = threshold::adaptive_units(&plan.sym_a, th.t_a);
-        let phases = match config.units {
-            Some(units) if units != default_units => {
-                let (sym_a, sym_b) = (&plan.sym_a, plan.sym_b());
-                let t = (th.t_a, th.t_b);
-                let widths = &artifacts.widths;
-                Cow::Owned(threshold::simulate_phases(
-                    ctx, a, b, t, sym_a, sym_b, units, widths,
-                ))
-            }
-            _ => Cow::Borrowed(&artifacts.phases),
-        };
+        // Phases II and III are the artifacts' simulated plan
+        // (threshold::simulate_phases), replayed as is.
         Self {
             artifacts,
             phase1,
             transfer_ns,
-            phases,
         }
     }
 
     /// The plan's claims in block order ([`claim_schedule`]).
     pub(crate) fn schedule(&self) -> ClaimSchedule<'_> {
-        claim_schedule(&self.phases, &self.artifacts.plan.thresholds.b_high)
+        let artifacts = self.artifacts;
+        claim_schedule(&artifacts.phases, &artifacts.plan.thresholds.b_high)
     }
 
     /// Charge Phase IV on the executed counts and assemble the output.
@@ -269,20 +243,20 @@ impl<'a> RunPlan<'a> {
             ctx.cpu.merge_cost(tuples_merged),
             ctx.gpu.merge_cost(gpu_entries),
         );
-        let plan = &self.artifacts.plan;
+        let (plan, phases) = (&self.artifacts.plan, &self.artifacts.phases);
         let th = &plan.thresholds;
         SpmmOutput {
             c,
             profile: PhaseBreakdown {
                 phase1: self.phase1,
-                phase2: self.phases.phase2,
-                phase3: self.phases.phase3,
+                phase2: phases.phase2,
+                phase3: phases.phase3,
                 phase4,
                 transfer_ns,
             },
             threshold_a: th.t_a,
             threshold_b: th.t_b,
-            hd_rows_a: self.phases.rows_ah.len(),
+            hd_rows_a: phases.rows_ah.len(),
             hd_rows_b: plan.sym_b().hd_rows(th.t_b),
             tuples_merged,
         }
@@ -447,11 +421,9 @@ mod tests {
             assert_eq!(warm.tuples_merged, cold.tuples_merged);
         }
         // the LRU accounting counts the kept plan's row lists and B_L mask
-        // and the width tables
         let phases = &artifacts.phases;
-        let w_low = artifacts.widths.low.get().expect("build keeps B_L widths");
         let kept = (phases.rows_ah.len() + phases.rows_al.len()) * 8 + phases.b_low.len();
-        let floor = artifacts.plan.sym_a.byte_size() + kept + w_low.len() * 4;
+        let floor = artifacts.plan.sym_a.byte_size() + kept;
         assert!(artifacts.byte_size() >= floor);
     }
 

@@ -1,6 +1,6 @@
-//! The HiPC-2012 heterogeneous baseline (the paper's reference [13]).
+//! The HiPC-2012 heterogeneous baseline (the paper's reference \[13\]).
 //!
-//! "The heterogeneous algorithm from [13] does a static work partitioning
+//! "The heterogeneous algorithm from \[13\] does a static work partitioning
 //! across the CPU and the GPU" (§V-C) and "does not consider the nature of
 //! the matrix" (§I-A). Reimplemented here as: split the rows of `A` at a
 //! single point chosen a-priori from nnz counts and analytic device
@@ -16,7 +16,7 @@ use crate::context::HeteroContext;
 use crate::result::SpmmOutput;
 use crate::schedule::{self, ClaimSchedule, ExecPolicy, ScheduledClaim};
 
-/// Run the static-partition heterogeneous spmm of [13].
+/// Run the static-partition heterogeneous spmm of \[13\].
 pub fn hipc2012<T: Scalar>(
     ctx: &mut HeteroContext,
     a: &CsrMatrix<T>,

@@ -1,7 +1,7 @@
 //! Numeric kernels for the partial products of Phases II/III.
 //!
 //! These compute the *real* arithmetic (the simulated devices only charge
-//! time). Following the paper's kernel of [13], each output row is
+//! time). Following the paper's kernel of \[13\], each output row is
 //! accumulated *within* the kernel (the GPU uses its `PartialOutput` array,
 //! the CPU a sparse accumulator) and only "the nonzero values of C(i,:) are
 //! copied to the output" (§II-A-b) — so one stored entry is produced per
@@ -10,7 +10,7 @@
 //! thread count.
 //!
 //! The production executor's one kernel lives here: the shared
-//! accumulation order ([`scatter_row`]). The executor
+//! accumulation order (`scatter_row`). The executor
 //! (`schedule::execute`) drains each accumulated row straight into C and
 //! is pinned bit for bit against the serial oracle
 //! `spmm_sparse::reference::spmm_claims`, which shares none of this code.

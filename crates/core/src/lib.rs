@@ -19,8 +19,8 @@
 //!   engine sums each row in place, pinned bit for bit against the serial
 //!   oracle `spmm_sparse::reference::spmm_claims`.
 //!
-//! Baselines: [`hipc2012`] (the static-partition heterogeneous algorithm of
-//! the paper's reference [13]), [`wq_baselines`] (Algorithm
+//! Baselines: [`hipc2012`](mod@hipc2012) (the static-partition heterogeneous algorithm of
+//! the paper's reference \[13\]), [`wq_baselines`] (Algorithm
 //! Unsorted-Workqueue and Algorithm Sorted-Workqueue of §V-C), and
 //! [`vendor`] (MKL-like CPU-only and cuSPARSE-like GPU-only stand-ins for
 //! the Figure 6 footnote). [`csrmm`] implements the sparse × dense

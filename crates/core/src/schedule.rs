@@ -10,14 +10,19 @@
 //! Two executors implement the same contract:
 //!
 //! * [`ExecPolicy::Batched`] (default) — the production engine, one path
-//!   for every thread count. The rows are cut into contiguous segments of
-//!   about equal flops — one segment on a one-thread pool or for a small
-//!   product — and each segment's worker drains its rows in order straight
-//!   into the segment's own CSR arrays, reserved once from a flop bound on
-//!   their nnz. Each row's claims run in claim order through the worker's
+//!   for every thread count. The schedule is prepared once — its
+//!   (claim, row) pairs counting-sorted by output row, and each row's flop
+//!   bound — and any contiguous range of rows drains from that
+//!   preparation straight into the range's own CSR arrays, reserved once
+//!   from the flop bound on their nnz. Each row's claims run in claim
+//!   order through the worker's
 //!   [`SparseAccumulator`](spmm_sparse::SparseAccumulator), which drains
-//!   the row in column order. One segment is C; several are stitched by
-//!   [`concat_row_bands`](crate::shard::concat_row_bands).
+//!   the row in column order. The rows are cut into contiguous segments of
+//!   about equal flops — one segment on a one-thread pool or for a small
+//!   product — one worker draining each. One segment is C; several are
+//!   stitched by [`concat_row_bands`]. A sharded run ([`crate::shard`])
+//!   drains its row bands from one such preparation of the global
+//!   schedule.
 //! * [`ExecPolicy::PerClaim`] — the oracle: the serial
 //!   [`reference::spmm_claims`], which shares no code with the batched
 //!   path (no accumulator type, no thread pool, no workspaces). The
@@ -25,13 +30,13 @@
 //!
 //! Bit-identity of the batched output holds by construction: each output
 //! row's claims are visited in claim index order, the oracle's order;
-//! every claim's run is [`scatter_row`](crate::kernels::scatter_row)'s
-//! accumulation in A-row visit order onto a −0.0 seed, which has the bits
-//! of the oracle's "first touch stores `a·b`, later touches `+=`"; and a
+//! every claim's run is `kernels::scatter_row`'s accumulation in A-row
+//! visit order onto a −0.0 seed, which has the bits of the oracle's
+//! "first touch stores `a·b`, later touches `+=`"; and a
 //! multi-claim row's column sums its runs from zero in claim order, a run
 //! that missed it adding −0.0 — the oracle's per-row sum. A one-claim row
-//! is kept verbatim by both. Segment cuts only decide which worker drains
-//! a row, never how.
+//! is kept verbatim by both. Segment and band cuts only decide which
+//! worker drains a row, never how.
 
 use std::ops::Range;
 
@@ -117,6 +122,10 @@ impl ExecCounts {
 /// Run the numeric work of a recorded schedule and assemble the output
 /// CSR. Output bits and entry counts are identical for both policies and
 /// any host thread count.
+///
+/// # Panics
+///
+/// If `shape` is not `(a.nrows(), b.ncols())`.
 pub fn execute<T: Scalar>(
     a: &CsrMatrix<T>,
     b: &CsrMatrix<T>,
@@ -126,26 +135,24 @@ pub fn execute<T: Scalar>(
     workspaces: &WorkspacePool,
     exec: ExecPolicy,
 ) -> (CsrMatrix<T>, ExecCounts) {
-    match exec {
+    assert_eq!(shape, (a.nrows(), b.ncols()), "shape of A × B");
+    let (c, per_claim) = match exec {
         ExecPolicy::PerClaim => {
-            assert_eq!(shape, (a.nrows(), b.ncols()), "shape of A × B");
             let claims: Vec<(&[usize], Option<&[bool]>)> = schedule
                 .claims
                 .iter()
                 .map(|claim| (claim.rows, claim.b_mask))
                 .collect();
-            let (c, per_claim) =
-                reference::spmm_claims(a, b, &claims).expect("incompatible shapes for product");
-            (c, ExecCounts::from_per_claim(schedule, per_claim))
+            reference::spmm_claims(a, b, &claims).expect("incompatible shapes for product")
         }
-        ExecPolicy::Batched => execute_batched(a, b, schedule, shape, pool, workspaces),
-    }
+        ExecPolicy::Batched => execute_batched(a, b, schedule, pool, workspaces),
+    };
+    (c, ExecCounts::from_per_claim(schedule, per_claim))
 }
 
 /// The production executor: row segments of about equal flops, each
-/// drained in row order straight into its own CSR arrays by one worker
-/// (see the module docs). One segment is returned as C; several are
-/// stitched in row order.
+/// drained by one worker (see the module docs). One segment is returned as
+/// C; several are stitched in row order, their per-claim counts summed.
 ///
 /// Per-claim entry counts are each claim's distinct columns in its row —
 /// the oracle's run lengths — so `ExecCounts` (and every simulated
@@ -154,26 +161,66 @@ fn execute_batched<T: Scalar>(
     a: &CsrMatrix<T>,
     b: &CsrMatrix<T>,
     schedule: &ClaimSchedule<'_>,
-    shape: (usize, usize),
     pool: &ThreadPool,
     workspaces: &WorkspacePool,
-) -> (CsrMatrix<T>, ExecCounts) {
-    let (nrows, ncols) = shape;
-    let claims = &schedule.claims;
-    // Counting sort of (claim, row) by output row. Within one output row
-    // the sources stay in claim order — the oracle's order, which fixes
-    // the floating-point fold order below.
-    let mut src_off = vec![0usize; nrows + 1];
-    for claim in claims {
-        for &r in claim.rows {
-            src_off[r + 1] += 1;
+) -> (CsrMatrix<T>, Vec<usize>) {
+    let prepared = PreparedSchedule::new(a, b, schedule);
+    let bounds = segment_bounds(&prepared.flops, pool.num_threads());
+    if let [lo, hi] = bounds[..] {
+        return prepared.drain(lo..hi, workspaces);
+    }
+    let parts = pool.par_map(bounds.len() - 1, |s| {
+        prepared.drain(bounds[s]..bounds[s + 1], workspaces)
+    });
+    let mut per_claim = vec![0; schedule.claims.len()];
+    let mut bands = Vec::with_capacity(parts.len());
+    for (band, counts) in parts {
+        for (total, n) in per_claim.iter_mut().zip(counts) {
+            *total += n;
         }
+        bands.push(band);
     }
-    for r in 0..nrows {
-        src_off[r + 1] += src_off[r];
-    }
-    let mut src: Vec<u32> = vec![0; src_off[nrows]];
-    {
+    (concat_row_bands(&bands, b.ncols()), per_claim)
+}
+
+/// A claim schedule of `A × B` prepared for draining: its (claim, row)
+/// pairs counting-sorted by output row, and each row's flop bound.
+/// [`Self::drain`] runs any contiguous range of rows, so the executor's
+/// segments and a sharded run's row bands ([`crate::shard`]) drain
+/// one preparation of the one schedule, A and B read in place.
+pub(crate) struct PreparedSchedule<'p, 'a, T: Scalar> {
+    a: &'p CsrMatrix<T>,
+    b: &'p CsrMatrix<T>,
+    claims: &'p [ScheduledClaim<'a>],
+    /// Row `r`'s claims are `src[src_off[r]..src_off[r + 1]]`, in claim
+    /// order — the oracle's order, which fixes the floating-point fold
+    /// order of the drain.
+    src_off: Vec<usize>,
+    src: Vec<u32>,
+    /// Σ|B(j,:)| over a claimed row's A entries: the row's work, and a
+    /// bound on its nnz, since each of its columns comes from one of those
+    /// B rows whatever the claims' masks. Unclaimed rows read 0.
+    flops: Vec<u64>,
+}
+
+impl<'p, 'a, T: Scalar> PreparedSchedule<'p, 'a, T> {
+    pub(crate) fn new(
+        a: &'p CsrMatrix<T>,
+        b: &'p CsrMatrix<T>,
+        schedule: &'p ClaimSchedule<'a>,
+    ) -> Self {
+        let nrows = a.nrows();
+        let claims = &schedule.claims[..];
+        let mut src_off = vec![0usize; nrows + 1];
+        for claim in claims {
+            for &r in claim.rows {
+                src_off[r + 1] += 1;
+            }
+        }
+        for r in 0..nrows {
+            src_off[r + 1] += src_off[r];
+        }
+        let mut src: Vec<u32> = vec![0; src_off[nrows]];
         let mut cursor = src_off.clone();
         for (ci, claim) in claims.iter().enumerate() {
             for &r in claim.rows {
@@ -181,26 +228,37 @@ fn execute_batched<T: Scalar>(
                 cursor[r] += 1;
             }
         }
+        let flops = (0..nrows)
+            .map(|r| {
+                if src_off[r + 1] == src_off[r] {
+                    return 0;
+                }
+                let row_b_nnz = |&j: &u32| b.row_nnz(j as usize) as u64;
+                a.row(r).0.iter().map(row_b_nnz).sum()
+            })
+            .collect();
+        Self {
+            a,
+            b,
+            claims,
+            src_off,
+            src,
+            flops,
+        }
     }
-    // Σ|B(j,:)| over a claimed row's A entries: the row's work, and a
-    // bound on its nnz, since each of its columns comes from one of those
-    // B rows whatever the claims' masks.
-    let flops: Vec<u64> = (0..nrows)
-        .map(|r| {
-            if src_off[r + 1] == src_off[r] {
-                return 0;
-            }
-            let row_b_nnz = |&j: &u32| b.row_nnz(j as usize) as u64;
-            a.row(r).0.iter().map(row_b_nnz).sum()
-        })
-        .collect();
 
-    // Drain `rows` in order into one band of C, with the band's per-claim
-    // entry counts. The band's arrays are reserved once for
-    // Σ min(row flops, ncols) entries; a bound too large to reserve falls
-    // back to ordinary growth.
-    let segment = |rows: Range<usize>| {
-        let bound: u64 = flops[rows.clone()]
+    /// Drain `rows` in order into one band of C (`rows.len()` rows), with
+    /// the band's entry count for every claim of the schedule. The band's
+    /// arrays are reserved once for Σ min(row flops, ncols) entries; a
+    /// bound too large to reserve falls back to ordinary growth.
+    pub(crate) fn drain(
+        &self,
+        rows: Range<usize>,
+        workspaces: &WorkspacePool,
+    ) -> (CsrMatrix<T>, Vec<usize>) {
+        let (a, b, claims) = (self.a, self.b, self.claims);
+        let ncols = b.ncols();
+        let bound: u64 = self.flops[rows.clone()]
             .iter()
             .map(|&f| f.min(ncols as u64))
             .sum();
@@ -215,7 +273,7 @@ fn execute_batched<T: Scalar>(
         let mut counts = vec![0; claims.len()];
         let mut acc = workspaces.acquire::<T>(ncols);
         for r in rows.clone() {
-            let row_claims = &src[src_off[r]..src_off[r + 1]];
+            let row_claims = &self.src[self.src_off[r]..self.src_off[r + 1]];
             let claim = |k: usize| row_claims[k] as usize;
             acc.accumulate_row(
                 row_claims.len(),
@@ -228,23 +286,7 @@ fn execute_batched<T: Scalar>(
         }
         let band = CsrMatrix::from_parts_unchecked(rows.len(), ncols, indptr, indices, values);
         (band, counts)
-    };
-
-    let bounds = segment_bounds(&flops, pool.num_threads());
-    let (c, per_claim) = if let [lo, hi] = bounds[..] {
-        segment(lo..hi)
-    } else {
-        let parts = pool.par_map(bounds.len() - 1, |s| segment(bounds[s]..bounds[s + 1]));
-        let mut per_claim = vec![0; claims.len()];
-        for (_, counts) in &parts {
-            for (total, &n) in per_claim.iter_mut().zip(counts) {
-                *total += n;
-            }
-        }
-        let bands: Vec<CsrMatrix<T>> = parts.into_iter().map(|(band, _)| band).collect();
-        (concat_row_bands(&bands, ncols), per_claim)
-    };
-    (c, ExecCounts::from_per_claim(schedule, per_claim))
+    }
 }
 
 /// Row bounds of the segments, `bounds[s]..bounds[s + 1]` each. One
@@ -427,6 +469,64 @@ mod tests {
             let (c_bat, n_bat) = execute(&a, &a, &schedule, shape, &pool, &ws, ExecPolicy::Batched);
             assert!(c_bat.bit_eq(&c_ref), "output diverged at {threads} threads");
             assert_eq!(n_ref, n_bat, "counts diverged at {threads} threads");
+        }
+    }
+
+    #[test]
+    fn prepared_drains_of_any_row_partition_stitch_to_execute() {
+        // the sharded path: one prepared schedule drained over a
+        // partition of the rows, the parts stitched in row order
+        let a = scale_free(600, 5_000, 21);
+        let b = scale_free(600, 4_000, 22);
+        let t = a.mean_row_nnz().ceil() as usize;
+        let b_high: Vec<bool> = (0..b.nrows()).map(|i| b.row_nnz(i) >= t).collect();
+        let b_low: Vec<bool> = b_high.iter().map(|&h| !h).collect();
+        let a_high: Vec<bool> = (0..a.nrows()).map(|i| a.row_nnz(i) >= t).collect();
+        let rows_h = crate::kernels::rows_where(&a_high, true);
+        let rows_l = crate::kernels::rows_where(&a_high, false);
+        let pieces = [0..rows_l.len() / 4, rows_l.len() / 4..rows_l.len()];
+        let schedule = hh_like_schedule(&rows_h, &rows_l, &b_high, &b_low, &pieces);
+        let (c_ref, n_ref) = execute(
+            &a,
+            &b,
+            &schedule,
+            (a.nrows(), b.ncols()),
+            &ThreadPool::new(1),
+            &WorkspacePool::new(),
+            ExecPolicy::PerClaim,
+        );
+        let n = a.nrows();
+        let hub = (0..n).max_by_key(|&r| a.row_nnz(r)).unwrap();
+        assert!(hub > 0 && hub + 1 < n, "the hub row must sit inside A");
+        let partitions: [Vec<usize>; 5] = [
+            vec![0, n],
+            (0..=8).map(|k| k * n / 8).collect(),
+            // empty ranges at the ends and inside
+            vec![0, 0, 3, 3, n / 2, n / 2, n, n],
+            // single rows, then the rest
+            vec![0, 1, 2, 3, 4, n],
+            // the hub row alone
+            vec![0, hub, hub + 1, n],
+        ];
+        let ws = WorkspacePool::new();
+        let prepared = PreparedSchedule::new(&a, &b, &schedule);
+        for bounds in partitions {
+            let parts: Vec<_> = bounds
+                .windows(2)
+                .map(|w| prepared.drain(w[0]..w[1], &ws))
+                .collect();
+            let mut per_claim = vec![0; schedule.claims.len()];
+            for (band, counts) in &parts {
+                assert_eq!(band.ncols(), b.ncols());
+                for (total, &n) in per_claim.iter_mut().zip(counts) {
+                    *total += n;
+                }
+            }
+            let bands: Vec<CsrMatrix<f64>> = parts.into_iter().map(|(band, _)| band).collect();
+            let c = concat_row_bands(&bands, b.ncols());
+            assert!(c.bit_eq(&c_ref), "C diverged over rows {bounds:?}");
+            let counts = ExecCounts::from_per_claim(&schedule, per_claim);
+            assert_eq!(counts, n_ref, "counts diverged over rows {bounds:?}");
         }
     }
 

@@ -2,50 +2,52 @@
 //! band by row band, pipelined under a resident-byte budget that spills to
 //! disk.
 //!
-//! A shard is "a claim schedule with a row offset": the [`ShardPlan`]
-//! cuts A into contiguous nnz-balanced row bands, and each band × full B
-//! runs its slice of the global claim schedule — every claim's rows cut to
-//! the band and shifted to band-local indices — through the unmodified
-//! [`schedule::execute`]. Phase I and the Phase II/III plan are the
-//! monolithic run's (`RunPlan`); no band is planned on its own. The
+//! A row band of C is A's row band × B (1D row-wise SpGEMM). The
+//! [`ShardPlan`] cuts A into contiguous nnz-balanced row bands, and each
+//! band drains its row range of the one global claim schedule, prepared
+//! once for the whole run (the executor's counting sort by output row and
+//! per-row flop bound; see [`crate::schedule`]), with A and B read in
+//! place. Phase I and the Phase II/III plan are the monolithic run's
+//! (`RunPlan`); no band is planned, sliced or copied on its own. The
 //! per-band CSR outputs are stitched back into monolithic C by pure indptr
 //! offset fix-up — no re-sort, no re-merge. Each row of C meets the same
 //! claims in the same order as in the monolithic run and the per-claim
 //! entry counts add across bands, so C *and* the reply's profile,
 //! thresholds and counters equal the monolithic [`crate::hh_cpu`]'s (see
 //! DESIGN.md §3.7); `tests/shard_equivalence.rs` enforces it across every
-//! shard count × byte cap × thread count × clone.
+//! shard count × byte cap × thread count × clone. The bands always drain
+//! with the production engine, whatever `HhCpuConfig::exec` names.
 //!
 //! Every sharded multiply runs one pipelined driver. Band work fans across
-//! the host pool, each band on a serial executor sharing the
+//! host threads, each band drained by one worker from the shared
 //! `Arc<WorkspacePool>`; admission is gated by a resident-byte budget
-//! ([`ResidentBudget`]: in-flight band inputs + finished C bands,
-//! byte-accurate against `byte_cap`); finished bands hand off to a
-//! dedicated write-behind spill thread that owns the spill store; and
-//! the final stitch streams spilled chunks back through a prefetching
-//! reader thread that validates every chunk it reads back — compute
-//! never blocks on `write_csr_chunk`, and the stitch never holds all
-//! bands resident.
+//! (`ResidentBudget`: in-flight band input working sets + finished C
+//! bands, byte-accurate against `byte_cap`; a band's input is charged at
+//! its A row band's CSR bytes although nothing is copied); finished bands
+//! hand off to a dedicated write-behind spill thread that owns the spill
+//! store; and the final stitch streams spilled chunks back through a
+//! prefetching reader thread that validates every chunk it reads back —
+//! compute never blocks on `write_csr_chunk`, and the stitch never holds
+//! all bands resident.
 //! Band results commit in plan order regardless of completion order
-//! ([`OrderedCommitter`]), which is what keeps the stitched C
-//! bit-identical to the monolithic run (DESIGN.md §3.9).
+//! ([`OrderedCommitter`]), which is what keeps the spill order and the
+//! stitched C the monolithic run's (DESIGN.md §3.9).
 //! A one-thread host pool degenerates to one worker: bands in plan
 //! order, one at a time, with the spill writes still behind them. An
 //! uncapped run ([`ShardConfig::pooled`]) is the same pipeline under a
 //! budget it never exceeds: nothing spills and no spill directory exists.
 
-use std::ops::Range;
 use std::sync::{mpsc, Condvar, Mutex};
 use std::time::Instant;
 
-use spmm_parallel::{OrderedCommitter, ThreadPool};
+use spmm_parallel::OrderedCommitter;
 use spmm_sparse::io::{split_csr_chunk, write_csr_chunk};
 use spmm_sparse::{CsrMatrix, Scalar, SparseError};
 
 use crate::context::HeteroContext;
 use crate::hhcpu::{HhCpuConfig, RunPlan, SpmmArtifacts};
 use crate::result::SpmmOutput;
-use crate::schedule::{self, ClaimSchedule, ExecCounts, ScheduledClaim};
+use crate::schedule::{ExecCounts, PreparedSchedule};
 
 /// Partition of A's rows into contiguous, nnz-balanced bands.
 ///
@@ -254,7 +256,7 @@ pub fn hh_cpu_sharded_with_artifacts<T: Scalar>(
 
 /// [`hh_cpu_sharded`] against precomputed *global* artifacts (the serve
 /// layer's warm path — the same artifacts serve monolithic and sharded
-/// multiplies of the operands, because a band runs a slice of the one
+/// multiplies of the operands, because a band drains its rows of the one
 /// global plan), answering a failed spill write or read with its error.
 /// The spill directory is removed on either outcome.
 ///
@@ -263,8 +265,8 @@ pub fn hh_cpu_sharded_with_artifacts<T: Scalar>(
 ///
 /// 1. **Compute** — `min(pool, p)` workers claim bands *in plan order*;
 ///    admission waits until the band's input bytes fit under the cap.
-///    Each worker executes the band's slice of the global schedule
-///    (`band_schedule`) on a one-thread pool.
+///    Each worker drains the band's rows of the global schedule, prepared
+///    once before the workers start.
 /// 2. **Commit + write-behind** — finished bands enter an
 ///    [`OrderedCommitter`], which releases them in plan order to an
 ///    unbounded channel feeding the spill thread. The spill thread owns
@@ -303,7 +305,8 @@ pub fn try_hh_cpu_sharded_with_artifacts<T: Scalar>(
     let band_a_bytes: Vec<usize> = (0..p).map(|i| a.row_band_byte_size(plan.band(i))).collect();
     let budget = ResidentBudget::new(byte_cap);
     let mut per_claim = vec![0usize; sched.claims.len()];
-    let (ctx, bands, serial) = (&*ctx, &plan, &ThreadPool::new(1));
+    let prepared = PreparedSchedule::new(a, b, &sched);
+    let (workspaces, bands) = (&ctx.workspaces, &plan);
 
     let (c, spilled_shards, spill_wait_ns) = std::thread::scope(|s| -> Result<_, SparseError> {
         // The channel and committer live inside this scope so a worker
@@ -368,12 +371,12 @@ pub fn try_hh_cpu_sharded_with_artifacts<T: Scalar>(
         let per_claim = &mut per_claim;
         let (budget_ref, inputs_ref) = (&budget, &band_a_bytes);
         let committer =
-            OrderedCommitter::new(move |i: usize, (counts, c): (ExecCounts, CsrMatrix<T>)| {
-                for (total, n) in per_claim.iter_mut().zip(counts.per_claim) {
+            OrderedCommitter::new(move |i: usize, (c, counts): (CsrMatrix<T>, Vec<usize>)| {
+                for (total, n) in per_claim.iter_mut().zip(counts) {
                     *total += n;
                 }
-                // The band input dies here (the worker dropped it before
-                // submitting); its C is now the writer's responsibility.
+                // The band's input working set leaves the budget here; its
+                // C is now the writer's responsibility.
                 budget_ref.commit(inputs_ref[i]);
                 if tx.send(c).is_err() {
                     // Writer already failed: it poisoned the budget, but
@@ -384,25 +387,15 @@ pub fn try_hh_cpu_sharded_with_artifacts<T: Scalar>(
 
         std::thread::scope(|ws| {
             for _ in 0..workers {
-                let (committer, budget, sched) = (&committer, &budget, &sched);
+                let (committer, budget, prepared) = (&committer, &budget, &prepared);
                 let band_a_bytes = &band_a_bytes;
                 ws.spawn(move || {
-                    let mut rows = Vec::new();
                     while let Some(i) = budget.claim_next(band_a_bytes) {
-                        let band = a.row_band(bands.band(i));
-                        let (c, counts) = schedule::execute(
-                            &band,
-                            b,
-                            &band_schedule(sched, bands.band(i), &mut rows),
-                            (band.nrows(), b.ncols()),
-                            serial,
-                            &ctx.workspaces,
-                            config.exec,
-                        );
+                        let (c, counts) = prepared.drain(bands.band(i), workspaces);
                         // C enters the budget the moment it exists; the
                         // band input leaves at commit time.
                         budget.charge_c(i, c.byte_size());
-                        committer.submit(i, (counts, c));
+                        committer.submit(i, (c, counts));
                     }
                 });
             }
@@ -431,39 +424,6 @@ pub fn try_hh_cpu_sharded_with_artifacts<T: Scalar>(
             admit_wait_ns,
         }),
     })
-}
-
-/// One band's slice of the global schedule: each claim's ascending row
-/// list cut to `band` (two binary searches) and shifted to band-local
-/// indices, stored in the caller's `rows` buffer. Every claim keeps its
-/// slot, empty or not, so the band's per-claim counts line up with the
-/// global schedule's.
-fn band_schedule<'a>(
-    global: &ClaimSchedule<'a>,
-    band: Range<usize>,
-    rows: &'a mut Vec<usize>,
-) -> ClaimSchedule<'a> {
-    rows.clear();
-    let mut ends = Vec::with_capacity(global.claims.len());
-    for claim in &global.claims {
-        let lo = claim.rows.partition_point(|&r| r < band.start);
-        let hi = lo + claim.rows[lo..].partition_point(|&r| r < band.end);
-        rows.extend(claim.rows[lo..hi].iter().map(|&r| r - band.start));
-        ends.push(rows.len());
-    }
-    let rows: &'a [usize] = rows;
-    let mut start = 0;
-    let claims = global
-        .claims
-        .iter()
-        .zip(ends)
-        .map(|(claim, end)| {
-            let rows = &rows[start..end];
-            start = end;
-            ScheduledClaim { rows, ..*claim }
-        })
-        .collect();
-    ClaimSchedule { claims }
 }
 
 /// Byte-accurate admission gate of the sharded pipeline.
@@ -882,7 +842,7 @@ mod tests {
 
     #[test]
     fn profile_is_sum_of_shards_and_mode_invariant() {
-        // every band runs its slice of the one global plan, so the bands'
+        // every band drains its rows of the one global plan, so the bands'
         // summed claim counts give the monolithic profile, pooled and
         // out-of-core alike
         let a = matrix(5);
@@ -913,25 +873,6 @@ mod tests {
         assert_eq!(out.output.c, mono.c);
         assert_eq!(out.output.profile, mono.profile);
         assert_eq!(out.output.tuples_merged, mono.tuples_merged);
-    }
-
-    #[test]
-    fn band_schedules_partition_every_claim() {
-        let rows = [0, 2, 3, 7, 8, 9];
-        let global = ClaimSchedule {
-            claims: [&rows[..], &rows[1..3], &[]]
-                .map(|rows| ScheduledClaim {
-                    device: spmm_hetsim::DeviceKind::Cpu,
-                    rows,
-                    b_mask: None,
-                    sim_ns: 0.0,
-                })
-                .to_vec(),
-        };
-        let mut buf = Vec::new();
-        let band = band_schedule(&global, 3..8, &mut buf);
-        let local: Vec<&[usize]> = band.claims.iter().map(|c| c.rows).collect();
-        assert_eq!(local, [&[0, 4][..], &[0], &[]]);
     }
 
     /// Largest per-band working set (input + C bytes) for a plan — the

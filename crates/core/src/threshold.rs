@@ -28,7 +28,6 @@
 //!   thresholds the same way.
 
 use std::ops::Range;
-use std::sync::OnceLock;
 
 use spmm_hetsim::gpu::{
     ladder_output_widths, masked_output_widths_for_pooled, masked_output_widths_pooled,
@@ -136,13 +135,13 @@ pub fn identify_plan<T: Scalar>(
 }
 
 /// [`identify_plan`] plus, under [`ThresholdPolicy::Empirical`], the
-/// winning candidate's Phase II/III plan and width tables.
+/// winning candidate's Phase II/III plan.
 pub(crate) fn identify_with_winner<T: Scalar>(
     ctx: &HeteroContext,
     a: &CsrMatrix<T>,
     b: &CsrMatrix<T>,
     policy: ThresholdPolicy,
-) -> (Phase1Plan, Option<(PhasePlan, WidthTables)>) {
+) -> (Phase1Plan, Option<PhasePlan>) {
     let sym_a = SymbolicStructure::from_matrix(a);
     let sym_b = if std::ptr::eq(a, b) {
         None
@@ -195,7 +194,7 @@ pub(crate) fn identify_with_winner<T: Scalar>(
 
 /// The Boolean array: row `i` is high-density iff it has at least `t`
 /// nonzeros. `t = 0` marks every row high (all-CPU degenerate case); a `t`
-/// above the max row size marks none (HH-CPU degenerates to [13], §V-B d).
+/// above the max row size marks none (HH-CPU degenerates to \[13\], §V-B d).
 pub fn classify<T: Scalar>(m: &CsrMatrix<T>, t: usize) -> Vec<bool> {
     (0..m.nrows()).map(|i| m.row_nnz(i) >= t.max(1)).collect()
 }
@@ -372,8 +371,8 @@ fn balanced_threshold(
 /// keep the candidate with the smallest `phase II wall + phase III wall`.
 /// One threshold is used for both matrices, as in the paper's per-matrix
 /// experiments (Figure 5 annotates a single threshold). The winner's plan
-/// and width tables come back with its pick, so the run that follows never
-/// simulates it a second time.
+/// comes back with its pick, so the run that follows never simulates it a
+/// second time.
 ///
 /// Every candidate comes out of [`fold_ladder`], which shares one width
 /// pass and one Phase II walk between them; each candidate's plan is
@@ -389,8 +388,8 @@ fn empirical_threshold<T: Scalar>(
     candidates: usize,
     sym_a: &SymbolicStructure,
     sym_b: &SymbolicStructure,
-) -> (usize, Option<(PhasePlan, WidthTables)>) {
-    type Best = (f64, usize, Option<(PhasePlan, WidthTables)>);
+) -> (usize, Option<PhasePlan>) {
+    type Best = (f64, usize, Option<PhasePlan>);
     let ladder = empirical_ladder(sym_a, sym_b, candidates);
     let none = || (f64::INFINITY, 1usize, None);
     // the ladder ascends, so the lower `t` of a tie is the earlier candidate
@@ -408,7 +407,7 @@ fn empirical_threshold<T: Scalar>(
         sym_b,
         none,
         |best, k, candidate| {
-            let total = candidate.0.phase2.wall() + candidate.0.phase3.wall();
+            let total = candidate.phase2.wall() + candidate.phase3.wall();
             keep(best, (total, ladder[k], Some(candidate)));
         },
     );
@@ -420,9 +419,8 @@ fn empirical_threshold<T: Scalar>(
 }
 
 /// Simulate every distinct candidate `t` of an ascending `ladder` (one
-/// threshold for both operands) with the default work units, and fold each
-/// one's ladder index, plan and width tables into a per-group accumulator.
-/// Returns the group accumulators.
+/// threshold for both operands), and fold each one's ladder index and plan
+/// into a per-group accumulator. Returns the group accumulators.
 ///
 /// A candidate that classifies every row of A and B as an earlier one does
 /// ([`ladder_classes`]) has that candidate's plan, so it is not simulated
@@ -449,7 +447,7 @@ fn fold_ladder<T: Scalar, R: Send>(
     sym_a: &SymbolicStructure,
     sym_b: &SymbolicStructure,
     init: impl Fn() -> R + Sync,
-    fold: impl Fn(&mut R, usize, (PhasePlan, WidthTables)) + Sync,
+    fold: impl Fn(&mut R, usize, PhasePlan) + Sync,
 ) -> Vec<R> {
     let classes = ladder_classes(ladder, sym_a, sym_b);
     let kept: Vec<usize> = (0..ladder.len()).filter(|&k| classes[k] == k).collect();
@@ -479,12 +477,9 @@ fn fold_ladder<T: Scalar, R: Send>(
         };
         let mut acc = init();
         for (k, price) in ks.into_iter().zip(prices) {
-            let widths = WidthTables {
-                low: OnceLock::from(table[k * n..(k + 1) * n].to_vec()),
-                high: OnceLock::new(),
-            };
+            let w_low = &table[k * n..(k + 1) * n];
             let t = (ladder[k], ladder[k]);
-            let candidate = evaluate(&mut sim, a, b, t, sym_a, sym_b, widths, price);
+            let candidate = simulate_seeded(&mut sim, a, b, t, sym_a, sym_b, Some(w_low), price);
             fold(&mut acc, kept[k], candidate);
         }
         acc
@@ -565,26 +560,6 @@ pub(crate) fn serial_context(ctx: &HeteroContext) -> HeteroContext {
     HeteroContext::with_shared(ctx.platform, ThreadPool::new(1), ctx.workspaces.clone())
 }
 
-/// One threshold pair's simulated Phase II/III plan under the default
-/// (adaptive) work units, with `widths` — as seeded, plus the tables it
-/// built on the way — and its Phase II GPU price when a ladder walk has
-/// already computed it.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn evaluate<T: Scalar>(
-    sim: &mut HeteroContext,
-    a: &CsrMatrix<T>,
-    b: &CsrMatrix<T>,
-    (t_a, t_b): (usize, usize),
-    sym_a: &SymbolicStructure,
-    sym_b: &SymbolicStructure,
-    widths: WidthTables,
-    gpu2: Option<Phase2Price>,
-) -> (PhasePlan, WidthTables) {
-    let units = adaptive_units(sym_a, t_a);
-    let plan = simulate_seeded(sim, a, b, (t_a, t_b), sym_a, sym_b, units, &widths, gpu2);
-    (plan, widths)
-}
-
 /// The Phase II and Phase III walls of the [`simulate_phases`] plan that
 /// an empirical Phase I would weigh for each threshold of an ascending
 /// `ladder` (repeats allowed), in order: the Figure 8 sweep. Cost model
@@ -602,7 +577,7 @@ pub fn estimate_ladder_with<T: Scalar>(
     sym_a: &SymbolicStructure,
     sym_b: &SymbolicStructure,
 ) -> Vec<(f64, f64)> {
-    let walls = |out: &mut Vec<_>, k, (plan, _): (PhasePlan, _)| {
+    let walls = |out: &mut Vec<_>, k, plan: PhasePlan| {
         out.push((k, (plan.phase2.wall(), plan.phase3.wall())));
     };
     let mut swept = vec![(0.0, 0.0); ladder.len()];
@@ -611,18 +586,6 @@ pub fn estimate_ladder_with<T: Scalar>(
     }
     let classes = ladder_classes(ladder, sym_a, sym_b);
     (0..ladder.len()).map(|k| swept[classes[k]]).collect()
-}
-
-/// GPU output-width tables of one threshold pair's masks, each built on
-/// first use and kept: `low` under the `B_L` mask over all A rows (the
-/// Phase II `A_L × B_L` product and the GPU's `A_H × B_L` claims), and
-/// `high` under the `B_H` mask over `A_L` rows only, needed just when the
-/// GPU drains the CPU's queue end. Widths are integer tables, so a kept
-/// table is bit-equal to a rebuilt one.
-#[derive(Debug, Default)]
-pub struct WidthTables {
-    pub low: OnceLock<Vec<u32>>,
-    pub high: OnceLock<Vec<u32>>,
 }
 
 /// One Phase III claim off the double-ended queue, in the order the
@@ -640,9 +603,9 @@ pub struct PlannedClaim {
 }
 
 /// The outcome of one Phase II/III simulation — a pure function of the
-/// operands, the threshold pair, the platform and the work units, so it
-/// can be kept with the Phase I artifacts and replayed by every later run
-/// instead of being simulated again.
+/// operands, the threshold pair and the platform, so it can be kept with
+/// the Phase I artifacts and replayed by every later run instead of being
+/// simulated again.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhasePlan {
     /// Phase II: `A_H × B_H` on the CPU ∥ `A_L × B_L` on the GPU.
@@ -657,15 +620,6 @@ pub struct PhasePlan {
     pub b_low: Vec<bool>,
     /// Phase III claims in push order.
     pub claims: Vec<PlannedClaim>,
-    /// The work-unit grains the queue was simulated with.
-    pub units: WorkUnitConfig,
-}
-
-/// The work units a run uses when the caller names none: sized to the
-/// `A_L` / `A_H` row-list lengths ([`WorkUnitConfig::adaptive`]).
-pub fn adaptive_units(sym_a: &SymbolicStructure, t_a: usize) -> WorkUnitConfig {
-    let high = sym_a.hd_rows(t_a);
-    WorkUnitConfig::adaptive(sym_a.nrows() - high, high)
 }
 
 /// The Phase II/III simulation of HH-CPU (§III-B, §III-C) for thresholds
@@ -685,13 +639,17 @@ pub fn adaptive_units(sym_a: &SymbolicStructure, t_a: usize) -> WorkUnitConfig {
 /// balance the queue exists for.
 ///
 /// `ctx`'s devices are reset at entry, and only its platform, devices,
-/// pool and workspaces are used. GPU costs are read against `widths`, each
-/// table built on first need through `ctx.pool` and kept there for the
-/// caller. The GPU's Phase II product and its Phase III claims, which
-/// continue from the L2 Phase II left behind, are priced by
+/// pool and workspaces are used. The work units are sized to the `A_L` /
+/// `A_H` row-list lengths ([`WorkUnitConfig::adaptive`]), so the queue
+/// always holds enough units for its endgame to balance. GPU costs are
+/// read against output-width tables built through `ctx.pool`: one under
+/// the `B_L` mask over all A rows (the Phase II `A_L × B_L` product and
+/// the GPU's `A_H × B_L` claims), and one under the `B_H` mask over the
+/// `A_L` rows, built only if the GPU drains the CPU's queue end. The GPU's Phase II product and its Phase III
+/// claims, which continue from the L2 Phase II left behind, are priced by
 /// [`spmm_hetsim::GpuDevice::spmm_cost_planned`]; the empirical search
-/// seeds the Phase II price from its ladder walk instead.
-#[allow(clippy::too_many_arguments)]
+/// seeds the `B_L` table and the Phase II price from its ladder passes
+/// instead.
 pub fn simulate_phases<T: Scalar>(
     ctx: &mut HeteroContext,
     a: &CsrMatrix<T>,
@@ -699,15 +657,15 @@ pub fn simulate_phases<T: Scalar>(
     t: (usize, usize),
     sym_a: &SymbolicStructure,
     sym_b: &SymbolicStructure,
-    units: WorkUnitConfig,
-    widths: &WidthTables,
 ) -> PhasePlan {
-    simulate_seeded(ctx, a, b, t, sym_a, sym_b, units, widths, None)
+    simulate_seeded(ctx, a, b, t, sym_a, sym_b, None, None)
 }
 
-/// [`simulate_phases`], taking the GPU's Phase II price from `gpu2` when a
-/// ladder walk has already computed it for `t_b`'s `B_L` mask over
-/// `t_a`'s `A_L` rows.
+/// [`simulate_phases`], taking the `B_L` width table from `w_low` and the
+/// GPU's Phase II price from `gpu2` when the ladder passes have already
+/// computed them for `t_b`'s `B_L` mask (over `t_a`'s `A_L` rows, for the
+/// price). Widths are integer tables, so a seeded table is bit-equal to a
+/// built one.
 #[allow(clippy::too_many_arguments)]
 fn simulate_seeded<T: Scalar>(
     ctx: &mut HeteroContext,
@@ -716,19 +674,25 @@ fn simulate_seeded<T: Scalar>(
     (t_a, t_b): (usize, usize),
     sym_a: &SymbolicStructure,
     sym_b: &SymbolicStructure,
-    units: WorkUnitConfig,
-    widths: &WidthTables,
+    w_low: Option<&[u32]>,
     gpu2: Option<Phase2Price>,
 ) -> PhasePlan {
     ctx.reset();
     let (rows_ah, rows_al) = sym_a.partition_rows(t_a);
+    let units = WorkUnitConfig::adaptive(rows_al.len(), rows_ah.len());
     let b_high = sym_b.classify(t_b);
     let b_low: Vec<bool> = b_high.iter().map(|&h| !h).collect();
     let hd_b = sym_b.hd_rows(t_b);
     let ld_b = b.nrows() - hd_b;
-    let w_low = widths.low.get_or_init(|| {
-        masked_output_widths_pooled(a, b, Some(&b_low), &ctx.pool, &ctx.workspaces)
-    });
+    let built;
+    let w_low = match w_low {
+        Some(w_low) => w_low,
+        None => {
+            built = masked_output_widths_pooled(a, b, Some(&b_low), &ctx.pool, &ctx.workspaces);
+            &built
+        }
+    };
+    let mut w_high = None;
 
     let cpu2 = ctx
         .cpu
@@ -823,7 +787,7 @@ fn simulate_seeded<T: Scalar>(
             let w = if high {
                 w_low
             } else {
-                widths.high.get_or_init(|| {
+                w_high.get_or_insert_with(|| {
                     masked_output_widths_for_pooled(
                         a,
                         b,
@@ -854,7 +818,6 @@ fn simulate_seeded<T: Scalar>(
         rows_al,
         b_low,
         claims,
-        units,
     }
 }
 

@@ -22,10 +22,10 @@ use crate::schedule::{self, ClaimSchedule, ExecPolicy, ScheduledClaim};
 pub const MKL_ADVANTAGE: f64 = 1.175;
 
 /// Inefficiency of the 2012-era cuSPARSE csrgemm relative to the tuned
-/// warp-per-row kernel of [13]: the vendor routine used an
+/// warp-per-row kernel of \[13\]: the vendor routine used an
 /// expand–sort–compress pipeline with several times the memory traffic.
-/// [13] (and transitively the paper's Figure 6, where cuSPARSE trails
-/// HH-CPU by 4x while the GPU side of [13] is competitive) implies a
+/// \[13\] (and transitively the paper's Figure 6, where cuSPARSE trails
+/// HH-CPU by 4x while the GPU side of \[13\] is competitive) implies a
 /// multiple-x gap; we use 3x.
 pub const CUSPARSE_PENALTY: f64 = 3.0;
 

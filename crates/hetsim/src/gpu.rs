@@ -1,5 +1,5 @@
 //! GPU device model: warp-per-row cost for the row-row spmm kernel of
-//! [13] as described in the paper's §II-A-b.
+//! \[13\] as described in the paper's §II-A-b.
 
 use spmm_cache::{Cache, CacheBank, CacheConfig, CacheStats};
 use spmm_parallel::{DisjointSlice, ThreadPool};
@@ -21,7 +21,7 @@ const B_BASE: u64 = 1 << 40;
 /// operands under 1 TB), so no geometry the model takes is refused later.
 const MIN_L2_SETS: usize = 4;
 
-/// The GPU side of the platform. Models the kernel of [13]: a fixed number
+/// The GPU side of the platform. Models the kernel of \[13\]: a fixed number
 /// of warps is launched, warp `i` computes row `i` of `C`, accumulating
 /// into a `PartialOutput` array of width `TR_b` in global memory
 /// (§II-A-b). The model charges, per row:

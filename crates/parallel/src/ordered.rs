@@ -1,10 +1,12 @@
 //! In-order commit of out-of-order completions.
 //!
 //! The pipelined out-of-core shard driver fans band computations across
-//! worker threads, but band results must be *committed* in plan order —
-//! the per-shard profile vector feeds a field-wise `f64` sum whose fold
-//! order is part of the bit-identity contract, and the write-behind spill
-//! channel must see bands in the order the stitch will read them back.
+//! worker threads, but band results must be *committed* in plan order:
+//! the write-behind spill channel's store keeps one slot per band in the
+//! order it receives them and evicts the oldest first, and the stitch
+//! appends those slots in that order, so only a plan-order commit lays
+//! the bands of C end to end in row order. (The bands' per-claim entry
+//! counts are integer sums, which any order would leave alike.)
 //! [`OrderedCommitter`] is the small primitive that provides exactly
 //! that: workers `submit` results under any interleaving, and the commit
 //! closure observes index `i` only after indices `0..i` have all been

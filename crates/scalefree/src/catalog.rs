@@ -1,6 +1,6 @@
 //! The paper's Table I dataset, reproduced as synthetic clones.
 //!
-//! The original matrices come from the SuiteSparse/SNAP collection ([18]).
+//! The original matrices come from the SuiteSparse/SNAP collection (\[18\]).
 //! This offline reproduction generates, for each of the 12 matrices, a
 //! synthetic clone matched on the three properties the paper's analysis
 //! uses: row count, nonzero count, and the power-law exponent α of the

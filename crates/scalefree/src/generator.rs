@@ -1,7 +1,7 @@
 //! Synthetic scale-free matrix generators.
 //!
 //! [`scale_free_matrix`] is the workspace's stand-in for GTgraph (the
-//! paper's reference [3]): a configuration-model generator that draws row
+//! paper's reference \[3\]): a configuration-model generator that draws row
 //! sizes from a truncated discrete power law and fills each row with
 //! distinct uniformly random columns. As in GTgraph, the exponent cannot be
 //! dialled exactly — "one has to specify the number of nonzeros … that

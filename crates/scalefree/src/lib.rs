@@ -12,7 +12,7 @@
 //!   column.
 //! * [`generator`] — synthetic scale-free matrix generators: a
 //!   configuration-model generator with power-law row sizes (the stand-in
-//!   for GTgraph, the paper's reference [3]) and an R-MAT generator.
+//!   for GTgraph, the paper's reference \[3\]) and an R-MAT generator.
 //! * [`catalog`] — clones of the paper's 12 Table I matrices, matched on
 //!   (rows, nnz, α), with a scale knob so the full figure suite runs on
 //!   modest hardware.

@@ -2,7 +2,7 @@
 //!
 //! The fitting routine follows Clauset, Shalizi & Newman, *Power-law
 //! distributions in empirical data* (SIAM Review 2009) — the method behind
-//! Alstott's `powerlaw` package, which the paper cites ([1]) for the α
+//! Alstott's `powerlaw` package, which the paper cites (\[1\]) for the α
 //! column of Table I and the X axis of Figure 10:
 //!
 //! 1. for each candidate `x_min`, estimate `α` by (discrete-corrected) MLE

@@ -13,7 +13,7 @@
 //!
 //! plus Matrix Market I/O ([`io`]), row-size histograms ([`histogram`] — the
 //! raw material of the paper's Figures 1 and 5), serial reference kernels
-//! ([`reference`]: the Gustavson product every parallel/heterogeneous
+//! ([`reference`](mod@reference): the Gustavson product every parallel/heterogeneous
 //! algorithm is tested against, and the claims oracle the host engine's
 //! executor is pinned against bit for bit), and the Gustavson sparse
 //! accumulator ([`accumulator`]) behind the host-side numeric engine.

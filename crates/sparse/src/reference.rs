@@ -2,7 +2,7 @@
 //!
 //! Every heterogeneous algorithm in the workspace is tested against
 //! [`spmm_rowrow`], the classic Gustavson row-row formulation (§II-A of the
-//! paper; Gustavson 1978 is the paper's reference [7]). [`spmm_claims`]
+//! paper; Gustavson 1978 is the paper's reference \[7\]). [`spmm_claims`]
 //! runs the same product claim by claim and sums the partial products per
 //! output row, the serial oracle the host engine's executor is pinned
 //! against bit for bit. Also provided: spmv, sparse × dense, and the

@@ -120,7 +120,7 @@ pub struct MultiplyRequest {
     pub scale: Option<usize>,
     /// Row-band shard count; `None` or `Some(1)` ⇒ monolithic. Sharded
     /// requests run the shard driver against the same cached artifacts
-    /// (each band runs a slice of the one global plan) and reply exactly
+    /// (each band drains its rows of the one global plan) and reply exactly
     /// what the monolithic multiply replies.
     pub shards: Option<usize>,
     /// Resident-byte budget of the shard driver

@@ -8,10 +8,10 @@
 //!
 //! Numeric results cross the wire as *fingerprints*, not payloads: the
 //! content hash of `C` and an FNV fingerprint of the nine
-//! [`PhaseBreakdown`](spmm_core::PhaseBreakdown) bit patterns. Two runs
-//! are bit-identical iff their fingerprints match, which is what the
-//! serve-smoke CI gate compares — shipping gigabyte products through CI
-//! would test the pipe, not the engine.
+//! [`PhaseBreakdown`] bit patterns. Two runs are bit-identical iff their
+//! fingerprints match, which is what the serve-smoke CI gate compares —
+//! shipping gigabyte products through CI would test the pipe, not the
+//! engine.
 
 use std::io::{self, Read, Write};
 use std::path::Path;

@@ -52,9 +52,10 @@ fn batched_matches_per_claim_on_all_table1_clones() {
 
 #[test]
 fn batched_matches_per_claim_under_sharding() {
-    // the sharded driver runs the executor once per row band; an explicit
-    // 4-band pooled plan forces real multi-shard stitching even at test
-    // sizes
+    // a sharded run drains row bands of the one prepared schedule
+    // with the production engine; an explicit 4-band plan forces real
+    // multi-band stitching even at test sizes, and a 1-byte cap sends
+    // every band through the spill round trip
     let a = matrix(4_000, 28_000, 65);
     let per_claim = HhCpuConfig {
         exec: ExecPolicy::PerClaim,
@@ -62,13 +63,13 @@ fn batched_matches_per_claim_under_sharding() {
     };
     for threads in [1usize, 4] {
         let mut ctx = HeteroContext::scaled(32).with_host_threads(threads);
-        let shard = ShardConfig::pooled(4);
-        let reference = hh_cpu_sharded(&mut ctx, &a, &a, &per_claim, &shard);
-        let batched = hh_cpu_sharded(&mut ctx, &a, &a, &HhCpuConfig::default(), &shard);
-        let what = format!("sharded, {threads} host threads");
-        assert_eq!(batched.plan.shards(), 4, "{what}: shard plan");
-        assert_eq!(batched.plan.bounds(), reference.plan.bounds(), "{what}");
-        assert_identical(&batched.output, &reference.output, &what);
+        let reference = hh_cpu(&mut ctx, &a, &a, &per_claim);
+        for shard in [ShardConfig::pooled(4), ShardConfig::out_of_core(4, 1)] {
+            let sharded = hh_cpu_sharded(&mut ctx, &a, &a, &HhCpuConfig::default(), &shard);
+            let what = format!("{shard:?}, {threads} host threads");
+            assert_eq!(sharded.plan.shards(), 4, "{what}: shard plan");
+            assert_identical(&sharded.output, &reference, &what);
+        }
     }
 }
 

@@ -3,7 +3,7 @@
 //! phase walls must still be the bits of its own cold `simulate_phases`
 //! run, for every host thread count, as A × A and A ≠ B.
 
-use hetero_spmm::core::threshold::{self, adaptive_units, estimate_ladder_with, WidthTables};
+use hetero_spmm::core::threshold::{self, estimate_ladder_with};
 use hetero_spmm::core::SymbolicStructure;
 use hetero_spmm::prelude::*;
 
@@ -40,18 +40,7 @@ fn ladder_sweep_matches_one_simulation_per_threshold() {
             .iter()
             .map(|&t| {
                 let mut sim = HeteroContext::new(platform).with_host_threads(1);
-                let units = adaptive_units(&sym_a, t);
-                let widths = WidthTables::default();
-                let plan = threshold::simulate_phases(
-                    &mut sim,
-                    &a,
-                    &b,
-                    (t, t),
-                    &sym_a,
-                    &sym_b,
-                    units,
-                    &widths,
-                );
+                let plan = threshold::simulate_phases(&mut sim, &a, &b, (t, t), &sym_a, &sym_b);
                 (plan.phase2.wall().to_bits(), plan.phase3.wall().to_bits())
             })
             .collect();

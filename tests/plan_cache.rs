@@ -7,20 +7,17 @@
 //! `A = A` and `A ≠ B`:
 //!
 //! - the kept plan equals a fresh `simulate_phases` of the same thresholds
-//!   (claims, simulated-ns bits, clocks), and the kept width tables equal
-//!   freshly built ones;
+//!   (claims, simulated-ns bits, clocks);
 //! - a warm run equals a cold `hh_cpu` in C, `PhaseBreakdown` bits,
-//!   thresholds and `tuples_merged`, also under explicit paper work units
-//!   (which simulate their own plan);
+//!   thresholds and `tuples_merged`;
 //! - a sharded run against the same artifacts, which executes the kept
 //!   plan band by band, replies exactly what the monolithic run does.
 
-use hetero_spmm::core::threshold::{self, PhasePlan, WidthTables};
+use hetero_spmm::core::threshold::{self, PhasePlan};
 use hetero_spmm::core::{
     hh_cpu, hh_cpu_sharded_with_artifacts, hh_cpu_with_artifacts, HeteroContext, HhCpuConfig,
-    ShardConfig, SpmmArtifacts, SpmmOutput, ThresholdPolicy, WorkUnitConfig,
+    ShardConfig, SpmmArtifacts, SpmmOutput, ThresholdPolicy,
 };
-use hetero_spmm::hetsim::gpu::{masked_output_widths_for_pooled, masked_output_widths_pooled};
 use hetero_spmm::hetsim::PhaseBreakdown;
 use hetero_spmm::parallel::ThreadPool;
 use hetero_spmm::scalefree::{scale_free_matrix, Dataset, GeneratorConfig};
@@ -116,7 +113,6 @@ fn assert_same_plan(got: &PhasePlan, want: &PhasePlan, what: &str) {
         .map(f64::to_bits)
     };
     assert_eq!(clocks(got), clocks(want), "{what}: phase clocks diverged");
-    assert_eq!(got.units, want.units, "{what}: work units");
     assert_eq!(got.rows_ah, want.rows_ah, "{what}: A_H rows");
     assert_eq!(got.rows_al, want.rows_al, "{what}: A_L rows");
     assert_eq!(got.b_low, want.b_low, "{what}: B_L mask");
@@ -141,16 +137,7 @@ fn fresh_plan(
         HeteroContext::with_shared(ctx.platform, ThreadPool::new(1), ctx.workspaces.clone());
     let plan = &artifacts.plan;
     let th = &plan.thresholds;
-    threshold::simulate_phases(
-        &mut sim,
-        a,
-        b,
-        (th.t_a, th.t_b),
-        &plan.sym_a,
-        plan.sym_b(),
-        threshold::adaptive_units(&plan.sym_a, th.t_a),
-        &WidthTables::default(),
-    )
+    threshold::simulate_phases(&mut sim, a, b, (th.t_a, th.t_b), &plan.sym_a, plan.sym_b())
 }
 
 #[test]
@@ -163,7 +150,6 @@ fn kept_plan_matches_a_fresh_simulation_and_warm_runs_match_cold_on_every_clone(
                 let artifacts = SpmmArtifacts::build(&ctx, &a, rhs, policy);
                 let kept = &artifacts.phases;
                 assert_same_plan(kept, &fresh_plan(&ctx, &a, rhs, &artifacts), &what);
-                assert_kept_widths(&ctx, &a, rhs, &artifacts, &what);
 
                 let config = HhCpuConfig {
                     policy,
@@ -172,58 +158,6 @@ fn kept_plan_matches_a_fresh_simulation_and_warm_runs_match_cold_on_every_clone(
                 let cold = hh_cpu(&mut ctx, &a, rhs, &config);
                 let warm = hh_cpu_with_artifacts(&mut ctx, &a, rhs, &config, &artifacts);
                 assert_same_run(&warm, &cold, &format!("{what}: warm run"));
-            }
-        }
-    }
-}
-
-/// The kept width tables equal freshly built ones (integer tables, so
-/// bit-equal).
-fn assert_kept_widths(
-    ctx: &HeteroContext,
-    a: &CsrMatrix<f64>,
-    b: &CsrMatrix<f64>,
-    artifacts: &SpmmArtifacts,
-    what: &str,
-) {
-    let serial = ThreadPool::new(1);
-    let kept = &artifacts.phases;
-    let low = masked_output_widths_pooled(a, b, Some(&kept.b_low), &serial, &ctx.workspaces);
-    assert_eq!(artifacts.widths.low.get(), Some(&low), "{what}: B_L widths");
-    if let Some(high) = artifacts.widths.high.get() {
-        let b_high = &artifacts.plan.thresholds.b_high;
-        let fresh = masked_output_widths_for_pooled(
-            a,
-            b,
-            Some(b_high),
-            &kept.rows_al,
-            &serial,
-            &ctx.workspaces,
-        );
-        assert_eq!(high, &fresh, "{what}: B_H widths");
-    }
-}
-
-#[test]
-fn explicit_work_units_simulate_their_own_plan() {
-    // the kept plan is for the default units; paper units must match a
-    // cold run with the same units and leave the kept plan alone
-    for (name, scale, a, b) in some_clones() {
-        for policy in POLICIES {
-            for (pair, rhs) in [("A = A", &a), ("A != B", &b)] {
-                let what = format!("{name} {policy:?} {pair} paper units");
-                let config = HhCpuConfig {
-                    policy,
-                    units: Some(WorkUnitConfig::paper()),
-                    ..HhCpuConfig::default()
-                };
-                let mut ctx = HeteroContext::scaled(scale);
-                let artifacts = SpmmArtifacts::build(&ctx, &a, rhs, policy);
-                let before = artifacts.phases.clone();
-                let cold = hh_cpu(&mut ctx, &a, rhs, &config);
-                let warm = hh_cpu_with_artifacts(&mut ctx, &a, rhs, &config, &artifacts);
-                assert_same_run(&warm, &cold, &what);
-                assert_same_plan(&artifacts.phases, &before, &what);
             }
         }
     }

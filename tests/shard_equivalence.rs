@@ -1,8 +1,8 @@
 //! The sharded driver's bit-identity contract.
 //!
-//! `hh_cpu_sharded` cuts A into nnz-balanced row bands, runs each band ×
-//! full B through the executor on its slice of the one global claim
-//! schedule, and stitches the outputs by indptr offset fix-up. The
+//! `hh_cpu_sharded` cuts A into nnz-balanced row bands, drains each band's
+//! rows of the one global claim schedule (prepared once) with the
+//! production engine, and stitches the outputs by indptr offset fix-up. The
 //! contract (DESIGN.md §3.7): **the reply equals the monolithic run's** —
 //! the same C (matrix and content hash), `PhaseBreakdown`, thresholds,
 //! H/L row counts and `tuples_merged` — for every shard count × byte cap ×
